@@ -22,7 +22,7 @@ print("gap:", decomp.gap, " relaxation time:", decomp.t_rel)
 
 print("\nheat diagonal ratio H_t(x,x)/pi(x) at x=0:")
 for t in (0.0, 0.75, 3.0):
-    print(f"  t={t}: {spectral.heat_diag_ratio(decomp, 0, t):.6f}"
+    print(f"  t={t}: {spectral.heat_diag_ratio(decomp, t, x=0):.6f}"
           + ("  (= 1 + 3 e^{-1})" if t == 0.75 else ""))
 
 print("\ninverse-eigenvalue moments (order ell sums lambda^-ell):")
@@ -40,8 +40,8 @@ for ell in (1, 2):
 print("\nwindowed moments keep at least the gamma window mass:")
 for ell in (1, 2, 5):
     kappa = spectral.gamma_window_mass(ell)
-    full = spectral.heat_moment(decomp, 0, ell)
-    windowed = spectral.heat_moment_windowed(decomp, 0, ell)
+    full = spectral.heat_moment_all(decomp, ell)[0]
+    windowed = spectral.heat_moment_windowed_all(decomp, ell)[0]
     print(f"  order {ell}: windowed/full = {windowed / full:.6f} >= "
           f"window mass {kappa:.6f}")
 

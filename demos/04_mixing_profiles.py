@@ -26,7 +26,7 @@ print(f"  TV       (eps=1/4): {prof.mixing_time('tv', 0.25):.10f}")
 
 print("\nworst-case L1 distance decays like (3/2) e^{-4t/3}:")
 for t in (0.0, 1.0, 2.0):
-    print(f"  t={t}: {mixing.d_tv(kernel, decomp, 0, t):.6f} "
+    print(f"  t={t}: {prof.tv_distance(0, t):.6f} "
           f"vs {1.5 * math.exp(-4 * t / 3):.6f}")
 
 print("\nhierarchy chain on torus(2,8), eps=1/2:")

@@ -25,9 +25,8 @@ from .errors import (AllCensored, BadEps, BadRange, CertificateMismatch,
 from .hitting import (HittingSummary, eigentime_residual, hit_times,
                       hitting_tail, hitting_tail_profile, random_target_spread,
                       second_moment_pi)
-from .mixing import MixingProfile, d_tv, hierarchy_check
+from .mixing import MixingProfile, hierarchy_check
 from .spectral import (SpectralDecomposition, decompose, gamma_window_mass,
-                       heat_diag_ratio, heat_kernel_row, heat_moment,
-                       heat_moment_all, heat_moment_windowed,
+                       heat_diag_ratio, heat_kernel_row, heat_moment_all,
                        heat_moment_windowed_all, lower_gamma_regularized,
                        spectral_moment)

@@ -13,7 +13,7 @@ optimum sits at lambda_2 and the bounds below follow by solving for t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,16 +32,23 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 # ---------------------------------------------------------------------------
 # mixing-time upper bounds from hitting moments
 
-def _rhs_uniform(t_rel, sigma_max, ell, eps):
-    return t_rel * max(math.log(sigma_max / (eps * t_rel**ell)), float(ell))
+def _rhs_moment(t_rel, moment, ell, eps):
+    """Order-ell moment bound on the uniform time at threshold eps.  The L2
+    bounds are half of it at eps^2, as t_l2(eps) = t_linf(eps^2) / 2."""
+    return t_rel * max(math.log(moment / (eps * t_rel**ell)), float(ell))
 
 
-def _rhs_l2(t_rel, sigma_x, ell, eps):
-    return 0.5 * t_rel * max(math.log(sigma_x / (eps * eps * t_rel**ell)), float(ell))
-
-
-def _rhs_ave(t_rel, q_ell, ell, eps):
-    return 0.5 * t_rel * max(math.log(q_ell / (eps * eps * t_rel**ell)), float(ell))
+def _worst_l2x_report(analysis: ChainAnalysis, name: str, eps: float, rhs,
+                      ctx: dict) -> BoundReport:
+    """Smallest-slack report of t_l2,x(eps) <= rhs(x) over the scanned states."""
+    prof = analysis.profile
+    if analysis.kernel.transitive:
+        times = {0: prof.mixing_time("l2x", eps, x=0)}
+    else:
+        times = prof.l2_mixing_times(eps)
+    return min((BoundReport.check(name, float(times[x]), rhs(x), x=x, **ctx)
+                for x in analysis.kernel.scan_states),
+               key=lambda rep: rep.slack)
 
 
 def moment_bound_reports(analysis: ChainAnalysis, ell: int,
@@ -62,25 +69,13 @@ def moment_bound_reports(analysis: ChainAnalysis, ell: int,
 
     linf = BoundReport.check("linf_moment_bound",
                              prof.mixing_time("linf", eps),
-                             _rhs_uniform(t_rel, float(sigma.max()), ell, eps), **ctx)
+                             _rhs_moment(t_rel, float(sigma.max()), ell, eps), **ctx)
     ave = BoundReport.check("avel2_moment_bound",
                             prof.mixing_time("ave_l2", eps),
-                            _rhs_ave(t_rel, q_ell, ell, eps), **ctx)
-
-    if kernel.transitive:
-        xs = [0]
-        times = {0: prof.mixing_time("l2x", eps, x=0)}
-    else:
-        vec = prof.l2_mixing_times(eps)
-        xs = range(kernel.n)
-        times = {x: float(vec[x]) for x in xs}
-    worst = None
-    for x in xs:
-        rep = BoundReport.check("l2x_moment_bound", times[x],
-                                _rhs_l2(t_rel, float(sigma[x]), ell, eps),
-                                x=x, **ctx)
-        if worst is None or rep.slack < worst.slack:
-            worst = rep
+                            0.5 * _rhs_moment(t_rel, q_ell, ell, eps * eps), **ctx)
+    worst = _worst_l2x_report(
+        analysis, "l2x_moment_bound", eps,
+        lambda x: 0.5 * _rhs_moment(t_rel, float(sigma[x]), ell, eps * eps), ctx)
     return [linf, worst, ave]
 
 
@@ -101,11 +96,8 @@ def hitting_bound_reports(analysis: ChainAnalysis,
                             analysis.profile.mixing_time("ave_l2", 0.5),
                             0.5 * t_rel * math.log(4.0 * t_target / t_rel),
                             kernel=analysis.kernel.label, eps=0.5)
-    linf = BoundReport(name="linf_hitting_bound", lhs=linf.lhs, rhs=linf.rhs,
-                       slack=linf.slack, passed=linf.passed, context=linf.context)
-    l2x = BoundReport(name="l2x_hitting_bound", lhs=l2x.lhs, rhs=l2x.rhs,
-                      slack=l2x.slack, passed=l2x.passed, context=l2x.context)
-    return [linf, l2x, ave]
+    return [replace(linf, name="linf_hitting_bound"),
+            replace(l2x, name="l2x_hitting_bound"), ave]
 
 
 def root_moment_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport]:
@@ -113,22 +105,12 @@ def root_moment_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport]:
     and the averaged version with the spectral moment."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    kernel, decomp, prof = analysis.kernel, analysis.decomp, analysis.profile
-    ctx = {"kernel": kernel.label, "ell": ell}
+    decomp, prof = analysis.decomp, analysis.profile
+    ctx = {"kernel": analysis.kernel.label, "ell": ell}
     sigma = heat_moment_all(decomp, ell)
-    if kernel.transitive:
-        xs, times = [0], {0: prof.mixing_time("l2x", 0.5, x=0)}
-    else:
-        vec = prof.l2_mixing_times(0.5)
-        xs = range(kernel.n)
-        times = {x: float(vec[x]) for x in xs}
-    worst = None
-    for x in xs:
-        rep = BoundReport.check("l2x_root_moment", times[x],
-                                2.0 * ell * float(sigma[x]) ** (1.0 / ell),
-                                x=x, **ctx)
-        if worst is None or rep.slack < worst.slack:
-            worst = rep
+    worst = _worst_l2x_report(
+        analysis, "l2x_root_moment", 0.5,
+        lambda x: 2.0 * ell * float(sigma[x]) ** (1.0 / ell), ctx)
     ave = BoundReport.check("avel2_root_moment",
                             prof.mixing_time("ave_l2", 0.5),
                             2.0 * ell * spectral_moment(decomp, ell) ** (1.0 / ell),
@@ -164,6 +146,34 @@ def relaxation_hitting_report(analysis: ChainAnalysis) -> BoundReport:
                              rhs, kernel=analysis.kernel.label)
 
 
+def _head_window_reports(analysis: ChainAnalysis, xs, M: float) -> list:
+    """The pair of truncation_factor_reports for each state in xs.
+
+    The gamma-mass weights depend on M only, so they are built once.  The
+    dots stay per state: one matrix-vector product rounds differently.
+    """
+    if M <= 0:
+        raise ValueError("M must be positive")
+    decomp = analysis.decomp
+    lam = decomp.lambdas[1:]
+    window = M * decomp.t_rel
+    orders = []
+    for k, full_w in enumerate((1.0 / lam, lam**-2.0)):
+        masses = np.array([lower_gamma_regularized(k + 1, window * l) for l in lam])
+        orders.append((k, full_w, full_w * masses,
+                       1.0 / lower_gamma_regularized(k + 1, M)))
+    pairs = []
+    for x in xs:
+        fsq = decomp.eigfuncs_sq[x, 1:]
+        pi_x = float(decomp.pi[x])
+        ctx = {"kernel": analysis.kernel.label, "x": x, "M": M}
+        pairs.append([BoundReport.check(f"head_window_order{k}",
+                                        pi_x * float(fsq @ full_w),
+                                        factor * (pi_x * float(fsq @ trunc_w)), **ctx)
+                      for k, full_w, trunc_w, factor in orders])
+    return pairs
+
+
 def truncation_factor_reports(analysis: ChainAnalysis, x: int,
                               M: float) -> list[BoundReport]:
     """Head-window comparisons for the centered heat diagonal at state x.
@@ -176,38 +186,14 @@ def truncation_factor_reports(analysis: ChainAnalysis, x: int,
     equality when the whole spectrum sits at the gap.  At order 0 this is
     the familiar e^M / (e^M - 1).
     """
-    if M <= 0:
-        raise ValueError("M must be positive")
-    decomp = analysis.decomp
-    lam = decomp.lambdas[1:]
-    fsq = decomp.eigfuncs_sq[x, 1:]
-    pi_x = float(decomp.pi[x])
-    window = M * decomp.t_rel
-    ctx = {"kernel": analysis.kernel.label, "x": x, "M": M}
-
-    full0 = pi_x * float(fsq @ (1.0 / lam))
-    trunc0 = pi_x * float(fsq @ ((1.0 / lam)
-                                 * np.array([lower_gamma_regularized(1, window * l)
-                                             for l in lam])))
-    factor0 = 1.0 / lower_gamma_regularized(1, M)  # == e^M / (e^M - 1)
-
-    full1 = pi_x * float(fsq @ lam**-2.0)
-    trunc1 = pi_x * float(fsq @ (lam**-2.0
-                                 * np.array([lower_gamma_regularized(2, window * l)
-                                             for l in lam])))
-    factor1 = 1.0 / lower_gamma_regularized(2, M)
-
-    return [
-        BoundReport.check("head_window_order0", full0, factor0 * trunc0, **ctx),
-        BoundReport.check("head_window_order1", full1, factor1 * trunc1, **ctx),
-    ]
+    return _head_window_reports(analysis, [x], M)[0]
 
 
 def truncation_factor_worst(analysis: ChainAnalysis, M: float) -> list[BoundReport]:
     """Worst-state variant of the head-window comparisons."""
     worst = {}
-    for x in ([0] if analysis.kernel.transitive else range(analysis.kernel.n)):
-        for rep in truncation_factor_reports(analysis, x, M):
+    for pair in _head_window_reports(analysis, analysis.kernel.scan_states, M):
+        for rep in pair:
             cur = worst.get(rep.name)
             if cur is None or rep.slack < cur.slack:
                 worst[rep.name] = rep

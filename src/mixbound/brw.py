@@ -36,7 +36,8 @@ from .chains import ChainFamilySpec, TransitionKernel, build_family
 from .errors import AllCensored, InvalidSpec
 from .hitting import hit_times
 from .mixing import MixingProfile
-from .spectral import decompose, heat_moment_windowed_all, spectral_moment
+from .spectral import (SpectralDecomposition, decompose, heat_moment_windowed_all,
+                       spectral_moment)
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -89,39 +90,49 @@ class BRWEstimate:
 
 
 def _cum_rows(P: np.ndarray) -> tuple:
+    """Cumulative rows for bisect sampling, pinned to 1.0 from each row's
+    last nonzero column on, so a uniform draw in [0, 1) never lands on a
+    zero-probability column past it."""
     # plain-float tuples: bisect comparisons in the event loop are much
     # faster against Python floats than numpy scalars
     rows = []
     for row in P:
         c = np.cumsum(row)
-        c[-1] = 1.0
+        c[np.flatnonzero(row)[-1]:] = 1.0
         rows.append(tuple(float(v) for v in c))
     return tuple(rows)
 
 
 def _cum_pi(pi: np.ndarray) -> tuple:
-    c = np.cumsum(pi)
-    c[-1] = 1.0
-    return tuple(float(v) for v in c)
+    return _cum_rows(pi[None, :])[0]
+
+
+def fill_config(kernel: TransitionKernel, cfg: BRWConfig,
+                decomp: SpectralDecomposition,
+                t_hit: float | None = None) -> BRWConfig:
+    """cfg with gamma defaulting to the spectral gap of decomp and max_time
+    to 50 * t_rel * log(1 + t_hit / t_rel).  t_hit is solved from the
+    kernel only when max_time needs it and the caller has none at hand."""
+    max_time = cfg.max_time
+    if max_time is None:
+        if t_hit is None:
+            t_hit = hit_times(kernel).t_hit
+        max_time = 50.0 * decomp.t_rel * math.log1p(t_hit / decomp.t_rel)
+    return replace(cfg, gamma=cfg.gamma if cfg.gamma is not None else decomp.gap,
+                   max_time=max_time)
 
 
 def resolve_config(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
     """Fill gamma and max_time defaults from the kernel's exact quantities."""
-    gamma, max_time = cfg.gamma, cfg.max_time
-    if gamma is None or max_time is None:
-        d = decompose(kernel)
-        if gamma is None:
-            gamma = d.gap
-        if max_time is None:
-            t_hit = hit_times(kernel).t_hit
-            max_time = 50.0 * d.t_rel * math.log(1.0 + t_hit / d.t_rel)
-    return replace(cfg, gamma=gamma, max_time=max_time)
+    if cfg.gamma is not None and cfg.max_time is not None:
+        return cfg
+    return fill_config(kernel, cfg, decompose(kernel))
 
 
 # ---------------------------------------------------------------------------
 # single-replicate engines (top level so process pools can pickle them)
 
-def _run_hit(cum_rows, cum_pi, gamma, target, max_particles, max_time, seed,
+def _run_hit(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
              initial_state):
     rng = Random(seed)
     pos0 = initial_state if initial_state is not None else bisect(cum_pi, rng.random())
@@ -148,7 +159,7 @@ def _run_hit(cum_rows, cum_pi, gamma, target, max_particles, max_time, seed,
         heappush(heap, (t + rng.expovariate(total), p))
 
 
-def _run_intersection(cum_rows, cum_pi, gamma, n, max_particles, max_time, seed,
+def _run_intersection(seed, cum_rows, cum_pi, gamma, n, max_particles, max_time,
                       initial_states):
     rng = Random(seed)
     if initial_states is not None:
@@ -184,7 +195,7 @@ def _run_intersection(cum_rows, cum_pi, gamma, n, max_particles, max_time, seed,
         heappush(heap, (t + rng.expovariate(total), pr, p))
 
 
-def _run_plain(cum_rows, cum_pi, n, max_time, seed, initial_states):
+def _run_plain(seed, cum_rows, cum_pi, n, max_time, initial_states):
     rng = Random(seed)
     if initial_states is not None:
         a, b = initial_states
@@ -211,7 +222,7 @@ def _run_plain(cum_rows, cum_pi, n, max_time, seed, initial_states):
         clocks[w] = t + rng.expovariate(1.0)
 
 
-def _run_growth(cum_rows, cum_pi, gamma, times, max_particles, seed):
+def _run_growth(seed, cum_rows, cum_pi, gamma, times, max_particles):
     """Particle counts of one replicate at the sorted query times."""
     rng = Random(seed)
     positions = [bisect(cum_pi, rng.random())]
@@ -239,49 +250,27 @@ def _run_growth(cum_rows, cum_pi, gamma, times, max_particles, seed):
     return counts
 
 
-# The pool entry points need flat, picklable signatures; one per kind keeps
-# them simple.
-
-def _hit_batch(args):
-    cum_rows, cum_pi, gamma, target, max_particles, max_time, master_seed, \
-        r0, r1, initial_state = args
-    return [_run_hit(cum_rows, cum_pi, gamma, target, max_particles, max_time,
-                     replicate_seed(master_seed, r), initial_state)
-            for r in range(r0, r1)]
+def _batch(args):
+    """Pool entry point: run_fn on replicates r0..r1-1 of one master seed."""
+    run_fn, common, master_seed, r0, r1 = args
+    return [run_fn(replicate_seed(master_seed, r), *common) for r in range(r0, r1)]
 
 
-def _intersection_batch(args):
-    cum_rows, cum_pi, gamma, n, max_particles, max_time, master_seed, \
-        r0, r1, initial_states = args
-    return [_run_intersection(cum_rows, cum_pi, gamma, n, max_particles,
-                              max_time, replicate_seed(master_seed, r),
-                              initial_states)
-            for r in range(r0, r1)]
-
-
-def _plain_batch(args):
-    cum_rows, cum_pi, n, max_time, master_seed, r0, r1, initial_states = args
-    return [_run_plain(cum_rows, cum_pi, n, max_time,
-                       replicate_seed(master_seed, r), initial_states)
-            for r in range(r0, r1)]
-
-
-def _chunk_bounds(replicates, chunks):
-    edges = np.linspace(0, replicates, num=chunks + 1, dtype=int)
-    return [(int(edges[i]), int(edges[i + 1])) for i in range(chunks)
-            if edges[i] < edges[i + 1]]
-
-
-def _map_batches(batch_fn, arg_lists, threads):
-    if threads <= 1 or len(arg_lists) == 1:
-        chunks = [batch_fn(a) for a in arg_lists]
+def _run_replicates(run_fn, kernel: TransitionKernel, cfg: BRWConfig,
+                    *params) -> list:
+    """run_fn(seed, cum_rows, cum_pi, *params) for every replicate, in
+    replicate order; chunks go to a process pool when cfg.threads > 1."""
+    common = (_cum_rows(kernel.P), _cum_pi(kernel.pi)) + params
+    n_chunks = 1 if cfg.threads <= 1 else min(cfg.replicates, 4 * cfg.threads)
+    edges = np.linspace(0, cfg.replicates, num=n_chunks + 1, dtype=int)
+    args = [(run_fn, common, cfg.master_seed, int(r0), int(r1))
+            for r0, r1 in zip(edges[:-1], edges[1:]) if r0 < r1]
+    if len(args) == 1:
+        chunks = [_batch(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(batch_fn, arg_lists))
-    out = []
-    for c in chunks:
-        out.extend(c)
-    return out
+        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
+            chunks = list(pool.map(_batch, args))
+    return [result for chunk in chunks for result in chunk]
 
 
 def _estimate(times, target) -> BRWEstimate:
@@ -310,11 +299,8 @@ def simulate_hit(kernel: TransitionKernel, x: int, cfg: BRWConfig,
     if not (0 <= x < kernel.n):
         raise InvalidSpec(f"state {x} outside 0..{kernel.n - 1}")
     cfg = resolve_config(kernel, cfg)
-    common = (_cum_rows(kernel.P), _cum_pi(kernel.pi), cfg.gamma, int(x),
-              cfg.max_particles, cfg.max_time, cfg.master_seed)
-    args = [common + (r0, r1, initial_state)
-            for r0, r1 in _chunk_bounds(cfg.replicates, _n_chunks(cfg))]
-    times = _map_batches(_hit_batch, args, cfg.threads)
+    times = _run_replicates(_run_hit, kernel, cfg, cfg.gamma, int(x),
+                            cfg.max_particles, cfg.max_time, initial_state)
     return _estimate(times, f"hit(x={x})")
 
 
@@ -324,11 +310,8 @@ def simulate_intersection(kernel: TransitionKernel, cfg: BRWConfig,
     """Estimate the expected first time one branching cloud touches a state
     the other cloud has already visited (time 0 included)."""
     cfg = resolve_config(kernel, cfg)
-    common = (_cum_rows(kernel.P), _cum_pi(kernel.pi), cfg.gamma, kernel.n,
-              cfg.max_particles, cfg.max_time, cfg.master_seed)
-    args = [common + (r0, r1, initial_states)
-            for r0, r1 in _chunk_bounds(cfg.replicates, _n_chunks(cfg))]
-    times = _map_batches(_intersection_batch, args, cfg.threads)
+    times = _run_replicates(_run_intersection, kernel, cfg, cfg.gamma, kernel.n,
+                            cfg.max_particles, cfg.max_time, initial_states)
     return _estimate(times, "intersection")
 
 
@@ -337,18 +320,9 @@ def plain_intersection(kernel: TransitionKernel, cfg: BRWConfig,
                        ) -> BRWEstimate:
     """Intersection time of two plain (non-branching) rate-1 walks from pi."""
     cfg = resolve_config(kernel, cfg)
-    common = (_cum_rows(kernel.P), _cum_pi(kernel.pi), kernel.n,
-              cfg.max_time, cfg.master_seed)
-    args = [common + (r0, r1, initial_states)
-            for r0, r1 in _chunk_bounds(cfg.replicates, _n_chunks(cfg))]
-    times = _map_batches(_plain_batch, args, cfg.threads)
+    times = _run_replicates(_run_plain, kernel, cfg, kernel.n, cfg.max_time,
+                            initial_states)
     return _estimate(times, "plain_intersection")
-
-
-def _n_chunks(cfg: BRWConfig) -> int:
-    if cfg.threads <= 1:
-        return 1
-    return min(cfg.replicates, 4 * cfg.threads)
 
 
 def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
@@ -356,12 +330,8 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     """Mean particle count and its standard error at each query time."""
     cfg = resolve_config(kernel, cfg)
     times = sorted(float(t) for t in times)
-    cum_rows, cum_pi = _cum_rows(kernel.P), _cum_pi(kernel.pi)
-    counts = np.array([
-        _run_growth(cum_rows, cum_pi, cfg.gamma, times, cfg.max_particles,
-                    replicate_seed(cfg.master_seed, r))
-        for r in range(cfg.replicates)
-    ], dtype=float)
+    counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
+                                      cfg.max_particles), dtype=float)
     mean = counts.mean(axis=0)
     stderr = counts.std(axis=0, ddof=1) / math.sqrt(cfg.replicates)
     return mean, stderr
@@ -430,10 +400,14 @@ def _size_param(spec: ChainFamilySpec) -> int:
     return int(spec.params[key])
 
 
-def _fit_slope(ns, ratios):
-    xs = np.log(np.array(ns, dtype=float))
-    ys = np.log(np.array(ratios, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+def _sandwich_result(family, target, rows, c_lo, c_hi) -> SandwichResult:
+    """Collect the rows and fit the log-log slope of ratio against n."""
+    xs = np.log(np.array([r.n for r in rows], dtype=float))
+    ys = np.log(np.array([r.ratio for r in rows], dtype=float))
+    slope = float(np.polyfit(xs, ys, 1)[0])
+    return SandwichResult(family=family, target=target, rows=tuple(rows),
+                          c_lo=c_lo, c_hi=c_hi, slope=slope,
+                          slope_ok=abs(slope) <= SLOPE_TOL)
 
 
 def hit_time_sandwich(specs, cfg: BRWConfig, band=None) -> SandwichResult:
@@ -465,10 +439,7 @@ def hit_time_sandwich(specs, cfg: BRWConfig, band=None) -> SandwichResult:
         t_rel = decomp.t_rel
         j_ref = t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
         t_tv = MixingProfile(kernel, decomp).mixing_time("tv", 0.25)
-        run_cfg = replace(cfg, gamma=cfg.gamma if cfg.gamma is not None else decomp.gap,
-                          max_time=cfg.max_time if cfg.max_time is not None
-                          else 50.0 * t_rel * math.log1p(summary.t_hit / t_rel))
-        est = simulate_hit(kernel, x, run_cfg)
+        est = simulate_hit(kernel, x, fill_config(kernel, cfg, decomp, summary.t_hit))
         upper = est.mean / (t_tv + j_ref)
         lower = est.mean / j_ref
         rows.append(SandwichRow(
@@ -476,10 +447,7 @@ def hit_time_sandwich(specs, cfg: BRWConfig, band=None) -> SandwichResult:
             estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
             reference=j_ref, ratio=lower, upper_ratio=upper, lower_ratio=lower,
             upper_ok=upper <= c_hi, lower_ok=lower >= c_lo, lower_skipped=False))
-    slope = _fit_slope([r.n for r in rows], [r.ratio for r in rows])
-    return SandwichResult(family=family, target="hit", rows=tuple(rows),
-                          c_lo=c_lo, c_hi=c_hi, slope=slope,
-                          slope_ok=abs(slope) <= SLOPE_TOL)
+    return _sandwich_result(family, "hit", rows, c_lo, c_hi)
 
 
 def intersection_sandwich(specs, cfg: BRWConfig, band=None,
@@ -513,11 +481,7 @@ def intersection_sandwich(specs, cfg: BRWConfig, band=None,
         rho = heat_moment_windowed_all(decomp, 2)
         rho_min = float(rho.min())
         reference = t_rel * math.log1p(math.sqrt(q2) / t_rel)
-        run_cfg = replace(cfg, gamma=cfg.gamma if cfg.gamma is not None else decomp.gap,
-                          max_time=cfg.max_time if cfg.max_time is not None
-                          else 50.0 * t_rel * math.log1p(
-                              hit_times(kernel).t_hit / t_rel))
-        est = simulate_intersection(kernel, run_cfg)
+        est = simulate_intersection(kernel, fill_config(kernel, cfg, decomp))
         ratio = est.mean / reference
         skip_lower = rho_min < rho_min_factor * t_rel**2
         rows.append(SandwichRow(
@@ -528,7 +492,4 @@ def intersection_sandwich(specs, cfg: BRWConfig, band=None,
             upper_ok=ratio <= c_hi,
             lower_ok=skip_lower or ratio >= c_lo,
             lower_skipped=skip_lower))
-    slope = _fit_slope([r.n for r in rows], [r.ratio for r in rows])
-    return SandwichResult(family=family, target="intersection", rows=tuple(rows),
-                          c_lo=c_lo, c_hi=c_hi, slope=slope,
-                          slope_ok=abs(slope) <= SLOPE_TOL)
+    return _sandwich_result(family, "intersection", rows, c_lo, c_hi)

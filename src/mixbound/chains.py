@@ -61,6 +61,12 @@ class TransitionKernel:
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "pi", pi)
 
+    @property
+    def scan_states(self):
+        """States a worst-state scan visits: state 0 alone when the kernel
+        is transitive, where every state is equivalent, else every state."""
+        return [0] if self.transitive else range(self.n)
+
 
 @dataclass(frozen=True)
 class ChainFamilySpec:

@@ -12,7 +12,7 @@ arguments; 3 chain rejected (not reversible / not irreducible);
 4 all Monte Carlo replicates censored.
 
 The MIXBOUND_THREADS environment variable caps worker processes for the
-Monte Carlo commands.
+Monte Carlo commands; a value that is not an integer exits with code 2.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import numpy as np
 from . import __version__
 from .analysis import ChainAnalysis
 from .bounds import OptProblem, budget_rate_optimum, standard_sweep
-from .brw import (BRWConfig, hit_time_sandwich, intersection_sandwich,
-                  plain_intersection, simulate_hit, simulate_intersection)
+from .brw import (BRWConfig, fill_config, hit_time_sandwich,
+                  intersection_sandwich, plain_intersection, simulate_hit,
+                  simulate_intersection)
 from .chains import (ChainFamilySpec, build_family, canonical_spec_text,
                      complete_spec, cycle_spec, dlp_spec, hypercube_spec,
                      parse_chain_spec, torus_spec)
@@ -76,7 +77,7 @@ def _threads() -> int:
     try:
         return max(1, int(raw))
     except ValueError:
-        return 1
+        raise InvalidSpec(f"MIXBOUND_THREADS must be an integer, got {raw!r}") from None
 
 
 def _family_specs(args) -> list[ChainFamilySpec]:
@@ -172,8 +173,7 @@ def cmd_profile(args, argv) -> int:
     grid = np.geomspace(t_lo, t_hi, num=args.points)
     rows = []
     for t in grid:
-        d2 = max(prof.l2_distance(x, t) for x in
-                 ([0] if analysis.kernel.transitive else range(analysis.kernel.n)))
+        d2 = max(prof.l2_distance(x, t) for x in analysis.kernel.scan_states)
         rows.append([t, prof.linf_distance(t), d2, prof.tv_worst(t),
                      prof.ave_l2_sq(t)])
     _write_csv(args.out, argv, canonical_spec_text(specs[0]), None,
@@ -213,13 +213,14 @@ def cmd_brw(args, argv) -> int:
             if args.target == "hit":
                 summary = hit_times(kernel)
                 x = int(np.argmax(summary.t_pi_to))
-                est = simulate_hit(kernel, x, cfg)
+                est = simulate_hit(kernel, x,
+                                   fill_config(kernel, cfg, decomp, summary.t_hit))
                 ref = t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
             elif args.target == "intersect":
-                est = simulate_intersection(kernel, cfg)
+                est = simulate_intersection(kernel, fill_config(kernel, cfg, decomp))
                 ref = t_rel * math.log1p(math.sqrt(spectral_moment(decomp, 2)) / t_rel)
             else:
-                est = plain_intersection(kernel, cfg)
+                est = plain_intersection(kernel, fill_config(kernel, cfg, decomp))
                 ref = math.sqrt(spectral_moment(decomp, 2))
             size = spec.params.get("n") or spec.params.get("m") or spec.params.get("d")
             rows.append([size, kernel.n, args.target, est.mean, est.stderr,

@@ -17,8 +17,7 @@ from .errors import BadEps
 from .hitting import HittingSummary
 from .reports import BoundReport
 from .spectral import (SpectralDecomposition, heat_diag_ratio,
-                       heat_diag_ratio_all, heat_diag_ratio_at,
-                       heat_kernel_row)
+                       heat_diag_ratio_at, heat_kernel_row)
 
 KINDS = ("linf", "l2x", "tv", "ave_l2")
 
@@ -28,19 +27,6 @@ KINDS = ("linf", "l2x", "tv", "ave_l2")
 # whose entries stay in [0, 1].  Diagonal ratios are all-positive sums and
 # never need the fallback.
 _BALANCE_LIMIT = 1e6
-
-
-def d_tv(kernel: TransitionKernel, decomp: SpectralDecomposition,
-         x: int, t: float) -> float:
-    """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    if float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT:
-        row = heat_kernel_row(decomp, x, t)
-    else:
-        L = np.eye(kernel.n) - kernel.P
-        row = scipy.linalg.expm(-t * L)[x]
-    return float(np.abs(row - decomp.pi).sum())
 
 
 class MixingProfile:
@@ -60,16 +46,17 @@ class MixingProfile:
     def linf_distance(self, t: float) -> float:
         """max_y H_t(y,y)/pi(y) - 1, the worst relative density deviation."""
         if self.kernel.transitive:
-            return heat_diag_ratio(self.decomp, 0, t) - 1.0
-        return float(heat_diag_ratio_all(self.decomp, t).max()) - 1.0
+            return heat_diag_ratio(self.decomp, t, x=0) - 1.0
+        return float(heat_diag_ratio(self.decomp, t).max()) - 1.0
 
     def l2_distance_sq(self, x: int, t: float) -> float:
-        return max(heat_diag_ratio(self.decomp, x, 2.0 * t) - 1.0, 0.0)
+        return max(heat_diag_ratio(self.decomp, 2.0 * t, x) - 1.0, 0.0)
 
     def l2_distance(self, x: int, t: float) -> float:
         return self.l2_distance_sq(x, t) ** 0.5
 
     def tv_distance(self, x: int, t: float) -> float:
+        """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
         if self._balanced:
             row = heat_kernel_row(self.decomp, x, t)
         else:
@@ -77,10 +64,9 @@ class MixingProfile:
         return float(np.abs(row - self.decomp.pi).sum())
 
     def tv_worst(self, t: float) -> float:
-        if self.kernel.transitive:
-            return self.tv_distance(0, t)
+        # transitive kernels have uniform pi, so they always take this branch
         if self._balanced:
-            return max(self.tv_distance(x, t) for x in range(self.kernel.n))
+            return max(self.tv_distance(x, t) for x in self.kernel.scan_states)
         H = self._heat_matrix(t)
         return float(np.abs(H - self.decomp.pi[None, :]).sum(axis=1).max())
 
@@ -161,11 +147,11 @@ class MixingProfile:
         decomp = self.decomp
         n = self.kernel.n
         thr = 1.0 + eps * eps
-        if heat_diag_ratio_all(decomp, 0.0).max() <= thr:
+        done_at_zero = heat_diag_ratio(decomp, 0.0) <= thr
+        if done_at_zero.all():
             return np.zeros(n)
         hi_scalar = decomp.t_rel * (np.log(max(1.0 / decomp.pi.min(), 2.0)) / 2.0
                                     + np.log(1.0 / eps) + 1.0)
-        done_at_zero = heat_diag_ratio_all(decomp, 0.0) <= thr
         hi = np.where(done_at_zero, 0.0, 2.0 * hi_scalar)
         for _ in range(200):
             if heat_diag_ratio_at(decomp, 2.0 * hi).max() <= thr:

@@ -103,14 +103,16 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
 # ---------------------------------------------------------------------------
 # heat kernel evaluations
 
-def heat_diag_ratio(decomp: SpectralDecomposition, x: int, t: float) -> float:
-    """H_t(x,x) / pi(x) = sum_i f_i(x)^2 exp(-lambda_i t)."""
-    return float(decomp.eigfuncs_sq[x] @ np.exp(-decomp.lambdas * t))
+def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
+                    x: int | None = None) -> float | np.ndarray:
+    """H_t(x,x) / pi(x) = sum_i f_i(x)^2 exp(-lambda_i t).
 
-
-def heat_diag_ratio_all(decomp: SpectralDecomposition, t: float) -> np.ndarray:
-    """Vector of H_t(x,x) / pi(x) over all states."""
-    return decomp.eigfuncs_sq @ np.exp(-decomp.lambdas * t)
+    A float for one state x, or the vector over all states when x is None.
+    """
+    decay = np.exp(-decomp.lambdas * t)
+    if x is None:
+        return decomp.eigfuncs_sq @ decay
+    return float(decomp.eigfuncs_sq[x] @ decay)
 
 
 def heat_diag_ratio_at(decomp: SpectralDecomposition, times: np.ndarray) -> np.ndarray:
@@ -171,13 +173,6 @@ def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     return decomp.eigfuncs_sq[:, 1:] @ inv
 
 
-def heat_moment(decomp: SpectralDecomposition, x: int, ell: int) -> float:
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    inv = decomp.lambdas[1:] ** (-float(ell))
-    return float(decomp.eigfuncs_sq[x, 1:] @ inv)
-
-
 def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     """Same integrals truncated at 2*ell*t_rel, via the regularized gamma."""
     if ell < 1:
@@ -186,15 +181,6 @@ def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndar
     window = 2.0 * ell * decomp.t_rel
     masses = np.array([lower_gamma_regularized(ell, window * l) for l in lam])
     return decomp.eigfuncs_sq[:, 1:] @ (lam ** (-float(ell)) * masses)
-
-
-def heat_moment_windowed(decomp: SpectralDecomposition, x: int, ell: int) -> float:
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    lam = decomp.lambdas[1:]
-    window = 2.0 * ell * decomp.t_rel
-    masses = np.array([lower_gamma_regularized(ell, window * l) for l in lam])
-    return float(decomp.eigfuncs_sq[x, 1:] @ (lam ** (-float(ell)) * masses))
 
 
 def eigenvalue_clustering(decomp: SpectralDecomposition, target: float,

@@ -6,7 +6,7 @@ import pytest
 from mixbound import bounds, chains, spectral
 from mixbound.analysis import ChainAnalysis
 from mixbound.errors import BadRange
-from mixbound.reports import failures
+from mixbound.reports import BoundReport, failures
 
 from conftest import random_kernels
 
@@ -126,6 +126,43 @@ def test_window_factor_worst_state_passes_on_cycle():
     for M in (1.0, 2.0, 5.0):
         for rep in bounds.truncation_factor_worst(analysis, M):
             assert rep.passed, str(rep)
+
+
+def _head_window_reference(analysis, x, M):
+    """Head-window reports at one state, gamma masses rebuilt per call:
+    the per-state reference truncation_factor_worst must match exactly."""
+    decomp = analysis.decomp
+    lam = decomp.lambdas[1:]
+    fsq = decomp.eigfuncs_sq[x, 1:]
+    pi_x = float(decomp.pi[x])
+    window = M * decomp.t_rel
+    ctx = {"kernel": analysis.kernel.label, "x": x, "M": M}
+    full0 = pi_x * float(fsq @ (1.0 / lam))
+    trunc0 = pi_x * float(fsq @ ((1.0 / lam) * np.array(
+        [spectral.lower_gamma_regularized(1, window * l) for l in lam])))
+    factor0 = 1.0 / spectral.lower_gamma_regularized(1, M)
+    full1 = pi_x * float(fsq @ lam**-2.0)
+    trunc1 = pi_x * float(fsq @ (lam**-2.0 * np.array(
+        [spectral.lower_gamma_regularized(2, window * l) for l in lam])))
+    factor1 = 1.0 / spectral.lower_gamma_regularized(2, M)
+    return [BoundReport.check("head_window_order0", full0, factor0 * trunc0, **ctx),
+            BoundReport.check("head_window_order1", full1, factor1 * trunc1, **ctx)]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ChainAnalysis.from_kernel(
+        chains.random_reversible_kernel(40, np.random.default_rng(11))),
+    lambda: ChainAnalysis.from_spec(chains.dlp_spec(40, 0.5, 0.05)),
+], ids=["custom40", "dlp40"])
+def test_window_factor_worst_matches_per_state_reference(make):
+    analysis = make()
+    for M in (1.0, 2.0, 5.0):
+        worst = {}
+        for x in range(analysis.kernel.n):
+            for rep in _head_window_reference(analysis, x, M):
+                if rep.name not in worst or rep.slack < worst[rep.name].slack:
+                    worst[rep.name] = rep
+        assert bounds.truncation_factor_worst(analysis, M) == list(worst.values())
 
 
 def test_printed_order1_window_constant_is_false(complete4):

@@ -1,5 +1,7 @@
 import math
+from bisect import bisect
 
+import numpy as np
 import pytest
 
 from mixbound import brw, brw_reference, chains, hitting, spectral
@@ -74,6 +76,19 @@ def test_config_validation():
         brw.BRWConfig(gamma=-1.0)
     with pytest.raises(InvalidSpec):
         brw.BRWConfig(max_time=0.0)
+
+
+@pytest.mark.parametrize("spec", [chains.hypercube_spec(10), chains.torus_spec(3, 6)],
+                         ids=lambda s: s.label())
+def test_cum_rows_sample_only_neighbours(spec):
+    # bisect(cum, u) == j exactly for u in [cum[j-1], cum[j]), so column j
+    # is drawn by some u in [0, 1) iff cum[j-1] < min(cum[j], 1)
+    kernel = chains.build_family(spec)
+    for row, cum in zip(kernel.P, brw._cum_rows(kernel.P)):
+        c = np.array(cum)
+        lo = np.concatenate(([0.0], c[:-1]))
+        assert (row[lo < np.minimum(c, 1.0)] > 0).all()
+        assert row[bisect(cum, np.nextafter(1.0, 0.0))] > 0
 
 
 def test_replicate_seed_mixing_spreads():

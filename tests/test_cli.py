@@ -6,6 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mixbound import brw, cli
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -184,6 +186,35 @@ def test_brw_thread_env_does_not_change_data(tmp_path):
     assert r1.returncode == 0, r1.stderr
     assert run_cli(*args, "--out", str(out2)).returncode == 0
     assert data_lines(out1) == data_lines(out2)
+
+
+def test_brw_non_integer_threads_exit2(monkeypatch):
+    monkeypatch.setenv("MIXBOUND_THREADS", "two")
+    res = run_cli("brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
+                  "--replicates", "10")
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "MIXBOUND_THREADS" in lines[0], res.stderr
+
+
+@pytest.mark.parametrize("target", ["hit", "intersect", "plain"])
+def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target):
+    calls = {"decompose": 0, "hit_times": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, brw):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.delenv("MIXBOUND_THREADS", raising=False)
+    assert cli.main(["brw", "--family", "cycle", "--sizes", "8,12", "--target",
+                     target, "--replicates", "20", "--out",
+                     str(tmp_path / "b.csv")]) == 0
+    assert calls == {"decompose": 2, "hit_times": 2}
 
 
 def test_brw_plain_target(tmp_path):

@@ -56,26 +56,26 @@ def test_two_state_l2_closed_form():
 # TV distance
 
 def test_tv_at_zero_complete4():
-    kernel, decomp, _ = _profile(chains.complete_spec(4))
-    assert mixing.d_tv(kernel, decomp, 0, 0.0) == pytest.approx(1.5, abs=1e-12)
+    _, _, prof = _profile(chains.complete_spec(4))
+    assert prof.tv_distance(0, 0.0) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_tv_closed_form_complete4():
-    kernel, decomp, _ = _profile(chains.complete_spec(4))
+    _, _, prof = _profile(chains.complete_spec(4))
     for t in (0.25, 1.0, 2.0):
-        assert mixing.d_tv(kernel, decomp, 0, t) == pytest.approx(
+        assert prof.tv_distance(0, t) == pytest.approx(
             1.5 * math.exp(-4 * t / 3), rel=1e-10)
 
 
 def test_tv_vanishes_at_large_time():
-    kernel, decomp, _ = _profile(chains.torus_spec(2, 4))
-    assert mixing.d_tv(kernel, decomp, 3, 1e6) < 1e-9
+    _, _, prof = _profile(chains.torus_spec(2, 4))
+    assert prof.tv_distance(3, 1e6) < 1e-9
 
 
 def test_tv_worst_matches_scan_on_nontransitive():
     kernel, decomp, prof = _profile(chains.dlp_spec(8, 0.5, 0.1))
     for t in (0.5, 2.0, 10.0):
-        scan = max(mixing.d_tv(kernel, decomp, x, t) for x in range(kernel.n))
+        scan = max(prof.tv_distance(x, t) for x in range(kernel.n))
         assert prof.tv_worst(t) == pytest.approx(scan, rel=1e-12)
 
 

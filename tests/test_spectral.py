@@ -91,8 +91,8 @@ def test_reconstruction_matches_matrix_exponential():
 
 def test_heat_diag_complete4_values():
     d = _decomp(chains.complete_spec(4))
-    assert spectral.heat_diag_ratio(d, 0, 0.0) == pytest.approx(4.0, abs=1e-10)
-    assert spectral.heat_diag_ratio(d, 0, 0.75) == pytest.approx(
+    assert spectral.heat_diag_ratio(d, 0.0, x=0) == pytest.approx(4.0, abs=1e-10)
+    assert spectral.heat_diag_ratio(d, 0.75, x=0) == pytest.approx(
         1 + 3 * math.exp(-1), rel=1e-12)
 
 
@@ -100,7 +100,7 @@ def test_heat_diag_ergodic_limit():
     for spec in (chains.cycle_spec(6), chains.dlp_spec(8, 0.5, 0.1)):
         d = _decomp(spec)
         for x in range(d.n):
-            assert abs(spectral.heat_diag_ratio(d, x, 1e6) - 1.0) < 1e-9
+            assert abs(spectral.heat_diag_ratio(d, 1e6, x=x) - 1.0) < 1e-9
 
 
 @pytest.mark.parametrize("spec", SMALL_BENCHMARK_SPECS, ids=lambda s: s.label())
@@ -108,7 +108,7 @@ def test_heat_diag_strictly_decreasing(spec):
     d = _decomp(spec)
     grid = np.geomspace(1e-3, 50.0, 25) * d.t_rel
     for x in (0, d.n // 2):
-        vals = [spectral.heat_diag_ratio(d, x, t) for t in grid]
+        vals = [spectral.heat_diag_ratio(d, t, x=x) for t in grid]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -120,9 +120,9 @@ def test_heat_diag_exponential_decay_bound(spec):
     ss = np.array([0.2, 1.0, 2.5]) * d.t_rel
     for x in range(0, d.n, max(1, d.n // 8)):
         for t in ts:
-            base = spectral.heat_diag_ratio(d, x, t) - 1.0
+            base = spectral.heat_diag_ratio(d, t, x=x) - 1.0
             for s in ss:
-                shifted = spectral.heat_diag_ratio(d, x, t + s) - 1.0
+                shifted = spectral.heat_diag_ratio(d, t + s, x=x) - 1.0
                 assert shifted <= math.exp(-s * d.gap) * base + 1e-12 * (1 + base)
 
 
@@ -139,22 +139,22 @@ def test_spectral_moment_closed_forms():
 
 def test_heat_moment_transitive_equals_spectral_moment():
     d = _decomp(chains.complete_spec(4))
-    assert spectral.heat_moment(d, 2, 1) == pytest.approx(2.25, rel=1e-12)
-    assert spectral.heat_moment(d, 1, 2) == pytest.approx(1.6875, rel=1e-12)
+    assert spectral.heat_moment_all(d, 1)[2] == pytest.approx(2.25, rel=1e-12)
+    assert spectral.heat_moment_all(d, 2)[1] == pytest.approx(1.6875, rel=1e-12)
 
 
 def test_heat_moment_two_state():
     d = spectral.decompose(two_state_half())
-    assert spectral.heat_moment(d, 0, 1) == pytest.approx(1.0, rel=1e-12)
+    assert spectral.heat_moment_all(d, 1)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_windowed_moment_closed_forms():
     d4 = _decomp(chains.complete_spec(4))
     # single spectral point: window mass is P(Gamma(1,1) <= 2)
-    assert spectral.heat_moment_windowed(d4, 0, 1) == pytest.approx(
+    assert spectral.heat_moment_windowed_all(d4, 1)[0] == pytest.approx(
         2.25 * (1 - math.exp(-2)), rel=1e-12)
     d2 = spectral.decompose(two_state_half())
-    assert spectral.heat_moment_windowed(d2, 0, 2) == pytest.approx(
+    assert spectral.heat_moment_windowed_all(d2, 2)[0] == pytest.approx(
         1 - 5 * math.exp(-4), rel=1e-12)
 
 
@@ -207,8 +207,8 @@ def test_moments_match_quadrature_oracle(seed):
     d = spectral.decompose(kernel)
     x = int(rng.integers(0, n))
     ell = int(rng.integers(1, 4))
-    sig = spectral.heat_moment(d, x, ell)
-    rho = spectral.heat_moment_windowed(d, x, ell)
+    sig = spectral.heat_moment_all(d, ell)[x]
+    rho = spectral.heat_moment_windowed_all(d, ell)[x]
     assert sig == pytest.approx(_oracle_moments(kernel, x, ell), rel=1e-6)
     assert rho == pytest.approx(
         _oracle_moments(kernel, x, ell, window=2 * ell * d.t_rel), rel=1e-6)
@@ -218,7 +218,7 @@ def test_windowed_moment_quadrature_on_cycle():
     kernel = chains.build_family(chains.cycle_spec(6))
     d = spectral.decompose(kernel)
     oracle = _oracle_moments(kernel, 0, 1, window=2 * d.t_rel)
-    assert spectral.heat_moment_windowed(d, 0, 1) == pytest.approx(oracle, rel=1e-6)
+    assert spectral.heat_moment_windowed_all(d, 1)[0] == pytest.approx(oracle, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
