@@ -21,7 +21,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from mixbound import brw, chains, hitting, spectral
-from mixbound.mixing import MixingProfile
 
 REPLICATES = 20000
 SEED = 7
@@ -36,41 +35,21 @@ def widen(lo, hi):
     return lo / 1.5, hi * 1.5
 
 
-def calibrate_hit(family_name, specs):
-    lows, highs = [], []
-    for spec in specs:
-        kernel = chains.build_family(spec)
-        decomp = spectral.decompose(kernel)
-        summary = hitting.hit_times(kernel)
-        x = int(np.argmax(summary.t_pi_to))
-        t_rel = decomp.t_rel
-        j_ref = t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
-        t_tv = MixingProfile(kernel, decomp).mixing_time("tv", 0.25)
-        est = brw.simulate_hit(kernel, x, cfg())
-        lows.append(est.mean / j_ref)
-        highs.append(est.mean / (t_tv + j_ref))
-        print(f"  {kernel.label}: est={est.mean:.4f}+-{est.stderr:.4f} "
-              f"J={j_ref:.4f} t_tv={t_tv:.4f} lower={lows[-1]:.4f} "
-              f"upper={highs[-1]:.4f} censor={est.censor_rate:.4%}")
-    lo, hi = widen(min(lows), max(highs))
-    print(f"  -> HIT_BANDS[{family_name!r}] = ({lo:.4f}, {hi:.4f})")
-    return lo, hi
+SANDWICHES = {"hit": (brw.hit_time_sandwich, "HIT_BANDS"),
+              "intersect": (brw.intersection_sandwich, "INTERSECT_BANDS")}
 
 
-def calibrate_intersection(family_name, specs):
-    ratios = []
-    for spec in specs:
-        kernel = chains.build_family(spec)
-        decomp = spectral.decompose(kernel)
-        q2 = spectral.spectral_moment(decomp, 2)
-        reference = decomp.t_rel * math.log1p(math.sqrt(q2) / decomp.t_rel)
-        est = brw.simulate_intersection(kernel, cfg())
-        ratios.append(est.mean / reference)
-        print(f"  {kernel.label}: est={est.mean:.4f}+-{est.stderr:.4f} "
-              f"ref={reference:.4f} ratio={ratios[-1]:.4f} "
-              f"censor={est.censor_rate:.4%}")
-    lo, hi = widen(min(ratios), max(ratios))
-    print(f"  -> INTERSECT_BANDS[{family_name!r}] = ({lo:.4f}, {hi:.4f})")
+def calibrate_sandwich(target, family_name, specs):
+    """Run a sandwich with an open band and widen its observed ratio range:
+    the low edge from ratio, the high edge from upper_ratio."""
+    sandwich, bands_name = SANDWICHES[target]
+    rows = sandwich(specs, cfg(), band=(0.0, math.inf)).rows
+    for r in rows:
+        print(f"  {r.label}: est={r.estimate:.4f}+-{r.stderr:.4f} "
+              f"ref={r.reference:.4f} lower={r.ratio:.4f} "
+              f"upper={r.upper_ratio:.4f} censor={r.censor_rate:.4%}")
+    lo, hi = widen(min(r.ratio for r in rows), max(r.upper_ratio for r in rows))
+    print(f"  -> {bands_name}[{family_name!r}] = ({lo:.4f}, {hi:.4f})")
     return lo, hi
 
 
@@ -90,9 +69,7 @@ def calibrate_plain(family_name, specs):
     ratios = []
     for spec in specs:
         kernel = chains.build_family(spec)
-        decomp = spectral.decompose(kernel)
-        root_q = math.sqrt(spectral.spectral_moment(decomp, 2))
-        est = brw.plain_intersection(kernel, cfg())
+        _, est, root_q = brw.experiment(kernel, "plain", cfg())
         ratios.append(est.mean / root_q)
         print(f"  {kernel.label}: plain={est.mean:.4f}+-{est.stderr:.4f} "
               f"sqrtQ={root_q:.4f} ratio={ratios[-1]:.4f} "
@@ -106,14 +83,17 @@ def main():
     print(f"calibration: {REPLICATES} replicates, master_seed={SEED}, "
           f"threads={THREADS}")
     print("hit sandwiches:")
-    calibrate_hit("torus", [chains.torus_spec(2, m) for m in (4, 8, 12)])
-    calibrate_hit("cycle", [chains.cycle_spec(n) for n in (16, 32, 64)])
-    calibrate_hit("complete", [chains.complete_spec(n) for n in (8, 16, 32)])
-    calibrate_hit("hypercube", [chains.hypercube_spec(d) for d in (4, 6, 8)])
+    calibrate_sandwich("hit", "torus", [chains.torus_spec(2, m) for m in (4, 8, 12)])
+    calibrate_sandwich("hit", "cycle", [chains.cycle_spec(n) for n in (16, 32, 64)])
+    calibrate_sandwich("hit", "complete", [chains.complete_spec(n) for n in (8, 16, 32)])
+    calibrate_sandwich("hit", "hypercube", [chains.hypercube_spec(d) for d in (4, 6, 8)])
     print("intersection sandwiches:")
-    calibrate_intersection("torus", [chains.torus_spec(2, m) for m in (4, 8, 12)])
-    calibrate_intersection("hypercube", [chains.hypercube_spec(d) for d in (4, 6, 8)])
-    calibrate_intersection("complete", [chains.complete_spec(n) for n in (8, 16, 32)])
+    calibrate_sandwich("intersect", "torus",
+                       [chains.torus_spec(2, m) for m in (4, 8, 12)])
+    calibrate_sandwich("intersect", "hypercube",
+                       [chains.hypercube_spec(d) for d in (4, 6, 8)])
+    calibrate_sandwich("intersect", "complete",
+                       [chains.complete_spec(n) for n in (8, 16, 32)])
     print("scalar fixtures:")
     calibrate_scalar_hit(chains.cycle_spec(64))
     calibrate_plain("complete", [chains.complete_spec(n) for n in (8, 16, 32)])

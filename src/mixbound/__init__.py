@@ -10,9 +10,9 @@ from .bounds import (BoundReport, OptProblem, budget_rate_optimum,
                      moment_window_reports, ratio_cotrend_table,
                      relaxation_hitting_report, root_moment_reports,
                      standard_sweep, truncation_factor_reports)
-from .brw import (BRWConfig, BRWEstimate, growth_curve, hit_time_sandwich,
-                  intersection_sandwich, plain_intersection, simulate_hit,
-                  simulate_intersection)
+from .brw import (BRWConfig, BRWEstimate, experiment, growth_curve,
+                  hit_time_sandwich, intersection_sandwich, plain_intersection,
+                  simulate_hit, simulate_intersection)
 from .brw_reference import simulate_hit_reference, simulate_intersection_reference
 from .chains import (ChainFamilySpec, TransitionKernel, build_family,
                      complete_spec, custom_spec, cycle_spec, dlp_spec,

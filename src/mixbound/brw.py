@@ -32,7 +32,7 @@ from random import Random
 
 import numpy as np
 
-from .chains import ChainFamilySpec, TransitionKernel, build_family
+from .chains import TransitionKernel, build_family
 from .errors import AllCensored, InvalidSpec
 from .hitting import hit_times
 from .mixing import MixingProfile
@@ -101,10 +101,6 @@ def _cum_rows(P: np.ndarray) -> tuple:
         c[np.flatnonzero(row)[-1]:] = 1.0
         rows.append(tuple(float(v) for v in c))
     return tuple(rows)
-
-
-def _cum_pi(pi: np.ndarray) -> tuple:
-    return _cum_rows(pi[None, :])[0]
 
 
 def fill_config(kernel: TransitionKernel, cfg: BRWConfig,
@@ -252,18 +248,19 @@ def _run_growth(seed, cum_rows, cum_pi, gamma, times, max_particles):
 
 def _batch(args):
     """Pool entry point: run_fn on replicates r0..r1-1 of one master seed."""
-    run_fn, common, master_seed, r0, r1 = args
-    return [run_fn(replicate_seed(master_seed, r), *common) for r in range(r0, r1)]
+    run_fn, common, master_seed, salt, r0, r1 = args
+    return [run_fn(replicate_seed(master_seed, r, salt), *common) for r in range(r0, r1)]
 
 
 def _run_replicates(run_fn, kernel: TransitionKernel, cfg: BRWConfig,
-                    *params) -> list:
+                    *params, salt: int = 0) -> list:
     """run_fn(seed, cum_rows, cum_pi, *params) for every replicate, in
-    replicate order; chunks go to a process pool when cfg.threads > 1."""
-    common = (_cum_rows(kernel.P), _cum_pi(kernel.pi)) + params
+    replicate order, seeds salted by salt; chunks go to a process pool
+    when cfg.threads > 1."""
+    common = (_cum_rows(kernel.P), _cum_rows(kernel.pi[None, :])[0]) + params
     n_chunks = 1 if cfg.threads <= 1 else min(cfg.replicates, 4 * cfg.threads)
     edges = np.linspace(0, cfg.replicates, num=n_chunks + 1, dtype=int)
-    args = [(run_fn, common, cfg.master_seed, int(r0), int(r1))
+    args = [(run_fn, common, cfg.master_seed, salt, int(r0), int(r1))
             for r0, r1 in zip(edges[:-1], edges[1:]) if r0 < r1]
     if len(args) == 1:
         chunks = [_batch(a) for a in args]
@@ -337,6 +334,31 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     return mean, stderr
 
 
+def experiment(kernel: TransitionKernel, target: str, cfg: BRWConfig
+               ) -> tuple[SpectralDecomposition, BRWEstimate, float]:
+    """One BRW experiment on one kernel: (decomp, estimate, exact reference).
+
+    hit: first hit of the state hardest to reach from pi, against
+    t_rel log(1 + t_pi/t_rel); intersect: two BRW clouds, against
+    t_rel log(1 + sqrt(Q)/t_rel); plain: two plain walks, against sqrt(Q).
+    """
+    decomp = decompose(kernel)
+    t_rel = decomp.t_rel
+    if target == "hit":
+        summary = hit_times(kernel)
+        x = int(np.argmax(summary.t_pi_to))
+        est = simulate_hit(kernel, x, fill_config(kernel, cfg, decomp, summary.t_hit))
+        return decomp, est, t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
+    root_q = math.sqrt(spectral_moment(decomp, 2))
+    if target == "intersect":
+        est = simulate_intersection(kernel, fill_config(kernel, cfg, decomp))
+        return decomp, est, t_rel * math.log1p(root_q / t_rel)
+    if target == "plain":
+        est = plain_intersection(kernel, fill_config(kernel, cfg, decomp))
+        return decomp, est, root_q
+    raise InvalidSpec(f"unknown BRW target {target!r}")
+
+
 # ---------------------------------------------------------------------------
 # sandwich experiments across family sequences
 
@@ -395,18 +417,48 @@ class SandwichResult:
         return rows_ok and self.slope_ok
 
 
-def _size_param(spec: ChainFamilySpec) -> int:
-    key = {"torus": "m", "hypercube": "d"}.get(spec.family, "n")
-    return int(spec.params[key])
-
-
-def _sandwich_result(family, target, rows, c_lo, c_hi) -> SandwichResult:
-    """Collect the rows and fit the log-log slope of ratio against n."""
+def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
+              band) -> SandwichResult:
+    """Rows from experiment for each spec, the band verdicts and the
+    log-log slope of ratio against n; see the two public wrappers."""
+    if len(specs) < 3:
+        raise ValueError("need at least 3 sizes")
+    family = specs[0].family
+    if band is None:
+        if family not in bands:
+            raise InvalidSpec(f"no frozen band for family {family!r}; pass one")
+        band = bands[family]
+    c_lo, c_hi = band
+    rows = []
+    for spec in specs:
+        if spec.family != family:
+            raise ValueError("mixed families in one sandwich")
+        kernel = build_family(spec)
+        if target == "intersect" and not kernel.transitive:
+            raise InvalidSpec("intersection sandwich expects a transitive family")
+        decomp, est, reference = experiment(kernel, target, cfg)
+        ratio = upper = est.mean / reference
+        skip_lower = False
+        if target == "hit":
+            t_tv = MixingProfile(kernel, decomp).mixing_time("tv", 0.25)
+            upper = est.mean / (t_tv + reference)
+        else:
+            rho_min = float(heat_moment_windowed_all(decomp, 2).min())
+            skip_lower = rho_min < RHO_MIN_FACTOR * decomp.t_rel**2
+        rows.append(SandwichRow(
+            label=kernel.label, size=spec.size, n=kernel.n,
+            estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
+            reference=reference, ratio=ratio, upper_ratio=upper,
+            lower_ratio=None if skip_lower else ratio,
+            upper_ok=upper <= c_hi,
+            lower_ok=skip_lower or ratio >= c_lo,
+            lower_skipped=skip_lower))
     xs = np.log(np.array([r.n for r in rows], dtype=float))
     ys = np.log(np.array([r.ratio for r in rows], dtype=float))
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return SandwichResult(family=family, target=target, rows=tuple(rows),
-                          c_lo=c_lo, c_hi=c_hi, slope=slope,
+    return SandwichResult(family=family,
+                          target="hit" if target == "hit" else "intersection",
+                          rows=tuple(rows), c_lo=c_lo, c_hi=c_hi, slope=slope,
                           slope_ok=abs(slope) <= SLOPE_TOL)
 
 
@@ -420,76 +472,16 @@ def hit_time_sandwich(specs, cfg: BRWConfig, band=None) -> SandwichResult:
     On transitive families every state is equivalent, so one state
     suffices.
     """
-    if len(specs) < 3:
-        raise ValueError("need at least 3 sizes")
-    family = specs[0].family
-    if band is None:
-        if family not in HIT_BANDS:
-            raise InvalidSpec(f"no frozen band for family {family!r}; pass one")
-        band = HIT_BANDS[family]
-    c_lo, c_hi = band
-    rows = []
-    for spec in specs:
-        if spec.family != family:
-            raise ValueError("mixed families in one sandwich")
-        kernel = build_family(spec)
-        decomp = decompose(kernel)
-        summary = hit_times(kernel)
-        x = int(np.argmax(summary.t_pi_to))
-        t_rel = decomp.t_rel
-        j_ref = t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
-        t_tv = MixingProfile(kernel, decomp).mixing_time("tv", 0.25)
-        est = simulate_hit(kernel, x, fill_config(kernel, cfg, decomp, summary.t_hit))
-        upper = est.mean / (t_tv + j_ref)
-        lower = est.mean / j_ref
-        rows.append(SandwichRow(
-            label=kernel.label, size=_size_param(spec), n=kernel.n,
-            estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
-            reference=j_ref, ratio=lower, upper_ratio=upper, lower_ratio=lower,
-            upper_ok=upper <= c_hi, lower_ok=lower >= c_lo, lower_skipped=False))
-    return _sandwich_result(family, "hit", rows, c_lo, c_hi)
+    return _sandwich(specs, cfg, "hit", HIT_BANDS, band)
 
 
-def intersection_sandwich(specs, cfg: BRWConfig, band=None,
-                          rho_min_factor: float = RHO_MIN_FACTOR) -> SandwichResult:
+def intersection_sandwich(specs, cfg: BRWConfig, band=None) -> SandwichResult:
     """Two-sided order check of the expected intersection time of two BRWs.
 
     Per size the reference is t_rel log(1 + sqrt(Q)/t_rel) with Q the
     order-2 spectral moment.  The lower band row is skipped (and marked)
     when the minimal windowed order-2 moment falls under
-    rho_min_factor * t_rel^2, mirroring the indicator in the lower bound.
+    RHO_MIN_FACTOR * t_rel^2, mirroring the indicator in the lower bound.
     Transitive families only.
     """
-    if len(specs) < 3:
-        raise ValueError("need at least 3 sizes")
-    family = specs[0].family
-    if not build_family(specs[0]).transitive:
-        raise InvalidSpec("intersection sandwich expects a transitive family")
-    if band is None:
-        if family not in INTERSECT_BANDS:
-            raise InvalidSpec(f"no frozen band for family {family!r}; pass one")
-        band = INTERSECT_BANDS[family]
-    c_lo, c_hi = band
-    rows = []
-    for spec in specs:
-        if spec.family != family:
-            raise ValueError("mixed families in one sandwich")
-        kernel = build_family(spec)
-        decomp = decompose(kernel)
-        t_rel = decomp.t_rel
-        q2 = spectral_moment(decomp, 2)
-        rho = heat_moment_windowed_all(decomp, 2)
-        rho_min = float(rho.min())
-        reference = t_rel * math.log1p(math.sqrt(q2) / t_rel)
-        est = simulate_intersection(kernel, fill_config(kernel, cfg, decomp))
-        ratio = est.mean / reference
-        skip_lower = rho_min < rho_min_factor * t_rel**2
-        rows.append(SandwichRow(
-            label=kernel.label, size=_size_param(spec), n=kernel.n,
-            estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
-            reference=reference, ratio=ratio, upper_ratio=ratio,
-            lower_ratio=None if skip_lower else ratio,
-            upper_ok=ratio <= c_hi,
-            lower_ok=skip_lower or ratio >= c_lo,
-            lower_skipped=skip_lower))
-    return _sandwich_result(family, "intersection", rows, c_lo, c_hi)
+    return _sandwich(specs, cfg, "intersect", INTERSECT_BANDS, band)

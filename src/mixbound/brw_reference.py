@@ -18,14 +18,15 @@ from random import Random
 
 from .chains import TransitionKernel
 from .errors import InvalidSpec
-from .brw import (BRWConfig, BRWEstimate, _cum_pi, _cum_rows, _estimate,
-                  replicate_seed, resolve_config)
+from .brw import (BRWConfig, BRWEstimate, _estimate, _run_replicates,
+                  resolve_config)
 
 _REFERENCE_SALT = 0x5EED
 
 
-def _run_hit_ref(cum_rows, cum_pi, gamma, target, max_particles, max_time, rng,
+def _run_hit_ref(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
                  initial_state):
+    rng = Random(seed)
     pos0 = initial_state if initial_state is not None else bisect(cum_pi, rng.random())
     if pos0 == target:
         return 0.0
@@ -50,8 +51,9 @@ def _run_hit_ref(cum_rows, cum_pi, gamma, target, max_particles, max_time, rng,
             positions.append(positions[i])
 
 
-def _run_intersection_ref(cum_rows, cum_pi, gamma, n, max_particles, max_time,
-                          rng, initial_states):
+def _run_intersection_ref(seed, cum_rows, cum_pi, gamma, n, max_particles,
+                          max_time, initial_states):
+    rng = Random(seed)
     if initial_states is not None:
         a0, b0 = initial_states
     else:
@@ -92,27 +94,16 @@ def simulate_hit_reference(kernel: TransitionKernel, x: int,
     if not (0 <= x < kernel.n):
         raise InvalidSpec(f"state {x} outside 0..{kernel.n - 1}")
     cfg = resolve_config(kernel, cfg)
-    cum_rows, cum_pi = _cum_rows(kernel.P), _cum_pi(kernel.pi)
-    times = [
-        _run_hit_ref(cum_rows, cum_pi, cfg.gamma, int(x), cfg.max_particles,
-                     cfg.max_time,
-                     Random(replicate_seed(cfg.master_seed, r, _REFERENCE_SALT)),
-                     initial_state)
-        for r in range(cfg.replicates)
-    ]
+    times = _run_replicates(_run_hit_ref, kernel, cfg, cfg.gamma, int(x),
+                            cfg.max_particles, cfg.max_time, initial_state,
+                            salt=_REFERENCE_SALT)
     return _estimate(times, f"hit_reference(x={x})")
 
 
 def simulate_intersection_reference(kernel: TransitionKernel, cfg: BRWConfig,
                                     initial_states=None) -> BRWEstimate:
     cfg = resolve_config(kernel, cfg)
-    cum_rows, cum_pi = _cum_rows(kernel.P), _cum_pi(kernel.pi)
-    times = [
-        _run_intersection_ref(cum_rows, cum_pi, cfg.gamma, kernel.n,
-                              cfg.max_particles, cfg.max_time,
-                              Random(replicate_seed(cfg.master_seed, r,
-                                                    _REFERENCE_SALT)),
-                              initial_states)
-        for r in range(cfg.replicates)
-    ]
+    times = _run_replicates(_run_intersection_ref, kernel, cfg, cfg.gamma,
+                            kernel.n, cfg.max_particles, cfg.max_time,
+                            initial_states, salt=_REFERENCE_SALT)
     return _estimate(times, "intersection_reference")

@@ -30,6 +30,8 @@ from .errors import InvalidSpec, NotIrreducible, NotReversible, NumericalFailure
 
 # Structural tolerance: about 100x double epsilon accumulated at n ~ 1e4.
 STRUCT_TOL = 1e-12
+# Smallest normal double: a stationary entry below it has lost precision.
+_TINY = float(np.finfo(float).tiny)
 
 FAMILIES = ("cycle", "torus", "complete", "hypercube", "dlp_birth_death", "custom")
 _TRANSITIVE_FAMILIES = {"cycle", "torus", "complete", "hypercube"}
@@ -74,6 +76,12 @@ class ChainFamilySpec:
 
     family: str
     params: dict = field(default_factory=dict)
+
+    @property
+    def size(self):
+        """The size parameter: m for the torus, d for the hypercube, n for
+        the other built-in families; None for a custom matrix."""
+        return self.params.get({"torus": "m", "hypercube": "d"}.get(self.family, "n"))
 
     def label(self) -> str:
         inner = ",".join(f"{k}={_fmt_param(v)}" for k, v in sorted(self.params.items())
@@ -244,16 +252,13 @@ def _build_dlp(n, lam, eps, k):
     if not (0 <= k <= n):
         raise InvalidSpec(f"k={k} outside [0, {n}]")
 
-    boundary = n - k
-    rates = np.empty(n)
-    for idx in range(n):
-        i = idx + 1
-        if i < boundary:
-            rates[idx] = 0.5
-        elif i == boundary:
-            rates[idx] = 0.5 * (0.5 + lam)
-        else:
-            rates[idx] = lam
+    rates = _dlp_rates(n, lam, k)
+    pi = _dlp_pi(rates, eps)
+    if not _representable(pi):
+        m = _dlp_largest_n(n, lam, eps, k)
+        fits = f"the largest n that fits is {m}" if m >= 2 else "no n >= 2 fits"
+        raise InvalidSpec(f"dlp with n={n}, lambda={lam}, eps={eps}: pi spans more "
+                          f"orders of magnitude than a double can hold; {fits}")
 
     P = np.zeros((n, n))
     for idx in range(n):
@@ -265,17 +270,51 @@ def _build_dlp(n, lam, eps, k):
         if idx > 0:
             P[idx, idx - 1] = down
 
+    label = f"dlp_birth_death(n={n},lambda={_fmt_param(lam)},eps={_fmt_param(eps)},k={k})"
+    return TransitionKernel(n=n, P=P, pi=pi, label=label, transitive=False)
+
+
+def _dlp_rates(n, lam, k):
+    boundary = n - k
+    rates = np.empty(n)
+    for idx in range(n):
+        i = idx + 1
+        if i < boundary:
+            rates[idx] = 0.5
+        elif i == boundary:
+            rates[idx] = 0.5 * (0.5 + lam)
+        else:
+            rates[idx] = lam
+    return rates
+
+
+def _dlp_pi(rates, eps):
     # Detailed-balance product in log space; eps near 0 makes pi span many
-    # orders of magnitude.
+    # orders of magnitude.  Each factor is the same product the matrix
+    # entry P[idx, idx+1] or P[idx+1, idx] holds.
+    n = rates.size
     log_pi = np.zeros(n)
     for idx in range(n - 1):
-        log_pi[idx + 1] = log_pi[idx] + math.log(P[idx, idx + 1]) - math.log(P[idx + 1, idx])
+        log_pi[idx + 1] = (log_pi[idx] + math.log(rates[idx] * (1.0 - eps))
+                           - math.log(rates[idx + 1] * eps))
     log_pi -= log_pi.max()
     pi = np.exp(log_pi)
     pi /= pi.sum()
+    return pi
 
-    label = f"dlp_birth_death(n={n},lambda={_fmt_param(lam)},eps={_fmt_param(eps)},k={k})"
-    return TransitionKernel(n=n, P=P, pi=pi, label=label, transitive=False)
+
+def _dlp_largest_n(n, lam, eps, k):
+    """Largest m < n whose dlp pi (k capped at m) is representable, by
+    bisection: the log-pi span is (m-1) log((1-eps)/eps) plus a bounded
+    seam term, so it grows with m."""
+    lo, hi = 1, n
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _representable(_dlp_pi(_dlp_rates(mid, lam, min(k, mid)), eps)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +357,7 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
     P, pi = kernel.P, kernel.pi
     row_res = float(np.abs(P.sum(axis=1) - 1.0).max())
     neg_res = float(max(0.0, -P.min()))
-    pi_pos = float(max(0.0, -(pi.min() - np.finfo(float).tiny)))
+    pi_pos = float(max(0.0, -(pi.min() - _TINY)))
     pi_sum = float(abs(pi.sum() - 1.0))
     balance = float(np.abs(pi[:, None] * P - pi[None, :] * P.T).max())
     stat = float(np.abs(pi @ P - pi).max())
@@ -333,6 +372,11 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
         CheckResult("strongly_connected", irred, 0.0),
     )
     return ValidationReport(checks)
+
+
+def _representable(pi: np.ndarray) -> bool:
+    """Every entry finite and a normal double, the bound validate checks."""
+    return bool(np.isfinite(pi).all() and pi.min() >= _TINY)
 
 
 def _strongly_connected(P) -> bool:
@@ -366,11 +410,16 @@ def stationary(P: np.ndarray) -> np.ndarray:
         A[:k, :k] += np.outer(A[:k, k], A[k, :k])
     pi = np.empty(n)
     pi[0] = 1.0
-    for k in range(1, n):
-        pi[k] = pi[:k] @ A[:k, k]
-    pi /= pi.sum()
-    if pi.min() <= 0.0:
-        raise NumericalFailure("stationary solve produced a non-positive entry")
+    # pi spread beyond the double range overflows to inf and then NaN;
+    # the representability check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, n):
+            pi[k] = pi[:k] @ A[:k, k]
+        pi /= pi.sum()
+    if not _representable(pi):
+        raise InvalidSpec("stationary distribution is not representable in "
+                          "double precision (an entry is not finite or below "
+                          f"{_TINY:.3e})")
     resid = float(np.abs(pi @ P - pi).max())
     if resid > 1e-10:
         raise NumericalFailure(f"stationary residual {resid:.3e} exceeds 1e-10")
@@ -396,8 +445,10 @@ def kernel_from_matrix(P: np.ndarray, pi: np.ndarray | None = None,
         pi = stationary(P)
     else:
         pi = np.asarray(pi, dtype=float)
-        if pi.shape != (P.shape[0],) or pi.min() <= 0.0 or abs(pi.sum() - 1.0) > STRUCT_TOL:
-            raise InvalidSpec("pi must be a positive probability vector")
+        if (pi.shape != (P.shape[0],) or not _representable(pi)
+                or abs(pi.sum() - 1.0) > STRUCT_TOL):
+            raise InvalidSpec("pi must be a probability vector of finite entries "
+                              f"no smaller than {_TINY:.3e}")
         if not _strongly_connected(P):
             raise NotIrreducible("support graph is not strongly connected")
     balance = float(np.abs(pi[:, None] * P - pi[None, :] * P.T).max())

@@ -9,7 +9,8 @@ endings.
 
 Exit codes: 0 success; 1 a bound or band check failed; 2 invalid spec or
 arguments; 3 chain rejected (not reversible / not irreducible);
-4 all Monte Carlo replicates censored.
+4 all Monte Carlo replicates censored; 5 a numerical accuracy contract
+could not be met (NumericalFailure, SingularSystem).
 
 The MIXBOUND_THREADS environment variable caps worker processes for the
 Monte Carlo commands; a value that is not an integer exits with code 2.
@@ -30,22 +31,20 @@ import numpy as np
 from . import __version__
 from .analysis import ChainAnalysis
 from .bounds import OptProblem, budget_rate_optimum, standard_sweep
-from .brw import (BRWConfig, fill_config, hit_time_sandwich,
-                  intersection_sandwich, plain_intersection, simulate_hit,
-                  simulate_intersection)
+from .brw import BRWConfig, experiment, hit_time_sandwich, intersection_sandwich
 from .chains import (ChainFamilySpec, build_family, canonical_spec_text,
                      complete_spec, cycle_spec, dlp_spec, hypercube_spec,
                      parse_chain_spec, torus_spec)
 from .errors import (AllCensored, BadEps, BadRange, CertificateMismatch,
-                     InvalidSpec, NotIrreducible, NotReversible)
-from .hitting import hit_times
-from .spectral import decompose, spectral_moment
+                     InvalidSpec, NotIrreducible, NotReversible,
+                     NumericalFailure, SingularSystem)
 
 EXIT_OK = 0
 EXIT_BOUND_FAILURE = 1
 EXIT_INVALID_SPEC = 2
 EXIT_BAD_CHAIN = 3
 EXIT_ALL_CENSORED = 4
+EXIT_NUMERICAL = 5
 
 
 def _fmt(v) -> str:
@@ -208,22 +207,8 @@ def cmd_brw(args, argv) -> int:
     else:
         for spec in specs:
             kernel = build_family(spec)
-            decomp = decompose(kernel)
-            t_rel = decomp.t_rel
-            if args.target == "hit":
-                summary = hit_times(kernel)
-                x = int(np.argmax(summary.t_pi_to))
-                est = simulate_hit(kernel, x,
-                                   fill_config(kernel, cfg, decomp, summary.t_hit))
-                ref = t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
-            elif args.target == "intersect":
-                est = simulate_intersection(kernel, fill_config(kernel, cfg, decomp))
-                ref = t_rel * math.log1p(math.sqrt(spectral_moment(decomp, 2)) / t_rel)
-            else:
-                est = plain_intersection(kernel, fill_config(kernel, cfg, decomp))
-                ref = math.sqrt(spectral_moment(decomp, 2))
-            size = spec.params.get("n") or spec.params.get("m") or spec.params.get("d")
-            rows.append([size, kernel.n, args.target, est.mean, est.stderr,
+            _, est, ref = experiment(kernel, args.target, cfg)
+            rows.append([spec.size, kernel.n, args.target, est.mean, est.stderr,
                          ref, est.mean / ref, est.censor_rate])
             print(f"brw[{args.target}] {kernel.label}: {est.mean:.6g} "
                   f"+/- {est.stderr:.3g} (censor {est.censor_rate:.3%})")
@@ -330,6 +315,9 @@ def main(argv=None) -> int:
     except CertificateMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND_FAILURE
+    except (NumericalFailure, SingularSystem) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

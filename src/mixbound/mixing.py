@@ -13,7 +13,7 @@ import numpy as np
 import scipy.linalg
 
 from .chains import TransitionKernel
-from .errors import BadEps
+from .errors import BadEps, NumericalFailure
 from .hitting import HittingSummary
 from .reports import BoundReport
 from .spectral import (SpectralDecomposition, heat_diag_ratio,
@@ -179,7 +179,7 @@ def _first_crossing(value, threshold, hi_guess):
             break
         hi *= 2.0
     else:
-        raise RuntimeError("profile failed to cross its threshold")
+        raise NumericalFailure("profile failed to cross its threshold")
     lo = 0.0
     while True:
         mid = 0.5 * (lo + hi)

@@ -50,6 +50,17 @@ def random_kernels(count, max_n=20, seed=20240) -> list:
     return out
 
 
+def dlp_matrix(n, lam, eps):
+    """The dlp(n, lam, eps) birth-death matrix written out by hand, without
+    the representability check in build_family."""
+    P = np.zeros((n, n))
+    i = np.arange(n - 1)
+    P[i, i + 1] = lam * (1.0 - eps)
+    P[i + 1, i] = lam * eps
+    P[np.arange(n), np.arange(n)] = 1.0 - P.sum(axis=1)
+    return P
+
+
 @pytest.fixture(scope="session")
 def analysis_cache():
     """Memoized ChainAnalysis per kernel label, shared across the session."""

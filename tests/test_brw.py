@@ -206,6 +206,10 @@ def test_intersection_sandwich_rejects_nontransitive():
     specs = [chains.dlp_spec(n, 0.5, 0.1) for n in (4, 6, 8)]
     with pytest.raises(InvalidSpec):
         brw.intersection_sandwich(specs, brw.BRWConfig(replicates=10, master_seed=1))
+    # with a band given, the check on each built kernel is what rejects it
+    with pytest.raises(InvalidSpec, match="transitive"):
+        brw.intersection_sandwich(specs, brw.BRWConfig(replicates=10, master_seed=1),
+                                  band=(0.5, 1.5))
 
 
 def test_band_failure_detected():

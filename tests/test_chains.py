@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from mixbound import chains
 from mixbound.errors import InvalidSpec, NotIrreducible, NotReversible
 
-from conftest import BENCHMARK_SPECS
+from conftest import BENCHMARK_SPECS, dlp_matrix
 
 
 def test_complete4_matrix():
@@ -103,6 +103,32 @@ def test_dlp_large_pi_imbalance_still_validates():
     assert kernel.pi.min() > 0
 
 
+def test_dlp_representability_limit():
+    # log pi spans (n-1) log(19) = 706.7 at n=241 and 709.6 at n=242; the
+    # smallest normal double is exp(-708.4)
+    assert chains.validate(chains.build_family(chains.dlp_spec(241, 0.5, 0.05))).passed
+    with pytest.raises(InvalidSpec, match="largest n that fits is 241"):
+        chains.build_family(chains.dlp_spec(242, 0.5, 0.05))
+
+
+def test_stationary_rejects_pi_beyond_double_range():
+    # pi of the dlp(300, 0.5, 0.05) matrix spans about 19^299: the GTH
+    # solve overflows to an all-NaN pi, which every `x > tol` guard passes
+    P = dlp_matrix(300, 0.5, 0.05)
+    with pytest.raises(InvalidSpec):
+        chains.stationary(P)
+    with pytest.raises(InvalidSpec):
+        chains.kernel_from_matrix(P)
+
+
+@pytest.mark.parametrize("first", [np.nan, np.inf, 1e-320])
+def test_explicit_pi_must_be_finite_and_normal(first):
+    P = (np.ones((4, 4)) - np.eye(4)) / 3
+    pi = np.array([first, 1 / 3, 1 / 3, 1 / 3])
+    with pytest.raises(InvalidSpec):
+        chains.kernel_from_matrix(P, pi=pi)
+
+
 @pytest.mark.parametrize("spec_args", [
     ("cycle", {"n": 1}),
     ("torus", {"d": 0, "m": 4}),
@@ -180,6 +206,13 @@ def test_chain_spec_malformed(tmp_path, text):
     spec_file.write_text(text)
     with pytest.raises(InvalidSpec):
         chains.parse_chain_spec(spec_file)
+
+
+def test_spec_size_is_the_size_parameter():
+    assert chains.torus_spec(2, 8).size == 8
+    assert chains.hypercube_spec(5).size == 5
+    assert chains.dlp_spec(20, 0.5, 0.05, k=4).size == 20
+    assert chains.custom_spec(np.full((2, 2), 0.5)).size is None
 
 
 def test_canonical_text_is_stable():

@@ -8,6 +8,8 @@ import pytest
 
 from mixbound import brw, cli
 
+from conftest import dlp_matrix
+
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
@@ -197,9 +199,15 @@ def test_brw_non_integer_threads_exit2(monkeypatch):
     assert len(lines) == 1 and "MIXBOUND_THREADS" in lines[0], res.stderr
 
 
-@pytest.mark.parametrize("target", ["hit", "intersect", "plain"])
-def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target):
-    calls = {"decompose": 0, "hit_times": 0}
+@pytest.mark.parametrize("target,sandwich", [
+    pytest.param("hit", False, id="hit"),
+    pytest.param("intersect", False, id="intersect"),
+    pytest.param("plain", False, id="plain"),
+    pytest.param("hit", True, id="sandwich-hit"),
+    pytest.param("intersect", True, id="sandwich-intersect"),
+])
+def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, sandwich):
+    calls = {"build_family": 0, "decompose": 0, "hit_times": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -207,14 +215,32 @@ def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target):
             return fn(*args, **kwargs)
         return wrapper
 
-    for module in (cli, brw):
-        for name in calls:
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    # cli builds the kernels of a plain run; brw builds a sandwich's and
+    # does all of the solving
+    monkeypatch.setattr(cli, "build_family", counted("build_family", cli.build_family))
+    for name in calls:
+        monkeypatch.setattr(brw, name, counted(name, getattr(brw, name)))
     monkeypatch.delenv("MIXBOUND_THREADS", raising=False)
-    assert cli.main(["brw", "--family", "cycle", "--sizes", "8,12", "--target",
-                     target, "--replicates", "20", "--out",
-                     str(tmp_path / "b.csv")]) == 0
-    assert calls == {"decompose": 2, "hit_times": 2}
+    sizes = ["4", "8", "16"] if sandwich else ["8", "12"]
+    family = ["--family", "complete" if sandwich else "cycle", "--sizes", ",".join(sizes)]
+    assert cli.main(["brw", *family, "--target", target, "--replicates", "20",
+                     *(["--sandwich"] if sandwich else []),
+                     "--out", str(tmp_path / "b.csv")]) == 0
+    n = len(sizes)
+    assert calls == {"build_family": n, "decompose": n, "hit_times": n}
+
+
+@pytest.mark.parametrize("target,family", [
+    pytest.param("hit", ["--family", "torus", "--d", "2", "--sizes", "4,6,8"], id="hit"),
+    pytest.param("intersect", ["--family", "hypercube", "--sizes", "4,5,6"],
+                 id="intersect"),
+])
+def test_brw_sandwich_writes_the_plain_run_rows(monkeypatch, tmp_path, target, family):
+    monkeypatch.delenv("MIXBOUND_THREADS", raising=False)
+    args = ["brw", *family, "--target", target, "--replicates", "200", "--seed", "0"]
+    assert cli.main(args + ["--out", str(tmp_path / "plain.csv")]) == 0
+    assert cli.main(args + ["--sandwich", "--out", str(tmp_path / "sandwich.csv")]) == 0
+    assert data_lines(tmp_path / "sandwich.csv") == data_lines(tmp_path / "plain.csv")
 
 
 def test_brw_plain_target(tmp_path):
@@ -247,6 +273,39 @@ def test_brw_sandwich_band_columns(tmp_path):
     assert len(lines) == 4
     ratios = [float(ln.split(",")[6]) for ln in lines[1:]]
     assert all(r > 0 for r in ratios)
+
+
+# ---------------------------------------------------------------------------
+# failure contract: one stderr line and a documented exit code
+
+def test_numerical_failure_exit5():
+    # the restricted hitting system on this drift misses its residual
+    # contract (SingularSystem)
+    res = run_cli("verify", "--family", "dlp", "--sizes", "60", "--lam", "0.5",
+                  "--dlp-eps", "0.0001")
+    assert res.returncode == 5
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+def test_dlp_beyond_double_range_exit2():
+    res = run_cli("verify", "--family", "dlp", "--sizes", "242", "--lam", "0.5",
+                  "--dlp-eps", "0.05")
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "largest n that fits is 241" in lines[0], res.stderr
+
+
+def test_custom_matrix_with_unrepresentable_pi_exit2(tmp_path):
+    # pi of this matrix spans about 19^299, beyond the double range
+    np.savetxt(tmp_path / "m.csv", dlp_matrix(300, 0.5, 0.05), fmt="%.17g",
+               delimiter=",")
+    spec = tmp_path / "wide.spec"
+    spec.write_text("family=custom\nmatrix=m.csv\n")
+    res = run_cli("analyze", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "not representable" in lines[0], res.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixbound import chains, hitting, mixing, spectral
-from mixbound.errors import BadEps
+from mixbound.errors import BadEps, NumericalFailure
 
 from conftest import SMALL_BENCHMARK_SPECS, random_kernels
 
@@ -182,3 +182,10 @@ def test_hierarchy_rejects_eps_one():
     summary = hitting.hit_times(kernel)
     with pytest.raises(BadEps):
         mixing.hierarchy_check(kernel, decomp, 1.0, summary)
+
+
+def test_first_crossing_failure_is_numerical():
+    # a profile that never drops to its threshold; NumericalFailure is a
+    # RuntimeError, so callers catching RuntimeError still see it
+    with pytest.raises(NumericalFailure):
+        mixing._first_crossing(lambda t: 1.0, 0.5, 1.0)
