@@ -264,7 +264,9 @@ def _build_dlp(n, lam, eps, k):
     for idx in range(n):
         up = rates[idx] * (1.0 - eps) if idx < n - 1 else 0.0
         down = rates[idx] * eps if idx > 0 else 0.0
-        P[idx, idx] = 1.0 - up - down
+        # interior rows hold 1 - up - down = 1 - rate exactly; subtracting
+        # up and down in turn can round below zero when the rate is 1
+        P[idx, idx] = 1.0 - rates[idx] if 0 < idx < n - 1 else 1.0 - up - down
         if idx < n - 1:
             P[idx, idx + 1] = up
         if idx > 0:

@@ -24,35 +24,84 @@ class HittingSummary:
 
     t_pi_to[x] is the expected hitting time of x from stationarity, t_hit
     the maximum entry and t_target the common value of the pi-averaged row
-    sums (the random target time).
+    sums (the random target time).  route names the solver that produced
+    hit_matrix: "birth_death", "spectral" or "gth" (see hit_times).
     """
 
     hit_matrix: np.ndarray
     t_pi_to: np.ndarray
     t_hit: float
     t_target: float
+    route: str
 
 
 def hit_times(kernel: TransitionKernel) -> HittingSummary:
-    """Solve every E_x[T_y] exactly.
+    """Solve every E_x[T_y] exactly, by one of three routes.
 
     E_x[T_y] solves the linear system (I - P) restricted to V \\ {y} with
-    unit right-hand side.  The fast route gets all columns from one
-    symmetric solve: with S the symmetrized Laplacian, q = sqrt(pi) and
-    N = (S + q q^T)^{-1},
+    unit right-hand side.
 
-        E_x[T_y] = N[y,y] / pi(y) - N[x,y] / sqrt(pi(x) pi(y)).
+    - "birth_death": P is tridiagonal.  With e_up[k] = E_k[T_{k+1}] =
+      pi(0..k) / (pi(k) P(k,k+1)) and e_down[k] = E_{k+1}[T_k] =
+      pi(k+1..n-1) / (pi(k+1) P(k+1,k)), E_x[T_y] is the sum of e_up[x:y]
+      (y > x) or of e_down[y:x] (y < x).  Only sums, products and
+      quotients of positive numbers, so every entry keeps relative
+      accuracy at any imbalance, in O(n^2) total.
+    - "spectral": every other kernel first gets all columns from one
+      symmetric solve: with S the symmetrized Laplacian, q = sqrt(pi) and
+      N = (S + q q^T)^{-1},
 
-    S + q q^T has spectrum {1, lambda_2, ..., lambda_n}, so that solve is
-    well conditioned, but the difference cancels catastrophically once
-    hitting times span many orders of magnitude (small-drift birth-death
-    chains reach 1e19 and beyond).  When the fast route shows a scale
-    above ~1e8, or any negative entry, every column is recomputed with a
-    subtraction-free GTH-style absorbing-chain elimination, which is
-    componentwise accurate at any imbalance.  The restricted-system
-    residual contract (<= 1e-10 * n above the float forming floor) is
-    verified on a sample of target states either way.
+          E_x[T_y] = N[y,y] / pi(y) - N[x,y] / sqrt(pi(x) pi(y)).
+
+      S + q q^T has spectrum {1, lambda_2, ..., lambda_n}, so that solve
+      is well conditioned, but the difference cancels catastrophically
+      once hitting times span many orders of magnitude.
+    - "gth": when the spectral route shows a scale above ~1e8, or any
+      non-positive off-diagonal entry, every column is recomputed with a
+      subtraction-free GTH-style absorbing-chain elimination, which is
+      componentwise accurate at any imbalance but costs O(n^4).
+
+    The restricted-system residual contract (<= 1e-10 * n above the float
+    forming floor) is verified on a sample of target states on every route.
     """
+    n = kernel.n
+    cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
+    if _is_tridiagonal(kernel.P):
+        hit, route = _birth_death_hit_matrix(kernel), "birth_death"
+    else:
+        hit, route = _spectral_hit_matrix(kernel, cols), "spectral"
+        off_min = float((hit + np.diag(np.full(n, np.inf))).min())
+        if hit.max() > 1e8 or off_min <= 0.0:
+            hit, route = _gth_hit_matrix(kernel), "gth"
+
+    _check_restricted_residual(kernel, hit, cols)
+    t_pi_to = kernel.pi @ hit
+    t_target = float(kernel.pi @ hit @ kernel.pi)
+    return HittingSummary(hit_matrix=hit, t_pi_to=t_pi_to,
+                          t_hit=float(hit.max()), t_target=t_target, route=route)
+
+
+def _is_tridiagonal(P: np.ndarray) -> bool:
+    return not (np.triu(P, 2).any() or np.tril(P, -2).any())
+
+
+def _birth_death_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
+    P, pi, n = kernel.P, kernel.pi, kernel.n
+    up, down = np.diag(P, 1), np.diag(P, -1)
+    if not (np.all(up > 0.0) and np.all(down > 0.0)):
+        raise SingularSystem("birth-death chain with a zero rate; reducible")
+    below = np.cumsum(pi)[:-1]                # pi(0..k)
+    above = np.cumsum(pi[::-1])[::-1][1:]     # pi(k+1..n-1)
+    e_up = below / (pi[:-1] * up)
+    e_down = above / (pi[1:] * down)
+    hit = np.zeros((n, n))
+    for x in range(n):
+        hit[x, x + 1:] = np.cumsum(e_up[x:])
+        hit[x, :x] = np.cumsum(e_down[:x][::-1])[::-1]
+    return hit
+
+
+def _spectral_hit_matrix(kernel: TransitionKernel, cols) -> np.ndarray:
     n = kernel.n
     S, q = symmetrized_laplacian(kernel)
     A = S + np.outer(q, q)
@@ -61,7 +110,6 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental system is singular: {exc}") from exc
 
-    cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
     resid = np.abs(A @ N[:, cols] - np.eye(n)[:, cols]).max()
     if resid > 1e-10 * n:
         raise SingularSystem(f"fundamental solve residual {resid:.3e} > 1e-10*n")
@@ -69,16 +117,7 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     diag = np.diag(N)
     hit = diag[None, :] / kernel.pi[None, :] - N / np.outer(q, q)
     np.fill_diagonal(hit, 0.0)
-
-    off_min = float((hit + np.diag(np.full(n, np.inf))).min())
-    if hit.max() > 1e8 or off_min <= 0.0:
-        hit = _gth_hit_matrix(kernel)
-
-    _check_restricted_residual(kernel, hit, cols)
-    t_pi_to = kernel.pi @ hit
-    t_target = float(kernel.pi @ hit @ kernel.pi)
-    return HittingSummary(hit_matrix=hit, t_pi_to=t_pi_to,
-                          t_hit=float(hit.max()), t_target=t_target)
+    return hit
 
 
 def _gth_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
@@ -123,19 +162,20 @@ def _gth_absorbing_column(P: np.ndarray, y: int):
 
 
 def _check_restricted_residual(kernel, hit, cols):
-    # (I - P) h = 1 off the target state.  The contract 1e-10 * n is only
+    # h - P h = 1 off the target state.  The contract 1e-10 * n is only
     # verifiable above the rounding floor of forming the residual itself,
-    # which is O(n * eps * |L| |h|) per row; tiny-drift birth-death chains
-    # push |h| to ~1e19 and beyond, where the floor dominates.
+    # O(n * eps * (|h| + P|h|)) per row; tiny-drift birth-death chains push
+    # |h| to ~1e19 and beyond, where the floor dominates.  The floor comes
+    # from P, not from I - P: a small diagonal 1 - P(k,k) inherits the
+    # eps-sized rounding of P(k,k), far above eps * |1 - P(k,k)|.
     n = kernel.n
-    L = np.eye(n) - kernel.P
     eps = np.finfo(float).eps
     for y in cols:
         keep = np.arange(n) != y
         h = hit[keep, y]
-        block = L[np.ix_(keep, keep)]
-        r = np.abs(block @ h - 1.0)
-        floor = 4.0 * n * eps * (np.abs(block) @ np.abs(h) + 1.0)
+        block = kernel.P[np.ix_(keep, keep)]
+        r = np.abs(h - block @ h - 1.0)
+        floor = 4.0 * n * eps * (np.abs(h) + block @ np.abs(h) + 1.0)
         if np.any(r > 1e-10 * n + floor):
             raise SingularSystem(
                 f"restricted system residual for target {y} exceeds contract")

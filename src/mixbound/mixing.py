@@ -1,13 +1,16 @@
 """L2, L-infinity and total variation distance profiles and mixing times.
 
 Profiles are evaluated spectrally; every mixing time is the first crossing
-of a strictly decreasing profile, found by bracketing plus bisection run to
-floating-point resolution (far inside the 1e-9 * t_rel contract).  The
-total variation convention here is t_tv(eps) = first time the worst-case
-L1 distance drops to 2*eps, so the plain t_tv corresponds to eps = 1/4.
+of a strictly decreasing profile, found by a doubling bracket plus a
+Brent-Dekker root solve (Brent 1973) run to 1e-13 * t_rel plus a few ulp
+of t, far inside the 1e-9 * t_rel contract.  The total variation
+convention here is t_tv(eps) = first time the worst-case L1 distance drops
+to 2*eps, so the plain t_tv corresponds to eps = 1/4.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.linalg
@@ -27,6 +30,12 @@ KINDS = ("linf", "l2x", "tv", "ave_l2")
 # whose entries stay in [0, 1].  Diagonal ratios are all-positive sums and
 # never need the fallback.
 _BALANCE_LIMIT = 1e6
+
+# Absolute part of the crossing tolerance, in units of t_rel.  The solver
+# adds a few ulp of t on top: on strongly drifted chains t reaches ~600
+# t_rel, where 1e-13 * t_rel alone is below the spacing of doubles.
+_XTOL_REL = 1e-13
+_EPS = float(np.finfo(float).eps)
 
 
 class MixingProfile:
@@ -141,7 +150,8 @@ class MixingProfile:
             value = self.ave_l2_sq
             threshold = eps * eps
             hi = 0.5 * t_rel * (np.log(max(self.kernel.n - 1.0, 1.0) / eps**2) + 2.0)
-        return _first_crossing(value, threshold, max(hi, t_rel))
+        return _first_crossing(value, threshold, max(hi, t_rel),
+                               xtol=_XTOL_REL * t_rel)
 
     def _solve_l2_vector(self, eps):
         decomp = self.decomp
@@ -169,26 +179,63 @@ class MixingProfile:
         return hi
 
 
-def _first_crossing(value, threshold, hi_guess):
-    """inf{t >= 0 : value(t) <= threshold} for a nonincreasing value."""
-    if value(0.0) <= threshold:
+def _first_crossing(value, threshold, hi_guess, xtol=0.0):
+    """inf{t >= 0 : value(t) <= threshold} for a nonincreasing value.
+
+    Doubles hi_guess until the profile has crossed, then runs Brent-Dekker
+    (inverse quadratic interpolation and secant steps, safeguarded by
+    bisection) on f = value - threshold until the bracket is narrower than
+    xtol plus a few ulp of t.  Returns the bracket end at which the profile
+    has already crossed, so value(t) <= threshold holds at the returned t.
+    """
+    fa = value(0.0) - threshold
+    if fa <= 0.0:
         return 0.0
-    hi = float(hi_guess)
+    b = float(hi_guess)
     for _ in range(200):
-        if value(hi) <= threshold:
+        fb = value(b) - threshold
+        if fb <= 0.0:
             break
-        hi *= 2.0
+        b *= 2.0
     else:
         raise NumericalFailure("profile failed to cross its threshold")
-    lo = 0.0
+    # a: previous iterate, b: best estimate, c: keeps f(b), f(c) of
+    # opposite signs; d: last step, e: the step before it
+    a = 0.0
+    c, fc = a, fa
+    d = e = b - a
     while True:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            return hi
-        if value(mid) <= threshold:
-            hi = mid
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b if fb <= 0.0 else c
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
         else:
-            lo = mid
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = value(b) - threshold
 
 
 def hierarchy_check(kernel: TransitionKernel, decomp: SpectralDecomposition,

@@ -103,6 +103,16 @@ def test_dlp_large_pi_imbalance_still_validates():
     assert kernel.pi.min() > 0
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.2])
+@pytest.mark.parametrize("n", [3, 5, 20, 300])
+def test_dlp_unit_rate_builds(n, eps):
+    # lambda = 1 leaves interior diagonals at exactly zero; subtracting up
+    # and down in turn used to round them to -5.55e-17
+    kernel = chains.build_family(chains.dlp_spec(n, 1.0, eps))
+    assert kernel.P.min() == 0.0
+    assert chains.validate(kernel).passed
+
+
 def test_dlp_representability_limit():
     # log pi spans (n-1) log(19) = 706.7 at n=241 and 709.6 at n=242; the
     # smallest normal double is exp(-708.4)

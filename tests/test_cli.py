@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mixbound import brw, cli
+from mixbound.errors import NumericalFailure, SingularSystem
 
 from conftest import dlp_matrix
 
@@ -278,14 +279,24 @@ def test_brw_sandwich_band_columns(tmp_path):
 # ---------------------------------------------------------------------------
 # failure contract: one stderr line and a documented exit code
 
-def test_numerical_failure_exit5():
-    # the restricted hitting system on this drift misses its residual
-    # contract (SingularSystem)
-    res = run_cli("verify", "--family", "dlp", "--sizes", "60", "--lam", "0.5",
-                  "--dlp-eps", "0.0001")
-    assert res.returncode == 5
-    lines = res.stderr.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+def test_numerical_failure_exit5(monkeypatch, capsys):
+    for exc in (NumericalFailure, SingularSystem):
+        def fail(*args, exc=exc, **kwargs):
+            raise exc("contract not met")
+        monkeypatch.setattr(cli, "standard_sweep", fail)
+        code = cli.main(["verify", "--family", "complete", "--sizes", "4"])
+        assert code == 5
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
+def test_strongly_drifted_dlp_verify_exit0(capsys):
+    # pi spans about e^543 and hitting times reach 2e236; the restricted
+    # residual check used to reject these accurate hitting times
+    code = cli.main(["verify", "--family", "dlp", "--sizes", "60", "--lam", "0.5",
+                     "--dlp-eps", "0.0001"])
+    assert code == 0
+    assert "0 failures" in capsys.readouterr().out
 
 
 def test_dlp_beyond_double_range_exit2():

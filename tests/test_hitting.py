@@ -107,6 +107,46 @@ def test_singular_system_detected_for_reducible_chain():
         hitting.hit_times(bad)
 
 
+def test_route_is_recorded():
+    for spec in (chains.dlp_spec(16, 0.5, 0.05), chains.dlp_spec(32, 0.4, 0.05, k=16)):
+        assert _pair(spec)[1].route == "birth_death"
+    assert _pair(chains.torus_spec(2, 4))[1].route == "spectral"
+    for kernel in random_kernels(5, max_n=20, seed=7):
+        if kernel.n > 2:  # every two-state kernel is tridiagonal
+            assert hitting.hit_times(kernel).route == "spectral"
+    # a drifted birth-death chain with its states shuffled is no longer
+    # tridiagonal, and its hitting times (up to 4.6e24) need the fallback
+    bd = chains.build_family(chains.dlp_spec(20, 0.5, 0.05))
+    perm = np.random.default_rng(3).permutation(bd.n)
+    shuffled = chains.kernel_from_matrix(bd.P[np.ix_(perm, perm)])
+    h = hitting.hit_times(shuffled)
+    assert h.route == "gth"
+    ref = hitting.hit_times(bd).hit_matrix[np.ix_(perm, perm)]
+    off = ~np.eye(bd.n, dtype=bool)
+    assert (np.abs(h.hit_matrix - ref)[off] / ref[off]).max() <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(rates=st.integers(2, 60).flatmap(lambda n: st.lists(
+    st.tuples(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5)),
+    min_size=n - 1, max_size=n - 1)))
+def test_birth_death_route_matches_gth_property(rates):
+    # rates[k] = (P(k,k+1), P(k+1,k)); pi can span 500^59 ~ 1e159
+    n = len(rates) + 1
+    P = np.zeros((n, n))
+    for k, (up, down) in enumerate(rates):
+        P[k, k + 1], P[k + 1, k] = up, down
+    P[np.arange(n), np.arange(n)] = 1.0 - P.sum(axis=1)
+    kernel = chains.kernel_from_matrix(P)
+    h = hitting.hit_times(kernel)
+    assert h.route == "birth_death"
+    gth = hitting._gth_hit_matrix(kernel)
+    off = ~np.eye(n, dtype=bool)
+    rel = np.abs(h.hit_matrix - gth)[off] / gth[off]
+    assert rel.max() <= 1e-10
+    hitting._check_restricted_residual(kernel, h.hit_matrix, range(n))
+
+
 # ---------------------------------------------------------------------------
 # exact tails
 

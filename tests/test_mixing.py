@@ -52,6 +52,61 @@ def test_two_state_l2_closed_form():
     assert prof.mixing_time("l2x", 0.5, x=0) == pytest.approx(math.log(2), rel=1e-12)
 
 
+def _bisection_mixing_time(prof, kind, eps, x):
+    # reference: bracket by doubling, then bisect to float resolution
+    value, threshold = {
+        "linf": (prof.linf_distance, eps),
+        "l2x": (lambda t: prof.l2_distance(x, t), eps),
+        "tv": (prof.tv_worst, 2.0 * eps),
+        "ave_l2": (prof.ave_l2_sq, eps * eps),
+    }[kind]
+    if value(0.0) <= threshold:
+        return 0.0
+    lo, hi = 0.0, prof.decomp.t_rel
+    while value(hi) > threshold:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if value(mid) <= threshold:
+            hi = mid
+        else:
+            lo = mid
+
+
+def _assert_matches_bisection(kernel, decomp, eps):
+    prof = mixing.MixingProfile(kernel, decomp)
+    for kind in mixing.KINDS:
+        for x in ((0, kernel.n - 1) if kind == "l2x" else (None,)):
+            t = prof.mixing_time(kind, eps, x)
+            ref = _bisection_mixing_time(prof, kind, eps, x)
+            assert abs(t - ref) <= 1e-9 * decomp.t_rel, (kind, x, t, ref)
+
+
+@pytest.mark.parametrize("spec", SMALL_BENCHMARK_SPECS, ids=lambda s: s.label())
+def test_mixing_times_match_bisection_on_families(spec):
+    kernel, decomp, _ = _profile(spec)
+    _assert_matches_bisection(kernel, decomp, 0.25)
+
+
+def test_mixing_times_match_bisection_on_random_kernels():
+    for kernel in random_kernels(100):
+        _assert_matches_bisection(kernel, spectral.decompose(kernel), 0.25)
+
+
+def test_tv_crossing_evaluation_count():
+    # each tv_worst call on this drifted chain is a full expm; bisection to
+    # float resolution took about 56
+    _, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
+    calls = []
+    tv_worst = prof.tv_worst
+    prof.tv_worst = lambda t: calls.append(t) or tv_worst(t)
+    t = prof.mixing_time("tv", 0.05)
+    assert len(calls) <= 25
+    assert tv_worst(t) <= 0.1
+
+
 # ---------------------------------------------------------------------------
 # TV distance
 
