@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .chains import ChainFamilySpec, TransitionKernel, build_family
 from .hitting import HittingSummary, hit_times
@@ -16,13 +17,18 @@ class ChainAnalysis:
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition
-    hitting: HittingSummary
     profile: MixingProfile
+
+    @cached_property
+    def hitting(self) -> HittingSummary:
+        """Hitting-time summary, solved on first access (profiles never
+        need it)."""
+        return hit_times(self.kernel)
 
     @classmethod
     def from_kernel(cls, kernel: TransitionKernel) -> "ChainAnalysis":
         decomp = decompose(kernel)
-        return cls(kernel=kernel, decomp=decomp, hitting=hit_times(kernel),
+        return cls(kernel=kernel, decomp=decomp,
                    profile=MixingProfile(kernel, decomp))
 
     @classmethod

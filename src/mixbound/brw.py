@@ -19,11 +19,27 @@ visited set, so only jump arrivals (and time 0) can create first visits.
 Replicate r draws its seed from (master_seed, r) through splitmix64, which
 makes every estimate bit-reproducible and embarrassingly parallel; results
 are aggregated by replicate index, so worker count cannot change them.
+
+Sampling tables are sparse: each row of P becomes (neighbours, cumprobs)
+over its nonzero columns, with the last cumulative entry pinned to 1.0, and
+a jump draws neighbours[bisect(cumprobs, u)].  Setup is O(nnz) and a draw
+searches a list of degree length.  np.cumsum adds in sequence and adding
+0.0 changes no float, so these partial sums equal the dense cumulative row
+at the nonzero columns bit for bit: a given u picks the state the dense
+table would pick, and the RNG draw sequence does not depend on the layout.
+The exponential clocks are drawn inline as -log(1 - random()) / rate, the
+formula of Random.expovariate, so the stream is that of expovariate too.
+
+With several workers the tables (and the other per-call parameters) reach
+each worker process once, through the pool initializer; a task carries only
+(run_fn, master_seed, salt, r0, r1).  The worker count is
+min(threads, chunks, cpu_count), so threads acts as a cap.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -89,18 +105,16 @@ class BRWEstimate:
     target: str
 
 
-def _cum_rows(P: np.ndarray) -> tuple:
-    """Cumulative rows for bisect sampling, pinned to 1.0 from each row's
-    last nonzero column on, so a uniform draw in [0, 1) never lands on a
-    zero-probability column past it."""
-    # plain-float tuples: bisect comparisons in the event loop are much
+def _cum_row(weights: np.ndarray) -> tuple[list, list]:
+    """(neighbours, cumprobs) over the nonzero entries of one row, the last
+    cumulative entry pinned to 1.0 so a uniform draw in [0, 1) always
+    lands on a neighbour: neighbours[bisect(cumprobs, u)]."""
+    nz = np.flatnonzero(weights)
+    cum = np.cumsum(weights[nz])
+    cum[-1] = 1.0
+    # plain Python lists: bisect comparisons in the event loop are much
     # faster against Python floats than numpy scalars
-    rows = []
-    for row in P:
-        c = np.cumsum(row)
-        c[np.flatnonzero(row)[-1]:] = 1.0
-        rows.append(tuple(float(v) for v in c))
-    return tuple(rows)
+    return nz.tolist(), cum.tolist()
 
 
 def fill_config(kernel: TransitionKernel, cfg: BRWConfig,
@@ -127,23 +141,32 @@ def resolve_config(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
 
 # ---------------------------------------------------------------------------
 # single-replicate engines (top level so process pools can pickle them)
+#
+# rows[x] and start are (neighbours, cumprobs) tables from _cum_row;
+# -log(1.0 - random()) / rate is Random.expovariate(rate), inlined to save
+# a method call per event.
 
-def _run_hit(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
+def _run_hit(seed, rows, start, gamma, target, max_particles, max_time,
              initial_state):
-    rng = Random(seed)
-    pos0 = initial_state if initial_state is not None else bisect(cum_pi, rng.random())
+    random = Random(seed).random
+    log = math.log
+    if initial_state is not None:
+        pos0 = initial_state
+    else:
+        pos0 = start[0][bisect(start[1], random())]
     if pos0 == target:
         return 0.0
     total = 1.0 + gamma
     jump_p = 1.0 / total
     positions = [pos0]
-    heap = [(rng.expovariate(total), 0)]
+    heap = [(-log(1.0 - random()) / total, 0)]
     while True:
         t, p = heappop(heap)
         if t > max_time:
             return None
-        if rng.random() < jump_p:
-            z = bisect(cum_rows[positions[p]], rng.random())
+        if random() < jump_p:
+            nbrs, cum = rows[positions[p]]
+            z = nbrs[bisect(cum, random())]
             positions[p] = z
             if z == target:
                 return t
@@ -151,18 +174,19 @@ def _run_hit(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
             if len(positions) >= max_particles:
                 return None
             positions.append(positions[p])
-            heappush(heap, (t + rng.expovariate(total), len(positions) - 1))
-        heappush(heap, (t + rng.expovariate(total), p))
+            heappush(heap, (t - log(1.0 - random()) / total, len(positions) - 1))
+        heappush(heap, (t - log(1.0 - random()) / total, p))
 
 
-def _run_intersection(seed, cum_rows, cum_pi, gamma, n, max_particles, max_time,
+def _run_intersection(seed, rows, start, gamma, n, max_particles, max_time,
                       initial_states):
-    rng = Random(seed)
+    random = Random(seed).random
+    log = math.log
     if initial_states is not None:
         a0, b0 = initial_states
     else:
-        a0 = bisect(cum_pi, rng.random())
-        b0 = bisect(cum_pi, rng.random())
+        a0 = start[0][bisect(start[1], random())]
+        b0 = start[0][bisect(start[1], random())]
     if a0 == b0:
         return 0.0
     visited = (bytearray(n), bytearray(n))
@@ -171,14 +195,16 @@ def _run_intersection(seed, cum_rows, cum_pi, gamma, n, max_particles, max_time,
     positions = ([a0], [b0])
     total = 1.0 + gamma
     jump_p = 1.0 / total
-    heap = [(rng.expovariate(total), 0, 0), (rng.expovariate(total), 1, 0)]
+    heap = [(-log(1.0 - random()) / total, 0, 0),
+            (-log(1.0 - random()) / total, 1, 0)]
     while True:
         t, pr, p = heappop(heap)
         if t > max_time:
             return None
         own = positions[pr]
-        if rng.random() < jump_p:
-            z = bisect(cum_rows[own[p]], rng.random())
+        if random() < jump_p:
+            nbrs, cum = rows[own[p]]
+            z = nbrs[bisect(cum, random())]
             own[p] = z
             if visited[1 - pr][z]:
                 return t
@@ -187,44 +213,47 @@ def _run_intersection(seed, cum_rows, cum_pi, gamma, n, max_particles, max_time,
             if len(positions[0]) + len(positions[1]) >= max_particles:
                 return None
             own.append(own[p])
-            heappush(heap, (t + rng.expovariate(total), pr, len(own) - 1))
-        heappush(heap, (t + rng.expovariate(total), pr, p))
+            heappush(heap, (t - log(1.0 - random()) / total, pr, len(own) - 1))
+        heappush(heap, (t - log(1.0 - random()) / total, pr, p))
 
 
-def _run_plain(seed, cum_rows, cum_pi, n, max_time, initial_states):
-    rng = Random(seed)
+def _run_plain(seed, rows, start, n, max_time, initial_states):
+    random = Random(seed).random
+    log = math.log
     if initial_states is not None:
         a, b = initial_states
     else:
-        a = bisect(cum_pi, rng.random())
-        b = bisect(cum_pi, rng.random())
+        a = start[0][bisect(start[1], random())]
+        b = start[0][bisect(start[1], random())]
     if a == b:
         return 0.0
     visited = (bytearray(n), bytearray(n))
     visited[0][a] = 1
     visited[1][b] = 1
     pos = [a, b]
-    clocks = [rng.expovariate(1.0), rng.expovariate(1.0)]
+    clocks = [-log(1.0 - random()), -log(1.0 - random())]
     while True:
         w = 0 if clocks[0] <= clocks[1] else 1
         t = clocks[w]
         if t > max_time:
             return None
-        z = bisect(cum_rows[pos[w]], rng.random())
+        nbrs, cum = rows[pos[w]]
+        z = nbrs[bisect(cum, random())]
         pos[w] = z
         if visited[1 - w][z]:
             return t
         visited[w][z] = 1
-        clocks[w] = t + rng.expovariate(1.0)
+        clocks[w] = t - log(1.0 - random())
 
 
-def _run_growth(seed, cum_rows, cum_pi, gamma, times, max_particles):
+def _run_growth(seed, rows, start, gamma, times, max_particles):
     """Particle counts of one replicate at the sorted query times."""
-    rng = Random(seed)
-    positions = [bisect(cum_pi, rng.random())]
+    random = Random(seed).random
+    log = math.log
+    positions = [start[0][bisect(start[1], random())]]
     total = 1.0 + gamma
     jump_p = 1.0 / total
-    heap = [(rng.expovariate(total), 0)]
+    heap = [(-log(1.0 - random()) / total, 0)]
     counts = []
     qi = 0
     while qi < len(times):
@@ -234,39 +263,59 @@ def _run_growth(seed, cum_rows, cum_pi, gamma, times, max_particles):
             qi += 1
         if qi >= len(times):
             break
-        if rng.random() < jump_p:
-            positions[p] = bisect(cum_rows[positions[p]], rng.random())
+        if random() < jump_p:
+            nbrs, cum = rows[positions[p]]
+            positions[p] = nbrs[bisect(cum, random())]
         else:
             if len(positions) >= max_particles:
                 counts.extend([len(positions)] * (len(times) - qi))
                 return counts
             positions.append(positions[p])
-            heappush(heap, (t + rng.expovariate(total), len(positions) - 1))
-        heappush(heap, (t + rng.expovariate(total), p))
+            heappush(heap, (t - log(1.0 - random()) / total, len(positions) - 1))
+        heappush(heap, (t - log(1.0 - random()) / total, p))
     return counts
 
 
-def _batch(args):
-    """Pool entry point: run_fn on replicates r0..r1-1 of one master seed."""
-    run_fn, common, master_seed, salt, r0, r1 = args
+def _batch(run_fn, common, master_seed, salt, r0, r1):
+    """run_fn on replicates r0..r1-1 of one master seed."""
     return [run_fn(replicate_seed(master_seed, r, salt), *common) for r in range(r0, r1)]
+
+
+# (rows, start, *params) of the current _run_replicates call, set in each
+# pool worker by _init_worker; never set in the parent process
+_worker_common = None
+
+
+def _init_worker(common):
+    global _worker_common
+    _worker_common = common
+
+
+def _pool_batch(task):
+    """Pool entry point: task is (run_fn, master_seed, salt, r0, r1)."""
+    run_fn, master_seed, salt, r0, r1 = task
+    return _batch(run_fn, _worker_common, master_seed, salt, r0, r1)
 
 
 def _run_replicates(run_fn, kernel: TransitionKernel, cfg: BRWConfig,
                     *params, salt: int = 0) -> list:
-    """run_fn(seed, cum_rows, cum_pi, *params) for every replicate, in
-    replicate order, seeds salted by salt; chunks go to a process pool
-    when cfg.threads > 1."""
-    common = (_cum_rows(kernel.P), _cum_rows(kernel.pi[None, :])[0]) + params
-    n_chunks = 1 if cfg.threads <= 1 else min(cfg.replicates, 4 * cfg.threads)
+    """run_fn(seed, rows, start, *params) for every replicate, in replicate
+    order, seeds salted by salt.  With cfg.threads > 1 the replicates are
+    cut into chunks for a process pool of min(threads, chunks, cpu_count)
+    workers, each of which receives the tables once."""
+    common = ([_cum_row(row) for row in kernel.P], _cum_row(kernel.pi)) + params
+    workers = min(cfg.threads, os.cpu_count() or 1)
+    n_chunks = 1 if workers <= 1 else min(cfg.replicates, 4 * workers)
     edges = np.linspace(0, cfg.replicates, num=n_chunks + 1, dtype=int)
-    args = [(run_fn, common, cfg.master_seed, salt, int(r0), int(r1))
-            for r0, r1 in zip(edges[:-1], edges[1:]) if r0 < r1]
-    if len(args) == 1:
-        chunks = [_batch(a) for a in args]
+    tasks = [(run_fn, cfg.master_seed, salt, int(r0), int(r1))
+             for r0, r1 in zip(edges[:-1], edges[1:]) if r0 < r1]
+    if len(tasks) == 1:
+        chunks = [_batch(run_fn, common, *task[1:]) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=cfg.threads) as pool:
-            chunks = list(pool.map(_batch, args))
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 initializer=_init_worker,
+                                 initargs=(common,)) as pool:
+            chunks = list(pool.map(_pool_batch, tasks))
     return [result for chunk in chunks for result in chunk]
 
 
@@ -330,8 +379,9 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
                                       cfg.max_particles), dtype=float)
     mean = counts.mean(axis=0)
-    stderr = counts.std(axis=0, ddof=1) / math.sqrt(cfg.replicates)
-    return mean, stderr
+    if cfg.replicates == 1:
+        return mean, np.zeros_like(mean)
+    return mean, counts.std(axis=0, ddof=1) / math.sqrt(cfg.replicates)
 
 
 def experiment(kernel: TransitionKernel, target: str, cfg: BRWConfig

@@ -13,6 +13,7 @@ with the same master seed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect
 from random import Random
 
@@ -24,10 +25,15 @@ from .brw import (BRWConfig, BRWEstimate, _estimate, _run_replicates,
 _REFERENCE_SALT = 0x5EED
 
 
-def _run_hit_ref(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
+def _run_hit_ref(seed, rows, start, gamma, target, max_particles, max_time,
                  initial_state):
     rng = Random(seed)
-    pos0 = initial_state if initial_state is not None else bisect(cum_pi, rng.random())
+    random = rng.random
+    log = math.log
+    if initial_state is not None:
+        pos0 = initial_state
+    else:
+        pos0 = start[0][bisect(start[1], random())]
     if pos0 == target:
         return 0.0
     total = 1.0 + gamma
@@ -36,12 +42,13 @@ def _run_hit_ref(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
     t = 0.0
     while True:
         k = len(positions)
-        t += rng.expovariate(k * total)
+        t -= log(1.0 - random()) / (k * total)
         if t > max_time:
             return None
         i = rng.randrange(k)
-        if rng.random() < jump_p:
-            z = bisect(cum_rows[positions[i]], rng.random())
+        if random() < jump_p:
+            nbrs, cum = rows[positions[i]]
+            z = nbrs[bisect(cum, random())]
             positions[i] = z
             if z == target:
                 return t
@@ -51,14 +58,16 @@ def _run_hit_ref(seed, cum_rows, cum_pi, gamma, target, max_particles, max_time,
             positions.append(positions[i])
 
 
-def _run_intersection_ref(seed, cum_rows, cum_pi, gamma, n, max_particles,
+def _run_intersection_ref(seed, rows, start, gamma, n, max_particles,
                           max_time, initial_states):
     rng = Random(seed)
+    random = rng.random
+    log = math.log
     if initial_states is not None:
         a0, b0 = initial_states
     else:
-        a0 = bisect(cum_pi, rng.random())
-        b0 = bisect(cum_pi, rng.random())
+        a0 = start[0][bisect(start[1], random())]
+        b0 = start[0][bisect(start[1], random())]
     if a0 == b0:
         return 0.0
     visited = (bytearray(n), bytearray(n))
@@ -70,14 +79,15 @@ def _run_intersection_ref(seed, cum_rows, cum_pi, gamma, n, max_particles,
     t = 0.0
     while True:
         ka, kb = len(positions[0]), len(positions[1])
-        t += rng.expovariate((ka + kb) * total)
+        t -= log(1.0 - random()) / ((ka + kb) * total)
         if t > max_time:
             return None
         i = rng.randrange(ka + kb)
         pr, p = (0, i) if i < ka else (1, i - ka)
         own = positions[pr]
-        if rng.random() < jump_p:
-            z = bisect(cum_rows[own[p]], rng.random())
+        if random() < jump_p:
+            nbrs, cum = rows[own[p]]
+            z = nbrs[bisect(cum, random())]
             own[p] = z
             if visited[1 - pr][z]:
                 return t

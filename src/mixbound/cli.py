@@ -12,8 +12,11 @@ arguments; 3 chain rejected (not reversible / not irreducible);
 4 all Monte Carlo replicates censored; 5 a numerical accuracy contract
 could not be met (NumericalFailure, SingularSystem).
 
-The MIXBOUND_THREADS environment variable caps worker processes for the
-Monte Carlo commands; a value that is not an integer exits with code 2.
+The MIXBOUND_THREADS environment variable (default 1) caps worker
+processes for the Monte Carlo commands: a run starts
+min(MIXBOUND_THREADS, replicate chunks, CPU count) workers, and the worker
+count never changes the data.  A value that is not an integer, or is below
+1, exits with code 2.
 """
 
 from __future__ import annotations
@@ -74,9 +77,12 @@ def _write_csv(path, argv, spec_text, seed, header, rows):
 def _threads() -> int:
     raw = os.environ.get("MIXBOUND_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
         raise InvalidSpec(f"MIXBOUND_THREADS must be an integer, got {raw!r}") from None
+    if threads < 1:
+        raise InvalidSpec(f"MIXBOUND_THREADS must be at least 1, got {raw!r}")
+    return threads
 
 
 def _family_specs(args) -> list[ChainFamilySpec]:

@@ -1,8 +1,13 @@
 import math
+import warnings
 from bisect import bisect
+from dataclasses import replace
+from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixbound import brw, brw_reference, chains, hitting, spectral
 from mixbound.errors import AllCensored, InvalidSpec
@@ -81,14 +86,96 @@ def test_config_validation():
 @pytest.mark.parametrize("spec", [chains.hypercube_spec(10), chains.torus_spec(3, 6)],
                          ids=lambda s: s.label())
 def test_cum_rows_sample_only_neighbours(spec):
-    # bisect(cum, u) == j exactly for u in [cum[j-1], cum[j]), so column j
-    # is drawn by some u in [0, 1) iff cum[j-1] < min(cum[j], 1)
+    # bisect(cum, u) == k exactly for u in [cum[k-1], cum[k]), so entry k is
+    # drawn by some u in [0, 1) iff cum[k-1] < min(cum[k], 1)
     kernel = chains.build_family(spec)
-    for row, cum in zip(kernel.P, brw._cum_rows(kernel.P)):
+    for row in kernel.P:
+        nbrs, cum = brw._cum_row(row)
         c = np.array(cum)
         lo = np.concatenate(([0.0], c[:-1]))
-        assert (row[lo < np.minimum(c, 1.0)] > 0).all()
-        assert row[bisect(cum, np.nextafter(1.0, 0.0))] > 0
+        assert (row[np.array(nbrs)[lo < np.minimum(c, 1.0)]] > 0).all()
+        assert row[nbrs[bisect(cum, np.nextafter(1.0, 0.0))]] > 0
+
+
+def _dense_draw(row, u):
+    """Reference draw from the dense cumulative row, pinned to 1.0 from the
+    last nonzero column on."""
+    c = np.cumsum(row)
+    c[np.flatnonzero(row)[-1]:] = 1.0
+    return bisect(c.tolist(), u)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 60), density=st.floats(0.0, 0.5),
+       decades=st.floats(0.0, 300.0), seed=st.integers(0, 2**32 - 1))
+def test_sparse_draw_matches_dense_reference(n, density, decades, seed):
+    # symmetric log-uniform weights spread over up to 300 decades on a
+    # random graph plus a cycle, so every row has a neighbour; after row
+    # normalisation the smallest entries may underflow to 0 or vanish in
+    # the cumulative sums, and both tables must agree on that too
+    rng = np.random.default_rng(seed)
+    mask = np.triu(rng.random((n, n)) < density)
+    idx = np.arange(n)
+    mask[idx, (idx + 1) % n] = True
+    W = np.where(mask, 10.0 ** rng.uniform(-decades / 2, decades / 2, (n, n)), 0.0)
+    W = W + W.T
+    P = W / W.sum(axis=1, keepdims=True)
+    for row in P:
+        nbrs, cum = brw._cum_row(row)
+        assert nbrs == np.flatnonzero(row).tolist() and cum[-1] == 1.0
+        dense = np.cumsum(row)
+        assert cum[:-1] == dense[nbrs[:-1]].tolist()
+        us = [0.0, float(np.nextafter(1.0, 0.0)), *rng.random(8).tolist(),
+              *(float(v) for v in dense if v < 1.0)]
+        for u in us:
+            z = nbrs[bisect(cum, u)]
+            assert z == _dense_draw(row, u) and row[z] > 0
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.0 + 1e-3, 4.0 / 3.0, 7 * (1.0 + 0.0123)])
+def test_inline_exponential_draw_is_expovariate(rate):
+    # the engines draw clocks as t - log(1 - random()) / rate in place of
+    # t + Random.expovariate(rate); the two streams must agree bit for bit
+    for s in range(50):
+        random, rng = Random(s).random, Random(s)
+        t_inline = t_stdlib = 0.0
+        for _ in range(20):
+            t_inline = t_inline - math.log(1.0 - random()) / rate
+            t_stdlib = t_stdlib + rng.expovariate(rate)
+            assert t_inline == t_stdlib
+
+
+def test_worker_count_is_capped(monkeypatch, complete4):
+    started = []
+
+    class RecordingPool:
+        """Runs the pool's work in this process and records its size."""
+
+        def __init__(self, max_workers, initializer, initargs):
+            started.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(brw, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(brw, "_worker_common", None)
+    monkeypatch.setattr(brw.os, "cpu_count", lambda: 3)
+    cfg = brw.BRWConfig(replicates=400, master_seed=5)
+    serial = brw.simulate_hit(complete4, 0, cfg)
+    assert started == [] and brw._worker_common is None
+    assert brw.simulate_hit(complete4, 0, replace(cfg, threads=10_000)) == serial
+    brw.simulate_hit(complete4, 0, replace(cfg, replicates=2, threads=10_000))
+    assert started == [3, 2]
+    monkeypatch.setattr(brw.os, "cpu_count", lambda: None)
+    assert brw.simulate_hit(complete4, 0, replace(cfg, threads=10_000)) == serial
+    assert started == [3, 2]
 
 
 def test_replicate_seed_mixing_spreads():
@@ -137,6 +224,13 @@ def test_growth_matches_exponential(complete4):
     gamma = 4.0 / 3.0
     for m, se, t in zip(mean, stderr, times):
         assert abs(m - math.exp(gamma * t)) <= 3.0 * se
+
+
+def test_growth_curve_single_replicate(cycle8):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, stderr = brw.growth_curve(cycle8, brw.BRWConfig(replicates=1), [1.0, 2.0])
+    assert (mean >= 1.0).all() and stderr.tolist() == [0.0, 0.0]
 
 
 def test_first_particle_bounds_hit_time(cycle8):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbound import brw, cli
+from mixbound import analysis, brw, cli
 from mixbound.errors import NumericalFailure, SingularSystem
 
 from conftest import dlp_matrix
@@ -198,6 +198,50 @@ def test_brw_non_integer_threads_exit2(monkeypatch):
     assert res.returncode == 2
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and "MIXBOUND_THREADS" in lines[0], res.stderr
+
+
+@pytest.mark.parametrize("raw", ["0", "-3"])
+def test_brw_threads_below_one_exit2(monkeypatch, capsys, raw):
+    monkeypatch.setenv("MIXBOUND_THREADS", raw)
+    assert cli.main(["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
+                     "--replicates", "10"]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and "MIXBOUND_THREADS" in lines[0], lines
+
+
+@pytest.mark.parametrize("target,family", [
+    pytest.param("hit", ["--family", "torus", "--d", "2", "--sizes", "4,6,8"], id="hit"),
+    pytest.param("intersect", ["--family", "hypercube", "--sizes", "3,4,5"],
+                 id="intersect"),
+])
+def test_brw_sandwich_same_data_at_one_and_two_workers(monkeypatch, tmp_path,
+                                                       target, family):
+    # two workers go through the pool initializer that ships the tables
+    codes, data = [], []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MIXBOUND_THREADS", threads)
+        out = tmp_path / f"threads{threads}.csv"
+        codes.append(cli.main(["brw", *family, "--target", target, "--sandwich",
+                               "--replicates", "200", "--seed", "0", "--out", str(out)]))
+        data.append(data_lines(out))
+    assert codes[0] == codes[1] and data[0] == data[1]
+
+
+@pytest.mark.parametrize("command,solves", [
+    pytest.param(["profile", "--family", "cycle", "--sizes", "16", "--points", "5"], 0,
+                 id="profile"),
+    pytest.param(["analyze", "--spec", "c4.spec"], 1, id="analyze"),
+    pytest.param(["verify", "--family", "cycle", "--sizes", "8,16",
+                  "--ell", "1,2", "--eps", "0.25,0.5"], 2, id="verify"),
+])
+def test_hitting_solved_only_when_used(monkeypatch, tmp_path, command, solves):
+    calls = []
+    real = analysis.hit_times
+    monkeypatch.setattr(analysis, "hit_times", lambda k: calls.append(k) or real(k))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c4.spec").write_text("family=complete\nn=4\n")
+    assert cli.main([*command, "--out", "out.csv"]) == 0
+    assert len(calls) == solves
 
 
 @pytest.mark.parametrize("target,sandwich", [
