@@ -11,7 +11,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mixbound import chains, hitting, mixing, spectral
+from mixbound import chains, mixing, spectral
+from mixbound.analysis import ChainAnalysis
 
 kernel = chains.build_family(chains.complete_spec(4))
 decomp = spectral.decompose(kernel)
@@ -30,10 +31,8 @@ for t in (0.0, 1.0, 2.0):
           f"vs {1.5 * math.exp(-4 * t / 3):.6f}")
 
 print("\nhierarchy chain on torus(2,8), eps=1/2:")
-kernel = chains.build_family(chains.torus_spec(2, 8))
-decomp = spectral.decompose(kernel)
-summary = hitting.hit_times(kernel)
-for rep in mixing.hierarchy_check(kernel, decomp, 0.5, summary):
+analysis = ChainAnalysis.from_spec(chains.torus_spec(2, 8))
+for rep in mixing.hierarchy_check(analysis.profile, 0.5, analysis.hitting.t_hit):
     print(f"  {rep.name:22s} lhs={rep.lhs:10.5f} rhs={rep.rhs:10.5f} "
           f"{'ok' if rep.passed else 'VIOLATED'}")
 print("the middle link is an exact identity: the worst L2 time is half the")

@@ -20,7 +20,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np
 
-from mixbound import brw, chains, hitting, spectral
+from mixbound import brw, chains
+from mixbound.analysis import ChainAnalysis
 
 REPLICATES = 20000
 SEED = 7
@@ -54,13 +55,13 @@ def calibrate_sandwich(target, family_name, specs):
 
 
 def calibrate_scalar_hit(spec):
-    kernel = chains.build_family(spec)
-    decomp = spectral.decompose(kernel)
-    summary = hitting.hit_times(kernel)
+    analysis = ChainAnalysis.from_spec(spec)
+    decomp, summary = analysis.decomp, analysis.hitting
     ref = decomp.t_rel * math.log1p(summary.t_hit / decomp.t_rel)
-    est = brw.simulate_hit(kernel, int(np.argmax(summary.t_pi_to)), cfg())
+    est = brw.simulate_hit(analysis.kernel, int(np.argmax(summary.t_pi_to)),
+                           brw.fill_config(analysis, cfg()))
     lo, hi = widen(est.mean / ref, est.mean / ref)
-    print(f"  {kernel.label} hit vs t_rel*log(1+t_hit/t_rel): "
+    print(f"  {analysis.kernel.label} hit vs t_rel*log(1+t_hit/t_rel): "
           f"ratio={est.mean / ref:.4f} -> band ({lo:.4f}, {hi:.4f})")
     return lo, hi
 
@@ -68,10 +69,10 @@ def calibrate_scalar_hit(spec):
 def calibrate_plain(family_name, specs):
     ratios = []
     for spec in specs:
-        kernel = chains.build_family(spec)
-        _, est, root_q = brw.experiment(kernel, "plain", cfg())
+        analysis = ChainAnalysis.from_spec(spec)
+        est, root_q = brw.experiment(analysis, "plain", cfg())
         ratios.append(est.mean / root_q)
-        print(f"  {kernel.label}: plain={est.mean:.4f}+-{est.stderr:.4f} "
+        print(f"  {analysis.kernel.label}: plain={est.mean:.4f}+-{est.stderr:.4f} "
               f"sqrtQ={root_q:.4f} ratio={ratios[-1]:.4f} "
               f"censor={est.censor_rate:.4%}")
     lo, hi = widen(min(ratios), max(ratios))

@@ -13,7 +13,10 @@ from .spectral import SpectralDecomposition, decompose, spectral_moment
 
 @dataclass
 class ChainAnalysis:
-    """Kernel plus its decomposition, hitting summary and mixing profile."""
+    """Kernel plus its decomposition, hitting summary and mixing profile.
+
+    The one place these are computed: bounds, brw and cli read them from
+    an analysis instead of solving the kernel again."""
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition

@@ -340,28 +340,20 @@ def ratio_cotrend_table(specs: list[ChainFamilySpec]) -> CotrendTable:
 def standard_sweep(analysis: ChainAnalysis,
                    eps_list=(0.25, 0.5, 1.0),
                    ell_list=(1, 2, 3, 4),
-                   M_list=(1.0, 2.0, 5.0),
-                   rhs_scale: float = 1.0) -> list[BoundReport]:
-    """Every inequality report for one kernel.
-
-    rhs_scale is a testing hook that multiplies each right-hand side; 1.0
-    leaves the reports untouched.
-    """
+                   M_list=(1.0, 2.0, 5.0)) -> list[BoundReport]:
+    """Every inequality report for one kernel."""
     reports: list[BoundReport] = []
     for eps in eps_list:
         reports += hitting_bound_reports(analysis, eps)
         for ell in ell_list:
             reports += moment_bound_reports(analysis, ell, eps)
         if 0.0 < eps < 1.0:
-            reports += hierarchy_check(analysis.kernel, analysis.decomp, eps,
-                                       analysis.hitting, analysis.profile)
+            reports += hierarchy_check(analysis.profile, eps,
+                                       analysis.hitting.t_hit)
     for ell in ell_list:
         reports += moment_window_reports(analysis, ell)
         reports += root_moment_reports(analysis, ell)
     for M in M_list:
         reports += truncation_factor_worst(analysis, M)
     reports.append(relaxation_hitting_report(analysis))
-    if rhs_scale != 1.0:
-        reports = [BoundReport.check(r.name, r.lhs, r.rhs * rhs_scale, **r.context)
-                   for r in reports]
     return reports

@@ -48,12 +48,10 @@ from random import Random
 
 import numpy as np
 
+from .analysis import ChainAnalysis
 from .chains import TransitionKernel, build_family
 from .errors import AllCensored, InvalidSpec
-from .hitting import hit_times
-from .mixing import MixingProfile
-from .spectral import (SpectralDecomposition, decompose, heat_moment_windowed_all,
-                       spectral_moment)
+from .spectral import heat_moment_windowed_all, spectral_moment
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -84,13 +82,14 @@ class BRWConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.gamma is not None and self.gamma <= 0:
+        # "not x > 0" also rejects NaN, which would disable the time cap
+        if self.gamma is not None and not self.gamma > 0:
             raise InvalidSpec("gamma must be positive")
         if self.replicates < 1:
             raise InvalidSpec("replicates must be >= 1")
         if self.max_particles < 1:
             raise InvalidSpec("max_particles must be >= 1")
-        if self.max_time is not None and self.max_time <= 0:
+        if self.max_time is not None and not self.max_time > 0:
             raise InvalidSpec("max_time must be positive")
 
 
@@ -117,17 +116,15 @@ def _cum_row(weights: np.ndarray) -> tuple[list, list]:
     return nz.tolist(), cum.tolist()
 
 
-def fill_config(kernel: TransitionKernel, cfg: BRWConfig,
-                decomp: SpectralDecomposition,
-                t_hit: float | None = None) -> BRWConfig:
-    """cfg with gamma defaulting to the spectral gap of decomp and max_time
-    to 50 * t_rel * log(1 + t_hit / t_rel).  t_hit is solved from the
-    kernel only when max_time needs it and the caller has none at hand."""
+def fill_config(analysis: ChainAnalysis, cfg: BRWConfig) -> BRWConfig:
+    """cfg with gamma defaulting to the spectral gap of the analysed kernel
+    and max_time to 50 * t_rel * log(1 + t_hit / t_rel).  The hitting
+    summary is solved (once, by the analysis) only when max_time needs it."""
+    decomp = analysis.decomp
     max_time = cfg.max_time
     if max_time is None:
-        if t_hit is None:
-            t_hit = hit_times(kernel).t_hit
-        max_time = 50.0 * decomp.t_rel * math.log1p(t_hit / decomp.t_rel)
+        t_rel = decomp.t_rel
+        max_time = 50.0 * t_rel * math.log1p(analysis.hitting.t_hit / t_rel)
     return replace(cfg, gamma=cfg.gamma if cfg.gamma is not None else decomp.gap,
                    max_time=max_time)
 
@@ -136,7 +133,7 @@ def resolve_config(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
     """Fill gamma and max_time defaults from the kernel's exact quantities."""
     if cfg.gamma is not None and cfg.max_time is not None:
         return cfg
-    return fill_config(kernel, cfg, decompose(kernel))
+    return fill_config(ChainAnalysis.from_kernel(kernel), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -384,28 +381,30 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     return mean, counts.std(axis=0, ddof=1) / math.sqrt(cfg.replicates)
 
 
-def experiment(kernel: TransitionKernel, target: str, cfg: BRWConfig
-               ) -> tuple[SpectralDecomposition, BRWEstimate, float]:
-    """One BRW experiment on one kernel: (decomp, estimate, exact reference).
+def experiment(analysis: ChainAnalysis, target: str, cfg: BRWConfig
+               ) -> tuple[BRWEstimate, float]:
+    """One BRW experiment on an analysed kernel: (estimate, exact reference).
 
     hit: first hit of the state hardest to reach from pi, against
     t_rel log(1 + t_pi/t_rel); intersect: two BRW clouds, against
     t_rel log(1 + sqrt(Q)/t_rel); plain: two plain walks, against sqrt(Q).
+    Every exact quantity (gamma, the time cap, the reference) is read from
+    the analysis, so nothing is solved twice.
     """
-    decomp = decompose(kernel)
+    kernel, decomp = analysis.kernel, analysis.decomp
     t_rel = decomp.t_rel
     if target == "hit":
-        summary = hit_times(kernel)
-        x = int(np.argmax(summary.t_pi_to))
-        est = simulate_hit(kernel, x, fill_config(kernel, cfg, decomp, summary.t_hit))
-        return decomp, est, t_rel * math.log1p(summary.t_pi_to[x] / t_rel)
+        t_pi_to = analysis.hitting.t_pi_to
+        x = int(np.argmax(t_pi_to))
+        est = simulate_hit(kernel, x, fill_config(analysis, cfg))
+        return est, t_rel * math.log1p(t_pi_to[x] / t_rel)
     root_q = math.sqrt(spectral_moment(decomp, 2))
     if target == "intersect":
-        est = simulate_intersection(kernel, fill_config(kernel, cfg, decomp))
-        return decomp, est, t_rel * math.log1p(root_q / t_rel)
+        est = simulate_intersection(kernel, fill_config(analysis, cfg))
+        return est, t_rel * math.log1p(root_q / t_rel)
     if target == "plain":
-        est = plain_intersection(kernel, fill_config(kernel, cfg, decomp))
-        return decomp, est, root_q
+        est = plain_intersection(kernel, fill_config(analysis, cfg))
+        return est, root_q
     raise InvalidSpec(f"unknown BRW target {target!r}")
 
 
@@ -467,6 +466,34 @@ class SandwichResult:
         return rows_ok and self.slope_ok
 
 
+def _sandwich_row(spec, target: str, cfg: BRWConfig, c_lo: float,
+                  c_hi: float) -> SandwichRow:
+    """One size of a sandwich.  Its analysis is freed on return, before the
+    next (larger) size is solved."""
+    kernel = build_family(spec)
+    if target == "intersect" and not kernel.transitive:
+        raise InvalidSpec("intersection sandwich expects a transitive family")
+    analysis = ChainAnalysis.from_kernel(kernel)
+    est, reference = experiment(analysis, target, cfg)
+    ratio = upper = est.mean / reference
+    skip_lower = False
+    if target == "hit":
+        t_tv = analysis.profile.mixing_time("tv", 0.25)
+        upper = est.mean / (t_tv + reference)
+    else:
+        decomp = analysis.decomp
+        rho_min = float(heat_moment_windowed_all(decomp, 2).min())
+        skip_lower = rho_min < RHO_MIN_FACTOR * decomp.t_rel**2
+    return SandwichRow(
+        label=kernel.label, size=spec.size, n=kernel.n,
+        estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
+        reference=reference, ratio=ratio, upper_ratio=upper,
+        lower_ratio=None if skip_lower else ratio,
+        upper_ok=upper <= c_hi,
+        lower_ok=skip_lower or ratio >= c_lo,
+        lower_skipped=skip_lower)
+
+
 def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
               band) -> SandwichResult:
     """Rows from experiment for each spec, the band verdicts and the
@@ -483,26 +510,7 @@ def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
     for spec in specs:
         if spec.family != family:
             raise ValueError("mixed families in one sandwich")
-        kernel = build_family(spec)
-        if target == "intersect" and not kernel.transitive:
-            raise InvalidSpec("intersection sandwich expects a transitive family")
-        decomp, est, reference = experiment(kernel, target, cfg)
-        ratio = upper = est.mean / reference
-        skip_lower = False
-        if target == "hit":
-            t_tv = MixingProfile(kernel, decomp).mixing_time("tv", 0.25)
-            upper = est.mean / (t_tv + reference)
-        else:
-            rho_min = float(heat_moment_windowed_all(decomp, 2).min())
-            skip_lower = rho_min < RHO_MIN_FACTOR * decomp.t_rel**2
-        rows.append(SandwichRow(
-            label=kernel.label, size=spec.size, n=kernel.n,
-            estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
-            reference=reference, ratio=ratio, upper_ratio=upper,
-            lower_ratio=None if skip_lower else ratio,
-            upper_ok=upper <= c_hi,
-            lower_ok=skip_lower or ratio >= c_lo,
-            lower_skipped=skip_lower))
+        rows.append(_sandwich_row(spec, target, cfg, c_lo, c_hi))
     xs = np.log(np.array([r.n for r in rows], dtype=float))
     ys = np.log(np.array([r.ratio for r in rows], dtype=float))
     slope = float(np.polyfit(xs, ys, 1)[0])

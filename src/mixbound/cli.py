@@ -35,9 +35,9 @@ from . import __version__
 from .analysis import ChainAnalysis
 from .bounds import OptProblem, budget_rate_optimum, standard_sweep
 from .brw import BRWConfig, experiment, hit_time_sandwich, intersection_sandwich
-from .chains import (ChainFamilySpec, build_family, canonical_spec_text,
-                     complete_spec, cycle_spec, dlp_spec, hypercube_spec,
-                     parse_chain_spec, torus_spec)
+from .chains import (ChainFamilySpec, canonical_spec_text, complete_spec,
+                     cycle_spec, dlp_spec, hypercube_spec, parse_chain_spec,
+                     torus_spec)
 from .errors import (AllCensored, BadEps, BadRange, CertificateMismatch,
                      InvalidSpec, NotIrreducible, NotReversible,
                      NumericalFailure, SingularSystem)
@@ -85,14 +85,30 @@ def _threads() -> int:
     return threads
 
 
+def _parse_list(raw: str, flag: str, convert, rule: str,
+                valid=lambda v: True) -> list:
+    """Comma list of convert(item); every item must satisfy valid."""
+    try:
+        values = [convert(item) for item in str(raw).split(",")]
+        if all(valid(v) for v in values):
+            return values
+    except ValueError:
+        pass
+    raise InvalidSpec(f"{flag} must be a comma list of {rule}, got {raw!r}")
+
+
+def _positive_finite(v: float) -> bool:
+    return v > 0 and math.isfinite(v)
+
+
 def _family_specs(args) -> list[ChainFamilySpec]:
     if getattr(args, "spec", None):
         return [parse_chain_spec(args.spec)]
     if not args.family:
         raise InvalidSpec("give either --spec or --family")
-    sizes = [int(s) for s in str(args.sizes).split(",")] if args.sizes else None
-    if sizes is None:
+    if not args.sizes:
         raise InvalidSpec("--family needs --sizes")
+    sizes = _parse_list(args.sizes, "--sizes", int, "integers")
     fam = args.family
     out = []
     for s in sizes:
@@ -142,15 +158,15 @@ def cmd_analyze(args, argv) -> int:
 
 def cmd_verify(args, argv) -> int:
     specs = _family_specs(args)
-    ells = [int(v) for v in str(args.ell).split(",")]
-    eps_list = [float(v) for v in str(args.eps).split(",")]
+    ells = _parse_list(args.ell, "--ell", int, "integers >= 1", lambda v: v >= 1)
+    eps_list = _parse_list(args.eps, "--eps", float, "finite numbers > 0",
+                           _positive_finite)
     header = ["name", "kernel", "eps", "ell", "x", "M", "lhs", "rhs", "slack", "passed"]
     rows = []
     n_fail = 0
     for spec in specs:
         analysis = ChainAnalysis.from_spec(spec)
-        reports = standard_sweep(analysis, eps_list=eps_list, ell_list=ells,
-                                 rhs_scale=args.rhs_scale)
+        reports = standard_sweep(analysis, eps_list=eps_list, ell_list=ells)
         for r in reports:
             ctx = r.context
             rows.append([r.name, ctx.get("kernel", analysis.kernel.label),
@@ -166,6 +182,11 @@ def cmd_verify(args, argv) -> int:
 
 
 def cmd_profile(args, argv) -> int:
+    if args.points < 1:
+        raise InvalidSpec(f"--points must be at least 1, got {args.points}")
+    for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
+        if value is not None and not _positive_finite(value):
+            raise InvalidSpec(f"{flag} must be finite and > 0, got {value}")
     specs = _family_specs(args)
     if len(specs) != 1:
         raise InvalidSpec("profile works on a single kernel; give one size")
@@ -212,8 +233,9 @@ def cmd_brw(args, argv) -> int:
               f"slope={result.slope:.3f} passed={result.passed}")
     else:
         for spec in specs:
-            kernel = build_family(spec)
-            _, est, ref = experiment(kernel, args.target, cfg)
+            analysis = ChainAnalysis.from_spec(spec)
+            kernel = analysis.kernel
+            est, ref = experiment(analysis, args.target, cfg)
             rows.append([spec.size, kernel.n, args.target, est.mean, est.stderr,
                          ref, est.mean / ref, est.censor_rate])
             print(f"brw[{args.target}] {kernel.label}: {est.mean:.6g} "
@@ -270,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", default="1", help="comma list of moment orders")
     p.add_argument("--eps", default="0.5", help="comma list of thresholds")
     p.add_argument("--out", default=None)
-    p.add_argument("--rhs-scale", type=float, default=1.0,
-                   help="testing hook: scale every right-hand side")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("profile", help="distance profiles on a log time grid")

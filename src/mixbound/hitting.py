@@ -245,9 +245,3 @@ def hitting_tail(kernel: TransitionKernel, y: int, t: float) -> float:
 def second_moment_pi(kernel: TransitionKernel, y: int) -> float:
     """Exact E_pi[T_y^2] = 2 int_0^inf t P_pi[T_y > t] dt, in closed form."""
     return hitting_tail_profile(kernel, y).second_moment()
-
-
-def write_hit_matrix_csv(summary: HittingSummary, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in summary.hit_matrix:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")

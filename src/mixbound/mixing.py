@@ -17,7 +17,6 @@ import scipy.linalg
 
 from .chains import TransitionKernel
 from .errors import BadEps, NumericalFailure
-from .hitting import HittingSummary
 from .reports import BoundReport
 from .spectral import (SpectralDecomposition, heat_diag_ratio,
                        heat_diag_ratio_at, heat_kernel_row)
@@ -47,8 +46,6 @@ class MixingProfile:
         self._times: dict = {}
         self._l2_vectors: dict = {}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
-        self._laplacian = None
-        self._heat_cache: dict = {}
 
     # -- distance profiles -------------------------------------------------
 
@@ -80,13 +77,8 @@ class MixingProfile:
         return float(np.abs(H - self.decomp.pi[None, :]).sum(axis=1).max())
 
     def _heat_matrix(self, t: float) -> np.ndarray:
-        if t not in self._heat_cache:
-            if self._laplacian is None:
-                self._laplacian = np.eye(self.kernel.n) - self.kernel.P
-            if len(self._heat_cache) > 256:
-                self._heat_cache.clear()
-            self._heat_cache[t] = scipy.linalg.expm(-t * self._laplacian)
-        return self._heat_cache[t]
+        # a crossing solve rarely revisits a t, so nothing is cached
+        return scipy.linalg.expm(-t * (np.eye(self.kernel.n) - self.kernel.P))
 
     def ave_l2_sq(self, t: float) -> float:
         """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
@@ -100,8 +92,7 @@ class MixingProfile:
         linf and l2x use threshold eps, ave_l2 uses eps^2 on the summed
         squares, tv uses 2*eps on the worst L1 distance.
         """
-        if eps <= 0:
-            raise BadEps(f"eps must be positive, got {eps}")
+        _check_eps(eps)
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
         if kind == "l2x":
@@ -116,8 +107,7 @@ class MixingProfile:
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
         """Per-state L2 mixing times, solved in lockstep bisection."""
-        if eps <= 0:
-            raise BadEps(f"eps must be positive, got {eps}")
+        _check_eps(eps)
         key = float(eps)
         if key not in self._l2_vectors:
             self._l2_vectors[key] = self._solve_l2_vector(eps)
@@ -179,6 +169,11 @@ class MixingProfile:
         return hi
 
 
+def _check_eps(eps: float) -> None:
+    if not (eps > 0 and math.isfinite(eps)):
+        raise BadEps(f"eps must be positive and finite, got {eps}")
+
+
 def _first_crossing(value, threshold, hi_guess, xtol=0.0):
     """inf{t >= 0 : value(t) <= threshold} for a nonincreasing value.
 
@@ -238,27 +233,28 @@ def _first_crossing(value, threshold, hi_guess, xtol=0.0):
         fb = value(b) - threshold
 
 
-def hierarchy_check(kernel: TransitionKernel, decomp: SpectralDecomposition,
-                    eps: float, hitting: HittingSummary,
-                    profile: MixingProfile | None = None) -> list[BoundReport]:
+def hierarchy_check(profile: MixingProfile, eps: float,
+                    t_hit: float) -> list[BoundReport]:
     """The classical chain of mixing-time comparisons, evaluated exactly.
 
     Five links for eps in (0,1): relaxation lower bound on TV, TV below the
     worst L2 time, the exact factor-two identity between L2 and uniform
     times, the log(1/pi_min) upper bound, and the 9 * t_hit bound on the
-    plain uniform mixing time.
+    plain uniform mixing time.  The kernel and its decomposition are the
+    profile's, whose cached crossings are reused; t_hit is the kernel's
+    worst expected hitting time.
     """
     if not (0.0 < eps < 1.0):
         raise BadEps(f"hierarchy check needs eps in (0,1), got {eps}")
-    prof = profile or MixingProfile(kernel, decomp)
-    t_rel = decomp.t_rel
+    kernel = profile.kernel
+    t_rel = profile.decomp.t_rel
     pi_min = float(kernel.pi.min())
     ctx = {"kernel": kernel.label, "eps": eps}
 
-    t_tv = prof.mixing_time("tv", eps / 2.0)
-    t_l2 = prof.worst_l2_mixing_time(eps)
-    t_linf_sq = prof.mixing_time("linf", eps * eps)
-    t_linf_half = prof.mixing_time("linf", 0.5)
+    t_tv = profile.mixing_time("tv", eps / 2.0)
+    t_l2 = profile.worst_l2_mixing_time(eps)
+    t_linf_sq = profile.mixing_time("linf", eps * eps)
+    t_linf_half = profile.mixing_time("linf", 0.5)
 
     identity_gap = abs(t_l2 - 0.5 * t_linf_sq)
     return [
@@ -268,6 +264,6 @@ def hierarchy_check(kernel: TransitionKernel, decomp: SpectralDecomposition,
                           1e-8 * (1.0 + t_l2), **ctx),
         BoundReport.check("l2_le_rel_log_pimin", 0.5 * t_linf_sq,
                           t_rel * abs(np.log(eps * eps * pi_min)), **ctx),
-        BoundReport.check("linf_le_9_thit", t_linf_half, 9.0 * hitting.t_hit,
+        BoundReport.check("linf_le_9_thit", t_linf_half, 9.0 * t_hit,
                           kernel=kernel.label),
     ]

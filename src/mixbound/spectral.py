@@ -192,31 +192,3 @@ def eigenvalue_clustering(decomp: SpectralDecomposition, target: float,
     """
     lam = decomp.lambdas[1:]
     return float(np.mean(np.abs(lam - target) <= rel_tol * target))
-
-
-# ---------------------------------------------------------------------------
-# CSV export
-
-def write_spectrum_csv(decomp: SpectralDecomposition, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("index,lambda\n")
-        for i, lam in enumerate(decomp.lambdas, start=1):
-            fh.write(f"{i},{format(lam, '.17g')}\n")
-
-
-def write_moment_table_csv(decomp: SpectralDecomposition, path,
-                           ells=(1, 2, 3, 4)) -> None:
-    """Per-state full and windowed moment tables, one column pair per ell."""
-    full = {ell: heat_moment_all(decomp, ell) for ell in ells}
-    windowed = {ell: heat_moment_windowed_all(decomp, ell) for ell in ells}
-    header = ["state"]
-    for ell in ells:
-        header += [f"sigma_ell{ell}", f"rho_ell{ell}"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for x in range(decomp.n):
-            cells = [str(x)]
-            for ell in ells:
-                cells.append(format(full[ell][x], ".17g"))
-                cells.append(format(windowed[ell][x], ".17g"))
-            fh.write(",".join(cells) + "\n")

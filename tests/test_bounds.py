@@ -314,12 +314,6 @@ def test_sweep_passes_on_families_and_random_kernels():
         assert not failures(reps), failures(reps)[0]
 
 
-def test_sweep_rhs_scale_hook_fails_reports(complete4):
-    reps = bounds.standard_sweep(complete4, eps_list=(0.5,), ell_list=(1,),
-                                 rhs_scale=0.5)
-    assert failures(reps)
-
-
 def test_report_pass_rule_boundary():
     from mixbound.reports import BoundReport
     rhs = 10.0

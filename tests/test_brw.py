@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixbound import brw, brw_reference, chains, hitting, spectral
+from mixbound import analysis, brw, brw_reference, chains, hitting, spectral
+from mixbound.analysis import ChainAnalysis
 from mixbound.errors import AllCensored, InvalidSpec
 
 
@@ -81,6 +82,13 @@ def test_config_validation():
         brw.BRWConfig(gamma=-1.0)
     with pytest.raises(InvalidSpec):
         brw.BRWConfig(max_time=0.0)
+
+
+@pytest.mark.parametrize("field", ["gamma", "max_time"])
+def test_config_rejects_nan(field):
+    # a NaN time cap would never be exceeded, so it would run uncapped
+    with pytest.raises(InvalidSpec):
+        brw.BRWConfig(**{field: math.nan})
 
 
 @pytest.mark.parametrize("spec", [chains.hypercube_spec(10), chains.torus_spec(3, 6)],
@@ -269,6 +277,24 @@ def test_plain_intersection_tracks_sqrt_moment():
         assert root_q == pytest.approx(math.sqrt(n - 1) * (n - 1) / n, rel=1e-12)
         ratios.append(est.mean / root_q)
     assert max(ratios) / min(ratios) < 2.0
+
+
+@pytest.mark.parametrize("target", ["hit", "intersect", "plain"])
+def test_experiment_takes_everything_from_the_analysis(monkeypatch, target):
+    spec = chains.cycle_spec(8)
+    cfg = brw.BRWConfig(replicates=200, master_seed=3)
+    expected = brw.experiment(ChainAnalysis.from_spec(spec), target, cfg)
+    warm = ChainAnalysis.from_spec(spec)
+    warm.hitting  # solved now; no solver may run from here on
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact quantity solved outside the analysis")
+
+    for module in (spectral, analysis):
+        monkeypatch.setattr(module, "decompose", refuse)
+    for module in (hitting, analysis):
+        monkeypatch.setattr(module, "hit_times", refuse)
+    assert brw.experiment(warm, target, cfg) == expected
 
 
 # ---------------------------------------------------------------------------

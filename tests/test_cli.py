@@ -8,6 +8,7 @@ import pytest
 
 from mixbound import analysis, brw, cli
 from mixbound.errors import NumericalFailure, SingularSystem
+from mixbound.reports import BoundReport
 
 from conftest import dlp_matrix
 
@@ -132,10 +133,12 @@ def test_verify_torus_multi_ell(tmp_path):
     assert res.returncode == 0, res.stdout + res.stderr
 
 
-def test_verify_rhs_scale_hook_exit1():
-    res = run_cli("verify", "--family", "complete", "--sizes", "4",
-                  "--ell", "1", "--rhs-scale", "0.5")
-    assert res.returncode == 1
+def test_verify_rhs_scale_hook_exit1(monkeypatch):
+    # a failed report, whatever its source, makes verify exit 1
+    monkeypatch.setattr(cli, "standard_sweep",
+                        lambda *args, **kwargs: [BoundReport.check("forced", 2.0, 1.0)])
+    assert cli.main(["verify", "--family", "complete", "--sizes", "4",
+                     "--ell", "1"]) == 1
 
 
 def test_verify_spec_file(tmp_path, complete4_spec):
@@ -260,11 +263,11 @@ def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, s
             return fn(*args, **kwargs)
         return wrapper
 
-    # cli builds the kernels of a plain run; brw builds a sandwich's and
-    # does all of the solving
-    monkeypatch.setattr(cli, "build_family", counted("build_family", cli.build_family))
+    # ChainAnalysis does all of the solving; a sandwich builds its kernels
+    # in brw first, to check transitivity before any solve
+    monkeypatch.setattr(brw, "build_family", counted("build_family", brw.build_family))
     for name in calls:
-        monkeypatch.setattr(brw, name, counted(name, getattr(brw, name)))
+        monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
     monkeypatch.delenv("MIXBOUND_THREADS", raising=False)
     sizes = ["4", "8", "16"] if sandwich else ["8", "12"]
     family = ["--family", "complete" if sandwich else "cycle", "--sizes", ",".join(sizes)]
@@ -322,6 +325,35 @@ def test_brw_sandwich_band_columns(tmp_path):
 
 # ---------------------------------------------------------------------------
 # failure contract: one stderr line and a documented exit code
+
+VERIFY = ["verify", "--family", "cycle"]
+PROFILE = ["profile", "--family", "cycle", "--sizes", "8", "--out", "p.csv"]
+BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
+       "--replicates", "10"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(VERIFY + ["--sizes", "abc"], id="sizes-abc"),
+    pytest.param(VERIFY + ["--sizes", "8,"], id="sizes-trailing-comma"),
+    pytest.param(VERIFY + ["--sizes", "8", "--ell", "x"], id="ell-x"),
+    pytest.param(VERIFY + ["--sizes", "8", "--ell", "1,,2"], id="ell-empty-item"),
+    pytest.param(VERIFY + ["--sizes", "8", "--ell", "0"], id="ell-0"),
+    pytest.param(VERIFY + ["--sizes", "8", "--eps", "abc"], id="eps-abc"),
+    pytest.param(VERIFY + ["--sizes", "8", "--eps", "inf"], id="eps-inf"),
+    pytest.param(VERIFY + ["--sizes", "8", "--eps", "nan"], id="eps-nan"),
+    pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
+    pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
+    pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
+])
+def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("MIXBOUND_THREADS", raising=False)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
 
 def test_numerical_failure_exit5(monkeypatch, capsys):
     for exc in (NumericalFailure, SingularSystem):

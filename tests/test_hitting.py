@@ -236,14 +236,6 @@ def test_aging_inequality_on_grid():
                     assert lhs >= prof.survival(t) - 1e-9
 
 
-def test_hit_matrix_csv(tmp_path):
-    kernel, h = _pair(chains.cycle_spec(5))
-    out = tmp_path / "hits.csv"
-    hitting.write_hit_matrix_csv(h, out)
-    data = np.loadtxt(out, delimiter=",")
-    assert np.abs(data - h.hit_matrix).max() == 0.0
-
-
 @settings(max_examples=30, deadline=None)
 @given(p=st.floats(0.05, 0.95), q=st.floats(0.05, 0.95))
 def test_two_state_closed_forms_property(p, q):

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from mixbound import chains, hitting, mixing, spectral
+from mixbound import chains, mixing, spectral
+from mixbound.analysis import ChainAnalysis
 from mixbound.errors import BadEps, NumericalFailure
 
 from conftest import SMALL_BENCHMARK_SPECS, random_kernels
@@ -43,6 +44,15 @@ def test_bad_eps_rejected():
         prof.mixing_time("linf", 0.0)
     with pytest.raises(BadEps):
         prof.mixing_time("tv", -1.0)
+
+
+@pytest.mark.parametrize("eps", [math.inf, math.nan])
+def test_non_finite_eps_rejected(eps):
+    _, _, prof = _profile(chains.complete_spec(4))
+    with pytest.raises(BadEps):
+        prof.mixing_time("linf", eps)
+    with pytest.raises(BadEps):
+        prof.l2_mixing_times(eps)
 
 
 def test_two_state_l2_closed_form():
@@ -214,29 +224,24 @@ def test_average_l2_two_formulations_agree():
     (chains.dlp_spec(12, 0.5, 0.1), 0.5),
 ])
 def test_hierarchy_links_hold(spec, eps):
-    kernel = chains.build_family(spec)
-    decomp = spectral.decompose(kernel)
-    summary = hitting.hit_times(kernel)
-    reports = mixing.hierarchy_check(kernel, decomp, eps, summary)
+    a = ChainAnalysis.from_spec(spec)
+    reports = mixing.hierarchy_check(a.profile, eps, a.hitting.t_hit)
     assert len(reports) == 5
     for r in reports:
         assert r.passed, str(r)
 
 
 def test_hierarchy_identity_is_tight():
-    kernel = chains.build_family(chains.complete_spec(4))
-    decomp = spectral.decompose(kernel)
-    summary = hitting.hit_times(kernel)
-    reports = {r.name: r for r in mixing.hierarchy_check(kernel, decomp, 0.5, summary)}
+    a = ChainAnalysis.from_spec(chains.complete_spec(4))
+    reports = {r.name: r
+               for r in mixing.hierarchy_check(a.profile, 0.5, a.hitting.t_hit)}
     assert reports["l2_linf_identity"].lhs <= 1e-10
 
 
 def test_hierarchy_rejects_eps_one():
-    kernel = chains.build_family(chains.complete_spec(4))
-    decomp = spectral.decompose(kernel)
-    summary = hitting.hit_times(kernel)
+    a = ChainAnalysis.from_spec(chains.complete_spec(4))
     with pytest.raises(BadEps):
-        mixing.hierarchy_check(kernel, decomp, 1.0, summary)
+        mixing.hierarchy_check(a.profile, 1.0, a.hitting.t_hit)
 
 
 def test_first_crossing_failure_is_numerical():

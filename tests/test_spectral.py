@@ -262,17 +262,6 @@ def test_split_dlp_clusters_at_both_rates():
     assert near_half >= 0.5
 
 
-def test_moment_table_csv(tmp_path):
-    d = _decomp(chains.cycle_spec(5))
-    out = tmp_path / "moments.csv"
-    spectral.write_moment_table_csv(d, out, ells=(1, 2))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "state,sigma_ell1,rho_ell1,sigma_ell2,rho_ell2"
-    assert len(lines) == 6
-    spectral.write_spectrum_csv(d, tmp_path / "spec.csv")
-    assert (tmp_path / "spec.csv").read_text().startswith("index,lambda")
-
-
 def test_heat_row_at_zero_is_point_mass():
     kernel = chains.build_family(chains.cycle_spec(7))
     d = spectral.decompose(kernel)
