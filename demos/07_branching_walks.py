@@ -15,7 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from mixbound import brw, brw_reference, chains, hitting, spectral
+from mixbound import brw, brw_reference, chains, spectral
+from mixbound.analysis import ChainAnalysis
 
 cfg = brw.BRWConfig(replicates=1000, master_seed=7)
 
@@ -27,17 +28,17 @@ for t, m, se in zip((0.5, 1.0, 2.0), mean, stderr):
           f"{math.exp(4 / 3 * t):7.3f}")
 
 print("\n== hitting a state: cloud vs single walker ==")
-kernel = chains.build_family(chains.cycle_spec(32))
-decomp = spectral.decompose(kernel)
-summary = hitting.hit_times(kernel)
-est = brw.simulate_hit(kernel, 0, cfg)
+analysis = ChainAnalysis.from_spec(chains.cycle_spec(32))
+kernel, decomp, summary = analysis.kernel, analysis.decomp, analysis.hitting
+cycle_cfg = brw.fill_config(analysis, cfg)
+est = brw.simulate_hit(kernel, 0, cycle_cfg)
 j_ref = decomp.t_rel * math.log1p(summary.t_pi_to[0] / decomp.t_rel)
 print(f"  cycle(32): cloud {est.mean:8.3f} +- {est.stderr:.3f}   "
       f"single walker {summary.t_pi_to[0]:8.3f}   reference {j_ref:8.3f}")
 print("  the cloud is exponentially faster once it has spread.")
 
 print("\n== two engines, one law ==")
-ref = brw_reference.simulate_hit_reference(kernel, 0, cfg)
+ref = brw_reference.simulate_hit_reference(kernel, 0, cycle_cfg)
 gap = abs(est.mean - ref.mean) / math.hypot(est.stderr, ref.stderr)
 print(f"  event-queue engine {est.mean:.3f} vs global-clock engine "
       f"{ref.mean:.3f}  ({gap:.2f} pooled sd apart)")
@@ -61,9 +62,8 @@ for row in result.rows:
 
 print("\n== plain walks intersect on the sqrt(Q) scale ==")
 for n in (8, 16, 32):
-    kernel = chains.build_family(chains.complete_spec(n))
-    decomp = spectral.decompose(kernel)
-    est = brw.plain_intersection(kernel, cfg)
-    root_q = math.sqrt(spectral.spectral_moment(decomp, 2))
+    analysis = ChainAnalysis.from_spec(chains.complete_spec(n))
+    est = brw.plain_intersection(analysis.kernel, brw.fill_config(analysis, cfg))
+    root_q = math.sqrt(spectral.spectral_moment(analysis.decomp, 2))
     print(f"  complete({n:2d}): plain {est.mean:6.3f}  sqrt(Q) {root_q:6.3f}  "
           f"ratio {est.mean / root_q:.3f}")

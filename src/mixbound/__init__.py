@@ -23,8 +23,7 @@ from .errors import (AllCensored, BadEps, BadRange, CertificateMismatch,
                      InvalidSpec, NotIrreducible, NotReversible,
                      NumericalFailure, SingularSystem)
 from .hitting import (HittingSummary, eigentime_residual, hit_times,
-                      hitting_tail, hitting_tail_profile, random_target_spread,
-                      second_moment_pi)
+                      hitting_tail_profile, random_target_spread)
 from .mixing import MixingProfile, hierarchy_check
 from .spectral import (SpectralDecomposition, decompose, gamma_window_mass,
                        heat_diag_ratio, heat_kernel_row, heat_moment_all,

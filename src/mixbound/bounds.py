@@ -41,13 +41,9 @@ def _rhs_moment(t_rel, moment, ell, eps):
 def _worst_l2x_report(analysis: ChainAnalysis, name: str, eps: float, rhs,
                       ctx: dict) -> BoundReport:
     """Smallest-slack report of t_l2,x(eps) <= rhs(x) over the scanned states."""
-    prof = analysis.profile
-    if analysis.kernel.transitive:
-        times = {0: prof.mixing_time("l2x", eps, x=0)}
-    else:
-        times = prof.l2_mixing_times(eps)
-    return min((BoundReport.check(name, float(times[x]), rhs(x), x=x, **ctx)
-                for x in analysis.kernel.scan_states),
+    times = analysis.profile.l2_mixing_times(eps)
+    return min((BoundReport.check(name, float(t), rhs(x), x=x, **ctx)
+                for x, t in zip(analysis.kernel.scan_states, times)),
                key=lambda rep: rep.slack)
 
 

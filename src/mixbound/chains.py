@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,13 +152,15 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     fam = spec.family
     p = spec.params
     if fam == "cycle":
-        kernel = _build_cycle(_int_param(p, "n", low=2))
+        n = _int_param(p, "n", low=2)
+        kernel = _build_torus(1, n, f"cycle(n={n})")
     elif fam == "torus":
         kernel = _build_torus(_int_param(p, "d", low=1), _int_param(p, "m", low=2))
     elif fam == "complete":
         kernel = _build_complete(_int_param(p, "n", low=2))
     elif fam == "hypercube":
-        kernel = _build_hypercube(_int_param(p, "d", low=1))
+        d = _int_param(p, "d", low=1)
+        kernel = _build_torus(d, 2, f"hypercube(d={d})")
     elif fam == "dlp_birth_death":
         n = _int_param(p, "n", low=2)
         lam = _float_param(p, "lambda")
@@ -200,40 +203,40 @@ def _uniform_kernel(P, label):
     return TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), label=label, transitive=True)
 
 
-def _build_cycle(n):
-    P = np.zeros((n, n))
-    for x in range(n):
-        P[x, (x + 1) % n] += 0.5
-        P[x, (x - 1) % n] += 0.5
-    return _uniform_kernel(P, f"cycle(n={n})")
+def _check_dense_fits(n, label):
+    """Refuse a family whose dense n x n matrix of doubles exceeds this
+    machine's physical memory, before anything is allocated."""
+    try:
+        have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, OSError, ValueError):
+        return  # the platform cannot tell; numpy reports a failed allocation
+    if 8 * n * n > have:
+        raise InvalidSpec(f"{label} has {n} states; a dense matrix of n^2 doubles "
+                          f"exceeds the {have / 2**30:.3g} GiB of physical memory")
 
 
-def _build_torus(d, m):
+def _build_torus(d, m, label=None):
+    """Walk on Z_m^d stepping +-1 in one uniformly chosen coordinate; also
+    the cycle (d = 1) and the hypercube (m = 2, where both steps of a
+    coordinate land on the same neighbour)."""
     n = m**d
+    label = label or f"torus(d={d},m={m})"
+    _check_dense_fits(n, label)
     P = np.zeros((n, n))
-    strides = [m ** (d - 1 - i) for i in range(d)]
-    for s in range(n):
-        coords = [(s // strides[i]) % m for i in range(d)]
-        for i in range(d):
-            for step in (+1, -1):
-                c = (coords[i] + step) % m
-                nb = s + (c - coords[i]) * strides[i]
-                P[s, nb] += 1.0 / (2 * d)
-    return _uniform_kernel(P, f"torus(d={d},m={m})")
+    s = np.arange(n)
+    for i in range(d):
+        stride = m ** (d - 1 - i)
+        c = (s // stride) % m
+        for step in (+1, -1):
+            P[s, s + ((c + step) % m - c) * stride] += 1.0 / (2 * d)
+    return _uniform_kernel(P, label)
 
 
 def _build_complete(n):
+    label = f"complete(n={n})"
+    _check_dense_fits(n, label)
     P = (np.ones((n, n)) - np.eye(n)) / (n - 1)
-    return _uniform_kernel(P, f"complete(n={n})")
-
-
-def _build_hypercube(d):
-    n = 1 << d
-    P = np.zeros((n, n))
-    for s in range(n):
-        for b in range(d):
-            P[s, s ^ (1 << b)] = 1.0 / d
-    return _uniform_kernel(P, f"hypercube(d={d})")
+    return _uniform_kernel(P, label)
 
 
 def _build_dlp(n, lam, eps, k):
@@ -251,6 +254,7 @@ def _build_dlp(n, lam, eps, k):
         raise InvalidSpec(f"eps={eps} outside (0, 1/2)")
     if not (0 <= k <= n):
         raise InvalidSpec(f"k={k} outside [0, {n}]")
+    _check_dense_fits(n, f"dlp_birth_death(n={n})")
 
     rates = _dlp_rates(n, lam, k)
     pi = _dlp_pi(rates, eps)

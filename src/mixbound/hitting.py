@@ -210,12 +210,16 @@ class TailProfile:
     pi_y: float
 
     def survival(self, t: float) -> float:
+        """Exact P_pi[T_y > t]; equals 1 - pi(y) at t = 0."""
+        if t < 0:
+            raise ValueError("t must be nonnegative")
         return float(self.weights @ np.exp(-self.rates * t))
 
     def mean(self) -> float:
         return float(self.weights @ (1.0 / self.rates))
 
     def second_moment(self) -> float:
+        """Exact E_pi[T_y^2] = 2 int_0^inf t P_pi[T_y > t] dt."""
         return 2.0 * float(self.weights @ self.rates**-2.0)
 
 
@@ -233,15 +237,3 @@ def hitting_tail_profile(kernel: TransitionKernel, y: int) -> TailProfile:
             f"Dirichlet eigenvalue {mu[0]:.3e} is not positive; target {y}")
     c = (U.T @ q[keep]) ** 2
     return TailProfile(rates=mu, weights=c, pi_y=float(kernel.pi[y]))
-
-
-def hitting_tail(kernel: TransitionKernel, y: int, t: float) -> float:
-    """Exact P_pi[T_y > t]; equals 1 - pi(y) at t = 0."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return hitting_tail_profile(kernel, y).survival(t)
-
-
-def second_moment_pi(kernel: TransitionKernel, y: int) -> float:
-    """Exact E_pi[T_y^2] = 2 int_0^inf t P_pi[T_y > t] dt, in closed form."""
-    return hitting_tail_profile(kernel, y).second_moment()

@@ -18,8 +18,7 @@ import scipy.linalg
 from .chains import TransitionKernel
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
-from .spectral import (SpectralDecomposition, heat_diag_ratio,
-                       heat_diag_ratio_at, heat_kernel_row)
+from .spectral import SpectralDecomposition, heat_diag_ratio, heat_kernel_row
 
 KINDS = ("linf", "l2x", "tv", "ave_l2")
 
@@ -44,7 +43,6 @@ class MixingProfile:
         self.kernel = kernel
         self.decomp = decomp
         self._times: dict = {}
-        self._l2_vectors: dict = {}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
 
     # -- distance profiles -------------------------------------------------
@@ -106,16 +104,13 @@ class MixingProfile:
         return self._times[key]
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
-        """Per-state L2 mixing times, solved in lockstep bisection."""
-        _check_eps(eps)
-        key = float(eps)
-        if key not in self._l2_vectors:
-            self._l2_vectors[key] = self._solve_l2_vector(eps)
-        return self._l2_vectors[key]
+        """Per-state L2 mixing times over the scanned states: the cached
+        l2x crossing of each state, so one entry (state 0) when the kernel
+        is transitive."""
+        return np.array([self.mixing_time("l2x", eps, x=x)
+                         for x in self.kernel.scan_states])
 
     def worst_l2_mixing_time(self, eps: float) -> float:
-        if self.kernel.transitive:
-            return self.mixing_time("l2x", eps, x=0)
         return float(self.l2_mixing_times(eps).max())
 
     # -- internals -----------------------------------------------------------
@@ -142,31 +137,6 @@ class MixingProfile:
             hi = 0.5 * t_rel * (np.log(max(self.kernel.n - 1.0, 1.0) / eps**2) + 2.0)
         return _first_crossing(value, threshold, max(hi, t_rel),
                                xtol=_XTOL_REL * t_rel)
-
-    def _solve_l2_vector(self, eps):
-        decomp = self.decomp
-        n = self.kernel.n
-        thr = 1.0 + eps * eps
-        done_at_zero = heat_diag_ratio(decomp, 0.0) <= thr
-        if done_at_zero.all():
-            return np.zeros(n)
-        hi_scalar = decomp.t_rel * (np.log(max(1.0 / decomp.pi.min(), 2.0)) / 2.0
-                                    + np.log(1.0 / eps) + 1.0)
-        hi = np.where(done_at_zero, 0.0, 2.0 * hi_scalar)
-        for _ in range(200):
-            if heat_diag_ratio_at(decomp, 2.0 * hi).max() <= thr:
-                break
-            hi *= 2.0
-        lo = np.zeros(n)
-        while True:
-            mid = 0.5 * (lo + hi)
-            stuck = (mid <= lo) | (mid >= hi)
-            if stuck.all():
-                break
-            ok = heat_diag_ratio_at(decomp, 2.0 * mid) <= thr
-            hi = np.where(ok & ~stuck, mid, hi)
-            lo = np.where(~ok & ~stuck, mid, lo)
-        return hi
 
 
 def _check_eps(eps: float) -> None:

@@ -115,12 +115,6 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
     return float(decomp.eigfuncs_sq[x] @ decay)
 
 
-def heat_diag_ratio_at(decomp: SpectralDecomposition, times: np.ndarray) -> np.ndarray:
-    """Per-state diagonal ratio where state x is evaluated at times[x]."""
-    E = np.exp(-np.outer(times, decomp.lambdas))
-    return np.einsum("xi,xi->x", decomp.eigfuncs_sq, E)
-
-
 def heat_kernel_row(decomp: SpectralDecomposition, x: int, t: float) -> np.ndarray:
     """Row H_t(x, .) reconstructed spectrally."""
     weights = decomp.eigfuncs[x] * np.exp(-decomp.lambdas * t)

@@ -220,11 +220,13 @@ def test_criterion_7b_scalar_fixture_bands():
                     (name, spec.label(), est.mean / root_q)
 
 
-def test_criterion_8_dual_engine_oracle():
+def test_criterion_8_dual_engine_oracle(analysis_cache):
     with criterion(8, "dual engine oracle"):
-        cfg = brw.BRWConfig(replicates=10_000, master_seed=7)
         for spec in (chains.complete_spec(4), chains.cycle_spec(8)):
-            kernel = chains.build_family(spec)
+            analysis = analysis_cache(spec)
+            kernel = analysis.kernel
+            cfg = brw.fill_config(analysis,
+                                  brw.BRWConfig(replicates=10_000, master_seed=7))
             x = kernel.n // 2
             main = brw.simulate_hit(kernel, x, cfg)
             ref = brw_reference.simulate_hit_reference(kernel, x, cfg)

@@ -256,8 +256,9 @@ def test_intersection_faster_than_hit(cycle8):
 
 
 def test_engines_agree_quickly(complete4, cycle8):
-    cfg = brw.BRWConfig(replicates=3000, master_seed=31)
     for kernel in (complete4, cycle8):
+        cfg = brw.fill_config(ChainAnalysis.from_kernel(kernel),
+                              brw.BRWConfig(replicates=3000, master_seed=31))
         x = kernel.n // 2
         assert pooled_gap(brw.simulate_hit(kernel, x, cfg),
                           brw_reference.simulate_hit_reference(kernel, x, cfg)) <= 3.0

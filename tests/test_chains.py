@@ -26,16 +26,20 @@ def test_dlp_row_probabilities():
     assert np.isclose(k_full.P[2, 2], 1 - 0.5 * 0.1)
 
 
-def test_torus_d1_equals_cycle():
-    t = chains.build_family(chains.torus_spec(1, 5))
-    c = chains.build_family(chains.cycle_spec(5))
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 16, 255, 1024])
+def test_torus_d1_equals_cycle(n):
+    t = chains.build_family(chains.torus_spec(1, n))
+    c = chains.build_family(chains.cycle_spec(n))
     assert np.array_equal(t.P, c.P)
+    assert c.label == f"cycle(n={n})"
 
 
-def test_hypercube_equals_binary_torus():
-    h = chains.build_family(chains.hypercube_spec(3))
-    t = chains.build_family(chains.torus_spec(3, 2))
+@pytest.mark.parametrize("d", range(1, 11))
+def test_hypercube_equals_binary_torus(d):
+    h = chains.build_family(chains.hypercube_spec(d))
+    t = chains.build_family(chains.torus_spec(d, 2))
     assert np.array_equal(h.P, t.P)
+    assert h.label == f"hypercube(d={d})"
 
 
 def test_cycle2_is_a_flip():

@@ -344,6 +344,10 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
     pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
+    # dense matrices beyond physical memory, refused before any allocation
+    pytest.param(VERIFY[:2] + ["hypercube", "--sizes", "40"], id="hypercube-40"),
+    pytest.param(VERIFY[:2] + ["torus", "--d", "3", "--sizes", "100000"],
+                 id="torus-3-100000"),
 ])
 def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     monkeypatch.chdir(tmp_path)

@@ -154,8 +154,8 @@ def test_tail_at_zero_is_one_minus_pi():
     for spec in (chains.complete_spec(4), chains.dlp_spec(6, 0.5, 0.1)):
         kernel = chains.build_family(spec)
         for y in range(kernel.n):
-            assert hitting.hitting_tail(kernel, y, 0.0) == pytest.approx(
-                1.0 - kernel.pi[y], rel=1e-10)
+            tail = hitting.hitting_tail_profile(kernel, y)
+            assert tail.survival(0.0) == pytest.approx(1.0 - kernel.pi[y], rel=1e-10)
 
 
 def test_tail_complete4_closed_form():
@@ -164,8 +164,10 @@ def test_tail_complete4_closed_form():
     prof = hitting.hitting_tail_profile(kernel, 2)
     for t in (0.0, 0.5, 1.0, 3.0):
         assert prof.survival(t) == pytest.approx(0.75 * math.exp(-t / 3.0), rel=1e-10)
-    assert hitting.hitting_tail(kernel, 2, 1.0) == pytest.approx(
+    assert hitting.hitting_tail_profile(kernel, 2).survival(1.0) == pytest.approx(
         0.75 * math.exp(-1.0 / 3.0), rel=1e-10)
+    with pytest.raises(ValueError):
+        prof.survival(-1.0)
 
 
 def test_tail_monotone_and_exponentially_bounded():
@@ -203,9 +205,11 @@ def test_unresolvable_dirichlet_rate_refused():
 def test_second_moment_closed_forms():
     kernel = chains.build_family(chains.complete_spec(4))
     # single rate 1/3 with weight 3/4: E[T^2] = (3/4) * 2 * 3^2
-    assert hitting.second_moment_pi(kernel, 0) == pytest.approx(13.5, rel=1e-10)
+    assert hitting.hitting_tail_profile(kernel, 0).second_moment() == pytest.approx(
+        13.5, rel=1e-10)
     two = two_state_half()
-    assert hitting.second_moment_pi(two, 1) == pytest.approx(4.0, rel=1e-10)
+    assert hitting.hitting_tail_profile(two, 1).second_moment() == pytest.approx(
+        4.0, rel=1e-10)
 
 
 @pytest.mark.parametrize("spec", [chains.cycle_spec(8), chains.complete_spec(8),
@@ -216,7 +220,8 @@ def test_second_moment_below_twice_squared_hit_time(spec):
     kernel = chains.build_family(spec)
     h = hitting.hit_times(kernel)
     for y in range(kernel.n):
-        assert hitting.second_moment_pi(kernel, y) <= 2.0 * h.t_hit**2 + 1e-8
+        assert hitting.hitting_tail_profile(kernel, y).second_moment() \
+            <= 2.0 * h.t_hit**2 + 1e-8
 
 
 def test_aging_inequality_on_grid():

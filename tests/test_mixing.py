@@ -88,8 +88,11 @@ def _bisection_mixing_time(prof, kind, eps, x):
 def _assert_matches_bisection(kernel, decomp, eps):
     prof = mixing.MixingProfile(kernel, decomp)
     for kind in mixing.KINDS:
-        for x in ((0, kernel.n - 1) if kind == "l2x" else (None,)):
-            t = prof.mixing_time(kind, eps, x)
+        if kind == "l2x":
+            solved = zip(kernel.scan_states, prof.l2_mixing_times(eps))
+        else:
+            solved = [(None, prof.mixing_time(kind, eps))]
+        for x, t in solved:
             ref = _bisection_mixing_time(prof, kind, eps, x)
             assert abs(t - ref) <= 1e-9 * decomp.t_rel, (kind, x, t, ref)
 
@@ -176,11 +179,19 @@ def test_distance_hierarchy_pointwise():
 
 
 def test_l2_vector_matches_scalar_solves():
-    kernel, decomp, prof = _profile(chains.dlp_spec(10, 0.5, 0.1))
+    kernel, _, prof = _profile(chains.dlp_spec(10, 0.5, 0.1))
     vec = prof.l2_mixing_times(0.5)
+    assert vec.shape == (kernel.n,)
     for x in range(kernel.n):
-        assert vec[x] == pytest.approx(prof.mixing_time("l2x", 0.5, x=x),
-                                       abs=1e-10 * (1 + decomp.t_rel))
+        assert vec[x] == prof.mixing_time("l2x", 0.5, x=x)
+
+
+def test_l2_vector_on_transitive_kernel_is_state_zero():
+    _, _, prof = _profile(chains.torus_spec(2, 4))
+    vec = prof.l2_mixing_times(0.5)
+    assert vec.shape == (1,)
+    assert vec[0] == prof.mixing_time("l2x", 0.5, x=0)
+    assert prof.worst_l2_mixing_time(0.5) == vec[0]
 
 
 def test_l2_linf_factor_two_identity_random_pairs():
