@@ -499,7 +499,7 @@ def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
     """Rows from experiment for each spec, the band verdicts and the
     log-log slope of ratio against n; see the two public wrappers."""
     if len(specs) < 3:
-        raise ValueError("need at least 3 sizes")
+        raise InvalidSpec("need at least 3 sizes")
     family = specs[0].family
     if band is None:
         if family not in bands:
@@ -509,7 +509,7 @@ def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
     rows = []
     for spec in specs:
         if spec.family != family:
-            raise ValueError("mixed families in one sandwich")
+            raise InvalidSpec("mixed families in one sandwich")
         rows.append(_sandwich_row(spec, target, cfg, c_lo, c_hi))
     xs = np.log(np.array([r.n for r in rows], dtype=float))
     ys = np.log(np.array([r.ratio for r in rows], dtype=float))

@@ -35,7 +35,6 @@ STRUCT_TOL = 1e-12
 _TINY = float(np.finfo(float).tiny)
 
 FAMILIES = ("cycle", "torus", "complete", "hypercube", "dlp_birth_death", "custom")
-_TRANSITIVE_FAMILIES = {"cycle", "torus", "complete", "hypercube"}
 
 
 @dataclass(frozen=True)

@@ -49,6 +49,14 @@ EXIT_BAD_CHAIN = 3
 EXIT_ALL_CENSORED = 4
 EXIT_NUMERICAL = 5
 
+# The exit code of each exception a command may end with.
+_EXIT_CODES = {
+    InvalidSpec: EXIT_INVALID_SPEC, BadEps: EXIT_INVALID_SPEC, BadRange: EXIT_INVALID_SPEC,
+    NotReversible: EXIT_BAD_CHAIN, NotIrreducible: EXIT_BAD_CHAIN,
+    AllCensored: EXIT_ALL_CENSORED, CertificateMismatch: EXIT_BOUND_FAILURE,
+    NumericalFailure: EXIT_NUMERICAL, SingularSystem: EXIT_NUMERICAL,
+}
+
 
 def _fmt(v) -> str:
     if isinstance(v, float) or isinstance(v, np.floating):
@@ -248,6 +256,8 @@ def cmd_brw(args, argv) -> int:
 
 
 def cmd_optcheck(args, argv) -> int:
+    if args.instances < 1:
+        raise InvalidSpec(f"--instances must be at least 1, got {args.instances}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0
@@ -329,21 +339,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args, argv)
-    except (InvalidSpec, BadEps, BadRange) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_SPEC
-    except (NotReversible, NotIrreducible) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_CHAIN
-    except AllCensored as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ALL_CENSORED
-    except CertificateMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND_FAILURE
-    except (NumericalFailure, SingularSystem) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        return next(c for cls, c in _EXIT_CODES.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """L2, L-infinity and total variation distance profiles and mixing times.
 
-Profiles are evaluated spectrally; every mixing time is the first crossing
+Profiles are evaluated spectrally; the heat rows of all scanned states come
+from one product per t (one expm when pi is too unbalanced for the spectral
+reconstruction).  Every mixing time is the first crossing
 of a strictly decreasing profile, found by a doubling bracket plus a
 Brent-Dekker root solve (Brent 1973) run to 1e-13 * t_rel plus a few ulp
 of t, far inside the 1e-9 * t_rel contract.  The total variation
@@ -61,22 +63,19 @@ class MixingProfile:
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
-        if self._balanced:
-            row = heat_kernel_row(self.decomp, x, t)
-        else:
-            row = self._heat_matrix(t)[x]
-        return float(np.abs(row - self.decomp.pi).sum())
+        return float(np.abs(self._heat_rows(t, x) - self.decomp.pi).sum())
 
     def tv_worst(self, t: float) -> float:
-        # transitive kernels have uniform pi, so they always take this branch
-        if self._balanced:
-            return max(self.tv_distance(x, t) for x in self.kernel.scan_states)
-        H = self._heat_matrix(t)
-        return float(np.abs(H - self.decomp.pi[None, :]).sum(axis=1).max())
+        rows = self._heat_rows(t, self.kernel.scan_states)
+        return float(np.abs(rows - self.decomp.pi).sum(axis=1).max())
 
-    def _heat_matrix(self, t: float) -> np.ndarray:
+    def _heat_rows(self, t: float, xs) -> np.ndarray:
+        """Rows H_t(xs, .): spectral when pi is balanced, else from expm."""
         # a crossing solve rarely revisits a t, so nothing is cached
-        return scipy.linalg.expm(-t * (np.eye(self.kernel.n) - self.kernel.P))
+        if self._balanced:
+            return heat_kernel_row(self.decomp, xs, t)
+        L = np.eye(self.kernel.n) - self.kernel.P
+        return scipy.linalg.expm(-t * L)[xs]
 
     def ave_l2_sq(self, t: float) -> float:
         """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""

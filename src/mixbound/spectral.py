@@ -115,10 +115,11 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
     return float(decomp.eigfuncs_sq[x] @ decay)
 
 
-def heat_kernel_row(decomp: SpectralDecomposition, x: int, t: float) -> np.ndarray:
-    """Row H_t(x, .) reconstructed spectrally."""
+def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
+    """Row H_t(x, .) reconstructed spectrally; for a sequence x of states,
+    the matrix of their rows from one product."""
     weights = decomp.eigfuncs[x] * np.exp(-decomp.lambdas * t)
-    return decomp.pi * (decomp.eigfuncs @ weights)
+    return decomp.pi * (weights @ decomp.eigfuncs.T)
 
 
 # ---------------------------------------------------------------------------

@@ -344,6 +344,9 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
     pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
+    pytest.param(["brw", "--family", "torus", "--d", "2", "--sizes", "4,6",
+                  "--target", "hit", "--sandwich"], id="sandwich-two-sizes"),
+    pytest.param(["optcheck", "--instances", "-3"], id="instances-negative"),
     # dense matrices beyond physical memory, refused before any allocation
     pytest.param(VERIFY[:2] + ["hypercube", "--sizes", "40"], id="hypercube-40"),
     pytest.param(VERIFY[:2] + ["torus", "--d", "3", "--sizes", "100000"],

@@ -140,11 +140,31 @@ def test_tv_vanishes_at_large_time():
     assert prof.tv_distance(3, 1e6) < 1e-9
 
 
+def _random40_profile():
+    kernel = chains.random_reversible_kernel(40, np.random.default_rng(0))
+    return mixing.MixingProfile(kernel, spectral.decompose(kernel))
+
+
 def test_tv_worst_matches_scan_on_nontransitive():
-    kernel, decomp, prof = _profile(chains.dlp_spec(8, 0.5, 0.1))
-    for t in (0.5, 2.0, 10.0):
-        scan = max(prof.tv_distance(x, t) for x in range(kernel.n))
-        assert prof.tv_worst(t) == pytest.approx(scan, rel=1e-12)
+    # dlp(8)'s pi ratio is 9^7 ~ 4.8e6, so its rows come from expm; the
+    # random kernel is balanced, so its rows come from the spectral product
+    for prof in (_profile(chains.dlp_spec(8, 0.5, 0.1))[2], _random40_profile()):
+        for t in (0.5, 2.0, 10.0):
+            scan = max(prof.tv_distance(x, t) for x in range(prof.kernel.n))
+            assert prof.tv_worst(t) == pytest.approx(scan, rel=1e-12), \
+                (prof.kernel.label, t)
+
+
+def test_tv_worst_balanced_one_row_product_per_t(monkeypatch):
+    prof = _random40_profile()
+    assert prof._balanced and not prof.kernel.transitive
+    calls = []
+    row = spectral.heat_kernel_row
+    monkeypatch.setattr(mixing, "heat_kernel_row",
+                        lambda *a: calls.append(a) or row(*a))
+    for t in (0.5, 2.0):
+        prof.tv_worst(t)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

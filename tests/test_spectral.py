@@ -84,6 +84,8 @@ def test_reconstruction_matches_matrix_exponential():
         for x in (0, 5, 11):
             row = spectral.heat_kernel_row(d, x, t)
             assert np.abs(row - H[x]).max() < 1e-8
+        rows = spectral.heat_kernel_row(d, [0, 5, 11], t)
+        assert np.abs(rows - H[[0, 5, 11]]).max() < 1e-8
 
 
 # ---------------------------------------------------------------------------
