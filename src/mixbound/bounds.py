@@ -38,13 +38,12 @@ def _rhs_moment(t_rel, moment, ell, eps):
     return t_rel * max(math.log(moment / (eps * t_rel**ell)), float(ell))
 
 
-def _worst_l2x_report(analysis: ChainAnalysis, name: str, eps: float, rhs,
-                      ctx: dict) -> BoundReport:
-    """Smallest-slack report of t_l2,x(eps) <= rhs(x) over the scanned states."""
-    times = analysis.profile.l2_mixing_times(eps)
-    return min((BoundReport.check(name, float(t), rhs(x), x=x, **ctx)
-                for x, t in zip(analysis.kernel.scan_states, times)),
-               key=lambda rep: rep.slack)
+def _worst_report(name: str, states, lhs, rhs, **ctx) -> BoundReport:
+    """Report of lhs <= rhs at the first of states with the smallest slack
+    rhs - lhs; lhs and rhs hold one value per state."""
+    lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+    i = int(np.argmin(rhs - lhs))
+    return BoundReport.check(name, float(lhs[i]), float(rhs[i]), x=states[i], **ctx)
 
 
 def moment_bound_reports(analysis: ChainAnalysis, ell: int,
@@ -69,9 +68,10 @@ def moment_bound_reports(analysis: ChainAnalysis, ell: int,
     ave = BoundReport.check("avel2_moment_bound",
                             prof.mixing_time("ave_l2", eps),
                             0.5 * _rhs_moment(t_rel, q_ell, ell, eps * eps), **ctx)
-    worst = _worst_l2x_report(
-        analysis, "l2x_moment_bound", eps,
-        lambda x: 0.5 * _rhs_moment(t_rel, float(sigma[x]), ell, eps * eps), ctx)
+    states = kernel.scan_states
+    worst = _worst_report("l2x_moment_bound", states, prof.l2_mixing_times(eps),
+                          [0.5 * _rhs_moment(t_rel, float(sigma[x]), ell, eps * eps)
+                           for x in states], **ctx)
     return [linf, worst, ave]
 
 
@@ -104,9 +104,10 @@ def root_moment_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport]:
     decomp, prof = analysis.decomp, analysis.profile
     ctx = {"kernel": analysis.kernel.label, "ell": ell}
     sigma = heat_moment_all(decomp, ell)
-    worst = _worst_l2x_report(
-        analysis, "l2x_root_moment", 0.5,
-        lambda x: 2.0 * ell * float(sigma[x]) ** (1.0 / ell), ctx)
+    states = analysis.kernel.scan_states
+    worst = _worst_report("l2x_root_moment", states, prof.l2_mixing_times(0.5),
+                          [2.0 * ell * float(sigma[x]) ** (1.0 / ell) for x in states],
+                          **ctx)
     ave = BoundReport.check("avel2_root_moment",
                             prof.mixing_time("ave_l2", 0.5),
                             2.0 * ell * spectral_moment(decomp, ell) ** (1.0 / ell),
@@ -122,15 +123,10 @@ def moment_window_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport
     sigma = heat_moment_all(decomp, ell)
     rho = heat_moment_windowed_all(decomp, ell)
     kappa = gamma_window_mass(ell)
-    upper_x = int(np.argmax(rho - sigma))
-    lower_x = int(np.argmax(kappa * sigma - rho))
-    return [
-        BoundReport.check("windowed_le_full_moment", float(rho[upper_x]),
-                          float(sigma[upper_x]), x=upper_x, **ctx),
-        BoundReport.check("gamma_mass_times_full_le_windowed",
-                          kappa * float(sigma[lower_x]), float(rho[lower_x]),
-                          x=lower_x, **ctx),
-    ]
+    states = range(analysis.kernel.n)
+    return [_worst_report("windowed_le_full_moment", states, rho, sigma, **ctx),
+            _worst_report("gamma_mass_times_full_le_windowed", states,
+                          kappa * sigma, rho, **ctx)]
 
 
 def relaxation_hitting_report(analysis: ChainAnalysis) -> BoundReport:
@@ -142,8 +138,8 @@ def relaxation_hitting_report(analysis: ChainAnalysis) -> BoundReport:
                              rhs, kernel=analysis.kernel.label)
 
 
-def _head_window_reports(analysis: ChainAnalysis, xs, M: float) -> list:
-    """The pair of truncation_factor_reports for each state in xs.
+def _head_window_reports(analysis: ChainAnalysis, states, M: float) -> list:
+    """Worst-state report of each head-window order over states.
 
     The gamma-mass weights depend on M only, so they are built once.  The
     dots stay per state: one matrix-vector product rounds differently.
@@ -153,21 +149,18 @@ def _head_window_reports(analysis: ChainAnalysis, xs, M: float) -> list:
     decomp = analysis.decomp
     lam = decomp.lambdas[1:]
     window = M * decomp.t_rel
-    orders = []
+    fsq = decomp.eigfuncs_sq[:, 1:]
+    reports = []
     for k, full_w in enumerate((1.0 / lam, lam**-2.0)):
-        masses = np.array([lower_gamma_regularized(k + 1, window * l) for l in lam])
-        orders.append((k, full_w, full_w * masses,
-                       1.0 / lower_gamma_regularized(k + 1, M)))
-    pairs = []
-    for x in xs:
-        fsq = decomp.eigfuncs_sq[x, 1:]
-        pi_x = float(decomp.pi[x])
-        ctx = {"kernel": analysis.kernel.label, "x": x, "M": M}
-        pairs.append([BoundReport.check(f"head_window_order{k}",
-                                        pi_x * float(fsq @ full_w),
-                                        factor * (pi_x * float(fsq @ trunc_w)), **ctx)
-                      for k, full_w, trunc_w, factor in orders])
-    return pairs
+        trunc_w = full_w * np.array([lower_gamma_regularized(k + 1, window * l)
+                                     for l in lam])
+        factor = 1.0 / lower_gamma_regularized(k + 1, M)
+        full = [float(decomp.pi[x]) * float(fsq[x] @ full_w) for x in states]
+        trunc = [factor * (float(decomp.pi[x]) * float(fsq[x] @ trunc_w))
+                 for x in states]
+        reports.append(_worst_report(f"head_window_order{k}", states, full, trunc,
+                                     kernel=analysis.kernel.label, M=M))
+    return reports
 
 
 def truncation_factor_reports(analysis: ChainAnalysis, x: int,
@@ -182,18 +175,12 @@ def truncation_factor_reports(analysis: ChainAnalysis, x: int,
     equality when the whole spectrum sits at the gap.  At order 0 this is
     the familiar e^M / (e^M - 1).
     """
-    return _head_window_reports(analysis, [x], M)[0]
+    return _head_window_reports(analysis, [x], M)
 
 
 def truncation_factor_worst(analysis: ChainAnalysis, M: float) -> list[BoundReport]:
     """Worst-state variant of the head-window comparisons."""
-    worst = {}
-    for pair in _head_window_reports(analysis, analysis.kernel.scan_states, M):
-        for rep in pair:
-            cur = worst.get(rep.name)
-            if cur is None or rep.slack < cur.slack:
-                worst[rep.name] = rep
-    return list(worst.values())
+    return _head_window_reports(analysis, analysis.kernel.scan_states, M)
 
 
 # ---------------------------------------------------------------------------

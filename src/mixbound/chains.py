@@ -3,7 +3,10 @@
 States are integers ``0..n-1``.  Torus states are row-major flattenings of
 coordinate tuples, so ``torus(d=1, m=n)`` reproduces ``cycle(n)`` exactly.
 Every kernel stores its stationary distribution explicitly; reversibility
-is certified when a kernel is built, not assumed.
+is certified when a kernel is built, not assumed.  `validate` is the one
+certifier: every construction path accepts a kernel only when all of its
+checks pass, and `kernel_from_matrix` and `stationary` raise from its
+first failed check.
 
 Chain-spec files are UTF-8 ``key=value`` lines, e.g.::
 
@@ -18,6 +21,7 @@ where the CSV holds n rows of n comma-separated decimals.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -135,8 +139,9 @@ def canonical_spec_text(spec: ChainFamilySpec) -> str:
 
 
 def _matrix_csv_bytes(matrix) -> bytes:
-    rows = [",".join(format(v, ".17g") for v in row) for row in np.asarray(matrix, float)]
-    return ("\n".join(rows) + "\n").encode()
+    buf = io.BytesIO()
+    np.savetxt(buf, np.asarray(matrix, float), fmt="%.17g", delimiter=",")
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -357,26 +362,53 @@ class ValidationReport:
 def validate(kernel: TransitionKernel) -> ValidationReport:
     """Measure every kernel invariant and report residuals.
 
-    Never raises; failures are carried in the report.
+    Never raises; failures are carried in the report.  A NaN or an inf
+    anywhere in P or pi fails at least one check.
     """
     P, pi = kernel.P, kernel.pi
-    row_res = float(np.abs(P.sum(axis=1) - 1.0).max())
-    neg_res = float(max(0.0, -P.min()))
-    pi_pos = float(max(0.0, -(pi.min() - _TINY)))
-    pi_sum = float(abs(pi.sum() - 1.0))
-    balance = float(np.abs(pi[:, None] * P - pi[None, :] * P.T).max())
-    stat = float(np.abs(pi @ P - pi).max())
-    irred = 0.0 if _strongly_connected(P) else 1.0
-    checks = (
-        CheckResult("row_sums", row_res, STRUCT_TOL),
-        CheckResult("nonnegative_entries", neg_res, 0.0),
-        CheckResult("pi_positive", pi_pos, 0.0),
-        CheckResult("pi_sums_to_one", pi_sum, STRUCT_TOL),
+    row_sums, nonnegative, connected = _matrix_checks(P)
+    # an inf in pi turns inf * 0 into NaN, which fails the checks below
+    with np.errstate(over="ignore", invalid="ignore"):
+        balance = float(np.abs(pi[:, None] * P - pi[None, :] * P.T).max())
+        stat = float(np.abs(pi @ P - pi).max())
+    return ValidationReport((
+        row_sums, nonnegative,
+        CheckResult("pi_positive", float(max(0.0, -(pi.min() - _TINY))), 0.0),
+        CheckResult("pi_sums_to_one", float(abs(pi.sum() - 1.0)), STRUCT_TOL),
         CheckResult("detailed_balance", balance, STRUCT_TOL),
         CheckResult("stationarity", stat, STRUCT_TOL),
-        CheckResult("strongly_connected", irred, 0.0),
-    )
-    return ValidationReport(checks)
+        connected,
+    ))
+
+
+def _matrix_checks(P) -> tuple:
+    """The checks of validate that read P alone: row sums, nonnegative
+    entries and strong connectivity."""
+    n_comp, _ = connected_components(csr_matrix((np.abs(P) > 0).astype(np.int8)),
+                                     directed=True, connection="strong")
+    return (CheckResult("row_sums", float(np.abs(P.sum(axis=1) - 1.0).max()), STRUCT_TOL),
+            CheckResult("nonnegative_entries", float(max(0.0, -P.min())), 0.0),
+            CheckResult("strongly_connected", float(n_comp != 1), 0.0))
+
+
+# The exception a failed check raises, and what the failure means.
+_CHECK_ERRORS = {
+    "row_sums": (InvalidSpec, "a row of P does not sum to 1"),
+    "nonnegative_entries": (InvalidSpec, "P has a negative entry"),
+    "pi_positive": (InvalidSpec, f"pi has an entry below {_TINY:.3e}"),
+    "pi_sums_to_one": (InvalidSpec, "pi does not sum to 1"),
+    "detailed_balance": (NotReversible, "P is not reversible with respect to pi"),
+    "stationarity": (NotReversible, "pi P differs from pi"),
+    "strongly_connected": (NotIrreducible, "the support graph of P is not strongly connected"),
+}
+
+
+def _raise_first_failure(checks) -> None:
+    for check in checks:
+        if not check.passed:
+            exc, meaning = _CHECK_ERRORS[check.name]
+            raise exc(f"{check.name} residual {check.residual:.3e} exceeds "
+                      f"{check.tol:g}: {meaning}")
 
 
 def _representable(pi: np.ndarray) -> bool:
@@ -384,40 +416,29 @@ def _representable(pi: np.ndarray) -> bool:
     return bool(np.isfinite(pi).all() and pi.min() >= _TINY)
 
 
-def _strongly_connected(P) -> bool:
-    graph = csr_matrix((np.abs(P) > 0).astype(np.int8))
-    n_comp, _ = connected_components(graph, directed=True, connection="strong")
-    return n_comp == 1
-
-
 def stationary(P: np.ndarray) -> np.ndarray:
     """Unique positive probability vector with pi P = pi.
 
     Uses Grassmann-Taksar-Heyman elimination: no subtractions, so every
     entry keeps relative accuracy even when pi spans hundreds of orders of
-    magnitude (the small-drift birth-death family does).  Raises
-    NotIrreducible when the support graph is not strongly connected.
+    magnitude (the small-drift birth-death family does).  A matrix that
+    fails a check of `validate` raises as in `kernel_from_matrix`, before
+    the elimination.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
         raise InvalidSpec(f"matrix must be square, got shape {P.shape}")
+    _raise_first_failure(_matrix_checks(P))
     n = P.shape[0]
-    if np.abs(P.sum(axis=1) - 1.0).max() > 1e-9 or P.min() < -1e-15:
-        raise InvalidSpec("matrix is not row-stochastic")
-    if not _strongly_connected(P):
-        raise NotIrreducible("support graph is not strongly connected")
     A = P.copy()
-    for k in range(n - 1, 0, -1):
-        s = A[k, :k].sum()
-        if s <= 0.0:
-            raise NotIrreducible(f"state {k} unreachable during elimination")
-        A[:k, k] /= s
-        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
     pi = np.empty(n)
     pi[0] = 1.0
     # pi spread beyond the double range overflows to inf and then NaN;
     # the representability check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            A[:k, k] /= A[k, :k].sum()
+            A[:k, :k] += np.outer(A[:k, k], A[k, :k])
         for k in range(1, n):
             pi[k] = pi[:k] @ A[:k, k]
         pi /= pi.sum()
@@ -426,7 +447,7 @@ def stationary(P: np.ndarray) -> np.ndarray:
                           "double precision (an entry is not finite or below "
                           f"{_TINY:.3e})")
     resid = float(np.abs(pi @ P - pi).max())
-    if resid > 1e-10:
+    if not resid <= 1e-10:
         raise NumericalFailure(f"stationary residual {resid:.3e} exceeds 1e-10")
     return pi
 
@@ -435,31 +456,18 @@ def kernel_from_matrix(P: np.ndarray, pi: np.ndarray | None = None,
                        label: str = "custom") -> TransitionKernel:
     """Certify an arbitrary matrix as a reversible irreducible kernel.
 
-    Raises InvalidSpec for a malformed matrix, NotIrreducible for a
-    disconnected support graph and NotReversible when detailed balance
-    fails beyond tolerance.
+    pi defaults to `stationary(P)`.  The first failed check of `validate`
+    raises: InvalidSpec for a malformed P or pi, NotIrreducible for a
+    disconnected support graph, NotReversible for balance or stationarity.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1] or P.shape[0] < 2:
         raise InvalidSpec(f"matrix must be square with n >= 2, got shape {P.shape}")
-    if P.min() < 0.0:
-        raise InvalidSpec("negative transition probability")
-    if np.abs(P.sum(axis=1) - 1.0).max() > STRUCT_TOL:
-        raise InvalidSpec("row sums deviate from 1 beyond 1e-12")
     if pi is None:
         pi = stationary(P)
-    else:
-        pi = np.asarray(pi, dtype=float)
-        if (pi.shape != (P.shape[0],) or not _representable(pi)
-                or abs(pi.sum() - 1.0) > STRUCT_TOL):
-            raise InvalidSpec("pi must be a probability vector of finite entries "
-                              f"no smaller than {_TINY:.3e}")
-        if not _strongly_connected(P):
-            raise NotIrreducible("support graph is not strongly connected")
-    balance = float(np.abs(pi[:, None] * P - pi[None, :] * P.T).max())
-    if balance > STRUCT_TOL:
-        raise NotReversible(f"detailed balance residual {balance:.3e} exceeds 1e-12")
-    return TransitionKernel(n=P.shape[0], P=P, pi=pi, label=label, transitive=False)
+    kernel = TransitionKernel(n=P.shape[0], P=P, pi=pi, label=label, transitive=False)
+    _raise_first_failure(validate(kernel).checks)
+    return kernel
 
 
 def random_reversible_kernel(n: int, rng: np.random.Generator,
@@ -532,7 +540,4 @@ def load_kernel(path: str | Path) -> TransitionKernel:
 
 def export_kernel_csv(kernel: TransitionKernel, path: str | Path) -> None:
     """Write P as n CSV rows followed by one row holding pi."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in kernel.P:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
-        fh.write(",".join(format(v, ".17g") for v in kernel.pi) + "\n")
+    Path(path).write_bytes(_matrix_csv_bytes(np.vstack([kernel.P, kernel.pi])))

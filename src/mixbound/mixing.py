@@ -36,6 +36,8 @@ _BALANCE_LIMIT = 1e6
 # t_rel, where 1e-13 * t_rel alone is below the spacing of doubles.
 _XTOL_REL = 1e-13
 _EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+_MAX = float(np.finfo(float).max)
 
 
 class MixingProfile:
@@ -115,24 +117,26 @@ class MixingProfile:
     # -- internals -----------------------------------------------------------
 
     def _solve(self, kind, eps, x):
+        threshold = {"tv": 2.0 * eps, "ave_l2": eps * eps}.get(kind, eps)
+        if not _TINY <= threshold <= _MAX:
+            raise BadEps(f"eps={eps} gives the {kind} crossing threshold "
+                         f"{threshold:.3e}, which is not a normal double")
         decomp = self.decomp
         t_rel = decomp.t_rel
         pi_min = float(decomp.pi.min())
         if kind == "linf":
-            value, threshold = self.linf_distance, eps
+            value = self.linf_distance
             hi = t_rel * (np.log(max(1.0 / pi_min, 2.0) / eps) + 1.0)
         elif kind == "l2x":
             value = lambda t: self.l2_distance(x, t)
-            threshold = eps
             hi = t_rel * (np.log(max(1.0 / float(decomp.pi[x]), 2.0)) / 2.0
                           + np.log(1.0 / eps) + 1.0)
         elif kind == "tv":
-            value, threshold = self.tv_worst, 2.0 * eps
+            value = self.tv_worst
             hi = t_rel * (np.log(max(1.0 / pi_min, 2.0)) / 2.0
                           + abs(np.log(2.0 * eps)) + 1.0)
         else:
             value = self.ave_l2_sq
-            threshold = eps * eps
             hi = 0.5 * t_rel * (np.log(max(self.kernel.n - 1.0, 1.0) / eps**2) + 2.0)
         return _first_crossing(value, threshold, max(hi, t_rel),
                                xtol=_XTOL_REL * t_rel)

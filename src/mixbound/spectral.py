@@ -16,10 +16,11 @@ import numpy as np
 import scipy.linalg
 
 from .chains import TransitionKernel
-from .errors import NotIrreducible, NumericalFailure
+from .errors import InvalidSpec, NotIrreducible, NumericalFailure
 
 _ZERO_EIG_TOL = 1e-10
 _ORTHO_FAIL = 1e-6
+_LOG_DBL_MAX = math.log(float(np.finfo(float).max))
 
 
 def symmetrized_laplacian(kernel: TransitionKernel):
@@ -150,11 +151,23 @@ def gamma_window_mass(ell: int) -> float:
     return lower_gamma_regularized(ell, 2.0 * ell)
 
 
-def spectral_moment(decomp: SpectralDecomposition, ell: int) -> float:
-    """sum_{i>=2} lambda_i^{-ell}; order 1 equals the average hitting time."""
+def _moment_weights(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
+    """lambda_i^{-ell} for i >= 2, the weights of every order-ell moment.
+
+    Every such moment is at most t_rel^ell / pi_min, so an order that
+    could push one past the largest double is refused.
+    """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    return float(np.sum(decomp.lambdas[1:] ** (-float(ell))))
+    if ell * math.log(decomp.t_rel) - math.log(float(decomp.pi.min())) >= _LOG_DBL_MAX:
+        raise InvalidSpec(f"moments of order ell={ell} can exceed the largest double "
+                          f"(t_rel={decomp.t_rel:.6g}, pi_min={float(decomp.pi.min()):.3e})")
+    return decomp.lambdas[1:] ** (-float(ell))
+
+
+def spectral_moment(decomp: SpectralDecomposition, ell: int) -> float:
+    """sum_{i>=2} lambda_i^{-ell}; order 1 equals the average hitting time."""
+    return float(np.sum(_moment_weights(decomp, ell)))
 
 
 def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
@@ -162,20 +175,16 @@ def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
 
     Closed form: sum_{i>=2} f_i(x)^2 / lambda_i^ell.
     """
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    inv = decomp.lambdas[1:] ** (-float(ell))
-    return decomp.eigfuncs_sq[:, 1:] @ inv
+    return decomp.eigfuncs_sq[:, 1:] @ _moment_weights(decomp, ell)
 
 
 def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     """Same integrals truncated at 2*ell*t_rel, via the regularized gamma."""
-    if ell < 1:
-        raise ValueError("ell must be >= 1")
-    lam = decomp.lambdas[1:]
+    weights = _moment_weights(decomp, ell)
     window = 2.0 * ell * decomp.t_rel
-    masses = np.array([lower_gamma_regularized(ell, window * l) for l in lam])
-    return decomp.eigfuncs_sq[:, 1:] @ (lam ** (-float(ell)) * masses)
+    masses = np.array([lower_gamma_regularized(ell, window * l)
+                       for l in decomp.lambdas[1:]])
+    return decomp.eigfuncs_sq[:, 1:] @ (weights * masses)
 
 
 def eigenvalue_clustering(decomp: SpectralDecomposition, target: float,

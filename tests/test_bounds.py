@@ -164,6 +164,29 @@ def test_window_factor_worst_matches_per_state_reference(make):
                     worst[rep.name] = rep
         assert bounds.truncation_factor_worst(analysis, M) == list(worst.values())
 
+    # the other worst-state reports against one report per state, min by slack
+    decomp, label = analysis.decomp, analysis.kernel.label
+    t_rel = decomp.t_rel
+    for ell in (1, 2, 3):
+        sigma = spectral.heat_moment_all(decomp, ell)
+        rho = spectral.heat_moment_windowed_all(decomp, ell)
+        kappa = spectral.gamma_window_mass(ell)
+        window = [min((BoundReport.check(name, lhs[x], rhs[x], x=x, kernel=label,
+                                         ell=ell) for x in range(analysis.kernel.n)),
+                      key=lambda rep: rep.slack)
+                  for name, lhs, rhs in (
+                      ("windowed_le_full_moment", rho, sigma),
+                      ("gamma_mass_times_full_le_windowed", kappa * sigma, rho))]
+        assert bounds.moment_window_reports(analysis, ell) == window
+        for eps in (0.25, 0.5):
+            l2x = min((BoundReport.check(
+                "l2x_moment_bound", analysis.profile.mixing_time("l2x", eps, x=x),
+                0.5 * (t_rel * max(math.log(sigma[x] / (eps * eps * t_rel**ell)),
+                                   float(ell))),
+                x=x, kernel=label, eps=eps, ell=ell) for x in range(analysis.kernel.n)),
+                key=lambda rep: rep.slack)
+            assert bounds.moment_bound_reports(analysis, ell, eps)[1] == l2x
+
 
 def test_printed_order1_window_constant_is_false(complete4):
     """Counterexample freeze: the (1 - e^{-M})^{-2} factor fails whenever

@@ -143,6 +143,14 @@ def test_explicit_pi_must_be_finite_and_normal(first):
         chains.kernel_from_matrix(P, pi=pi)
 
 
+@pytest.mark.parametrize("pi", [None, np.array([0.5, 0.5])], ids=["pi-solved", "pi-given"])
+def test_nan_entry_rejected(pi):
+    # NaN fails no `x > tol` guard; the matrix used to come back with pi (1/2, 1/2)
+    P = np.array([[0.5, 0.5], [0.5, np.nan]])
+    with pytest.raises(InvalidSpec, match="row_sums"):
+        chains.kernel_from_matrix(P, pi=pi)
+
+
 @pytest.mark.parametrize("spec_args", [
     ("cycle", {"n": 1}),
     ("torus", {"d": 0, "m": 4}),
@@ -243,6 +251,13 @@ def test_export_kernel_csv_roundtrip(tmp_path):
     assert data.shape == (6, 5)  # n matrix rows plus the pi row
     assert np.array_equal(data[:5], kernel.P)
     assert np.array_equal(data[5], kernel.pi)
+
+
+def test_matrix_csv_bytes_match_per_entry_format():
+    matrix = np.array([[-0.0, 5e-324, 1e300], [1 / 3, np.inf, -np.inf],
+                       [np.nan, 0.1, -2.5e-310]])
+    rows = [",".join(format(v, ".17g") for v in row) for row in matrix]
+    assert chains._matrix_csv_bytes(matrix) == ("\n".join(rows) + "\n").encode()
 
 
 def test_kernel_arrays_frozen():

@@ -341,6 +341,9 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "abc"], id="eps-abc"),
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "inf"], id="eps-inf"),
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "nan"], id="eps-nan"),
+    # moments of order 600 overflow; eps^2 underflows below the normal range
+    pytest.param(VERIFY + ["--sizes", "8", "--ell", "600"], id="ell-600"),
+    pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e-170"], id="eps-1e-170"),
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
     pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
@@ -400,6 +403,17 @@ def test_custom_matrix_with_unrepresentable_pi_exit2(tmp_path):
     assert res.returncode == 2
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and "not representable" in lines[0], res.stderr
+
+
+def test_custom_matrix_with_nan_exit2(tmp_path):
+    (tmp_path / "m.csv").write_text("0.5,0.5\n0.5,nan\n")
+    spec = tmp_path / "nan.spec"
+    spec.write_text("family=custom\nmatrix=m.csv\n")
+    for cmd in (["analyze", "--out", str(tmp_path / "x.csv")], ["verify"]):
+        res = run_cli(*cmd, "--spec", str(spec))
+        assert res.returncode == 2, res.stderr
+        lines = res.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
 
 
 # ---------------------------------------------------------------------------
