@@ -386,7 +386,10 @@ def _matrix_checks(P) -> tuple:
     entries and strong connectivity."""
     n_comp, _ = connected_components(csr_matrix((np.abs(P) > 0).astype(np.int8)),
                                      directed=True, connection="strong")
-    return (CheckResult("row_sums", float(np.abs(P.sum(axis=1) - 1.0).max()), STRUCT_TOL),
+    # a row holding inf and -inf sums to NaN, which fails the row-sum check
+    with np.errstate(over="ignore", invalid="ignore"):
+        row_sums = float(np.abs(P.sum(axis=1) - 1.0).max())
+    return (CheckResult("row_sums", row_sums, STRUCT_TOL),
             CheckResult("nonnegative_entries", float(max(0.0, -P.min())), 0.0),
             CheckResult("strongly_connected", float(n_comp != 1), 0.0))
 

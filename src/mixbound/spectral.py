@@ -20,7 +20,6 @@ from .errors import InvalidSpec, NotIrreducible, NumericalFailure
 
 _ZERO_EIG_TOL = 1e-10
 _ORTHO_FAIL = 1e-6
-_LOG_DBL_MAX = math.log(float(np.finfo(float).max))
 
 
 def symmetrized_laplacian(kernel: TransitionKernel):
@@ -154,20 +153,32 @@ def gamma_window_mass(ell: int) -> float:
 def _moment_weights(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     """lambda_i^{-ell} for i >= 2, the weights of every order-ell moment.
 
-    Every such moment is at most t_rel^ell / pi_min, so an order that
-    could push one past the largest double is refused.
+    An order whose largest weight t_rel^ell is beyond the largest double
+    is refused; `_finite_moments` refuses the moments that overflow.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    if ell * math.log(decomp.t_rel) - math.log(float(decomp.pi.min())) >= _LOG_DBL_MAX:
-        raise InvalidSpec(f"moments of order ell={ell} can exceed the largest double "
-                          f"(t_rel={decomp.t_rel:.6g}, pi_min={float(decomp.pi.min()):.3e})")
-    return decomp.lambdas[1:] ** (-float(ell))
+    try:
+        decomp.t_rel ** ell
+    except OverflowError:
+        raise InvalidSpec(f"t_rel^ell is beyond the double range at ell={ell} "
+                          f"(t_rel={decomp.t_rel:.6g})") from None
+    with np.errstate(over="ignore"):
+        return decomp.lambdas[1:] ** (-float(ell))
+
+
+def _finite_moments(moments, ell: int):
+    """moments, unless one overflowed to inf."""
+    if not np.isfinite(moments).all():
+        raise InvalidSpec(f"a moment of order ell={ell} exceeds the largest double")
+    return moments
 
 
 def spectral_moment(decomp: SpectralDecomposition, ell: int) -> float:
     """sum_{i>=2} lambda_i^{-ell}; order 1 equals the average hitting time."""
-    return float(np.sum(_moment_weights(decomp, ell)))
+    weights = _moment_weights(decomp, ell)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_moments(float(np.sum(weights)), ell)
 
 
 def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
@@ -175,7 +186,9 @@ def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
 
     Closed form: sum_{i>=2} f_i(x)^2 / lambda_i^ell.
     """
-    return decomp.eigfuncs_sq[:, 1:] @ _moment_weights(decomp, ell)
+    weights = _moment_weights(decomp, ell)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_moments(decomp.eigfuncs_sq[:, 1:] @ weights, ell)
 
 
 def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
@@ -184,7 +197,8 @@ def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndar
     window = 2.0 * ell * decomp.t_rel
     masses = np.array([lower_gamma_regularized(ell, window * l)
                        for l in decomp.lambdas[1:]])
-    return decomp.eigfuncs_sq[:, 1:] @ (weights * masses)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_moments(decomp.eigfuncs_sq[:, 1:] @ (weights * masses), ell)
 
 
 def eigenvalue_clustering(decomp: SpectralDecomposition, target: float,

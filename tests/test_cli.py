@@ -406,14 +406,30 @@ def test_custom_matrix_with_unrepresentable_pi_exit2(tmp_path):
 
 
 def test_custom_matrix_with_nan_exit2(tmp_path):
-    (tmp_path / "m.csv").write_text("0.5,0.5\n0.5,nan\n")
+    # a row holding inf and -inf sums to NaN as well
     spec = tmp_path / "nan.spec"
     spec.write_text("family=custom\nmatrix=m.csv\n")
-    for cmd in (["analyze", "--out", str(tmp_path / "x.csv")], ["verify"]):
-        res = run_cli(*cmd, "--spec", str(spec))
-        assert res.returncode == 2, res.stderr
-        lines = res.stderr.strip().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+    for rows in ("0.5,0.5\n0.5,nan\n", "0.5,0.5\ninf,-inf\n"):
+        (tmp_path / "m.csv").write_text(rows)
+        for cmd in (["analyze", "--out", str(tmp_path / "x.csv")], ["verify"]):
+            res = run_cli(*cmd, "--spec", str(spec))
+            assert res.returncode == 2, res.stderr
+            lines = res.stderr.strip().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), res.stderr
+
+
+def test_analyze_dlp_near_double_limit_exit0(tmp_path):
+    # pi_min is about 1e-307 here; every moment q1..q4 of the summary
+    # still fits in a double and must not be refused
+    spec = tmp_path / "dlp.spec"
+    spec.write_text("family=dlp\nn=241\nlam=0.5\neps=0.05\n")
+    out = tmp_path / "o.csv"
+    res = run_cli("analyze", "--spec", str(spec), "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == ""
+    header, row = data_lines(out)
+    cols = dict(zip(header.split(","), row.split(",")))
+    assert all(np.isfinite(float(cols[f"q{ell}"])) for ell in range(1, 5))
 
 
 # ---------------------------------------------------------------------------

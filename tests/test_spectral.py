@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from mixbound import chains, spectral
-from mixbound.errors import NotIrreducible
+from mixbound.errors import InvalidSpec, NotIrreducible
 
 from conftest import BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS
 
@@ -158,6 +158,21 @@ def test_windowed_moment_closed_forms():
     d2 = spectral.decompose(two_state_half())
     assert spectral.heat_moment_windowed_all(d2, 2)[0] == pytest.approx(
         1 - 5 * math.exp(-4), rel=1e-12)
+
+
+def test_moments_refused_only_where_they_overflow():
+    # pi_min is about 1e-307: sigma_x of order 4 overflows at the light
+    # end, while q1..q4 and sigma_x of order 3 fit in a double
+    d = _decomp(chains.dlp_spec(241, 0.5, 0.05))
+    assert all(np.isfinite(spectral.spectral_moment(d, ell)) for ell in range(1, 5))
+    assert np.isfinite(spectral.heat_moment_all(d, 3)).all()
+    assert np.isfinite(spectral.heat_moment_windowed_all(d, 3)).all()
+    for moments in (spectral.heat_moment_all, spectral.heat_moment_windowed_all):
+        with pytest.raises(InvalidSpec):
+            moments(d, 4)
+    # t_rel^600 itself is beyond the double range on the 8-cycle
+    with pytest.raises(InvalidSpec):
+        spectral.spectral_moment(_decomp(chains.cycle_spec(8)), 600)
 
 
 def test_gamma_window_mass_values():
