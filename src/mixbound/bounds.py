@@ -19,7 +19,7 @@ import numpy as np
 
 from .analysis import ChainAnalysis
 from .chains import ChainFamilySpec
-from .errors import BadRange, CertificateMismatch
+from .errors import BadEps, BadRange, CertificateMismatch
 from .mixing import hierarchy_check
 from .reports import BoundReport
 from .spectral import (gamma_window_mass, heat_moment_all,
@@ -35,7 +35,10 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 def _rhs_moment(t_rel, moment, ell, eps):
     """Order-ell moment bound on the uniform time at threshold eps.  The L2
     bounds are half of it at eps^2, as t_l2(eps) = t_linf(eps^2) / 2."""
-    return t_rel * max(math.log(moment / (eps * t_rel**ell)), float(ell))
+    scale = eps * t_rel**ell
+    if not math.isfinite(scale):
+        raise BadEps(f"threshold {eps:.3e} times t_rel^{ell} overflows a double")
+    return t_rel * max(math.log(moment / scale), float(ell))
 
 
 def _worst_report(name: str, states, lhs, rhs, **ctx) -> BoundReport:

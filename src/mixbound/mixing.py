@@ -1,13 +1,16 @@
 """L2, L-infinity and total variation distance profiles and mixing times.
 
 Profiles are evaluated spectrally; the heat rows of all scanned states come
-from one product per t (one expm when pi is too unbalanced for the spectral
-reconstruction).  Every mixing time is the first crossing
-of a strictly decreasing profile, found by a doubling bracket plus a
-Brent-Dekker root solve (Brent 1973) run to 1e-13 * t_rel plus a few ulp
-of t, far inside the 1e-9 * t_rel contract.  The total variation
-convention here is t_tv(eps) = first time the worst-case L1 distance drops
-to 2*eps, so the plain t_tv corresponds to eps = 1/4.
+from one product per t.  When pi is too unbalanced for the spectral
+reconstruction they come from the heat matrix H(t) = expm(-t(I - P)),
+stepped from the latest cached earlier time s as H(s) expm(-(t - s)(I - P)).
+Every mixing time is the first crossing of a strictly decreasing profile,
+found by a bracket plus a Brent-Dekker root solve (Brent 1973) run to
+1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 * t_rel contract;
+the linf and l2x profiles, which fall from about 1/pi_min, are solved on
+a log scale.  The total variation convention here is t_tv(eps) = first
+time the worst-case L1 distance drops to 2*eps, so the plain t_tv
+corresponds to eps = 1/4.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 
+# Heat matrices kept on the expm route, the least recently used evicted
+# first: 1.3 MB at n = 200.
+_HEAT_CACHE = 4
+
 
 class MixingProfile:
     """Cached distance evaluators and mixing-time solver for one chain."""
@@ -46,8 +53,10 @@ class MixingProfile:
     def __init__(self, kernel: TransitionKernel, decomp: SpectralDecomposition):
         self.kernel = kernel
         self.decomp = decomp
-        self._times: dict = {}
+        self._times: dict = {}  # (kind, x) -> {eps: crossing time}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
+        self._laplacian = None if self._balanced else np.eye(kernel.n) - kernel.P
+        self._heat: dict = {}  # t -> H(t) on the expm route, oldest use first
 
     # -- distance profiles -------------------------------------------------
 
@@ -72,12 +81,37 @@ class MixingProfile:
         return float(np.abs(rows - self.decomp.pi).sum(axis=1).max())
 
     def _heat_rows(self, t: float, xs) -> np.ndarray:
-        """Rows H_t(xs, .): spectral when pi is balanced, else from expm."""
-        # a crossing solve rarely revisits a t, so nothing is cached
+        """Rows H_t(xs, .): spectral when pi is balanced, else rows of the
+        stepped heat matrix."""
         if self._balanced:
             return heat_kernel_row(self.decomp, xs, t)
-        L = np.eye(self.kernel.n) - self.kernel.P
-        return scipy.linalg.expm(-t * L)[xs]
+        return self._heat_matrix(t)[xs]
+
+    def _heat_matrix(self, t: float) -> np.ndarray:
+        """H(t) = H(s) expm(-(t - s)L) for the largest cached s <= t, else
+        expm(-tL).
+
+        Both factors are nonnegative and every row of H(s) is stochastic,
+        so the product adds no cancellation and its absolute error stays
+        at the level of one expm.  Taking a base counts as a use, so Brent's
+        lower bracket end stays cached as the base of every later iterate
+        and the late steps are exponentials of small norm.
+        """
+        heat = self._heat
+        bases = [s for s in heat if s <= t]
+        if bases:
+            s = max(bases)
+            H = heat.pop(s)
+            heat[s] = H  # taking a base counts as a use
+            if s == t:
+                return H
+            H = H @ scipy.linalg.expm(-(t - s) * self._laplacian)
+        else:
+            H = scipy.linalg.expm(-t * self._laplacian)
+        heat[t] = H
+        if len(heat) > _HEAT_CACHE:
+            del heat[next(iter(heat))]
+        return H
 
     def ave_l2_sq(self, t: float) -> float:
         """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
@@ -97,12 +131,14 @@ class MixingProfile:
         if kind == "l2x":
             if x is None:
                 raise ValueError("l2x mixing time needs a state x")
-            key = (kind, int(x), float(eps))
+            x = int(x)
         else:
-            key = (kind, float(eps))
-        if key not in self._times:
-            self._times[key] = self._solve(kind, eps, x)
-        return self._times[key]
+            x = None
+        solved = self._times.setdefault((kind, x), {})
+        eps = float(eps)
+        if eps not in solved:
+            solved[eps] = self._solve(kind, eps, x, solved)
+        return solved[eps]
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
         """Per-state L2 mixing times over the scanned states: the cached
@@ -116,7 +152,9 @@ class MixingProfile:
 
     # -- internals -----------------------------------------------------------
 
-    def _solve(self, kind, eps, x):
+    def _solve(self, kind, eps, x, solved):
+        """Crossing time of one profile; solved maps the eps values already
+        solved for the same kind and state to their crossing times."""
         threshold = {"tv": 2.0 * eps, "ave_l2": eps * eps}.get(kind, eps)
         if not _TINY <= threshold <= _MAX:
             raise BadEps(f"eps={eps} gives the {kind} crossing threshold "
@@ -138,8 +176,17 @@ class MixingProfile:
         else:
             value = self.ave_l2_sq
             hi = 0.5 * t_rel * (np.log(max(self.kernel.n - 1.0, 1.0) / eps**2) + 2.0)
-        return _first_crossing(value, threshold, max(hi, t_rel),
-                               xtol=_XTOL_REL * t_rel)
+        if kind in ("linf", "l2x"):
+            # these fall like C exp(-t/t_rel) from about 1/pi_min, so on a
+            # log scale the interpolation steps are accepted
+            distance = value
+            value = lambda t: math.log(max(distance(t), _TINY))
+            threshold = math.log(threshold)
+        # a crossing solved at a smaller eps is a time where this profile
+        # has already crossed: the tightest one is the first bracket end
+        crossed = [t for e, t in solved.items() if e < eps]
+        hi = min(crossed) if crossed else max(hi, t_rel)
+        return _first_crossing(value, threshold, hi, xtol=_XTOL_REL * t_rel)
 
 
 def _check_eps(eps: float) -> None:

@@ -344,6 +344,8 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     # moments of order 600 overflow; eps^2 underflows below the normal range
     pytest.param(VERIFY + ["--sizes", "8", "--ell", "600"], id="ell-600"),
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e-170"], id="eps-1e-170"),
+    # eps * t_rel overflows in the moment bound's right side
+    pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e308"], id="eps-1e308"),
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
     pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),

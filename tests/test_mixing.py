@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mixbound import chains, mixing, spectral
 from mixbound.analysis import ChainAnalysis
@@ -109,15 +110,57 @@ def test_mixing_times_match_bisection_on_random_kernels():
 
 
 def test_tv_crossing_evaluation_count():
-    # each tv_worst call on this drifted chain is a full expm; bisection to
-    # float resolution took about 56
+    # each tv_worst call on this drifted chain is an expm or a stepped
+    # product; bisection to float resolution took about 56, and Brent on
+    # unstepped expm values 17
     _, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
     tv_worst = prof.tv_worst
     prof.tv_worst = lambda t: calls.append(t) or tv_worst(t)
     t = prof.mixing_time("tv", 0.05)
-    assert len(calls) <= 25
+    assert len(calls) <= 14
     assert tv_worst(t) <= 0.1
+
+
+@pytest.mark.parametrize("kind,name,x", [("linf", "linf_distance", None),
+                                         ("l2x", "l2_distance", 0)])
+def test_log_scale_crossing_evaluation_count(kind, name, x):
+    # these profiles fall from about 1/pi_min = 1e254; on a linear scale the
+    # solve took 23-24 evaluations
+    _, decomp, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
+    calls = []
+    distance = getattr(prof, name)
+    setattr(prof, name, lambda *a: calls.append(a) or distance(*a))
+    t = prof.mixing_time(kind, 0.5, x)
+    assert len(calls) <= 12
+    ref = _bisection_mixing_time(mixing.MixingProfile(prof.kernel, decomp),
+                                 kind, 0.5, x)
+    assert abs(t - ref) <= 1e-9 * decomp.t_rel
+
+
+def test_stepped_tv_worst_matches_direct_expm():
+    kernel, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
+    assert not prof._balanced
+    L = np.eye(kernel.n) - kernel.P
+    for t in (300.0, 50.0, 480.0, 479.5, 1000.0, 0.5, 479.04, 2000.0, 0.0,
+              100.0, 479.04, 460.0):
+        H = scipy.linalg.expm(-t * L)
+        ref = float(np.abs(H - kernel.pi).sum(axis=1).max())
+        assert abs(prof.tv_worst(t) - ref) <= 1e-13, t
+        assert len(prof._heat) <= 4
+
+
+def test_tv_crossing_after_other_crossings_matches_bisection():
+    kernel, decomp, cold = _profile(chains.dlp_spec(200, 0.5, 0.05))
+    warm = mixing.MixingProfile(kernel, decomp)
+    for kind, eps, x in (("tv", 0.125, None), ("linf", 0.5, None),
+                         ("l2x", 0.5, 0), ("l2x", 0.5, kernel.n - 1),
+                         ("tv", 0.5, None)):
+        warm.mixing_time(kind, eps, x)
+    ref = _bisection_mixing_time(mixing.MixingProfile(kernel, decomp),
+                                 "tv", 0.25, None)
+    for prof in (cold, warm):
+        assert abs(prof.mixing_time("tv", 0.25) - ref) <= 1e-9 * decomp.t_rel
 
 
 # ---------------------------------------------------------------------------
