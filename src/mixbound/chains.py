@@ -14,6 +14,9 @@ Chain-spec files are UTF-8 ``key=value`` lines, e.g.::
     d=2
     m=8
 
+Each key appears at most once (``lam`` is another name for ``lambda``) and
+must be a parameter of the family.
+
 Custom matrices are referenced with ``family=custom`` and ``matrix=<csv>``
 where the CSV holds n rows of n comma-separated decimals.
 """
@@ -38,7 +41,12 @@ STRUCT_TOL = 1e-12
 # Smallest normal double: a stationary entry below it has lost precision.
 _TINY = float(np.finfo(float).tiny)
 
-FAMILIES = ("cycle", "torus", "complete", "hypercube", "dlp_birth_death", "custom")
+# The parameters each family takes; build_family refuses any other key.
+_FAMILY_PARAMS = {
+    "cycle": ("n",), "torus": ("d", "m"), "complete": ("n",), "hypercube": ("d",),
+    "dlp_birth_death": ("n", "lambda", "eps", "k"), "custom": ("matrix",),
+}
+FAMILIES = tuple(_FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
@@ -150,11 +158,17 @@ def _matrix_csv_bytes(matrix) -> bytes:
 def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     """Build a certified kernel for a benchmark family.
 
-    Raises InvalidSpec for out-of-range parameters.  Built-in families are
-    reversible by construction; this is asserted, not trusted.
+    Raises InvalidSpec for an unknown family, a parameter the family does
+    not take, or an out-of-range value.  Built-in families are reversible
+    by construction; this is asserted, not trusted.
     """
     fam = spec.family
     p = spec.params
+    if fam not in _FAMILY_PARAMS:
+        raise InvalidSpec(f"unknown family {fam!r}")
+    unknown = sorted(set(p) - set(_FAMILY_PARAMS[fam]))
+    if unknown:
+        raise InvalidSpec(f"family {fam} takes no parameter {', '.join(unknown)}")
     if fam == "cycle":
         n = _int_param(p, "n", low=2)
         kernel = _build_torus(1, n, f"cycle(n={n})")
@@ -171,12 +185,10 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
         eps = _float_param(p, "eps")
         k = _int_param(p, "k", low=0) if "k" in p else n
         kernel = _build_dlp(n, lam, eps, k)
-    elif fam == "custom":
+    else:  # custom
         if "matrix" not in p:
             raise InvalidSpec("custom spec needs a matrix")
         return kernel_from_matrix(p["matrix"], label=spec.label())
-    else:
-        raise InvalidSpec(f"unknown family {fam!r}")
 
     report = validate(kernel)
     if not report.passed:
@@ -493,7 +505,7 @@ def parse_chain_spec(path: str | Path) -> ChainFamilySpec:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidSpec(f"cannot read spec file: {exc}") from exc
     pairs = {}
     for ln, raw in enumerate(text.splitlines(), start=1):
@@ -503,7 +515,12 @@ def parse_chain_spec(path: str | Path) -> ChainFamilySpec:
         if "=" not in line:
             raise InvalidSpec(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key == "lam":
+            key = "lambda"
+        if key in pairs:
+            raise InvalidSpec(f"{path}:{ln}: repeated key {key!r}")
+        pairs[key] = value.strip()
 
     family = pairs.pop("family", None)
     if family is None:
@@ -528,8 +545,6 @@ def parse_chain_spec(path: str | Path) -> ChainFamilySpec:
 
     params = {}
     for key, value in pairs.items():
-        if key == "lam":
-            key = "lambda"
         try:
             params[key] = float(value) if key in ("lambda", "eps") else int(value)
         except ValueError as exc:

@@ -78,8 +78,11 @@ def _write_csv(path, argv, spec_text, seed, header, rows):
         ",".join(header),
     ]
     lines += [",".join(_fmt(c) for c in row) for row in rows]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise InvalidSpec(f"cannot write --out {path}: {exc.strerror or exc}") from exc
 
 
 def _threads() -> int:
@@ -204,6 +207,9 @@ def cmd_profile(args, argv) -> int:
     t_lo = args.t_min if args.t_min is not None else t_rel / 100.0
     t_hi = args.t_max if args.t_max is not None else \
         t_rel * (abs(math.log(0.25 * float(decomp.pi.min()))) + 1.0)
+    if not t_lo < t_hi:
+        raise InvalidSpec(f"the time grid must ascend: t_min {t_lo:.6g} is not "
+                          f"below t_max {t_hi:.6g}")
     grid = np.geomspace(t_lo, t_hi, num=args.points)
     rows = []
     for t in grid:
@@ -258,6 +264,8 @@ def cmd_brw(args, argv) -> int:
 def cmd_optcheck(args, argv) -> int:
     if args.instances < 1:
         raise InvalidSpec(f"--instances must be at least 1, got {args.instances}")
+    if args.seed < 0:
+        raise InvalidSpec(f"--seed must be nonnegative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     rows = []
     worst = 0.0

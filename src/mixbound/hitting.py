@@ -15,7 +15,8 @@ import scipy.linalg
 
 from .chains import TransitionKernel
 from .errors import NumericalFailure, SingularSystem
-from .spectral import SpectralDecomposition, spectral_moment, symmetrized_laplacian
+from .spectral import (SpectralDecomposition, resolution, spectral_moment,
+                       symmetrized_laplacian)
 
 
 @dataclass(frozen=True)
@@ -227,13 +228,16 @@ def hitting_tail_profile(kernel: TransitionKernel, y: int) -> TailProfile:
     """Eigendecompose the substochastic block with y removed.
 
     The symmetrized block is positive definite for an irreducible chain;
-    its eigenpairs give the exact mixture of exponentials for the tail.
+    its eigenpairs give the exact mixture of exponentials for the tail.  A
+    smallest rate at or below `spectral.resolution` of the block cannot be
+    told from zero and raises NumericalFailure.
     """
     S, q = symmetrized_laplacian(kernel)
     keep = np.arange(kernel.n) != y
     mu, U = scipy.linalg.eigh(S[np.ix_(keep, keep)])
-    if mu[0] <= 1e-14 * max(1.0, mu[-1]):
-        raise NumericalFailure(
-            f"Dirichlet eigenvalue {mu[0]:.3e} is not positive; target {y}")
+    tol = resolution(mu.size, mu[-1])
+    if mu[0] <= tol:
+        raise NumericalFailure(f"Dirichlet eigenvalue {mu[0]:.3e} is at or below the "
+                               f"eigensolve resolution {tol:.3e}; target {y}")
     c = (U.T @ q[keep]) ** 2
     return TailProfile(rates=mu, weights=c, pi_y=float(kernel.pi[y]))

@@ -2,8 +2,9 @@
 
 Profiles are evaluated spectrally; the heat rows of all scanned states come
 from one product per t.  When pi is too unbalanced for the spectral
-reconstruction they come from the heat matrix H(t) = expm(-t(I - P)),
-stepped from the latest cached earlier time s as H(s) expm(-(t - s)(I - P)).
+reconstruction they come from the heat matrix H(t) = expm(-tL), with L the
+`spectral.laplacian`, stepped from the latest cached earlier time s as
+H(s) expm(-(t - s)L).
 Every mixing time is the first crossing of a strictly decreasing profile,
 found by a bracket plus a Brent-Dekker root solve (Brent 1973) run to
 1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 * t_rel contract;
@@ -23,7 +24,8 @@ import scipy.linalg
 from .chains import TransitionKernel
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
-from .spectral import SpectralDecomposition, heat_diag_ratio, heat_kernel_row
+from .spectral import (SpectralDecomposition, heat_diag_ratio, heat_kernel_row,
+                       laplacian)
 
 KINDS = ("linf", "l2x", "tv", "ave_l2")
 
@@ -55,7 +57,7 @@ class MixingProfile:
         self.decomp = decomp
         self._times: dict = {}  # (kind, x) -> {eps: crossing time}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
-        self._laplacian = None if self._balanced else np.eye(kernel.n) - kernel.P
+        self._laplacian = None if self._balanced else laplacian(kernel)
         self._heat: dict = {}  # t -> H(t) on the expm route, oldest use first
 
     # -- distance profiles -------------------------------------------------

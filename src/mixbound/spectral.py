@@ -5,6 +5,15 @@ so the Laplacian has a real spectrum 0 = lambda_1 < lambda_2 <= ... <= 2 and
 an eigenbasis f_1 = 1, f_2, ..., f_n orthonormal in the inner product
 <f, g> = sum_x pi(x) f(x) g(x).  Everything downstream (heat kernel values,
 moment sums, truncated moments) is evaluated in closed form from that basis.
+
+Two rules hold for every consumer.  `laplacian` is the one place I - P is
+formed: in a row with P(k,k) > 1/2 its diagonal is the sum of the row's
+off-diagonal entries, so a slow chain keeps the relative accuracy of its
+rates instead of losing it to 1 - P(k,k).  `resolution` is the one
+eigenvalue threshold: by Weyl's bound a perturbation dS of a symmetric
+matrix moves each eigenvalue by at most ||dS||, and rounding S and solving
+for its spectrum perturbs it by about n * eps * ||S||, so an eigenvalue
+within that of zero cannot be told from zero.
 """
 
 from __future__ import annotations
@@ -16,16 +25,43 @@ import numpy as np
 import scipy.linalg
 
 from .chains import TransitionKernel
-from .errors import InvalidSpec, NotIrreducible, NumericalFailure
+from .errors import InvalidSpec, NumericalFailure
 
-_ZERO_EIG_TOL = 1e-10
 _ORTHO_FAIL = 1e-6
+# Constant of the resolution rule, in units of n * eps * ||S||.
+_RESOLUTION_C = 8.0
+
+
+def laplacian(kernel: TransitionKernel) -> np.ndarray:
+    """L = I - P, with the diagonal of a row whose P(k,k) exceeds 1/2 set
+    to the sum of that row's off-diagonal entries.
+
+    There 1 - P(k,k) would cancel and keep only the absolute accuracy of
+    P(k,k); the off-diagonal sum involves no subtraction.  Below 1/2 the
+    subtraction cancels nothing and stays, so L is exactly I - P on every
+    kernel whose diagonal is at most 1/2.
+    """
+    L = -kernel.P
+    d = np.diagonal(kernel.P)
+    slow = d > 0.5
+    np.fill_diagonal(L, 0.0)
+    diag = 1.0 - d
+    diag[slow] = -L[slow].sum(axis=1)
+    np.fill_diagonal(L, diag)
+    return L
+
+
+def resolution(n: int, top: float) -> float:
+    """Smallest eigenvalue distance from zero that an eigensolve of an
+    n x n symmetric matrix with largest eigenvalue top can resolve:
+    c * n * eps * top (Weyl's bound on the rounding of S and of eigh)."""
+    return _RESOLUTION_C * n * float(np.finfo(float).eps) * top
 
 
 def symmetrized_laplacian(kernel: TransitionKernel):
-    """Return (S, sqrt_pi) with S the symmetrized Laplacian of the kernel."""
+    """Return (S, sqrt_pi) with S the symmetrized `laplacian` of the kernel."""
     sqrt_pi = np.sqrt(kernel.pi)
-    L = np.eye(kernel.n) - kernel.P
+    L = laplacian(kernel)
     S = (sqrt_pi[:, None] * L) / sqrt_pi[None, :]
     return 0.5 * (S + S.T), sqrt_pi
 
@@ -60,20 +96,24 @@ class SpectralDecomposition:
 def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     """Eigendecompose the symmetrized Laplacian and map back to functions.
 
-    Raises NotIrreducible when a second near-zero eigenvalue shows up
-    (irreducibility forces a simple zero) and NumericalFailure when the
-    orthonormality or backward-error contracts are missed.
+    The Laplacian is `laplacian(kernel)`; connectivity is certified by
+    `chains.validate`, not here.  With tol = `resolution(n, lambda_n)`,
+    raises NumericalFailure when the spectral gap is at most tol (it
+    cannot be told from zero), when an eigenvalue lies below -tol or
+    above 2 + tol, or when the orthonormality or backward-error contracts
+    are missed.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)
     w, V = scipy.linalg.eigh(S)
 
-    if w[0] < -1e-8:
+    tol = resolution(n, w[-1])
+    if w[0] < -tol:
         raise NumericalFailure(f"negative Laplacian eigenvalue {w[0]:.3e}")
-    if n >= 2 and w[1] <= _ZERO_EIG_TOL:
-        raise NotIrreducible(
-            f"second eigenvalue {w[1]:.3e} is numerically zero; chain is reducible")
-    if w[-1] > 2.0 + 1e-9:
+    if n >= 2 and w[1] <= tol:
+        raise NumericalFailure(f"spectral gap {w[1]:.3e} is at or below the "
+                               f"eigensolve resolution {tol:.3e}")
+    if w[-1] > 2.0 + tol:
         raise NumericalFailure(f"top eigenvalue {w[-1]:.6e} exceeds 2")
     w = w.copy()
     w[0] = 0.0

@@ -162,6 +162,7 @@ def test_nan_entry_rejected(pi):
     ("dlp_birth_death", {"n": 4, "lambda": 0.5, "eps": 0.6, "k": 4}),
     ("dlp_birth_death", {"n": 4, "lambda": 0.5, "eps": 0.1, "k": 5}),
     ("nosuch", {"n": 4}),
+    ("cycle", {"n": 4, "bogus": 1}),
 ])
 def test_invalid_specs_rejected(spec_args):
     family, params = spec_args

@@ -348,10 +348,15 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e308"], id="eps-1e308"),
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
     pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
+    pytest.param(PROFILE + ["--t-min", "5", "--t-max", "1"], id="t-descending"),
+    # above the default t_max of cycle(8), about 15
+    pytest.param(PROFILE + ["--t-min", "500"], id="t-min-above-default-t-max"),
+    pytest.param(PROFILE + ["--out", "no-such-dir/p.csv"], id="out-missing-dir"),
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
     pytest.param(["brw", "--family", "torus", "--d", "2", "--sizes", "4,6",
                   "--target", "hit", "--sandwich"], id="sandwich-two-sizes"),
     pytest.param(["optcheck", "--instances", "-3"], id="instances-negative"),
+    pytest.param(["optcheck", "--seed", "-5"], id="seed-negative"),
     # dense matrices beyond physical memory, refused before any allocation
     pytest.param(VERIFY[:2] + ["hypercube", "--sizes", "40"], id="hypercube-40"),
     pytest.param(VERIFY[:2] + ["torus", "--d", "3", "--sizes", "100000"],
@@ -365,6 +370,33 @@ def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [
+    pytest.param(b"\xff\xfefamily=cycle\nn=8\n", id="not-utf8"),
+    pytest.param(b"family=cycle\nn=8\nn=9\n", id="repeated-key"),
+    pytest.param(b"family=dlp\nn=8\nlam=0.5\nlambda=0.5\neps=0.1\n",
+                 id="lam-and-lambda"),
+    pytest.param(b"family=cycle\nn=8\nbogus=1\n", id="unknown-key"),
+])
+def test_bad_spec_file_exit2_one_line(tmp_path, capsys, content):
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(content)
+    assert cli.main(["analyze", "--spec", str(spec),
+                     "--out", str(tmp_path / "a.csv")]) == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_slow_chain_analyze_exit0(tmp_path):
+    # every rate is about 1e-9: the gap is small in absolute terms but
+    # resolvable against a spectrum of the same scale
+    spec = tmp_path / "slow.spec"
+    spec.write_text("family=dlp\nn=20\nlambda=1e-9\neps=0.3\n")
+    assert cli.main(["analyze", "--spec", str(spec),
+                     "--out", str(tmp_path / "slow.csv")]) == 0
 
 
 def test_numerical_failure_exit5(monkeypatch, capsys):

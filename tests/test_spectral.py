@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -9,7 +10,7 @@ from scipy.integrate import quad
 from scipy.linalg import expm
 
 from mixbound import chains, spectral
-from mixbound.errors import InvalidSpec, NotIrreducible
+from mixbound.errors import InvalidSpec, NumericalFailure
 
 from conftest import BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS
 
@@ -64,6 +65,7 @@ def test_hypercube_top_eigenvalue_is_two():
 
 
 def test_reducible_chain_raises():
+    # validate certifies connectivity; decompose still refuses a zero gap
     P = np.array([
         [0.5, 0.5, 0.0, 0.0],
         [0.5, 0.5, 0.0, 0.0],
@@ -71,8 +73,48 @@ def test_reducible_chain_raises():
         [0.0, 0.0, 0.5, 0.5],
     ])
     bad = chains.TransitionKernel(n=4, P=P, pi=np.full(4, 0.25))
-    with pytest.raises(NotIrreducible):
+    with pytest.raises(NumericalFailure, match="resolution"):
         spectral.decompose(bad)
+
+
+@pytest.mark.parametrize("spec", [s for s in BENCHMARK_SPECS
+                                  if chains.build_family(s).transitive],
+                         ids=lambda s: s.label())
+def test_laplacian_is_identity_minus_p_on_transitive_families(spec):
+    kernel = chains.build_family(spec)
+    assert np.array_equal(spectral.laplacian(kernel), np.eye(kernel.n) - kernel.P)
+
+
+def test_laplacian_is_identity_minus_p_below_half_diagonal():
+    kernel = chains.random_reversible_kernel(50, np.random.default_rng(3))
+    assert np.diagonal(kernel.P).max() <= 0.5
+    assert np.array_equal(spectral.laplacian(kernel), np.eye(kernel.n) - kernel.P)
+
+
+def _reference_gap(kernel):
+    """Gap of the symmetrized Laplacian built from the same float
+    off-diagonal entries, by a 60-digit mpmath eigensolve."""
+    with mpmath.workdps(60):
+        n, P = kernel.n, kernel.P
+        q = [mpmath.sqrt(mpmath.mpf(float(p))) for p in kernel.pi]
+        S = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if i != j and P[i, j] != 0.0:
+                    rate = mpmath.mpf(float(P[i, j]))
+                    S[i, i] += rate
+                    S[i, j] = -q[i] * rate / q[j]
+        S = (S + S.T) / 2
+        return float(sorted(mpmath.eigsy(S, eigvals_only=True))[1])
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-9, 1e-12])
+def test_slow_chain_gap_matches_high_precision_reference(lam):
+    # P(k,k) is within lam of 1, so 1 - P(k,k) alone would keep only the
+    # absolute accuracy of the diagonal
+    kernel = chains.build_family(chains.dlp_spec(20, lam, 0.3))
+    assert spectral.decompose(kernel).gap == pytest.approx(_reference_gap(kernel),
+                                                          rel=1e-12, abs=0.0)
 
 
 def test_reconstruction_matches_matrix_exponential():
