@@ -155,6 +155,13 @@ def _matrix_csv_bytes(matrix) -> bytes:
 # ---------------------------------------------------------------------------
 # family builders
 
+def _refuse_unknown_params(family: str, keys, where: str = "") -> None:
+    unknown = sorted(set(keys) - set(_FAMILY_PARAMS[family]))
+    if unknown:
+        raise InvalidSpec(f"{where}family {family} takes no parameter "
+                          f"{', '.join(unknown)}")
+
+
 def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     """Build a certified kernel for a benchmark family.
 
@@ -166,9 +173,7 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     p = spec.params
     if fam not in _FAMILY_PARAMS:
         raise InvalidSpec(f"unknown family {fam!r}")
-    unknown = sorted(set(p) - set(_FAMILY_PARAMS[fam]))
-    if unknown:
-        raise InvalidSpec(f"family {fam} takes no parameter {', '.join(unknown)}")
+    _refuse_unknown_params(fam, p)
     if fam == "cycle":
         n = _int_param(p, "n", low=2)
         kernel = _build_torus(1, n, f"cycle(n={n})")
@@ -531,11 +536,11 @@ def parse_chain_spec(path: str | Path) -> ChainFamilySpec:
         raise InvalidSpec(f"{path}: unknown family {family!r}")
 
     if family == "custom":
+        # custom_spec keeps only the matrix, so other keys are refused here
+        _refuse_unknown_params(family, pairs, f"{path}: ")
         matrix_ref = pairs.pop("matrix", None)
         if matrix_ref is None:
             raise InvalidSpec(f"{path}: custom spec needs matrix=<csv path>")
-        if pairs:
-            raise InvalidSpec(f"{path}: unexpected keys {sorted(pairs)}")
         matrix_path = (path.parent / matrix_ref).resolve()
         try:
             matrix = np.loadtxt(matrix_path, delimiter=",", ndmin=2)

@@ -38,16 +38,13 @@ def laplacian(kernel: TransitionKernel) -> np.ndarray:
 
     There 1 - P(k,k) would cancel and keep only the absolute accuracy of
     P(k,k); the off-diagonal sum involves no subtraction.  Below 1/2 the
-    subtraction cancels nothing and stays, so L is exactly I - P on every
-    kernel whose diagonal is at most 1/2.
+    subtraction cancels nothing and stays, so L is bit for bit I - P on
+    every kernel whose diagonal is at most 1/2.
     """
-    L = -kernel.P
-    d = np.diagonal(kernel.P)
-    slow = d > 0.5
-    np.fill_diagonal(L, 0.0)
-    diag = 1.0 - d
-    diag[slow] = -L[slow].sum(axis=1)
-    np.fill_diagonal(L, diag)
+    L = np.eye(kernel.n) - kernel.P
+    slow = np.flatnonzero(np.diagonal(kernel.P) > 0.5)
+    L[slow, slow] = 0.0
+    L[slow, slow] = -L[slow].sum(axis=1)
     return L
 
 
@@ -99,22 +96,37 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     The Laplacian is `laplacian(kernel)`; connectivity is certified by
     `chains.validate`, not here.  With tol = `resolution(n, lambda_n)`,
     raises NumericalFailure when the spectral gap is at most tol (it
-    cannot be told from zero), when an eigenvalue lies below -tol or
-    above 2 + tol, or when the orthonormality or backward-error contracts
-    are missed.
+    cannot be told from zero), when an eigenvalue lies more than tol
+    outside [0, 2] widened to the Gershgorin bounds of S, or when the
+    orthonormality or backward-error contracts are missed.
+
+    The gap's absolute error is about tol, so its relative error is about
+    tol / gap: far inside the 1e-9 contract when the whole spectrum is
+    slow, but coarser for a weak bottleneck whose gap is far below an O(1)
+    top eigenvalue.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)
     w, V = scipy.linalg.eigh(S)
 
     tol = resolution(n, w[-1])
-    if w[0] < -tol:
+    # The Gershgorin discs of S in the weights sqrt(pi) (its off-diagonal
+    # is nonpositive) hold every eigenvalue in [min r, max(2 diag(S) - r)]
+    # with r = S sqrt(pi) / sqrt(pi).  r is 0 for an exactly stochastic
+    # reversible kernel; otherwise r_k is the mean of row k's sum defect
+    # and its relative stationarity residual, which `validate` allows up
+    # to STRUCT_TOL.
+    r = (S @ sqrt_pi) / sqrt_pi
+    low = min(0.0, float(r.min()))
+    high = max(2.0, float((2.0 * np.diagonal(S) - r).max()))
+    if w[0] < low - tol:
         raise NumericalFailure(f"negative Laplacian eigenvalue {w[0]:.3e}")
     if n >= 2 and w[1] <= tol:
         raise NumericalFailure(f"spectral gap {w[1]:.3e} is at or below the "
                                f"eigensolve resolution {tol:.3e}")
-    if w[-1] > 2.0 + tol:
-        raise NumericalFailure(f"top eigenvalue {w[-1]:.6e} exceeds 2")
+    if w[-1] > high + tol:
+        raise NumericalFailure(f"top eigenvalue {w[-1]:.6e} exceeds its bound "
+                               f"{high:.6e}")
     w = w.copy()
     w[0] = 0.0
 

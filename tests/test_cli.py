@@ -378,6 +378,7 @@ def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     pytest.param(b"family=dlp\nn=8\nlam=0.5\nlambda=0.5\neps=0.1\n",
                  id="lam-and-lambda"),
     pytest.param(b"family=cycle\nn=8\nbogus=1\n", id="unknown-key"),
+    pytest.param(b"family=custom\nmatrix=m.csv\nn=3\n", id="custom-unknown-key"),
 ])
 def test_bad_spec_file_exit2_one_line(tmp_path, capsys, content):
     spec = tmp_path / "bad.spec"
@@ -397,6 +398,15 @@ def test_slow_chain_analyze_exit0(tmp_path):
     spec.write_text("family=dlp\nn=20\nlambda=1e-9\neps=0.3\n")
     assert cli.main(["analyze", "--spec", str(spec),
                      "--out", str(tmp_path / "slow.csv")]) == 0
+
+
+def test_custom_rows_summing_to_one_within_struct_tol_exit0(tmp_path):
+    # row sums 1 and 1 + 4e-13, which the kernel checks accept
+    (tmp_path / "m.csv").write_text("0.5,0.5\n0.6,0.4000000000004\n")
+    spec = tmp_path / "c.spec"
+    spec.write_text("family=custom\nmatrix=m.csv\n")
+    assert cli.main(["analyze", "--spec", str(spec),
+                     "--out", str(tmp_path / "c.csv")]) == 0
 
 
 def test_numerical_failure_exit5(monkeypatch, capsys):
