@@ -27,6 +27,7 @@ from .spectral import (gamma_window_mass, heat_moment_all,
                        spectral_moment)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
+_TRUNCATION_M = (1.0, 2.0, 5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +326,7 @@ def ratio_cotrend_table(specs: list[ChainFamilySpec]) -> CotrendTable:
 
 def standard_sweep(analysis: ChainAnalysis,
                    eps_list=(0.25, 0.5, 1.0),
-                   ell_list=(1, 2, 3, 4),
-                   M_list=(1.0, 2.0, 5.0)) -> list[BoundReport]:
+                   ell_list=(1, 2, 3, 4)) -> list[BoundReport]:
     """Every inequality report for one kernel."""
     reports: list[BoundReport] = []
     for eps in eps_list:
@@ -339,7 +339,7 @@ def standard_sweep(analysis: ChainAnalysis,
     for ell in ell_list:
         reports += moment_window_reports(analysis, ell)
         reports += root_moment_reports(analysis, ell)
-    for M in M_list:
+    for M in _TRUNCATION_M:
         reports += truncation_factor_worst(analysis, M)
     reports.append(relaxation_hitting_report(analysis))
     return reports

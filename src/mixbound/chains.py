@@ -14,8 +14,9 @@ Chain-spec files are UTF-8 ``key=value`` lines, e.g.::
     d=2
     m=8
 
-Each key appears at most once (``lam`` is another name for ``lambda``) and
-must be a parameter of the family.
+Each key appears at most once and is a parameter of the family; only the
+dlp family's k may be left out (it defaults to n).  ``dlp`` and ``lam``
+are other names for ``dlp_birth_death`` and ``lambda``.
 
 Custom matrices are referenced with ``family=custom`` and ``matrix=<csv>``
 where the CSV holds n rows of n comma-separated decimals.
@@ -27,8 +28,10 @@ import hashlib
 import io
 import math
 import os
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -41,12 +44,30 @@ STRUCT_TOL = 1e-12
 # Smallest normal double: a stationary entry below it has lost precision.
 _TINY = float(np.finfo(float).tiny)
 
-# The parameters each family takes; build_family refuses any other key.
+
+class _Family(NamedTuple):
+    params: dict  # parameter -> kind: an integer's lowest value, float or np.ndarray
+    size: str | None = None  # the parameter `--sizes` sets
+    states: tuple = ()  # (m, d): d coordinates in 0..m-1, each a parameter or a number
+    defaults: dict = {}  # a parameter that may be left out -> the one it copies
+
+
+# The one statement of each family's parameters, which every reader of a
+# spec goes by.  A spec file names the custom matrix's CSV.
 _FAMILY_PARAMS = {
-    "cycle": ("n",), "torus": ("d", "m"), "complete": ("n",), "hypercube": ("d",),
-    "dlp_birth_death": ("n", "lambda", "eps", "k"), "custom": ("matrix",),
+    "cycle": _Family({"n": 2}, "n", ("n", 1)),
+    "torus": _Family({"d": 1, "m": 2}, "m", ("m", "d")),
+    "complete": _Family({"n": 2}, "n", ("n", 1)),
+    "hypercube": _Family({"d": 1}, "d", (2, "d")),
+    "dlp_birth_death": _Family({"n": 2, "lambda": float, "eps": float, "k": 0},
+                               "n", ("n", 1), {"k": "n"}),
+    "custom": _Family({"matrix": np.ndarray}),
 }
-FAMILIES = tuple(_FAMILY_PARAMS)
+# Other spellings of a family or parameter name.
+_ALIASES = {"dlp": "dlp_birth_death", "lam": "lambda"}
+# The names `--family` accepts: each family with a size, and its aliases.
+_SIZED = [name for name, fam in _FAMILY_PARAMS.items() if fam.size]
+SIZED_FAMILIES = (*_SIZED, *(alias for alias, name in _ALIASES.items() if name in _SIZED))
 
 
 @dataclass(frozen=True)
@@ -91,9 +112,9 @@ class ChainFamilySpec:
 
     @property
     def size(self):
-        """The size parameter: m for the torus, d for the hypercube, n for
-        the other built-in families; None for a custom matrix."""
-        return self.params.get({"torus": "m", "hypercube": "d"}.get(self.family, "n"))
+        """The value of the parameter `--sizes` sets; None for a custom
+        matrix or an unknown family."""
+        return self.params.get(_FAMILY_PARAMS.get(self.family, _Family({})).size)
 
     def label(self) -> str:
         inner = ",".join(f"{k}={_fmt_param(v)}" for k, v in sorted(self.params.items())
@@ -107,27 +128,34 @@ def _fmt_param(v):
     return str(v)
 
 
+def family_spec(family: str, size, params: dict) -> ChainFamilySpec:
+    """Spec of a built-in family (or an alias of one) with its size set to
+    `size` and its other parameters taken from `params`, which may hold
+    others; a None value takes its default."""
+    family = _ALIASES.get(family, family)
+    fam = _FAMILY_PARAMS[family]
+    given = {key: params[key] for key in fam.params if params.get(key) is not None}
+    return ChainFamilySpec(family, _read_params(family, {**given, fam.size: size}))
+
+
 def cycle_spec(n: int) -> ChainFamilySpec:
-    return ChainFamilySpec("cycle", {"n": int(n)})
+    return family_spec("cycle", n, {})
 
 
 def torus_spec(d: int, m: int) -> ChainFamilySpec:
-    return ChainFamilySpec("torus", {"d": int(d), "m": int(m)})
+    return family_spec("torus", m, {"d": d})
 
 
 def complete_spec(n: int) -> ChainFamilySpec:
-    return ChainFamilySpec("complete", {"n": int(n)})
+    return family_spec("complete", n, {})
 
 
 def hypercube_spec(d: int) -> ChainFamilySpec:
-    return ChainFamilySpec("hypercube", {"d": int(d)})
+    return family_spec("hypercube", d, {})
 
 
 def dlp_spec(n: int, lam: float, eps: float, k: int | None = None) -> ChainFamilySpec:
-    if k is None:
-        k = int(n)
-    return ChainFamilySpec("dlp_birth_death",
-                           {"n": int(n), "lambda": float(lam), "eps": float(eps), "k": int(k)})
+    return family_spec("dlp_birth_death", n, {"lambda": lam, "eps": eps, "k": k})
 
 
 def custom_spec(matrix: np.ndarray) -> ChainFamilySpec:
@@ -155,45 +183,55 @@ def _matrix_csv_bytes(matrix) -> bytes:
 # ---------------------------------------------------------------------------
 # family builders
 
-def _refuse_unknown_params(family: str, keys, where: str = "") -> None:
-    unknown = sorted(set(keys) - set(_FAMILY_PARAMS[family]))
+def _check_keys(family: str, keys, where: str = "") -> None:
+    """Refuse a key the family does not take and a missing parameter it needs."""
+    fam = _FAMILY_PARAMS[family]
+    unknown = sorted(set(keys) - set(fam.params))
     if unknown:
         raise InvalidSpec(f"{where}family {family} takes no parameter "
                           f"{', '.join(unknown)}")
+    missing = [key for key in fam.params if key not in keys and key not in fam.defaults]
+    if missing:
+        raise InvalidSpec(f"{where}family {family} needs parameter {', '.join(missing)}")
+
+
+def _read_params(family: str, params: dict) -> dict:
+    """A built-in family's parameters, checked against their kinds and defaulted."""
+    _check_keys(family, params)
+    fam = _FAMILY_PARAMS[family]
+    out = {}
+    for key, kind in fam.params.items():
+        v = params[key] if key in params else out[fam.defaults[key]]
+        if kind is not float and (int(v) != v or v < kind):
+            raise InvalidSpec(f"{key} must be an integer of at least {kind}, got {v!r}")
+        out[key] = float(v) if kind is float else int(v)
+    return out
 
 
 def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     """Build a certified kernel for a benchmark family.
 
     Raises InvalidSpec for an unknown family, a parameter the family does
-    not take, or an out-of-range value.  Built-in families are reversible
-    by construction; this is asserted, not trusted.
+    not take, an out-of-range value, or a dense matrix beyond physical
+    memory.  Built-in families are reversible by construction; this is
+    asserted, not trusted.
     """
     fam = spec.family
-    p = spec.params
     if fam not in _FAMILY_PARAMS:
         raise InvalidSpec(f"unknown family {fam!r}")
-    _refuse_unknown_params(fam, p)
-    if fam == "cycle":
-        n = _int_param(p, "n", low=2)
-        kernel = _build_torus(1, n, f"cycle(n={n})")
-    elif fam == "torus":
-        kernel = _build_torus(_int_param(p, "d", low=1), _int_param(p, "m", low=2))
-    elif fam == "complete":
-        kernel = _build_complete(_int_param(p, "n", low=2))
-    elif fam == "hypercube":
-        d = _int_param(p, "d", low=1)
-        kernel = _build_torus(d, 2, f"hypercube(d={d})")
+    if fam == "custom":
+        _check_keys(fam, spec.params)
+        return kernel_from_matrix(spec.params["matrix"], label=spec.label())
+    p = _read_params(fam, spec.params)
+    label = ChainFamilySpec(fam, p).label()
+    m, d = (p.get(x, x) for x in _FAMILY_PARAMS[fam].states)
+    _check_dense_fits(label, m, d)
+    if fam == "complete":
+        kernel = _uniform_kernel((np.ones((m, m)) - np.eye(m)) / (m - 1), label)
     elif fam == "dlp_birth_death":
-        n = _int_param(p, "n", low=2)
-        lam = _float_param(p, "lambda")
-        eps = _float_param(p, "eps")
-        k = _int_param(p, "k", low=0) if "k" in p else n
-        kernel = _build_dlp(n, lam, eps, k)
-    else:  # custom
-        if "matrix" not in p:
-            raise InvalidSpec("custom spec needs a matrix")
-        return kernel_from_matrix(p["matrix"], label=spec.label())
+        kernel = _build_dlp(p["n"], p["lambda"], p["eps"], p["k"])
+    else:  # Z_m^d: the cycle has d = 1, the hypercube m = 2
+        kernel = _build_torus(d, m, label)
 
     report = validate(kernel)
     if not report.passed:
@@ -201,48 +239,30 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     return kernel
 
 
-def _int_param(params, key, low):
-    if key not in params:
-        raise InvalidSpec(f"missing parameter {key!r}")
-    v = params[key]
-    if int(v) != v:
-        raise InvalidSpec(f"{key} must be an integer, got {v!r}")
-    v = int(v)
-    if v < low:
-        raise InvalidSpec(f"{key}={v} below minimum {low}")
-    return v
-
-
-def _float_param(params, key):
-    if key not in params:
-        raise InvalidSpec(f"missing parameter {key!r}")
-    return float(params[key])
-
-
 def _uniform_kernel(P, label):
     n = P.shape[0]
     return TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), label=label, transitive=True)
 
 
-def _check_dense_fits(n, label):
-    """Refuse a family whose dense n x n matrix of doubles exceeds this
-    machine's physical memory, before anything is allocated."""
+def _check_dense_fits(label, m, d):
+    """Refuse a family of n = m**d states whose dense n x n matrix of
+    doubles exceeds this machine's physical memory.  Works on log n, so
+    nothing is allocated and m**d is never formed."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return  # the platform cannot tell; numpy reports a failed allocation
-    if 8 * n * n > have:
-        raise InvalidSpec(f"{label} has {n} states; a dense matrix of n^2 doubles "
-                          f"exceeds the {have / 2**30:.3g} GiB of physical memory")
+    log10_n = d * math.log10(m) if d < 2**1023 else math.inf  # d beyond a double
+    if math.log10(8) + 2 * log10_n > math.log10(have):
+        raise InvalidSpec(f"{label} has about 10^{log10_n:.6g} states; a dense matrix of "
+                          f"n^2 doubles exceeds the {have / 2**30:.3g} GiB of physical memory")
 
 
-def _build_torus(d, m, label=None):
+def _build_torus(d, m, label):
     """Walk on Z_m^d stepping +-1 in one uniformly chosen coordinate; also
     the cycle (d = 1) and the hypercube (m = 2, where both steps of a
     coordinate land on the same neighbour)."""
     n = m**d
-    label = label or f"torus(d={d},m={m})"
-    _check_dense_fits(n, label)
     P = np.zeros((n, n))
     s = np.arange(n)
     for i in range(d):
@@ -250,13 +270,6 @@ def _build_torus(d, m, label=None):
         c = (s // stride) % m
         for step in (+1, -1):
             P[s, s + ((c + step) % m - c) * stride] += 1.0 / (2 * d)
-    return _uniform_kernel(P, label)
-
-
-def _build_complete(n):
-    label = f"complete(n={n})"
-    _check_dense_fits(n, label)
-    P = (np.ones((n, n)) - np.eye(n)) / (n - 1)
     return _uniform_kernel(P, label)
 
 
@@ -275,9 +288,12 @@ def _build_dlp(n, lam, eps, k):
         raise InvalidSpec(f"eps={eps} outside (0, 1/2)")
     if not (0 <= k <= n):
         raise InvalidSpec(f"k={k} outside [0, {n}]")
-    _check_dense_fits(n, f"dlp_birth_death(n={n})")
 
     rates = _dlp_rates(n, lam, k)
+    smallest = rates.min() * min(eps, 1.0 - eps)  # the least off-diagonal P
+    if smallest < _TINY:
+        raise InvalidSpec(f"dlp with lambda={lam}, eps={eps}: the rate product "
+                          f"{smallest:.3e} is below the smallest normal double")
     pi = _dlp_pi(rates, eps)
     if not _representable(pi):
         m = _dlp_largest_n(n, lam, eps, k)
@@ -520,41 +536,40 @@ def parse_chain_spec(path: str | Path) -> ChainFamilySpec:
         if "=" not in line:
             raise InvalidSpec(f"{path}:{ln}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "lam":
-            key = "lambda"
+        key = _ALIASES.get(key.strip(), key.strip())
         if key in pairs:
             raise InvalidSpec(f"{path}:{ln}: repeated key {key!r}")
         pairs[key] = value.strip()
 
-    family = pairs.pop("family", None)
-    if family is None:
+    name = pairs.pop("family", None)
+    if name is None:
         raise InvalidSpec(f"{path}: missing family= line")
-    if family == "dlp":
-        family = "dlp_birth_death"
-    if family not in FAMILIES:
-        raise InvalidSpec(f"{path}: unknown family {family!r}")
+    family = _ALIASES.get(name, name)
+    if family not in _FAMILY_PARAMS:
+        raise InvalidSpec(f"{path}: unknown family {name!r}")
+    _check_keys(family, pairs, f"{path}: ")
+    kinds = _FAMILY_PARAMS[family].params
+    return ChainFamilySpec(family, {key: _parse_value(path, key, value, kinds[key])
+                                    for key, value in pairs.items()})
 
-    if family == "custom":
-        # custom_spec keeps only the matrix, so other keys are refused here
-        _refuse_unknown_params(family, pairs, f"{path}: ")
-        matrix_ref = pairs.pop("matrix", None)
-        if matrix_ref is None:
-            raise InvalidSpec(f"{path}: custom spec needs matrix=<csv path>")
-        matrix_path = (path.parent / matrix_ref).resolve()
-        try:
-            matrix = np.loadtxt(matrix_path, delimiter=",", ndmin=2)
-        except (OSError, ValueError) as exc:
-            raise InvalidSpec(f"cannot read matrix CSV {matrix_path}: {exc}") from exc
-        return custom_spec(matrix)
 
-    params = {}
-    for key, value in pairs.items():
+def _parse_value(path: Path, key: str, value: str, kind):
+    """A spec-file value read as its kind; a matrix from the CSV it names."""
+    if kind is not np.ndarray:
         try:
-            params[key] = float(value) if key in ("lambda", "eps") else int(value)
+            return float(value) if kind is float else int(value)
         except ValueError as exc:
             raise InvalidSpec(f"{path}: bad value for {key}: {value!r}") from exc
-    return ChainFamilySpec(family, params)
+    csv = (path.parent / value).resolve()
+    try:
+        with warnings.catch_warnings():  # an empty file is refused below
+            warnings.simplefilter("ignore", UserWarning)
+            matrix = np.loadtxt(csv, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise InvalidSpec(f"cannot read matrix CSV {csv}: {exc}") from exc
+    if matrix.size == 0:
+        raise InvalidSpec(f"matrix CSV {csv} holds no rows")
+    return matrix
 
 
 def load_kernel(path: str | Path) -> TransitionKernel:

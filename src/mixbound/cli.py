@@ -35,9 +35,8 @@ from . import __version__
 from .analysis import ChainAnalysis
 from .bounds import OptProblem, budget_rate_optimum, standard_sweep
 from .brw import BRWConfig, experiment, hit_time_sandwich, intersection_sandwich
-from .chains import (ChainFamilySpec, canonical_spec_text, complete_spec,
-                     cycle_spec, dlp_spec, hypercube_spec, parse_chain_spec,
-                     torus_spec)
+from .chains import (SIZED_FAMILIES, ChainFamilySpec, canonical_spec_text,
+                     family_spec, parse_chain_spec)
 from .errors import (AllCensored, BadEps, BadRange, CertificateMismatch,
                      InvalidSpec, NotIrreducible, NotReversible,
                      NumericalFailure, SingularSystem)
@@ -112,6 +111,10 @@ def _positive_finite(v: float) -> bool:
     return v > 0 and math.isfinite(v)
 
 
+# Each family parameter and its flag; --sizes wins over --d for the hypercube.
+_FLAG_PARAMS = {"d": "d", "lambda": "lam", "eps": "dlp_eps", "k": "k"}
+
+
 def _family_specs(args) -> list[ChainFamilySpec]:
     if getattr(args, "spec", None):
         return [parse_chain_spec(args.spec)]
@@ -120,33 +123,15 @@ def _family_specs(args) -> list[ChainFamilySpec]:
     if not args.sizes:
         raise InvalidSpec("--family needs --sizes")
     sizes = _parse_list(args.sizes, "--sizes", int, "integers")
-    fam = args.family
-    out = []
-    for s in sizes:
-        if fam == "cycle":
-            out.append(cycle_spec(s))
-        elif fam == "complete":
-            out.append(complete_spec(s))
-        elif fam == "torus":
-            out.append(torus_spec(args.d, s))
-        elif fam == "hypercube":
-            out.append(hypercube_spec(s))
-        elif fam in ("dlp", "dlp_birth_death"):
-            out.append(dlp_spec(s, args.lam, args.dlp_eps,
-                                args.k if args.k is not None else s))
-        else:
-            raise InvalidSpec(f"unknown family {fam!r}")
-    return out
+    params = {key: getattr(args, flag) for key, flag in _FLAG_PARAMS.items()}
+    return [family_spec(args.family, s, params) for s in sizes]
 
 
-def _add_family_flags(sub, with_sizes=True):
+def _add_family_flags(sub):
     sub.add_argument("--spec", help="chain-spec file (key=value lines)")
-    sub.add_argument("--family",
-                     choices=["cycle", "torus", "complete", "hypercube", "dlp"],
-                     help="built-in family name")
-    if with_sizes:
-        sub.add_argument("--sizes",
-                         help="comma list; n for cycle/complete/dlp, m for torus, d for hypercube")
+    sub.add_argument("--family", choices=SIZED_FAMILIES, help="built-in family name")
+    sub.add_argument("--sizes",
+                     help="comma list; n for cycle/complete/dlp, m for torus, d for hypercube")
     sub.add_argument("--d", type=int, default=2, help="torus dimension")
     sub.add_argument("--lam", type=float, default=0.5, help="dlp rate parameter")
     sub.add_argument("--dlp-eps", type=float, default=0.05, help="dlp drift parameter")

@@ -77,7 +77,7 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
 
     _check_restricted_residual(kernel, hit, cols)
     t_pi_to = kernel.pi @ hit
-    t_target = float(kernel.pi @ hit @ kernel.pi)
+    t_target = float(t_pi_to @ kernel.pi)
     return HittingSummary(hit_matrix=hit, t_pi_to=t_pi_to,
                           t_hit=float(hit.max()), t_target=t_target, route=route)
 

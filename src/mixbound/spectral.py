@@ -137,11 +137,10 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
         raise NumericalFailure(f"eigensolve backward error {resid:.3e} > 1e-10*n")
 
     F = V / sqrt_pi[:, None]
-    for i in range(n):
-        col = F[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-12 * np.abs(col).max())[0]
-        if nz.size and col[nz[0]] < 0:
-            F[:, i] = -col
+    # each column's first entry above 1e-12 of its largest is positive
+    A = np.abs(F)
+    first = np.argmax(A > 1e-12 * A.max(axis=0), axis=0)
+    F *= np.where(F[first, np.arange(n)] < 0, -1.0, 1.0)
 
     gram = (F * kernel.pi[:, None]).T @ F
     ortho = float(np.abs(gram - np.eye(n)).max())

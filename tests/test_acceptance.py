@@ -62,8 +62,7 @@ def test_criterion_2_inequality_sweep(benchmark_analyses, random_kernel_analyses
         total = 0
         for analysis in benchmark_analyses + random_kernel_analyses:
             reports = bounds.standard_sweep(
-                analysis, eps_list=(0.25, 0.5, 1.0), ell_list=(1, 2, 3, 4),
-                M_list=(1.0, 2.0, 5.0))
+                analysis, eps_list=(0.25, 0.5, 1.0), ell_list=(1, 2, 3, 4))
             bad = failures(reports)
             assert not bad, f"{analysis.kernel.label}: {bad[0]}"
             total += len(reports)

@@ -238,6 +238,17 @@ def test_spec_size_is_the_size_parameter():
     assert chains.custom_spec(np.full((2, 2), 0.5)).size is None
 
 
+def test_family_spec_equals_the_constructors():
+    # the command line builds its specs with family_spec from shared flags
+    flags = {"d": 3, "lambda": 0.4, "eps": 0.05, "k": None}
+    assert chains.family_spec("cycle", 8, flags) == chains.cycle_spec(8)
+    assert chains.family_spec("torus", 8, flags) == chains.torus_spec(3, 8)
+    assert chains.family_spec("hypercube", 5, flags) == chains.hypercube_spec(5)
+    assert chains.family_spec("dlp", 32, flags) == chains.dlp_spec(32, 0.4, 0.05, k=32)
+    assert (chains.family_spec("dlp", 32, {**flags, "k": 16})
+            == chains.dlp_spec(32, 0.4, 0.05, k=16))
+
+
 def test_canonical_text_is_stable():
     a = chains.canonical_spec_text(chains.torus_spec(2, 8))
     assert a == "family=torus\nd=2\nm=8\n"

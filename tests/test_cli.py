@@ -361,6 +361,9 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(VERIFY[:2] + ["hypercube", "--sizes", "40"], id="hypercube-40"),
     pytest.param(VERIFY[:2] + ["torus", "--d", "3", "--sizes", "100000"],
                  id="torus-3-100000"),
+    # every rate product lam * eps underflows below the normal range
+    pytest.param(VERIFY[:2] + ["dlp", "--sizes", "10", "--lam", "1e-320"],
+                 id="dlp-lam-1e-320"),
 ])
 def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -379,6 +382,8 @@ def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
                  id="lam-and-lambda"),
     pytest.param(b"family=cycle\nn=8\nbogus=1\n", id="unknown-key"),
     pytest.param(b"family=custom\nmatrix=m.csv\nn=3\n", id="custom-unknown-key"),
+    pytest.param(b"family=dlp\nn=10\nlambda=5e-324\neps=0.3\n", id="dlp-lambda-5e-324"),
+    pytest.param(b"family=dlp\nn=10\nlambda=0.5\neps=4e-324\n", id="dlp-eps-4e-324"),
 ])
 def test_bad_spec_file_exit2_one_line(tmp_path, capsys, content):
     spec = tmp_path / "bad.spec"
@@ -389,6 +394,47 @@ def test_bad_spec_file_exit2_one_line(tmp_path, capsys, content):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,spec", [
+    pytest.param(VERIFY[:2] + ["hypercube", "--sizes", "100000"], None,
+                 id="hypercube-sizes-100000"),
+    pytest.param(["analyze"], "family=hypercube\nd=20000\n", id="hypercube-d-20000"),
+    pytest.param(["analyze"], "family=torus\nd=3000\nm=3\n", id="torus-3000-3"),
+])
+def test_huge_state_count_exit2_short_line(tmp_path, capsys, argv, spec):
+    # the refusal names the order of magnitude of n, never n itself (2^100000
+    # has too many digits for Python to print, 3^3000 has 1432)
+    if spec is not None:
+        (tmp_path / "huge.spec").write_text(spec)
+        argv = argv + ["--spec", str(tmp_path / "huge.spec"), "--out", str(tmp_path / "a.csv")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "states" in lines[0] and len(lines[0]) < 200, lines[0]
+
+
+def test_hypercube_size_beyond_any_memory_exit2_at_once():
+    # m**d used to be formed before the memory check: 2^(10^30) never finishes
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    res = subprocess.run([sys.executable, "-m", "mixbound.cli", "verify", "--family",
+                          "hypercube", "--sizes", str(10**30)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "hypercube(d=" in lines[0], res.stderr
+
+
+def test_empty_custom_csv_exit2_one_line(tmp_path):
+    # numpy warns about an empty file; the warning used to come ahead of the error
+    (tmp_path / "m.csv").write_text("")
+    spec = tmp_path / "empty.spec"
+    spec.write_text("family=custom\nmatrix=m.csv\n")
+    res = run_cli("analyze", "--spec", str(spec), "--out", str(tmp_path / "x.csv"))
+    assert res.returncode == 2
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and "holds no rows" in lines[0], res.stderr
 
 
 def test_slow_chain_analyze_exit0(tmp_path):
