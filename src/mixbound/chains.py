@@ -202,7 +202,11 @@ def _read_params(family: str, params: dict) -> dict:
     out = {}
     for key, kind in fam.params.items():
         v = params[key] if key in params else out[fam.defaults[key]]
-        if kind is not float and (int(v) != v or v < kind):
+        try:
+            whole = kind is float or int(v) == v
+        except (ValueError, OverflowError):  # int() of nan or +-inf
+            whole = False
+        if not whole or (kind is not float and v < kind):
             raise InvalidSpec(f"{key} must be an integer of at least {kind}, got {v!r}")
         out[key] = float(v) if kind is float else int(v)
     return out

@@ -278,8 +278,17 @@ def cmd_optcheck(args, argv) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors raise InvalidSpec, so a bad flag ends
+    like any other bad argument: one `error:` line and exit 2, returned by
+    `main` rather than raised as SystemExit.  --help still exits 0."""
+
+    def error(self, message):
+        raise InvalidSpec(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mixbound",
         description="Spectral, hitting and mixing diagnostics for reversible "
                     "chains, plus branching random walk experiments.")

@@ -3,8 +3,13 @@
 Profiles are evaluated spectrally; the heat rows of all scanned states come
 from one product per t.  When pi is too unbalanced for the spectral
 reconstruction they come from the heat matrix H(t) = expm(-tL), with L the
-`spectral.laplacian`, stepped from the latest cached earlier time s as
-H(s) expm(-(t - s)L).
+`spectral.laplacian`, stepped from the latest cached earlier time s > 0 as
+H(s) expm(-(t - s)L).  A step is uniformized (Jensen 1953) when that is
+cheaper: H(s) sum_k w_k P_u^k with P_u = I - L/q, q the largest diagonal
+entry of L, and w_k the Poisson((t - s)q) weights, cut where the geometric
+bound on the remaining weight is below 1e-18.  Every term is nonnegative,
+so no step subtracts.  A value at t can differ in its last digits with the
+times evaluated before it, which decide its base and its route.
 Every mixing time is the first crossing of a strictly decreasing profile,
 found by a bracket plus a Brent-Dekker root solve (Brent 1973) run to
 1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 * t_rel contract;
@@ -20,6 +25,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .chains import TransitionKernel
 from .errors import BadEps, NumericalFailure
@@ -44,9 +50,23 @@ _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 
-# Heat matrices kept on the expm route, the least recently used evicted
+# Heat matrices kept when pi is unbalanced, the least recently used evicted
 # first: 1.3 MB at n = 200.
 _HEAT_CACHE = 4
+
+# A step is uniformized when _TERM_COST * K * n * nnz(P_u), the cost of its
+# K sparse terms in units of dense matrix-product flops, is below the cost
+# of expm and one product: _PADE13_PRODUCTS products of 2n^3 flops for the
+# degree-13 Pade approximant (Higham 2005: six products and one solve), one
+# per squaring of a norm above _THETA13, and the product H(s) expm(-tau L).
+# The two routes took equal time at _TERM_COST about 10 on dlp(200) and
+# about 15 on dlp(500), one BLAS thread.
+_TERM_COST = 12.0
+_PADE13_PRODUCTS = 7
+_THETA13 = 5.371920351148152
+# The Poisson sum stops once the bound on its remaining weight falls below
+# this.
+_POISSON_TAIL = 1e-18
 
 
 class MixingProfile:
@@ -57,8 +77,16 @@ class MixingProfile:
         self.decomp = decomp
         self._times: dict = {}  # (kind, x) -> {eps: crossing time}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
-        self._laplacian = None if self._balanced else laplacian(kernel)
-        self._heat: dict = {}  # t -> H(t) on the expm route, oldest use first
+        self._heat: dict = {}  # t -> H(t) when unbalanced, oldest use first
+        if not self._balanced:
+            L = laplacian(kernel)
+            self._laplacian = L
+            self._norm1 = float(np.abs(L).sum(axis=0).max())
+            # uniformization rate q and the transpose of P_u = I - L/q, whose
+            # entries are all nonnegative: P(i,j)/q off the diagonal and
+            # 1 - L(k,k)/q on it
+            self._q = float(np.diagonal(L).max())
+            self._uniform_t = scipy.sparse.csr_array((np.eye(kernel.n) - L / self._q).T)
 
     # -- distance profiles -------------------------------------------------
 
@@ -90,26 +118,37 @@ class MixingProfile:
         return self._heat_matrix(t)[xs]
 
     def _heat_matrix(self, t: float) -> np.ndarray:
-        """H(t) = H(s) expm(-(t - s)L) for the largest cached s <= t, else
-        expm(-tL).
+        """H(t) = H(s) expm(-(t - s)L) for the largest cached s in (0, t],
+        else expm(-tL).
 
-        Both factors are nonnegative and every row of H(s) is stochastic,
-        so the product adds no cancellation and its absolute error stays
-        at the level of one expm.  Taking a base counts as a use, so Brent's
-        lower bracket end stays cached as the base of every later iterate
-        and the late steps are exponentials of small norm.
+        A step is uniformized when `_uniformized_cheaper` says so: with
+        P_u = I - L/q and m = (t - s)q, H(s) expm(-(t - s)L) is the Poisson
+        mixture sum_k e^{-m} m^k/k! H(s) P_u^k (Jensen 1953).  Either way
+        every factor is nonnegative and every row of H(s) is stochastic, so
+        the step adds no cancellation and its absolute error stays at the
+        level of one expm.  Taking a base counts as a use, so Brent's lower
+        bracket end stays cached as the base of every later iterate and the
+        late steps are short.
         """
         heat = self._heat
         bases = [s for s in heat if s <= t]
+        s = max(bases, default=0.0)
         if bases:
-            s = max(bases)
             H = heat.pop(s)
             heat[s] = H  # taking a base counts as a use
             if s == t:
                 return H
-            H = H @ scipy.linalg.expm(-(t - s) * self._laplacian)
-        else:
+        if s == 0.0:  # cold: H(0) = I, nothing to step from
             H = scipy.linalg.expm(-t * self._laplacian)
+        else:
+            tau = t - s
+            weights = _poisson_weights(tau * self._q)
+            if weights is not None and _uniformized_cheaper(
+                    self.kernel.n, self._uniform_t.nnz, len(weights),
+                    tau * self._norm1):
+                H = _uniformized(H, self._uniform_t, weights)
+            else:
+                H = H @ scipy.linalg.expm(-tau * self._laplacian)
         heat[t] = H
         if len(heat) > _HEAT_CACHE:
             del heat[next(iter(heat))]
@@ -189,6 +228,49 @@ class MixingProfile:
         crossed = [t for e, t in solved.items() if e < eps]
         hi = min(crossed) if crossed else max(hi, t_rel)
         return _first_crossing(value, threshold, hi, xtol=_XTOL_REL * t_rel)
+
+
+def _poisson_weights(m: float) -> list | None:
+    """Poisson(m) weights w_0..w_K, from w_0 = e^{-m} by w_k = w_{k-1} m/k,
+    cut at the first k > m whose tail bound w_k r/(1 - r), r = m/(k+1),
+    is below _POISSON_TAIL (every later ratio w_{j+1}/w_j is at most r).
+    None when e^{-m} is not a normal double: every weight would inherit
+    its lost digits."""
+    w = math.exp(-m)
+    if w < _TINY:
+        return None
+    weights = [w]
+    k = 0
+    while True:
+        k += 1
+        w *= m / k
+        weights.append(w)
+        r = m / (k + 1)
+        if k > m and w * r / (1.0 - r) < _POISSON_TAIL:
+            return weights
+
+
+def _uniformized_cheaper(n: int, nnz: int, terms: int, norm: float) -> bool:
+    """Whether `terms` sparse products with nnz stored entries cost less
+    than expm of an n x n matrix of 1-norm `norm` plus one dense product."""
+    squarings = max(0, math.ceil(math.log2(max(norm, _TINY) / _THETA13)))
+    expm_cost = 2.0 * n**3 * (_PADE13_PRODUCTS + squarings + 1)
+    return _TERM_COST * terms * n * nnz < expm_cost
+
+
+def _uniformized(H: np.ndarray, uniform_t, weights) -> np.ndarray:
+    """H sum_k w_k P_u^k, with uniform_t = P_u^T in CSR form.
+
+    The sum runs in transposed space, sum_k w_k (P_u^T)^k H^T, where every
+    term is a sparse-times-dense product of C-ordered arrays; the result
+    is returned as the transpose of that sum.  Every term is nonnegative.
+    """
+    X = np.ascontiguousarray(H.T)
+    total = weights[0] * X
+    for w in weights[1:]:
+        X = uniform_t @ X
+        total += w * X
+    return total.T
 
 
 def _check_eps(eps: float) -> None:

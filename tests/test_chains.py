@@ -163,6 +163,11 @@ def test_nan_entry_rejected(pi):
     ("dlp_birth_death", {"n": 4, "lambda": 0.5, "eps": 0.1, "k": 5}),
     ("nosuch", {"n": 4}),
     ("cycle", {"n": 4, "bogus": 1}),
+    # int() of these raises ValueError or OverflowError, not InvalidSpec
+    ("cycle", {"n": float("nan")}),
+    ("cycle", {"n": float("inf")}),
+    ("torus", {"d": float("-inf"), "m": 4}),
+    ("dlp_birth_death", {"n": 4, "lambda": 0.5, "eps": 0.1, "k": float("nan")}),
 ])
 def test_invalid_specs_rejected(spec_args):
     family, params = spec_args

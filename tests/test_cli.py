@@ -364,6 +364,13 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     # every rate product lam * eps underflows below the normal range
     pytest.param(VERIFY[:2] + ["dlp", "--sizes", "10", "--lam", "1e-320"],
                  id="dlp-lam-1e-320"),
+    # argparse's own errors: no usage block, and main returns 2
+    pytest.param(VERIFY[:2] + ["nosuch", "--sizes", "8"], id="family-nosuch"),
+    pytest.param(VERIFY + ["--sizes", "8", "--d", "1e30"], id="d-1e30"),
+    pytest.param(VERIFY + ["--sizes", "8", "--bogus"], id="unknown-flag"),
+    pytest.param(["brw", "--family", "cycle", "--sizes", "8"], id="brw-no-target"),
+    pytest.param(["nosuch"], id="unknown-command"),
+    pytest.param([], id="no-command"),
 ])
 def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     monkeypatch.chdir(tmp_path)
@@ -373,6 +380,13 @@ def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "Traceback" not in err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--family" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("content", [

@@ -150,6 +150,45 @@ def test_stepped_tv_worst_matches_direct_expm():
         assert len(prof._heat) <= 4
 
 
+def _shuffled_dlp20_profile():
+    # with its states shuffled the chain's P is no longer tridiagonal
+    bd = chains.build_family(chains.dlp_spec(20, 0.5, 0.05))
+    perm = np.random.default_rng(3).permutation(bd.n)
+    kernel = chains.kernel_from_matrix(bd.P[np.ix_(perm, perm)])
+    return mixing.MixingProfile(kernel, spectral.decompose(kernel))
+
+
+@pytest.mark.parametrize("tau", [1e-9, 0.5, 4.0, 16.0, 64.0])
+@pytest.mark.parametrize("chain", ["dlp200", "shuffled-dlp20"])
+def test_uniformized_step_matches_expm_product(chain, tau):
+    if chain == "dlp200":
+        prof, s = _profile(chains.dlp_spec(200, 0.5, 0.05))[2], 400.0
+    else:
+        prof, s = _shuffled_dlp20_profile(), 30.0
+    L = prof._laplacian
+    H = scipy.linalg.expm(-s * L)
+    ref = H @ scipy.linalg.expm(-tau * L)
+    weights = mixing._poisson_weights(tau * prof._q)
+    step = mixing._uniformized(H, prof._uniform_t, weights)
+    assert np.abs(step - ref).max() <= 1e-14
+    assert (prof._uniform_t.data >= 0.0).all()
+
+
+def test_tv_crossing_expm_count(monkeypatch):
+    # on dlp(200) only the cold evaluations (from t = 0) and one long step
+    # call expm; every other step is uniformized.  With expm at every
+    # evaluation the crossing makes 16 calls.
+    _, decomp, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
+    calls = []
+    expm = scipy.linalg.expm
+    monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm(A))
+    t = prof.mixing_time("tv", 0.125)
+    assert len(calls) == 5
+    ref = _bisection_mixing_time(mixing.MixingProfile(prof.kernel, decomp),
+                                 "tv", 0.125, None)
+    assert abs(t - ref) <= 1e-9 * decomp.t_rel
+
+
 def test_tv_crossing_after_other_crossings_matches_bisection():
     kernel, decomp, cold = _profile(chains.dlp_spec(200, 0.5, 0.05))
     warm = mixing.MixingProfile(kernel, decomp)
