@@ -71,7 +71,9 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
         hit, route = _birth_death_hit_matrix(kernel), "birth_death"
     else:
         hit, route = _spectral_hit_matrix(kernel, cols), "spectral"
-        off_min = float((hit + np.diag(np.full(n, np.inf))).min())
+        np.fill_diagonal(hit, np.inf)
+        off_min = float(hit.min())
+        np.fill_diagonal(hit, 0.0)
         if hit.max() > 1e8 or off_min <= 0.0:
             hit, route = _gth_hit_matrix(kernel), "gth"
 
@@ -83,7 +85,8 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
 
 
 def _is_tridiagonal(P: np.ndarray) -> bool:
-    return not (np.triu(P, 2).any() or np.tril(P, -2).any())
+    band = sum(np.count_nonzero(np.diagonal(P, k)) for k in (-1, 0, 1))
+    return np.count_nonzero(P) == band
 
 
 def _birth_death_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
@@ -111,7 +114,9 @@ def _spectral_hit_matrix(kernel: TransitionKernel, cols) -> np.ndarray:
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental system is singular: {exc}") from exc
 
-    resid = np.abs(A @ N[:, cols] - np.eye(n)[:, cols]).max()
+    R = A @ N[:, cols]
+    R[cols, np.arange(cols.size)] -= 1.0
+    resid = np.abs(R).max()
     if resid > 1e-10 * n:
         raise SingularSystem(f"fundamental solve residual {resid:.3e} > 1e-10*n")
 
@@ -163,23 +168,35 @@ def _gth_absorbing_column(P: np.ndarray, y: int):
 
 
 def _check_restricted_residual(kernel, hit, cols):
-    # h - P h = 1 off the target state.  The contract 1e-10 * n is only
-    # verifiable above the rounding floor of forming the residual itself,
-    # O(n * eps * (|h| + P|h|)) per row; tiny-drift birth-death chains push
-    # |h| to ~1e19 and beyond, where the floor dominates.  The floor comes
-    # from P, not from I - P: a small diagonal 1 - P(k,k) inherits the
-    # eps-sized rounding of P(k,k), far above eps * |1 - P(k,k)|.
-    n = kernel.n
+    r, floor = _restricted_residual(kernel.P, hit, cols)
+    bad = r > 1e-10 * kernel.n + floor
+    if bad.any():
+        y = cols[np.flatnonzero(bad.any(axis=0))[0]]
+        raise SingularSystem(
+            f"restricted system residual for target {y} exceeds contract")
+
+
+def _restricted_residual(P, hit, cols):
+    """|h - P h - 1| and its rounding floor for each column y in cols of
+    hit, as n x len(cols) arrays that are 0 on the target row y.
+
+    h - P h = 1 off the target state.  The contract 1e-10 * n is only
+    verifiable above the rounding floor of forming the residual itself,
+    O(n * eps * (|h| + P|h|)) per row; tiny-drift birth-death chains push
+    |h| to ~1e19 and beyond, where the floor dominates.  The floor comes
+    from P, not from I - P: a small diagonal 1 - P(k,k) inherits the
+    eps-sized rounding of P(k,k), far above eps * |1 - P(k,k)|.  Every
+    route leaves hit[y, y] = 0, so off row y the column P @ hit[:, y] is
+    the restricted system's product without a copy of its block.
+    """
+    n = P.shape[0]
     eps = np.finfo(float).eps
-    for y in cols:
-        keep = np.arange(n) != y
-        h = hit[keep, y]
-        block = kernel.P[np.ix_(keep, keep)]
-        r = np.abs(h - block @ h - 1.0)
-        floor = 4.0 * n * eps * (np.abs(h) + block @ np.abs(h) + 1.0)
-        if np.any(r > 1e-10 * n + floor):
-            raise SingularSystem(
-                f"restricted system residual for target {y} exceeds contract")
+    H = hit[:, cols]
+    r = np.abs(H - P @ H - 1.0)
+    floor = 4.0 * n * eps * (np.abs(H) + P @ np.abs(H) + 1.0)
+    targets = (cols, np.arange(len(cols)))
+    r[targets] = floor[targets] = 0.0
+    return r, floor
 
 
 def eigentime_residual(summary: HittingSummary,

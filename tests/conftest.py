@@ -1,12 +1,15 @@
 import sys
 from pathlib import Path
 
-import numpy as np
-import pytest
-
 SRC = Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
+
+# mixbound first: its OPENBLAS_THREAD_TIMEOUT default (idle BLAS workers
+# sleep instead of spinning) only takes effect before numpy's first import.
+import mixbound  # noqa: E402,F401
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from mixbound import chains  # noqa: E402
 from mixbound.analysis import ChainAnalysis  # noqa: E402

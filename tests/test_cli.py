@@ -194,6 +194,55 @@ def test_brw_thread_env_does_not_change_data(tmp_path):
     assert data_lines(out1) == data_lines(out2)
 
 
+# Records OPENBLAS_THREAD_TIMEOUT at numpy's first import, which is when
+# numpy's OpenBLAS reads it.
+_TIMEOUT_AT_NUMPY_IMPORT = """
+import os, sys
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+sys.meta_path.insert(0, Spy())
+import mixbound
+print(seen[0], os.environ["OPENBLAS_THREAD_TIMEOUT"])
+"""
+
+
+def _python(code, timeout_env=None, cwd=None):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    if timeout_env is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = timeout_env
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, cwd=cwd, env=env, timeout=600)
+    assert res.returncode == 0, res.stderr
+    return res.stdout
+
+
+@pytest.mark.parametrize("preset", [None, "20"])
+def test_import_sets_blas_timeout_default_before_numpy(preset):
+    from mixbound import OPENBLAS_THREAD_TIMEOUT_DEFAULT
+    expected = preset or OPENBLAS_THREAD_TIMEOUT_DEFAULT
+    out = _python(_TIMEOUT_AT_NUMPY_IMPORT, timeout_env=preset)
+    assert out.split() == [expected, expected]
+
+
+def test_blas_timeout_does_not_change_data(tmp_path):
+    code = ("from mixbound import cli\n"
+            "assert cli.main(['verify', '--family', 'hypercube', '--sizes', '8',"
+            " '--out', 'verify.csv']) == 0\n"
+            "assert cli.main(['brw', '--family', 'torus', '--d', '2', '--sizes',"
+            " '16', '--target', 'hit', '--replicates', '200',"
+            " '--out', 'brw.csv']) == 0\n")
+    for value in ("4", "28"):
+        (tmp_path / value).mkdir()
+        _python(code, timeout_env=value, cwd=tmp_path / value)
+    for name in ("verify.csv", "brw.csv"):
+        assert data_lines(tmp_path / "4" / name) == data_lines(tmp_path / "28" / name)
+
+
 def test_brw_non_integer_threads_exit2(monkeypatch):
     monkeypatch.setenv("MIXBOUND_THREADS", "two")
     res = run_cli("brw", "--family", "cycle", "--sizes", "8", "--target", "hit",

@@ -254,3 +254,50 @@ def test_two_state_closed_forms_property(p, q):
     assert h.t_target == pytest.approx(1 / (p + q), rel=1e-10)
     d = spectral.decompose(kernel)
     assert d.gap == pytest.approx(p + q, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# restricted-system residual contract
+
+def _block_residual(P, hit, y):
+    """|h - B h - 1| and its floor on the block B of P without state y."""
+    n = P.shape[0]
+    keep = np.arange(n) != y
+    h = hit[keep, y]
+    block = P[np.ix_(keep, keep)]
+    floor = 4.0 * n * np.finfo(float).eps * (np.abs(h) + block @ np.abs(h) + 1.0)
+    return np.abs(h - block @ h - 1.0), floor
+
+
+def _shuffled_dlp(n, seed):
+    kernel = chains.build_family(chains.dlp_spec(n, 0.5, 0.05))
+    perm = np.random.default_rng(seed).permutation(n)
+    return chains.kernel_from_matrix(kernel.P[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("kernel", [_shuffled_dlp(20, 3),
+                                    chains.build_family(chains.torus_spec(2, 8))],
+                         ids=["dlp20-shuffled", "torus2-8"])
+def test_restricted_residual_matches_block_form(kernel):
+    h = hitting.hit_times(kernel)
+    n = kernel.n
+    cols = np.arange(n)
+    r, floor = hitting._restricted_residual(kernel.P, h.hit_matrix, cols)
+    # Both forms round differently; they must agree within the rounding
+    # floor the contract already grants, which is far below its threshold.
+    for y in cols:
+        keep = np.arange(n) != y
+        ref_r, ref_floor = _block_residual(kernel.P, h.hit_matrix, y)
+        assert r[y, y] == 0.0 and floor[y, y] == 0.0
+        assert np.all(np.abs(r[keep, y] - ref_r) <= ref_floor)
+        assert np.allclose(floor[keep, y], ref_floor, rtol=1e-12, atol=0.0)
+
+
+def test_perturbed_hit_column_fails_residual_check():
+    kernel = chains.build_family(chains.torus_spec(2, 8))
+    hit = hitting.hit_times(kernel).hit_matrix.copy()
+    cols = np.linspace(0, kernel.n - 1, num=8, dtype=int)
+    hitting._check_restricted_residual(kernel, hit, cols)
+    hit[:, cols[3]] *= 1.0 + 1e-6
+    with pytest.raises(SingularSystem, match=f"target {cols[3]} "):
+        hitting._check_restricted_residual(kernel, hit, cols)
