@@ -10,9 +10,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
+# mixbound before numpy, so its OPENBLAS_THREAD_TIMEOUT default takes effect
 from mixbound import chains
+import numpy as np
 
 print("== built-in families ==")
 for spec in (chains.cycle_spec(8), chains.torus_spec(2, 4),

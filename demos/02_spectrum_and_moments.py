@@ -11,9 +11,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
+# mixbound before numpy, so its OPENBLAS_THREAD_TIMEOUT default takes effect
 from mixbound import chains, spectral
+import numpy as np
 
 kernel = chains.build_family(chains.complete_spec(4))
 decomp = spectral.decompose(kernel)

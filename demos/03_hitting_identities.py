@@ -10,9 +10,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
+# mixbound before numpy, so its OPENBLAS_THREAD_TIMEOUT default takes effect
 from mixbound import chains, hitting, spectral
+import numpy as np
 
 kernel = chains.build_family(chains.cycle_spec(8))
 summary = hitting.hit_times(kernel)

@@ -10,11 +10,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
+# mixbound before numpy, so its OPENBLAS_THREAD_TIMEOUT default takes effect
 from mixbound import bounds, chains
 from mixbound.analysis import ChainAnalysis
 from mixbound.reports import failures
+import numpy as np
 
 print("== tightness on the complete graph ==")
 for n in (4, 8, 16):

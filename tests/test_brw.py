@@ -70,9 +70,33 @@ def test_intersection_at_time_zero_when_same_start(complete4):
     assert plain.mean == 0.0
 
 
-def test_invalid_target_rejected(complete4):
+def test_invalid_target_rejected(complete4, cycle8):
     with pytest.raises(InvalidSpec):
         brw.simulate_hit(complete4, 7, brw.BRWConfig(replicates=10))
+    # every pinned state is an integer in 0..n-1, one for a hit and two for
+    # intersect and plain; -1 must not alias state n-1 through list indexing
+    cfg = brw.BRWConfig(replicates=10)
+    refused = [
+        lambda: brw.simulate_hit(cycle8, -1, cfg),
+        lambda: brw.simulate_hit(cycle8, 7, cfg, initial_state=-1),
+        lambda: brw.simulate_hit(cycle8, 7, cfg, initial_state=99),
+        lambda: brw.simulate_hit(cycle8, 7, cfg, initial_state=2.0),
+        lambda: brw.simulate_hit(cycle8, 7, cfg, initial_state=(1, 2)),
+        lambda: brw.simulate_intersection(cycle8, cfg, initial_states=(0, 8)),
+        lambda: brw.simulate_intersection(cycle8, cfg, initial_states=(0, -1)),
+        lambda: brw.simulate_intersection(cycle8, cfg, initial_states=(0,)),
+        lambda: brw.simulate_intersection(cycle8, cfg, initial_states=3),
+        lambda: brw.plain_intersection(cycle8, cfg, initial_states=(0, 8)),
+        lambda: brw.plain_intersection(cycle8, cfg, initial_states=(0, 1, 2)),
+        lambda: brw_reference.simulate_hit_reference(cycle8, 7, cfg, initial_state=-1),
+        lambda: brw_reference.simulate_intersection_reference(
+            cycle8, cfg, initial_states=(0,)),
+    ]
+    for call in refused:
+        with pytest.raises(InvalidSpec, match="integer state"):
+            call()
+    pinned = brw.simulate_hit(cycle8, np.int64(7), cfg, initial_state=np.int64(7))
+    assert pinned.mean == 0.0 and pinned.target == "hit(x=7)"
 
 
 def test_config_validation():
@@ -339,3 +363,145 @@ def test_band_failure_detected():
                                    band=(totally_off := 50.0, 100.0))
     assert not result.passed
     assert totally_off == 50.0
+
+
+# ---------------------------------------------------------------------------
+# pinned bits
+
+# (kernel, case, estimator) -> (mean, stderr, censor_rate) as float.hex,
+# recorded before the hit and intersection engines were merged into one
+# race engine; the growth entry is its three means, then its three standard
+# errors.  A change here means the RNG draw order or the event order moved.
+PINNED_BITS = {
+    ("complete4", "default", "hit"):
+        ("0x1.daf3d6599bf50p-1", "0x1.9eb1c71db6f1fp-5", "0x0.0p+0"),
+    ("complete4", "default", "intersection"):
+        ("0x1.10e6380845912p-1", "0x1.e16cdd2d6a5e0p-6", "0x0.0p+0"),
+    ("complete4", "default", "plain"):
+        ("0x1.d4a0e6aa8a359p-1", "0x1.f814dd86d925dp-5", "0x0.0p+0"),
+    ("complete4", "default", "hit_reference"):
+        ("0x1.caeb128484ac9p-1", "0x1.7db43169f357ap-5", "0x0.0p+0"),
+    ("complete4", "default", "intersection_reference"):
+        ("0x1.f8fc62372daa9p-2", "0x1.eb9b9959343d6p-6", "0x0.0p+0"),
+    ("complete4", "default", "growth"):
+        ("0x1.d3a06d3a06d3ap+0", "0x1.c369d0369d037p+1", "0x1.9ed3a06d3a06dp+3",
+         "0x1.1e8af03936b07p-4", "0x1.442067b0c8595p-3", "0x1.58649dc79de19p-1"),
+    ("complete4", "particles", "hit"):
+        ("0x1.abc3039fa6fc8p-2", "0x1.22161fc2a960ep-5", "0x1.6d3a06d3a06d4p-2"),
+    ("complete4", "particles", "intersection"):
+        ("0x1.098dcb63274d5p-2", "0x1.7791de9caba3dp-6", "0x1.62fc962fc9630p-2"),
+    ("complete4", "particles", "plain"):
+        ("0x1.d4a0e6aa8a359p-1", "0x1.f814dd86d925dp-5", "0x0.0p+0"),
+    ("complete4", "particles", "hit_reference"):
+        ("0x1.bd0b9c4cba796p-2", "0x1.3c932f096e5b8p-5", "0x1.8bf258bf258bfp-2"),
+    ("complete4", "particles", "intersection_reference"):
+        ("0x1.d45c26daaf545p-3", "0x1.5b21d3fb7a48fp-6", "0x1.5555555555555p-2"),
+    ("complete4", "particles", "growth"):
+        ("0x1.2c5f92c5f92c6p+1", "0x1.e4b17e4b17e4bp+1", "0x1.392c5f92c5f93p+2",
+         "0x1.4ddcc1dbc364fp-4", "0x1.63abc3d5e5934p-4", "0x1.debd9afdd9287p-6"),
+    ("complete4", "time", "hit"):
+        ("0x1.fe8f51c93fe6ep-5", "0x1.6cc2650232bf2p-7", "0x1.47ae147ae147bp-1"),
+    ("complete4", "time", "intersection"):
+        ("0x1.5c0801bf19200p-4", "0x1.60fe9f618b4d8p-7", "0x1.2222222222222p-1"),
+    ("complete4", "time", "plain"):
+        ("0x1.5fde06952c522p-4", "0x1.6b539131dfe27p-7", "0x1.2e147ae147ae1p-1"),
+    ("complete4", "time", "hit_reference"):
+        ("0x1.8fc595fe4e142p-5", "0x1.551fd04b6840fp-7", "0x1.50369d0369d03p-1"),
+    ("complete4", "time", "intersection_reference"):
+        ("0x1.7ee00a2e6fdaap-4", "0x1.48de5aa5980f9p-7", "0x1.ddddddddddddep-2"),
+    ("complete4", "pinned", "hit"):
+        ("0x1.3fdfaf47eab43p+0", "0x1.8c70a1ad84c7ap-5", "0x0.0p+0"),
+    ("complete4", "pinned", "intersection"):
+        ("0x1.432eb9eb36f1bp-1", "0x1.6cad525360ff1p-6", "0x0.0p+0"),
+    ("complete4", "pinned", "plain"):
+        ("0x1.1996a8582b4cbp+0", "0x1.a986cd00bd1eep-5", "0x0.0p+0"),
+    ("complete4", "pinned", "hit_reference"):
+        ("0x1.41c0af71d014fp+0", "0x1.766de2126a24fp-5", "0x0.0p+0"),
+    ("complete4", "pinned", "intersection_reference"):
+        ("0x1.553e83440c202p-1", "0x1.a886b39d1995ap-6", "0x0.0p+0"),
+    ("cycle8", "default", "hit"):
+        ("0x1.1cd7c339d70fep+2", "0x1.c9a83d66ab33fp-3", "0x0.0p+0"),
+    ("cycle8", "default", "intersection"):
+        ("0x1.0bb5805210fcep+1", "0x1.b0e2a652b95e0p-4", "0x0.0p+0"),
+    ("cycle8", "default", "plain"):
+        ("0x1.a0ea04afdedecp+1", "0x1.6a5201b9711d9p-3", "0x0.0p+0"),
+    ("cycle8", "default", "hit_reference"):
+        ("0x1.179974ac7dd9ep+2", "0x1.e34dd5f161276p-3", "0x0.0p+0"),
+    ("cycle8", "default", "intersection_reference"):
+        ("0x1.03d9299565d8fp+1", "0x1.cb4a63e4cb1c4p-4", "0x0.0p+0"),
+    ("cycle8", "default", "growth"):
+        ("0x1.2740da740da74p+0", "0x1.4a3d70a3d70a4p+0", "0x1.b4e81b4e81b4fp+0",
+         "0x1.76d2a8906dd1ep-6", "0x1.264d0e611095cp-5", "0x1.e7e784fc5b2efp-5"),
+    ("cycle8", "particles", "hit"):
+        ("0x1.901609e6d4193p-2", "0x1.adffbd85909e9p-5", "0x1.62fc962fc9630p-1"),
+    ("cycle8", "particles", "intersection"):
+        ("0x1.0456c7c33b3aep-2", "0x1.120ffde54043fp-5", "0x1.5a740da740da7p-1"),
+    ("cycle8", "particles", "plain"):
+        ("0x1.a0ea04afdedecp+1", "0x1.6a5201b9711d9p-3", "0x0.0p+0"),
+    ("cycle8", "particles", "hit_reference"):
+        ("0x1.c86e2ec55cc02p-2", "0x1.9dee7e9fb6601p-5", "0x1.4b17e4b17e4b1p-1"),
+    ("cycle8", "particles", "intersection_reference"):
+        ("0x1.2fd746234c923p-2", "0x1.4dc7fcd0cf9c1p-5", "0x1.5c28f5c28f5c3p-1"),
+    ("cycle8", "particles", "growth"):
+        ("0x1.2c5f92c5f92c6p+1", "0x1.e4b17e4b17e4bp+1", "0x1.392c5f92c5f93p+2",
+         "0x1.4ddcc1dbc364fp-4", "0x1.63abc3d5e5934p-4", "0x1.debd9afdd9287p-6"),
+    ("cycle8", "time", "hit"):
+        ("0x1.7895d4f365408p-3", "0x1.342396d677126p-5", "0x1.8bf258bf258bfp-1"),
+    ("cycle8", "time", "intersection"):
+        ("0x1.35caa645336abp-2", "0x1.069a96dd53cc8p-5", "0x1.5555555555555p-1"),
+    ("cycle8", "time", "plain"):
+        ("0x1.27aaa7d8378bdp-2", "0x1.1202fbabc7194p-5", "0x1.62fc962fc9630p-1"),
+    ("cycle8", "time", "hit_reference"):
+        ("0x1.31ab2720d60bbp-3", "0x1.e7ea9ed560d85p-6", "0x1.8a3d70a3d70a4p-1"),
+    ("cycle8", "time", "intersection_reference"):
+        ("0x1.38f2f920eac70p-2", "0x1.e2f39e9116fb5p-6", "0x1.3d70a3d70a3d7p-1"),
+    ("cycle8", "pinned", "hit"):
+        ("0x1.db6e7706d2f11p+2", "0x1.a212d718084bcp-3", "0x0.0p+0"),
+    ("cycle8", "pinned", "intersection"):
+        ("0x1.b3931c1f8b8fep+1", "0x1.8dc60bec8c34bp-4", "0x0.0p+0"),
+    ("cycle8", "pinned", "plain"):
+        ("0x1.5adec2c753f2cp+2", "0x1.952a03af3382ap-3", "0x0.0p+0"),
+    ("cycle8", "pinned", "hit_reference"):
+        ("0x1.c1fe1ec47e9bfp+2", "0x1.ac34590c2f9c2p-3", "0x0.0p+0"),
+    ("cycle8", "pinned", "intersection_reference"):
+        ("0x1.babe732bd8000p+1", "0x1.74b78fa9eb6c4p-4", "0x0.0p+0"),
+}
+
+PINNED_TIME_CAPS = {"complete4": 0.4, "cycle8": 1.0}  # each censors some replicates
+
+
+def _pinned_estimates(kernel, case, time_cap):
+    x = kernel.n // 2
+    cfg = brw.BRWConfig(replicates=300, master_seed=3)
+    if case == "particles":
+        cfg = replace(cfg, gamma=2.0, max_particles=5)
+    elif case == "time":
+        cfg = replace(cfg, max_time=time_cap)
+    start, starts = (0, (0, x)) if case == "pinned" else (None, None)
+    estimates = {
+        "hit": brw.simulate_hit(kernel, x, cfg, initial_state=start),
+        "intersection": brw.simulate_intersection(kernel, cfg, initial_states=starts),
+        "plain": brw.plain_intersection(kernel, cfg, initial_states=starts),
+        "hit_reference": brw_reference.simulate_hit_reference(
+            kernel, x, cfg, initial_state=start),
+        "intersection_reference": brw_reference.simulate_intersection_reference(
+            kernel, cfg, initial_states=starts),
+    }
+    bits = {name: (est.mean.hex(), est.stderr.hex(), est.censor_rate.hex())
+            for name, est in estimates.items()}
+    if case in ("default", "particles"):
+        mean, stderr = brw.growth_curve(kernel, cfg, [0.5, 1.0, 2.0])
+        bits["growth"] = tuple(float(v).hex() for v in (*mean, *stderr))
+    return bits
+
+
+@pytest.mark.parametrize("case", ["default", "particles", "time", "pinned"])
+@pytest.mark.parametrize("kernel_name", ["complete4", "cycle8"])
+def test_estimates_pinned_bit_for_bit(request, kernel_name, case):
+    got = _pinned_estimates(request.getfixturevalue(kernel_name), case,
+                            PINNED_TIME_CAPS[kernel_name])
+    expected = {est: bits for (k, c, est), bits in PINNED_BITS.items()
+                if (k, c) == (kernel_name, case)}
+    assert got == expected
+    if case == "time":
+        assert all(0.0 < float.fromhex(b[2]) < 1.0 for b in got.values())
