@@ -54,7 +54,7 @@ import numpy as np
 from .analysis import ChainAnalysis
 from .chains import TransitionKernel, build_family
 from .errors import AllCensored, InvalidSpec
-from .spectral import heat_moment_windowed_all, spectral_moment
+from .spectral import decompose, heat_moment_windowed_all, spectral_moment
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -372,8 +372,12 @@ def plain_intersection(kernel: TransitionKernel, cfg: BRWConfig,
 
 def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
                  times) -> tuple[np.ndarray, np.ndarray]:
-    """Mean particle count and its standard error at each query time."""
-    cfg = resolve_config(kernel, cfg)
+    """Mean particle count and its standard error at each query time.
+
+    Growth runs have no time cap, so only gamma is filled (the spectral
+    gap when it is None) and no hitting time is solved."""
+    if cfg.gamma is None:
+        cfg = replace(cfg, gamma=decompose(kernel).gap)
     times = sorted(float(t) for t in times)
     counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
                                       cfg.max_particles), dtype=float)

@@ -1,22 +1,27 @@
 """L2, L-infinity and total variation distance profiles and mixing times.
 
-Profiles are evaluated spectrally; the heat rows of all scanned states come
-from one product per t.  When pi is too unbalanced for the spectral
-reconstruction they come from the heat matrix H(t) = expm(-tL), with L the
-`spectral.laplacian`, stepped from the latest cached earlier time s > 0 as
-H(s) expm(-(t - s)L).  A step is uniformized (Jensen 1953) when that is
-cheaper: H(s) sum_k w_k P_u^k with P_u = I - L/q, q the largest diagonal
-entry of L, and w_k the Poisson((t - s)q) weights, cut where the geometric
-bound on the remaining weight is below 1e-18.  Every term is nonnegative,
-so no step subtracts.  A value at t can differ in its last digits with the
-times evaluated before it, which decide its base and its route.
-Every mixing time is the first crossing of a strictly decreasing profile,
-found by a bracket plus a Brent-Dekker root solve (Brent 1973) run to
-1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 * t_rel contract;
-the linf and l2x profiles, which fall from about 1/pi_min, are solved on
-a log scale.  The total variation convention here is t_tv(eps) = first
-time the worst-case L1 distance drops to 2*eps, so the plain t_tv
-corresponds to eps = 1/4.
+Profiles are evaluated spectrally.  The L2 and L-infinity profiles are the
+subtraction-free sums H_t(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2
+exp(-lambda_i t), which keep their relative accuracy however small they
+get.  The heat rows of all scanned states come from one product per t.
+When pi is too unbalanced for the spectral reconstruction they come from
+the heat matrix H(t) = exp(-tL), with L the `spectral.laplacian`, on a
+dyadic ladder of uniformized factors (Jensen 1953): with q the largest
+diagonal entry of L, P_u = I - L/q and U(s) = sum_k w_k P_u^k, w_k the
+Poisson(sq) weights, the rungs are R_0 = U(h) for the step h = c/q and
+R_{j+1} = R_j^2, and H(t) is the product of the rungs over the set bits
+of k = floor(t/h), highest bit first, times U(t - kh), whose Poisson mean
+is below c.  Every factor is nonnegative, so nothing subtracts, and H(t)
+depends on t alone.
+Every mixing time is the first crossing of a strictly decreasing profile.
+The l2x crossings of all scanned states come from one vectorised Newton
+iteration on their convex log profiles.  The others are found by a
+bracket plus a Brent-Dekker root solve (Brent 1973); the linf profile,
+which falls from about 1/pi_min, is solved on a log scale.  Both solvers
+run to 1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 * t_rel
+contract.  The total variation convention here is t_tv(eps) = first time
+the worst-case L1 distance drops to 2*eps, so the plain t_tv corresponds
+to eps = 1/4.
 """
 
 from __future__ import annotations
@@ -24,49 +29,51 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .chains import TransitionKernel
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
-from .spectral import (SpectralDecomposition, heat_diag_ratio, heat_kernel_row,
-                       laplacian)
+from .spectral import SpectralDecomposition, heat_kernel_row, laplacian
 
 KINDS = ("linf", "l2x", "tv", "ave_l2")
 
 # Above this stationary imbalance the spectral reconstruction of
 # off-diagonal heat entries cancels catastrophically (eigenfunction values
-# scale like 1/sqrt(pi_min)); rows then come from the matrix exponential,
-# whose entries stay in [0, 1].  Diagonal ratios are all-positive sums and
-# never need the fallback.
+# scale like 1/sqrt(pi_min)); rows then come from the heat ladder, whose
+# entries stay in [0, 1].  Diagonal sums are all-positive and never need
+# the fallback.
 _BALANCE_LIMIT = 1e6
 
-# Absolute part of the crossing tolerance, in units of t_rel.  The solver
-# adds a few ulp of t on top: on strongly drifted chains t reaches ~600
+# Absolute part of the crossing tolerance, in units of t_rel.  The solvers
+# add a few ulp of t on top: on strongly drifted chains t reaches ~600
 # t_rel, where 1e-13 * t_rel alone is below the spacing of doubles.
 _XTOL_REL = 1e-13
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
 
-# Heat matrices kept when pi is unbalanced, the least recently used evicted
-# first: 1.3 MB at n = 200.
-_HEAT_CACHE = 4
-
-# A step is uniformized when _TERM_COST * K * n * nnz(P_u), the cost of its
-# K sparse terms in units of dense matrix-product flops, is below the cost
-# of expm and one product: _PADE13_PRODUCTS products of 2n^3 flops for the
-# degree-13 Pade approximant (Higham 2005: six products and one solve), one
-# per squaring of a norm above _THETA13, and the product H(s) expm(-tau L).
-# The two routes took equal time at _TERM_COST about 10 on dlp(200) and
-# about 15 on dlp(500), one BLAS thread.
-_TERM_COST = 12.0
-_PADE13_PRODUCTS = 7
-_THETA13 = 5.371920351148152
-# The Poisson sum stops once the bound on its remaining weight falls below
+# The ladder step in units of 1/q, which is the Poisson mean of the rung
+# R_0 and bounds the mean of every last factor U(t - kh).  Of the steps
+# tried on dlp(100) and dlp(200), 1 was the fastest.
+_LADDER_STEP = 1.0
+# Partial products of rungs kept, the least recently used evicted first.
+_PREFIX_CACHE = 4
+# P_u^T is stored in CSR form when at most this share of its entries is
+# nonzero, else dense.  At n = 200 and 500 a CSR product with a dense
+# matrix was the faster one below about a tenth of the entries on one
+# BLAS thread, and the dense product gains more from a second thread.
+_SPARSE_SHARE = 1.0 / 16.0
+# From t_rel (log(1/pi_min)/2 + _SETTLED) on, every row of H(t) lies
+# within e^{-_SETTLED} of pi in L1 norm, below double resolution, so the
+# heat matrix is evaluated there for any later t and the ladder stops
+# growing.
+_SETTLED = 40.0
+# A Poisson sum stops once the bound on its remaining weight falls below
 # this.
 _POISSON_TAIL = 1e-18
+# Newton iterations allowed for one l2x solve; dlp(200) takes 5 or 6.
+_NEWTON_MAX = 100
 
 
 class MixingProfile:
@@ -75,32 +82,47 @@ class MixingProfile:
     def __init__(self, kernel: TransitionKernel, decomp: SpectralDecomposition):
         self.kernel = kernel
         self.decomp = decomp
-        self._times: dict = {}  # (kind, x) -> {eps: crossing time}
+        self._times: dict = {}  # kind, or ("l2x", x) -> {eps: crossing time}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
-        self._heat: dict = {}  # t -> H(t) when unbalanced, oldest use first
         if not self._balanced:
             L = laplacian(kernel)
-            self._laplacian = L
-            self._norm1 = float(np.abs(L).sum(axis=0).max())
             # uniformization rate q and the transpose of P_u = I - L/q, whose
             # entries are all nonnegative: P(i,j)/q off the diagonal and
             # 1 - L(k,k)/q on it
             self._q = float(np.diagonal(L).max())
-            self._uniform_t = scipy.sparse.csr_array((np.eye(kernel.n) - L / self._q).T)
+            uniform_t = np.ascontiguousarray((np.eye(kernel.n) - L / self._q).T)
+            if np.count_nonzero(uniform_t) <= _SPARSE_SHARE * kernel.n ** 2:
+                uniform_t = scipy.sparse.csr_array(uniform_t)
+            self._uniform_t = uniform_t
+            self._step = _LADDER_STEP / self._q
+            self._t_settled = decomp.t_rel * (
+                -0.5 * math.log(float(kernel.pi.min())) + _SETTLED)
+            self._rungs: list = []  # R_j = U(h)^(2^j)
+            self._prefixes: dict = {}  # binary prefix of k -> rung product
 
     # -- distance profiles -------------------------------------------------
 
     def linf_distance(self, t: float) -> float:
-        """max_y H_t(y,y)/pi(y) - 1, the worst relative density deviation."""
+        """max_y H_t(y,y)/pi(y) - 1, the worst relative density deviation,
+        as sum_{i>=2} f_i(y)^2 exp(-lambda_i t)."""
+        decay = np.exp(-self.decomp.lambdas[1:] * t)
         if self.kernel.transitive:
-            return heat_diag_ratio(self.decomp, t, x=0) - 1.0
-        return float(heat_diag_ratio(self.decomp, t).max()) - 1.0
+            return float(self.decomp.eigfuncs_sq[0, 1:] @ decay)
+        return float((self.decomp.eigfuncs_sq[:, 1:] @ decay).max())
 
     def l2_distance_sq(self, x: int, t: float) -> float:
-        return max(heat_diag_ratio(self.decomp, 2.0 * t, x) - 1.0, 0.0)
+        """H_{2t}(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2 exp(-2 lambda_i t)."""
+        return float(self._l2_terms([x], np.array([t])).sum(axis=1)[0])
 
     def l2_distance(self, x: int, t: float) -> float:
         return self.l2_distance_sq(x, t) ** 0.5
+
+    def _l2_terms(self, xs, times) -> np.ndarray:
+        """f_i(x)^2 exp(-2 lambda_i t) for i >= 2, one row per state x in xs
+        at the matching entry of times; elementwise, so a row does not
+        depend on the rows beside it."""
+        lam = self.decomp.lambdas[1:]
+        return self.decomp.eigfuncs_sq[xs, 1:] * np.exp(-2.0 * lam * times[:, None])
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
@@ -112,47 +134,63 @@ class MixingProfile:
 
     def _heat_rows(self, t: float, xs) -> np.ndarray:
         """Rows H_t(xs, .): spectral when pi is balanced, else rows of the
-        stepped heat matrix."""
+        heat matrix on the ladder."""
         if self._balanced:
             return heat_kernel_row(self.decomp, xs, t)
         return self._heat_matrix(t)[xs]
 
     def _heat_matrix(self, t: float) -> np.ndarray:
-        """H(t) = H(s) expm(-(t - s)L) for the largest cached s in (0, t],
-        else expm(-tL).
+        """H(t) = exp(-tL) on the dyadic ladder.
 
-        A step is uniformized when `_uniformized_cheaper` says so: with
-        P_u = I - L/q and m = (t - s)q, H(s) expm(-(t - s)L) is the Poisson
-        mixture sum_k e^{-m} m^k/k! H(s) P_u^k (Jensen 1953).  Either way
-        every factor is nonnegative and every row of H(s) is stochastic, so
-        the step adds no cancellation and its absolute error stays at the
-        level of one expm.  Taking a base counts as a use, so Brent's lower
-        bracket end stays cached as the base of every later iterate and the
-        late steps are short.
+        With the step h and k, r = divmod(t, h), H(t) is the product of the
+        rungs R_j = U(h)^(2^j) over the set bits of k, highest bit first
+        (`_prefix`), times U(r), whose Poisson mean rq is below
+        _LADDER_STEP (`_uniformized`).  Every factor is nonnegative and
+        stochastic, so no product cancels, and the error grows with the
+        number of factors, like that of scaling and squaring.  Past
+        t_settled the matrix at t_settled is returned.  The cached
+        products are formed the same way whenever they are formed, so
+        H(t) is bit for bit the same whatever was evaluated before it.
         """
-        heat = self._heat
-        bases = [s for s in heat if s <= t]
-        s = max(bases, default=0.0)
-        if bases:
-            H = heat.pop(s)
-            heat[s] = H  # taking a base counts as a use
-            if s == t:
-                return H
-        if s == 0.0:  # cold: H(0) = I, nothing to step from
-            H = scipy.linalg.expm(-t * self._laplacian)
-        else:
-            tau = t - s
-            weights = _poisson_weights(tau * self._q)
-            if weights is not None and _uniformized_cheaper(
-                    self.kernel.n, self._uniform_t.nnz, len(weights),
-                    tau * self._norm1):
-                H = _uniformized(H, self._uniform_t, weights)
-            else:
-                H = H @ scipy.linalg.expm(-tau * self._laplacian)
-        heat[t] = H
-        if len(heat) > _HEAT_CACHE:
-            del heat[next(iter(heat))]
-        return H
+        k, r = divmod(min(t, self._t_settled), self._step)
+        return _uniformized(self._prefix(int(k)), self._uniform_t,
+                            _poisson_weights(r * self._q))
+
+    def _prefix(self, k: int) -> np.ndarray:
+        """Product of the rungs over the set bits of k, highest bit first.
+
+        The product over the highest i bits is cached under k with its
+        lower bits cleared and is always formed as the product over the
+        highest i - 1 bits times one rung.  Brent's late iterates share
+        their high bits, so they start from a cached prefix.
+        """
+        bits = [j for j in range(k.bit_length() - 1, -1, -1) if k >> j & 1]
+        if not bits:
+            return np.eye(self.kernel.n)
+        cache = self._prefixes
+        done, A = 1, self._rung(bits[0])
+        for i in range(len(bits), 1, -1):
+            key = k >> bits[i - 1] << bits[i - 1]
+            if key in cache:
+                done, A = i, cache.pop(key)
+                cache[key] = A  # a hit counts as a use
+                break
+        for j in bits[done:]:
+            A = A @ self._rung(j)
+            cache[k >> j << j] = A
+            if len(cache) > _PREFIX_CACHE:
+                del cache[next(iter(cache))]
+        return A
+
+    def _rung(self, j: int) -> np.ndarray:
+        """R_j = U(h)^(2^j), built by squaring on first use."""
+        rungs = self._rungs
+        if not rungs:
+            rungs.append(_uniformized(np.eye(self.kernel.n), self._uniform_t,
+                                      _poisson_weights(_LADDER_STEP)))
+        while len(rungs) <= j:
+            rungs.append(rungs[-1] @ rungs[-1])
+        return rungs[j]
 
     def ave_l2_sq(self, t: float) -> float:
         """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
@@ -163,53 +201,97 @@ class MixingProfile:
     def mixing_time(self, kind: str, eps: float, x: int | None = None) -> float:
         """First t at which the requested profile meets its threshold.
 
-        linf and l2x use threshold eps, ave_l2 uses eps^2 on the summed
-        squares, tv uses 2*eps on the worst L1 distance.
+        linf uses threshold eps, l2x eps^2 on the squared distance, ave_l2
+        eps^2 on the summed squares, tv 2*eps on the worst L1 distance.
         """
         _check_eps(eps)
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        eps = float(eps)
         if kind == "l2x":
             if x is None:
                 raise ValueError("l2x mixing time needs a state x")
-            x = int(x)
-        else:
-            x = None
-        solved = self._times.setdefault((kind, x), {})
-        eps = float(eps)
+            return float(self._l2x_times(eps, [int(x)])[0])
+        solved = self._times.setdefault(kind, {})
         if eps not in solved:
-            solved[eps] = self._solve(kind, eps, x, solved)
+            solved[eps] = self._solve(kind, eps, solved)
         return solved[eps]
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
-        """Per-state L2 mixing times over the scanned states: the cached
-        l2x crossing of each state, so one entry (state 0) when the kernel
-        is transitive."""
-        return np.array([self.mixing_time("l2x", eps, x=x)
-                         for x in self.kernel.scan_states])
+        """Per-state L2 mixing times over the scanned states, so one entry
+        (state 0) when the kernel is transitive.  Each equals
+        mixing_time("l2x", eps, x) bit for bit."""
+        _check_eps(eps)
+        return self._l2x_times(float(eps), list(self.kernel.scan_states))
 
     def worst_l2_mixing_time(self, eps: float) -> float:
         return float(self.l2_mixing_times(eps).max())
 
     # -- internals -----------------------------------------------------------
 
-    def _solve(self, kind, eps, x, solved):
-        """Crossing time of one profile; solved maps the eps values already
-        solved for the same kind and state to their crossing times."""
-        threshold = {"tv": 2.0 * eps, "ave_l2": eps * eps}.get(kind, eps)
-        if not _TINY <= threshold <= _MAX:
-            raise BadEps(f"eps={eps} gives the {kind} crossing threshold "
-                         f"{threshold:.3e}, which is not a normal double")
+    def _l2x_times(self, eps: float, xs: list) -> np.ndarray:
+        """Cached l2x crossings of the states xs; those not cached yet are
+        solved together by `_l2x_crossings`."""
+        solved = [self._times.setdefault(("l2x", x), {}) for x in xs]
+        todo = [i for i, s in enumerate(solved) if eps not in s]
+        if todo:
+            times = self._l2x_crossings(eps, [xs[i] for i in todo])
+            for i, t in zip(todo, times):
+                solved[i][eps] = float(t)
+        return np.array([s[eps] for s in solved])
+
+    def _l2x_crossings(self, eps: float, xs: list) -> np.ndarray:
+        """First t with d_{2,x}(t)^2 = g_x(t) at most eps^2, for each x in xs.
+
+        log g_x is convex and decreasing (g_x is a positive mixture of
+        exponentials), so Newton's method on log g_x - log eps^2, with
+        d/dt log g_x = -2 sum_i lambda_i f_i(x)^2 e^{-2 lambda_i t} / g_x,
+        climbs from t = 0 monotonically to the root.  The states iterate
+        together and leave once a step is within 1e-13 t_rel; each is then
+        moved up by that plus a few ulp until g_x is at most eps^2, so the
+        profile has crossed at the time returned.  Every operation is
+        elementwise or a sum over one state's own row, so a state's time
+        is the same bit for bit whichever states are solved with it.
+        """
+        threshold = _threshold("l2x", eps)
+        log_threshold = math.log(threshold)
+        lam = self.decomp.lambdas[1:]
+        tol = _XTOL_REL * self.decomp.t_rel
+        xs = np.asarray(xs)
+        times = np.zeros(len(xs))
+        active = np.arange(len(xs))
+        for _ in range(_NEWTON_MAX):
+            terms = self._l2_terms(xs[active], times[active])
+            g = terms.sum(axis=1)
+            step = (np.log(g) - log_threshold) * g / (2.0 * (terms * lam).sum(axis=1))
+            step[(step < 0.0) & (times[active] == 0.0)] = 0.0  # crossed at 0
+            times[active] += step
+            active = active[np.abs(step) > tol]
+            if not active.size:
+                break
+        else:
+            raise NumericalFailure("l2x Newton iteration did not converge")
+        late = np.arange(len(xs))
+        for _ in range(_NEWTON_MAX):
+            late = late[self._l2_terms(xs[late], times[late]).sum(axis=1) > threshold]
+            if not late.size:
+                return times
+            times[late] += tol + 4.0 * _EPS * times[late]
+        raise NumericalFailure("l2x profile failed to cross its threshold")
+
+    def _solve(self, kind, eps, solved):
+        """Crossing time of the linf, tv or ave_l2 profile; solved maps the
+        eps values already solved for the same kind to their times."""
+        threshold = _threshold(kind, eps)
         decomp = self.decomp
         t_rel = decomp.t_rel
         pi_min = float(decomp.pi.min())
         if kind == "linf":
-            value = self.linf_distance
+            # falls like C exp(-t/t_rel) from about 1/pi_min, so on a log
+            # scale the interpolation steps are accepted
+            value = lambda t: math.log(max(self.linf_distance(t), _TINY))
+            threshold = math.log(threshold)
             hi = t_rel * (np.log(max(1.0 / pi_min, 2.0) / eps) + 1.0)
-        elif kind == "l2x":
-            value = lambda t: self.l2_distance(x, t)
-            hi = t_rel * (np.log(max(1.0 / float(decomp.pi[x]), 2.0)) / 2.0
-                          + np.log(1.0 / eps) + 1.0)
         elif kind == "tv":
             value = self.tv_worst
             hi = t_rel * (np.log(max(1.0 / pi_min, 2.0)) / 2.0
@@ -217,12 +299,6 @@ class MixingProfile:
         else:
             value = self.ave_l2_sq
             hi = 0.5 * t_rel * (np.log(max(self.kernel.n - 1.0, 1.0) / eps**2) + 2.0)
-        if kind in ("linf", "l2x"):
-            # these fall like C exp(-t/t_rel) from about 1/pi_min, so on a
-            # log scale the interpolation steps are accepted
-            distance = value
-            value = lambda t: math.log(max(distance(t), _TINY))
-            threshold = math.log(threshold)
         # a crossing solved at a smaller eps is a time where this profile
         # has already crossed: the tightest one is the first bracket end
         crossed = [t for e, t in solved.items() if e < eps]
@@ -230,15 +306,22 @@ class MixingProfile:
         return _first_crossing(value, threshold, hi, xtol=_XTOL_REL * t_rel)
 
 
-def _poisson_weights(m: float) -> list | None:
+def _threshold(kind: str, eps: float) -> float:
+    """The crossing threshold of a profile kind at eps, refused unless it
+    is a normal double."""
+    threshold = {"tv": 2.0 * eps, "linf": eps}.get(kind, eps * eps)
+    if not _TINY <= threshold <= _MAX:
+        raise BadEps(f"eps={eps} gives the {kind} crossing threshold "
+                     f"{threshold:.3e}, which is not a normal double")
+    return threshold
+
+
+def _poisson_weights(m: float) -> list:
     """Poisson(m) weights w_0..w_K, from w_0 = e^{-m} by w_k = w_{k-1} m/k,
     cut at the first k > m whose tail bound w_k r/(1 - r), r = m/(k+1),
     is below _POISSON_TAIL (every later ratio w_{j+1}/w_j is at most r).
-    None when e^{-m} is not a normal double: every weight would inherit
-    its lost digits."""
+    The ladder keeps m below _LADDER_STEP, so e^{-m} is a normal double."""
     w = math.exp(-m)
-    if w < _TINY:
-        return None
     weights = [w]
     k = 0
     while True:
@@ -250,20 +333,12 @@ def _poisson_weights(m: float) -> list | None:
             return weights
 
 
-def _uniformized_cheaper(n: int, nnz: int, terms: int, norm: float) -> bool:
-    """Whether `terms` sparse products with nnz stored entries cost less
-    than expm of an n x n matrix of 1-norm `norm` plus one dense product."""
-    squarings = max(0, math.ceil(math.log2(max(norm, _TINY) / _THETA13)))
-    expm_cost = 2.0 * n**3 * (_PADE13_PRODUCTS + squarings + 1)
-    return _TERM_COST * terms * n * nnz < expm_cost
-
-
 def _uniformized(H: np.ndarray, uniform_t, weights) -> np.ndarray:
-    """H sum_k w_k P_u^k, with uniform_t = P_u^T in CSR form.
+    """H sum_k w_k P_u^k, with uniform_t = P_u^T in CSR or dense form.
 
     The sum runs in transposed space, sum_k w_k (P_u^T)^k H^T, where every
-    term is a sparse-times-dense product of C-ordered arrays; the result
-    is returned as the transpose of that sum.  Every term is nonnegative.
+    term is a product with a C-ordered dense array; the result is
+    returned as the transpose of that sum.  Every term is nonnegative.
     """
     X = np.ascontiguousarray(H.T)
     total = weights[0] * X

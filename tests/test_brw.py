@@ -265,6 +265,16 @@ def test_growth_curve_single_replicate(cycle8):
     assert (mean >= 1.0).all() and stderr.tolist() == [0.0, 0.0]
 
 
+def test_growth_curve_solves_no_hitting_times(monkeypatch, cycle8):
+    # growth runs have no time cap, so filling gamma is all they need
+    calls = []
+    solve = analysis.hit_times
+    monkeypatch.setattr(analysis, "hit_times", lambda k: calls.append(k) or solve(k))
+    brw.growth_curve(cycle8, brw.BRWConfig(replicates=10, gamma=1.0), [1.0])
+    brw.growth_curve(cycle8, brw.BRWConfig(replicates=10), [1.0])
+    assert calls == []
+
+
 def test_first_particle_bounds_hit_time(cycle8):
     # the first particle alone yields E[hit] <= expected hit time from pi
     summary = hitting.hit_times(cycle8)

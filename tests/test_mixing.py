@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from mixbound import chains, mixing, spectral
 from mixbound.analysis import ChainAnalysis
@@ -138,24 +139,33 @@ def test_log_scale_crossing_evaluation_count(kind, name, x):
     assert abs(t - ref) <= 1e-9 * decomp.t_rel
 
 
-def test_stepped_tv_worst_matches_direct_expm():
-    kernel, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
-    assert not prof._balanced
-    L = np.eye(kernel.n) - kernel.P
-    for t in (300.0, 50.0, 480.0, 479.5, 1000.0, 0.5, 479.04, 2000.0, 0.0,
-              100.0, 479.04, 460.0):
-        H = scipy.linalg.expm(-t * L)
-        ref = float(np.abs(H - kernel.pi).sum(axis=1).max())
-        assert abs(prof.tv_worst(t) - ref) <= 1e-13, t
-        assert len(prof._heat) <= 4
-
-
 def _shuffled_dlp20_profile():
     # with its states shuffled the chain's P is no longer tridiagonal
     bd = chains.build_family(chains.dlp_spec(20, 0.5, 0.05))
     perm = np.random.default_rng(3).permutation(bd.n)
     kernel = chains.kernel_from_matrix(bd.P[np.ix_(perm, perm)])
     return mixing.MixingProfile(kernel, spectral.decompose(kernel))
+
+
+def test_stepped_tv_worst_matches_direct_expm():
+    # dlp(200) stores P_u^T in CSR form, the shuffled dlp(20) densely; the
+    # largest times lie past t_settled (about 1180 and 240)
+    dlp200, shuffled = _profile(chains.dlp_spec(200, 0.5, 0.05))[2], _shuffled_dlp20_profile()
+    assert scipy.sparse.issparse(dlp200._uniform_t)
+    assert not scipy.sparse.issparse(shuffled._uniform_t)
+    for prof, times in (
+            (dlp200, (300.0, 50.0, 480.0, 479.5, 1000.0, 0.5, 479.04, 2000.0,
+                      0.0, 100.0, 479.04, 460.0)),
+            (shuffled, (30.0, 5.0, 53.4, 53.36, 120.0, 0.25, 47.7, 400.0, 0.0,
+                        10.0, 53.36, 47.75))):
+        kernel = prof.kernel
+        assert not prof._balanced
+        L = np.eye(kernel.n) - kernel.P
+        for t in times:
+            H = scipy.linalg.expm(-t * L)
+            ref = float(np.abs(H - kernel.pi).sum(axis=1).max())
+            assert abs(prof.tv_worst(t) - ref) <= 1e-13, (kernel.n, t)
+            assert len(prof._prefixes) <= 4
 
 
 @pytest.mark.parametrize("tau", [1e-9, 0.5, 4.0, 16.0, 64.0])
@@ -165,28 +175,47 @@ def test_uniformized_step_matches_expm_product(chain, tau):
         prof, s = _profile(chains.dlp_spec(200, 0.5, 0.05))[2], 400.0
     else:
         prof, s = _shuffled_dlp20_profile(), 30.0
-    L = prof._laplacian
+    L = spectral.laplacian(prof.kernel)
     H = scipy.linalg.expm(-s * L)
     ref = H @ scipy.linalg.expm(-tau * L)
     weights = mixing._poisson_weights(tau * prof._q)
     step = mixing._uniformized(H, prof._uniform_t, weights)
     assert np.abs(step - ref).max() <= 1e-14
-    assert (prof._uniform_t.data >= 0.0).all()
+    uniform_t = prof._uniform_t
+    entries = uniform_t.data if scipy.sparse.issparse(uniform_t) else uniform_t
+    assert (entries >= 0.0).all()
 
 
-def test_tv_crossing_expm_count(monkeypatch):
-    # on dlp(200) only the cold evaluations (from t = 0) and one long step
-    # call expm; every other step is uniformized.  With expm at every
-    # evaluation the crossing makes 16 calls.
+def test_tv_crossing_makes_no_expm_call(monkeypatch):
+    # on the unbalanced route every heat matrix comes from the ladder
     _, decomp, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
     expm = scipy.linalg.expm
     monkeypatch.setattr(scipy.linalg, "expm", lambda A: calls.append(A) or expm(A))
     t = prof.mixing_time("tv", 0.125)
-    assert len(calls) == 5
+    assert not calls
+    monkeypatch.undo()
     ref = _bisection_mixing_time(mixing.MixingProfile(prof.kernel, decomp),
                                  "tv", 0.125, None)
     assert abs(t - ref) <= 1e-9 * decomp.t_rel
+
+
+@pytest.mark.parametrize("chain", ["dlp200", "shuffled-dlp20"])
+def test_heat_matrix_independent_of_evaluation_order(chain):
+    if chain == "dlp200":
+        make = lambda: _profile(chains.dlp_spec(200, 0.5, 0.05))[2]
+        times = [479.04, 2000.0, 0.0, 300.0, 479.5, 0.5, 1000.0, 462.25, 479.03]
+    else:
+        make = _shuffled_dlp20_profile
+        times = [53.36, 400.0, 0.0, 30.0, 53.4, 0.25, 120.0, 47.74, 53.35]
+    forward, backward = make(), make()
+    first = {t: forward._heat_matrix(t).copy() for t in times}
+    for t in reversed(times):
+        assert np.array_equal(backward._heat_matrix(t), first[t]), t
+    # a crossing solved in between leaves every value as it was
+    backward.mixing_time("tv", 0.25)
+    for t in times:
+        assert np.array_equal(backward._heat_matrix(t), first[t]), t
 
 
 def test_tv_crossing_after_other_crossings_matches_bisection():
@@ -294,6 +323,67 @@ def test_l2_vector_on_transitive_kernel_is_state_zero():
     assert vec.shape == (1,)
     assert vec[0] == prof.mixing_time("l2x", 0.5, x=0)
     assert prof.worst_l2_mixing_time(0.5) == vec[0]
+
+
+def test_l2x_time_independent_of_batch(monkeypatch):
+    # every state alone on a fresh profile against all of them in one solve
+    kernel, decomp, together = _profile(chains.dlp_spec(200, 0.5, 0.05))
+    calls = []
+    terms = together._l2_terms
+    monkeypatch.setattr(together, "_l2_terms", lambda *a: calls.append(a) or terms(*a))
+    vec = together.l2_mixing_times(0.125)
+    # one call per Newton step (5-6 here) and per crossing check (1-2);
+    # one call per state and profile value would be thousands
+    assert len(calls) <= 10
+    alone = mixing.MixingProfile(kernel, decomp)
+    for x in range(kernel.n):
+        assert alone.mixing_time("l2x", 0.125, x=x) == vec[x], x
+        assert alone.l2_distance(x, vec[x]) <= 0.125
+
+
+def _cycle_excess_crossing(lams, eps_sq, factor):
+    # the first t with sum_k exp(-factor lambda_k t) <= eps_sq, by bisection
+    # of the closed form
+    excess = lambda t: math.fsum(math.exp(-factor * lam * t) for lam in lams)
+    lo, hi = 0.0, 1.0
+    while excess(hi) > eps_sq:
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return hi
+        if excess(mid) <= eps_sq:
+            hi = mid
+        else:
+            lo = mid
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-8])
+def test_small_eps_crossings_match_cycle_closed_form(eps):
+    # on a transitive chain H_t(x,x)/pi(x) - 1 = sum_{k>=1} exp(-lambda_k t),
+    # with lambda_k = 1 - cos(2 pi k/n) on the cycle.  The sum over all
+    # eigenvalues minus 1 cancels here and moved both crossings by up to
+    # 1.9 t_rel
+    n = 16
+    lams = [1.0 - math.cos(2.0 * math.pi * k / n) for k in range(1, n)]
+    _, decomp, prof = _profile(chains.cycle_spec(n))
+    t_rel = decomp.t_rel
+    assert abs(prof.mixing_time("l2x", eps, x=0)
+               - _cycle_excess_crossing(lams, eps * eps, 2.0)) <= 1e-9 * t_rel
+    assert abs(prof.mixing_time("linf", eps)
+               - _cycle_excess_crossing(lams, eps, 1.0)) <= 1e-9 * t_rel
+
+
+def test_small_eps_l2x_on_random_kernel_matches_bisection():
+    # a profile computed as the sum over all eigenvalues minus 1 stops
+    # falling near 1e-16, so this crossing raised NumericalFailure
+    kernel = chains.kernel_from_matrix(
+        chains.random_reversible_kernel(30, np.random.default_rng(0)).P)
+    decomp = spectral.decompose(kernel)
+    prof = mixing.MixingProfile(kernel, decomp)
+    t = prof.mixing_time("l2x", 1e-8, x=0)
+    ref = _bisection_mixing_time(mixing.MixingProfile(kernel, decomp), "l2x", 1e-8, 0)
+    assert abs(t - ref) <= 1e-9 * decomp.t_rel
 
 
 def test_l2_linf_factor_two_identity_random_pairs():
