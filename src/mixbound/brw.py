@@ -46,7 +46,7 @@ import os
 from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from random import Random
 
 import numpy as np
@@ -184,7 +184,10 @@ def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
     # waits for the next re-record of the benchmark reference.
     heap = [(-log(1.0 - random()) / total, pr, 0) for pr in (0, 1) if positions[pr]]
     while True:
-        t, pr, p = heappop(heap)
+        # the earliest event stays at heap[0] until heapreplace swaps in the
+        # particle's next one; an offspring's event is later, so its push
+        # leaves heap[0] in place
+        t, pr, p = heap[0]
         if t > max_time:
             return None
         own = positions[pr]
@@ -200,7 +203,7 @@ def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
                 return None
             own.append(own[p])
             heappush(heap, (t - log(1.0 - random()) / total, pr, len(own) - 1))
-        heappush(heap, (t - log(1.0 - random()) / total, pr, p))
+        heapreplace(heap, (t - log(1.0 - random()) / total, pr, p))
 
 
 def _run_plain(seed, rows, start, gamma, n, max_particles, max_time,

@@ -1,8 +1,8 @@
 """L2, L-infinity and total variation distance profiles and mixing times.
 
-Profiles are evaluated spectrally.  The L2 and L-infinity profiles are the
-subtraction-free sums H_t(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2
-exp(-lambda_i t), which keep their relative accuracy however small they
+Profiles are evaluated spectrally.  The L2, L-infinity and average L2
+profiles are positive mixtures sum_{i>=2} w_i exp(-2 lambda_i t), which
+subtract nothing and so keep their relative accuracy however small they
 get.  The heat rows of all scanned states come from one product per t.
 When pi is too unbalanced for the spectral reconstruction they come from
 the heat matrix H(t) = exp(-tL), with L the `spectral.laplacian`, on a
@@ -14,15 +14,12 @@ of k = floor(t/h), highest bit first, times U(t - kh), whose Poisson mean
 is below c.  Every factor is nonnegative, so nothing subtracts, and H(t)
 depends on t alone.
 Every mixing time is the first crossing of a strictly decreasing profile.
-The l2x crossings of all scanned states come from one vectorised Newton
-iteration on their convex log profiles.  The others are found by a
-bracket plus a Brent-Dekker root solve (Brent 1973); the linf profile,
-which falls from about 1/pi_min, is solved on a log scale.  Both solvers
-run to 1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 * t_rel
-contract.  The total variation convention here is t_tv(eps) = first time
-the worst-case L1 distance drops to 2*eps, so the plain t_tv corresponds
-to eps = 1/4.
-"""
+The mixtures have convex logs, so their crossings come from one vectorised
+Newton iteration; TV's come from a bracket plus a Brent-Dekker root solve
+(Brent 1973).  Both run to 1e-13 * t_rel plus a few ulp of t, far inside
+the 1e-9 * t_rel contract.  The total variation convention here is
+t_tv(eps) = first time the worst-case L1 distance drops to 2*eps, so the
+plain t_tv corresponds to eps = 1/4."""
 
 from __future__ import annotations
 
@@ -72,7 +69,7 @@ _SETTLED = 40.0
 # A Poisson sum stops once the bound on its remaining weight falls below
 # this.
 _POISSON_TAIL = 1e-18
-# Newton iterations allowed for one l2x solve; dlp(200) takes 5 or 6.
+# Newton iterations allowed for one crossing solve; dlp(200) takes 5 or 6.
 _NEWTON_MAX = 100
 
 
@@ -103,26 +100,36 @@ class MixingProfile:
     # -- distance profiles -------------------------------------------------
 
     def linf_distance(self, t: float) -> float:
-        """max_y H_t(y,y)/pi(y) - 1, the worst relative density deviation,
-        as sum_{i>=2} f_i(y)^2 exp(-lambda_i t)."""
-        decay = np.exp(-self.decomp.lambdas[1:] * t)
-        if self.kernel.transitive:
-            return float(self.decomp.eigfuncs_sq[0, 1:] @ decay)
-        return float((self.decomp.eigfuncs_sq[:, 1:] @ decay).max())
+        """max_y H_t(y,y)/pi(y) - 1 over the scanned states, the worst
+        relative density deviation, as sum_{i>=2} f_i(y)^2 exp(-lambda_i t)."""
+        return float(self._terms("linf", 0.5 * t).sum(axis=1).max())
 
     def l2_distance_sq(self, x: int, t: float) -> float:
         """H_{2t}(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2 exp(-2 lambda_i t)."""
-        return float(self._l2_terms([x], np.array([t])).sum(axis=1)[0])
+        return float(self._terms("l2x", t, [x]).sum(axis=1)[0])
 
     def l2_distance(self, x: int, t: float) -> float:
         return self.l2_distance_sq(x, t) ** 0.5
 
-    def _l2_terms(self, xs, times) -> np.ndarray:
-        """f_i(x)^2 exp(-2 lambda_i t) for i >= 2, one row per state x in xs
-        at the matching entry of times; elementwise, so a row does not
-        depend on the rows beside it."""
-        lam = self.decomp.lambdas[1:]
-        return self.decomp.eigfuncs_sq[xs, 1:] * np.exp(-2.0 * lam * times[:, None])
+    def ave_l2_sq(self, t: float) -> float:
+        """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
+        return float(self._terms("ave_l2", t).sum(axis=1)[0])
+
+    def _terms(self, kind: str, t, xs=None) -> np.ndarray:
+        """w_i exp(-2 lambda_i t), i >= 2, at one t or one per row, for rows w
+        = f_i(x)^2 for x in xs (l2x), for the scanned states (linf, their
+        worst at t/2) or ones (ave_l2).  Every evaluator and crossing solve
+        forms its terms here, so a crossing meets its threshold exactly."""
+        rows = self.decomp.eigfuncs_sq[:, 1:]
+        if kind == "l2x":
+            rows = rows[xs]
+        elif kind == "ave_l2":
+            rows = np.ones((1, rows.shape[1]))
+        elif self.kernel.transitive:  # linf: state 0 stands for every state
+            rows = rows[:1]
+        decay = np.exp(-2.0 * self.decomp.lambdas[1:] * np.reshape(t, (-1, 1)))
+        # C order, so a row sums alike beside any rows (eigfuncs_sq is F-ordered)
+        return np.multiply(rows, decay, order="C")
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
@@ -192,10 +199,6 @@ class MixingProfile:
             rungs.append(rungs[-1] @ rungs[-1])
         return rungs[j]
 
-    def ave_l2_sq(self, t: float) -> float:
-        """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
-        return float(np.exp(-2.0 * self.decomp.lambdas[1:] * t).sum())
-
     # -- mixing times --------------------------------------------------------
 
     def mixing_time(self, kind: str, eps: float, x: int | None = None) -> float:
@@ -213,8 +216,18 @@ class MixingProfile:
                 raise ValueError("l2x mixing time needs a state x")
             return float(self._l2x_times(eps, [int(x)])[0])
         solved = self._times.setdefault(kind, {})
-        if eps not in solved:
-            solved[eps] = self._solve(kind, eps, solved)
+        if eps not in solved and kind != "tv":
+            solved[eps] = float(self._crossings(kind, eps)[0])
+        elif eps not in solved:
+            # a crossing solved at a smaller eps is a time where the profile
+            # has already crossed: the tightest one is the first bracket end
+            crossed = [t for e, t in solved.items() if e < eps]
+            t_rel = self.decomp.t_rel
+            hi = min(crossed) if crossed else t_rel * (
+                np.log(max(1.0 / float(self.decomp.pi.min()), 2.0)) / 2.0
+                + abs(np.log(2.0 * eps)) + 1.0)
+            solved[eps] = _first_crossing(self.tv_worst, _threshold("tv", eps),
+                                          hi, xtol=_XTOL_REL * t_rel)
         return solved[eps]
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
@@ -230,80 +243,65 @@ class MixingProfile:
     # -- internals -----------------------------------------------------------
 
     def _l2x_times(self, eps: float, xs: list) -> np.ndarray:
-        """Cached l2x crossings of the states xs; those not cached yet are
-        solved together by `_l2x_crossings`."""
+        """Cached l2x crossings of the states xs, the missing ones solved at once."""
         solved = [self._times.setdefault(("l2x", x), {}) for x in xs]
         todo = [i for i, s in enumerate(solved) if eps not in s]
         if todo:
-            times = self._l2x_crossings(eps, [xs[i] for i in todo])
+            times = self._crossings("l2x", eps, [xs[i] for i in todo])
             for i, t in zip(todo, times):
                 solved[i][eps] = float(t)
         return np.array([s[eps] for s in solved])
 
-    def _l2x_crossings(self, eps: float, xs: list) -> np.ndarray:
-        """First t with d_{2,x}(t)^2 = g_x(t) at most eps^2, for each x in xs.
+    def _crossings(self, kind: str, eps: float, xs=None) -> np.ndarray:
+        """First crossings of the linf, l2x or ave_l2 profile at eps: one per
+        state of xs for l2x, else one.
 
-        log g_x is convex and decreasing (g_x is a positive mixture of
-        exponentials), so Newton's method on log g_x - log eps^2, with
-        d/dt log g_x = -2 sum_i lambda_i f_i(x)^2 e^{-2 lambda_i t} / g_x,
-        climbs from t = 0 monotonically to the root.  The states iterate
-        together and leave once a step is within 1e-13 t_rel; each is then
-        moved up by that plus a few ulp until g_x is at most eps^2, so the
-        profile has crossed at the time returned.  Every operation is
-        elementwise or a sum over one state's own row, so a state's time
-        is the same bit for bit whichever states are solved with it.
+        The profile is g(s) = sum_i w_i e^{-2 lambda_i s} for a row w of
+        `_terms`, for linf the worst row at s = t/2.  log g is convex (for
+        linf a max of convex functions), so Newton's method on log g -
+        log threshold, with the (worst) row's slope, climbs from s = 0
+        monotonically to the root.  A row leaves once its step is within
+        1e-13 t_rel, moves up by that plus a few ulp, and again until g is
+        at most the threshold.
         """
-        threshold = _threshold("l2x", eps)
-        log_threshold = math.log(threshold)
-        lam = self.decomp.lambdas[1:]
-        tol = _XTOL_REL * self.decomp.t_rel
-        xs = np.asarray(xs)
+        threshold = _threshold(kind, eps)
+        worst = kind == "linf"
+        xs = np.asarray(xs if kind == "l2x" else [0])
+        lam2 = 2.0 * self.decomp.lambdas[1:]
+        tol = _XTOL_REL * self.decomp.t_rel * (0.5 if worst else 1.0)  # in s
         times = np.zeros(len(xs))
+
+        def profile(rows):  # terms and values g of rows at their times
+            if worst:
+                terms = self._terms(kind, times[0])
+                g = terms.sum(axis=1)
+                top = [g.argmax()]
+                return terms[top], g[top]
+            terms = self._terms(kind, times[rows], xs[rows])
+            return terms, terms.sum(axis=1)
+
         active = np.arange(len(xs))
         for _ in range(_NEWTON_MAX):
-            terms = self._l2_terms(xs[active], times[active])
-            g = terms.sum(axis=1)
-            step = (np.log(g) - log_threshold) * g / (2.0 * (terms * lam).sum(axis=1))
+            terms, g = profile(active)
+            # g / slope is at most 1/(2 lambda_2): it cannot overflow
+            step = (np.log(g) - math.log(threshold)) * (g / (terms * lam2).sum(axis=1))
+            if not np.isfinite(step).all():
+                raise NumericalFailure(f"{kind} Newton step is not finite")
             step[(step < 0.0) & (times[active] == 0.0)] = 0.0  # crossed at 0
             times[active] += step
             active = active[np.abs(step) > tol]
             if not active.size:
                 break
         else:
-            raise NumericalFailure("l2x Newton iteration did not converge")
+            raise NumericalFailure(f"{kind} Newton iteration did not converge")
+        times += np.where(times > 0.0, tol + 4.0 * _EPS * times, 0.0)
         late = np.arange(len(xs))
         for _ in range(_NEWTON_MAX):
-            late = late[self._l2_terms(xs[late], times[late]).sum(axis=1) > threshold]
+            late = late[profile(late)[1] > threshold]
             if not late.size:
-                return times
+                return 2.0 * times if worst else times
             times[late] += tol + 4.0 * _EPS * times[late]
-        raise NumericalFailure("l2x profile failed to cross its threshold")
-
-    def _solve(self, kind, eps, solved):
-        """Crossing time of the linf, tv or ave_l2 profile; solved maps the
-        eps values already solved for the same kind to their times."""
-        threshold = _threshold(kind, eps)
-        decomp = self.decomp
-        t_rel = decomp.t_rel
-        pi_min = float(decomp.pi.min())
-        if kind == "linf":
-            # falls like C exp(-t/t_rel) from about 1/pi_min, so on a log
-            # scale the interpolation steps are accepted
-            value = lambda t: math.log(max(self.linf_distance(t), _TINY))
-            threshold = math.log(threshold)
-            hi = t_rel * (np.log(max(1.0 / pi_min, 2.0) / eps) + 1.0)
-        elif kind == "tv":
-            value = self.tv_worst
-            hi = t_rel * (np.log(max(1.0 / pi_min, 2.0)) / 2.0
-                          + abs(np.log(2.0 * eps)) + 1.0)
-        else:
-            value = self.ave_l2_sq
-            hi = 0.5 * t_rel * (np.log(max(self.kernel.n - 1.0, 1.0) / eps**2) + 2.0)
-        # a crossing solved at a smaller eps is a time where this profile
-        # has already crossed: the tightest one is the first bracket end
-        crossed = [t for e, t in solved.items() if e < eps]
-        hi = min(crossed) if crossed else max(hi, t_rel)
-        return _first_crossing(value, threshold, hi, xtol=_XTOL_REL * t_rel)
+        raise NumericalFailure(f"{kind} profile failed to cross its threshold")
 
 
 def _threshold(kind: str, eps: float) -> float:

@@ -229,6 +229,15 @@ def test_import_sets_blas_timeout_default_before_numpy(preset):
     assert out.split() == [expected, expected]
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # after `import mixbound.cli`, `import scipy.optimize` raises VmRSS from
+    # about 62.6 to 78.3 MiB (+15.7 MiB, CPython 3.11, Linux x86-64), more
+    # than the 10% peak-RSS bound of the exact benchmark workloads; the root
+    # solvers in `mixing` are written out for that reason
+    out = _python("import sys, mixbound.cli\nprint('scipy.optimize' in sys.modules)")
+    assert out.split() == ["False"]
+
+
 def test_blas_timeout_does_not_change_data(tmp_path):
     code = ("from mixbound import cli\n"
             "assert cli.main(['verify', '--family', 'hypercube', '--sizes', '8',"
@@ -544,6 +553,22 @@ def test_dlp_beyond_double_range_exit2():
     assert res.returncode == 2
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and "largest n that fits is 241" in lines[0], res.stderr
+
+
+def test_largest_dlp_verify_clean_at_every_moment_order(tmp_path):
+    # pi_min is about 1e-307, so the l2x profile starts near the largest
+    # double: the Newton step (log g - log eps^2) * g / slope overflowed,
+    # printed three RuntimeWarnings and wrote nan into the l2x cells
+    args = ("verify", "--family", "dlp", "--sizes", "241", "--lam", "0.5",
+            "--dlp-eps", "0.05", "--eps", "0.25,0.5,1.0")
+    out = tmp_path / "v.csv"
+    res = run_cli(*args, "--ell", "1,2,3", "--out", str(out))
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr
+    cells = [c for ln in data_lines(out) for c in ln.split(",")]
+    assert "nan" not in cells
+    res = run_cli(*args, "--ell", "1,2,3,4", "--out", str(tmp_path / "w.csv"))
+    assert res.returncode == 2
+    assert res.stderr == "error: a moment of order ell=4 exceeds the largest double\n"
 
 
 def test_custom_matrix_with_unrepresentable_pi_exit2(tmp_path):

@@ -124,19 +124,42 @@ def test_tv_crossing_evaluation_count():
 
 
 @pytest.mark.parametrize("kind,name,x", [("linf", "linf_distance", None),
-                                         ("l2x", "l2_distance", 0)])
-def test_log_scale_crossing_evaluation_count(kind, name, x):
-    # these profiles fall from about 1/pi_min = 1e254; on a linear scale the
-    # solve took 23-24 evaluations
+                                         ("l2x", "l2_distance", 0),
+                                         ("ave_l2", "ave_l2_sq", None)])
+def test_log_scale_crossing_evaluation_count(kind, name, x, monkeypatch):
+    # the linf and l2x profiles fall from about 1/pi_min = 1e254; on a linear
+    # scale a root solve took 23-24 evaluations.  Every evaluation of the
+    # Newton solve is one call to _terms; name is the public evaluator
     _, decomp, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
-    distance = getattr(prof, name)
-    setattr(prof, name, lambda *a: calls.append(a) or distance(*a))
+    terms = prof._terms
+    monkeypatch.setattr(prof, "_terms", lambda *a: calls.append(a) or terms(*a))
     t = prof.mixing_time(kind, 0.5, x)
-    assert len(calls) <= 12
+    assert 0 < len(calls) <= 12
+    threshold = 0.25 if kind == "ave_l2" else 0.5
+    assert getattr(prof, name)(*([x] if x is not None else []), t) <= threshold
     ref = _bisection_mixing_time(mixing.MixingProfile(prof.kernel, decomp),
                                  kind, 0.5, x)
     assert abs(t - ref) <= 1e-9 * decomp.t_rel
+
+
+@pytest.mark.parametrize("kernels", [
+    lambda: [chains.build_family(s) for s in SMALL_BENCHMARK_SPECS],
+    lambda: [chains.build_family(chains.dlp_spec(200, 0.5, 0.05))],
+    lambda: random_kernels(100),
+], ids=["families", "dlp200", "random"])
+def test_crossings_meet_threshold_under_public_evaluators(kernels):
+    # the crossing and the evaluator form the same terms, so the profile
+    # has crossed at the returned time exactly, not just to within rounding
+    for kernel in kernels():
+        prof = mixing.MixingProfile(kernel, spectral.decompose(kernel))
+        for eps in (1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0):
+            t = prof.mixing_time("linf", eps)
+            assert prof.linf_distance(t) <= eps, (kernel.label, "linf", eps)
+            t = prof.mixing_time("ave_l2", eps)
+            assert prof.ave_l2_sq(t) <= eps * eps, (kernel.label, "ave_l2", eps)
+            for x, t in zip(kernel.scan_states, prof.l2_mixing_times(eps)):
+                assert prof.l2_distance_sq(x, t) <= eps * eps, (kernel.label, x, eps)
 
 
 def _shuffled_dlp20_profile():
@@ -309,6 +332,20 @@ def test_distance_hierarchy_pointwise():
                     <= dinf + 1e-10 * (1.0 + dinf)
 
 
+def test_worst_l2_is_linf_at_double_time_bit_for_bit():
+    # `profile` reads d2_max as linf_distance(2t) ** 0.5, so a row's sum may
+    # not depend on the rows summed beside it (eigfuncs_sq is F-ordered)
+    kernels = [chains.build_family(chains.dlp_spec(100, 0.5, 0.05)),
+               chains.build_family(chains.torus_spec(2, 8)),
+               chains.random_reversible_kernel(150, np.random.default_rng(5))]
+    for kernel in kernels:
+        decomp = spectral.decompose(kernel)
+        prof = mixing.MixingProfile(kernel, decomp)
+        for t in np.geomspace(0.01, 40.0, 7) * decomp.t_rel:
+            assert prof.linf_distance(2.0 * t) == max(
+                prof.l2_distance_sq(x, t) for x in kernel.scan_states)
+
+
 def test_l2_vector_matches_scalar_solves():
     kernel, _, prof = _profile(chains.dlp_spec(10, 0.5, 0.1))
     vec = prof.l2_mixing_times(0.5)
@@ -329,10 +366,10 @@ def test_l2x_time_independent_of_batch(monkeypatch):
     # every state alone on a fresh profile against all of them in one solve
     kernel, decomp, together = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
-    terms = together._l2_terms
-    monkeypatch.setattr(together, "_l2_terms", lambda *a: calls.append(a) or terms(*a))
+    terms = together._terms
+    monkeypatch.setattr(together, "_terms", lambda *a: calls.append(a) or terms(*a))
     vec = together.l2_mixing_times(0.125)
-    # one call per Newton step (5-6 here) and per crossing check (1-2);
+    # one call per Newton step (5-6 here) and per crossing check (1);
     # one call per state and profile value would be thousands
     assert len(calls) <= 10
     alone = mixing.MixingProfile(kernel, decomp)
