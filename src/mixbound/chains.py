@@ -43,6 +43,24 @@ from .errors import InvalidSpec, NotIrreducible, NotReversible, NumericalFailure
 STRUCT_TOL = 1e-12
 # Smallest normal double: a stationary entry below it has lost precision.
 _TINY = float(np.finfo(float).tiny)
+# Rows (or columns) per block when the exact layer works on an n x n
+# matrix a block at a time, so each temporary holds BLOCK x n doubles.
+BLOCK = 32
+# Most n x n arrays of doubles the exact layer holds at once, P included:
+# P, the eigenfunctions, their squares and the hitting matrix when an
+# analysis solves its hitting times (pinned by tests/test_memory.py).
+DENSE_PEAK_ARRAYS = 4
+
+
+def index_blocks(n: int) -> list:
+    """Slices of at most BLOCK consecutive indices that cover 0..n-1."""
+    return [slice(i, min(i + BLOCK, n)) for i in range(0, n, BLOCK)]
+
+
+def max_over_blocks(n: int, block) -> float:
+    """The largest entry of block(rows) over the `index_blocks` of n, which
+    is NaN when any block holds a NaN, as the max of one array would be."""
+    return float(np.max([block(rows).max() for rows in index_blocks(n)]))
 
 
 class _Family(NamedTuple):
@@ -249,17 +267,19 @@ def _uniform_kernel(P, label):
 
 
 def _check_dense_fits(label, m, d):
-    """Refuse a family of n = m**d states whose dense n x n matrix of
-    doubles exceeds this machine's physical memory.  Works on log n, so
-    nothing is allocated and m**d is never formed."""
+    """Refuse a family of n = m**d states whose DENSE_PEAK_ARRAYS dense
+    n x n matrices of doubles, the exact layer's peak, exceed this
+    machine's physical memory.  Works on log n, so nothing is allocated
+    and m**d is never formed."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return  # the platform cannot tell; numpy reports a failed allocation
     log10_n = d * math.log10(m) if d < 2**1023 else math.inf  # d beyond a double
-    if math.log10(8) + 2 * log10_n > math.log10(have):
-        raise InvalidSpec(f"{label} has about 10^{log10_n:.6g} states; a dense matrix of "
-                          f"n^2 doubles exceeds the {have / 2**30:.3g} GiB of physical memory")
+    if math.log10(8 * DENSE_PEAK_ARRAYS) + 2 * log10_n > math.log10(have):
+        raise InvalidSpec(f"{label} has about 10^{log10_n:.6g} states; "
+                          f"{DENSE_PEAK_ARRAYS} dense matrices of n^2 doubles exceed "
+                          f"the {have / 2**30:.3g} GiB of physical memory")
 
 
 def _build_torus(d, m, label):
@@ -406,7 +426,8 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
     row_sums, nonnegative, connected = _matrix_checks(P)
     # an inf in pi turns inf * 0 into NaN, which fails the checks below
     with np.errstate(over="ignore", invalid="ignore"):
-        balance = float(np.abs(pi[:, None] * P - pi[None, :] * P.T).max())
+        balance = max_over_blocks(kernel.n, lambda rows: np.abs(
+            pi[rows, None] * P[rows] - pi[None, :] * P[:, rows].T))
         stat = float(np.abs(pi @ P - pi).max())
     return ValidationReport((
         row_sums, nonnegative,
@@ -421,7 +442,9 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
 def _matrix_checks(P) -> tuple:
     """The checks of validate that read P alone: row sums, nonnegative
     entries and strong connectivity."""
-    n_comp, _ = connected_components(csr_matrix((np.abs(P) > 0).astype(np.int8)),
+    support = P > 0
+    support |= P < 0  # |P| > 0 without forming |P|; NaN is no edge
+    n_comp, _ = connected_components(csr_matrix(support.view(np.int8)),
                                      directed=True, connection="strong")
     # a row holding inf and -inf sums to NaN, which fails the row-sum check
     with np.errstate(over="ignore", invalid="ignore"):

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chains import TransitionKernel
+from .chains import TransitionKernel, index_blocks, max_over_blocks
 from .errors import NumericalFailure, SingularSystem
 from .spectral import (SpectralDecomposition, resolution, spectral_moment,
-                       symmetrized_laplacian)
+                       symmetrized_laplacian, symmetrized_rows)
 
 
 @dataclass(frozen=True)
@@ -64,6 +64,11 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
 
     The restricted-system residual contract (<= 1e-10 * n above the float
     forming floor) is verified on a sample of target states on every route.
+
+    Besides P, the birth-death and spectral routes hold one n x n array at
+    their peak (the spectral route forms S + q q^T, its inverse and the
+    hitting matrix in the same memory); the GTH route holds two, the
+    hitting matrix and one target's (n-1) x (n-1) block.
     """
     n = kernel.n
     cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
@@ -75,6 +80,7 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
         off_min = float(hit.min())
         np.fill_diagonal(hit, 0.0)
         if hit.max() > 1e8 or off_min <= 0.0:
+            del hit  # before the GTH route forms its own
             hit, route = _gth_hit_matrix(kernel), "gth"
 
     _check_restricted_residual(kernel, hit, cols)
@@ -106,24 +112,49 @@ def _birth_death_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
 
 
 def _spectral_hit_matrix(kernel: TransitionKernel, cols) -> np.ndarray:
-    n = kernel.n
-    S, q = symmetrized_laplacian(kernel)
-    A = S + np.outer(q, q)
+    """All of E_x[T_y] from N = A^{-1}, A = S + q q^T, in one n x n array.
+
+    A is filled a block of rows at a time and inverted in place; the
+    residual check forms its rows again, and the hitting matrix overwrites
+    N a block of rows at a time.  It is C-ordered, as `inv` returns the
+    inverse of a C-ordered matrix, so `pi @ hit` takes the same BLAS route.
+    """
+    n, q = kernel.n, np.sqrt(kernel.pi)
+    A = np.empty((n, n))
+    for rows in index_blocks(n):
+        A[rows] = _fundamental_rows(kernel, q, rows)
+    # A is exactly symmetric, so its transpose, a Fortran-ordered view, is
+    # the same matrix: inv overwrites it with the bits of a call on a copy,
+    # and the transpose of the result is C-ordered again.
     try:
-        N = scipy.linalg.inv(A)
+        N = scipy.linalg.inv(A.T, overwrite_a=True).T
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental system is singular: {exc}") from exc
+    del A
 
-    R = A @ N[:, cols]
-    R[cols, np.arange(cols.size)] -= 1.0
-    resid = np.abs(R).max()
+    Nc = N[:, cols]
+    eye = np.zeros((n, cols.size))
+    eye[cols, np.arange(cols.size)] = 1.0
+    resid = max_over_blocks(n, lambda rows: np.abs(
+        _fundamental_rows(kernel, q, rows) @ Nc - eye[rows]))
     if resid > 1e-10 * n:
         raise SingularSystem(f"fundamental solve residual {resid:.3e} > 1e-10*n")
 
-    diag = np.diag(N)
-    hit = diag[None, :] / kernel.pi[None, :] - N / np.outer(q, q)
+    hit = N
+    d_pi = np.diag(N) / kernel.pi
+    for rows in index_blocks(n):
+        qq = np.outer(q[rows], q)
+        np.divide(hit[rows], qq, out=qq)
+        np.subtract(d_pi[None, :], qq, out=hit[rows])
     np.fill_diagonal(hit, 0.0)
     return hit
+
+
+def _fundamental_rows(kernel, q, rows):
+    """Rows `rows` of S + q q^T, S the `symmetrized_laplacian`."""
+    A = symmetrized_rows(kernel, rows)
+    A += np.outer(q[rows], q)
+    return A
 
 
 def _gth_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
@@ -145,8 +176,8 @@ def _gth_absorbing_column(P: np.ndarray, y: int):
     n = P.shape[0]
     keep = np.flatnonzero(np.arange(n) != y)
     m = keep.size
-    B = P[np.ix_(keep, keep)].copy()
-    g = P[keep, y].copy()
+    B = P[np.ix_(keep, keep)]
+    g = P[keep, y]
     b = np.ones(m)
     s = np.empty(m)
     for k in range(m - 1, 0, -1):
@@ -251,7 +282,10 @@ def hitting_tail_profile(kernel: TransitionKernel, y: int) -> TailProfile:
     """
     S, q = symmetrized_laplacian(kernel)
     keep = np.arange(kernel.n) != y
-    mu, U = scipy.linalg.eigh(S[np.ix_(keep, keep)])
+    block = S[np.ix_(keep, keep)]
+    del S
+    # the block is exactly symmetric: eigh works in its transposed view
+    mu, U = scipy.linalg.eigh(block.T, overwrite_a=True)
     tol = resolution(mu.size, mu[-1])
     if mu[0] <= tol:
         raise NumericalFailure(f"Dirichlet eigenvalue {mu[0]:.3e} is at or below the "

@@ -133,15 +133,21 @@ class MixingProfile:
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
-        return float(np.abs(self._heat_rows(t, x) - self.decomp.pi).sum())
+        return float(self._l1_distances(self._heat_rows(t, x)))
 
     def tv_worst(self, t: float) -> float:
-        rows = self._heat_rows(t, self.kernel.scan_states)
-        return float(np.abs(rows - self.decomp.pi).sum(axis=1).max())
+        return float(self._l1_distances(self._heat_rows(t, self.kernel.scan_states)).max())
+
+    def _l1_distances(self, rows: np.ndarray):
+        """sum_y |rows[..., y] - pi(y)|, formed in place in rows, which
+        `_heat_rows` returns fresh."""
+        rows -= self.decomp.pi
+        np.abs(rows, out=rows)
+        return rows.sum(axis=-1)
 
     def _heat_rows(self, t: float, xs) -> np.ndarray:
-        """Rows H_t(xs, .): spectral when pi is balanced, else rows of the
-        heat matrix on the ladder."""
+        """Rows H_t(xs, .), in a fresh array: spectral when pi is balanced,
+        else rows of the heat matrix on the ladder."""
         if self._balanced:
             return heat_kernel_row(self.decomp, xs, t)
         return self._heat_matrix(t)[xs]

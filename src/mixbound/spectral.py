@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chains import TransitionKernel
+from .chains import TransitionKernel, index_blocks, max_over_blocks
 from .errors import InvalidSpec, NumericalFailure
 
 _ORTHO_FAIL = 1e-6
@@ -41,10 +41,18 @@ def laplacian(kernel: TransitionKernel) -> np.ndarray:
     subtraction cancels nothing and stays, so L is bit for bit I - P on
     every kernel whose diagonal is at most 1/2.
     """
-    L = np.eye(kernel.n) - kernel.P
-    slow = np.flatnonzero(np.diagonal(kernel.P) > 0.5)
-    L[slow, slow] = 0.0
-    L[slow, slow] = -L[slow].sum(axis=1)
+    return laplacian_rows(kernel.P, slice(0, kernel.n))
+
+
+def laplacian_rows(P: np.ndarray, rows: slice) -> np.ndarray:
+    """Rows `rows` of `laplacian`, bit for bit, from the same rows of P."""
+    L = 0.0 - P[rows]  # each entry as in I - P, +0.0 where P is 0
+    k = np.arange(rows.start, rows.stop)
+    own = (k - rows.start, k)
+    L[own] = 1.0 - P[k, k]
+    slow = np.flatnonzero(P[k, k] > 0.5)
+    L[own[0][slow], k[slow]] = 0.0
+    L[own[0][slow], k[slow]] = -L[slow].sum(axis=1)
     return L
 
 
@@ -56,11 +64,38 @@ def resolution(n: int, top: float) -> float:
 
 
 def symmetrized_laplacian(kernel: TransitionKernel):
-    """Return (S, sqrt_pi) with S the symmetrized `laplacian` of the kernel."""
+    """Return (S, sqrt_pi) with S = 0.5 (M + M^T), M = D L D^{-1}, L the
+    `laplacian` of the kernel and D = diag(sqrt_pi).
+
+    S is a fresh array, filled in place a block of rows at a time by
+    `symmetrized_rows`, so no n x n temporary is formed.
+    """
+    S = np.empty((kernel.n, kernel.n))
+    for rows in index_blocks(kernel.n):
+        S[rows] = symmetrized_rows(kernel, rows)
+    return S, np.sqrt(kernel.pi)
+
+
+def symmetrized_rows(kernel: TransitionKernel, rows: slice) -> np.ndarray:
+    """Rows `rows` of the `symmetrized_laplacian` S, bit for bit.
+
+    Entry (i, j) is 0.5 (M[i, j] + M[j, i]) with M[i, j] = sqrt_pi[i]
+    L[i, j] / sqrt_pi[j]: the rows of M come from the rows of P, its
+    columns from the columns.  The contract checks that run after a solve
+    has overwritten S read its rows from here.
+    """
     sqrt_pi = np.sqrt(kernel.pi)
-    L = laplacian(kernel)
-    S = (sqrt_pi[:, None] * L) / sqrt_pi[None, :]
-    return 0.5 * (S + S.T), sqrt_pi
+    M = laplacian_rows(kernel.P, rows)
+    own = (np.arange(M.shape[0]), np.arange(rows.start, rows.stop))
+    Mt = 0.0 - kernel.P[:, rows]  # columns of L, whose diagonal M holds
+    Mt[own[::-1]] = M[own]
+    M *= sqrt_pi[rows, None]
+    M /= sqrt_pi[None, :]
+    Mt *= sqrt_pi[:, None]
+    Mt /= sqrt_pi[None, rows]
+    M += Mt.T
+    M *= 0.5
+    return M
 
 
 @dataclass(frozen=True)
@@ -104,12 +139,13 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     tol / gap: far inside the 1e-9 contract when the whole spectrum is
     slow, but coarser for a weak bottleneck whose gap is far below an O(1)
     top eigenvalue.
+
+    At its peak it holds three n x n arrays of doubles, P included: P, S
+    and the eigenvectors while `eigh` overwrites S, then P, F and F^2.
+    Every other step works on `index_blocks` of rows or columns.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)
-    w, V = scipy.linalg.eigh(S)
-
-    tol = resolution(n, w[-1])
     # The Gershgorin discs of S in the weights sqrt(pi) (its off-diagonal
     # is nonpositive) hold every eigenvalue in [min r, max(2 diag(S) - r)]
     # with r = S sqrt(pi) / sqrt(pi).  r is 0 for an exactly stochastic
@@ -119,6 +155,12 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     r = (S @ sqrt_pi) / sqrt_pi
     low = min(0.0, float(r.min()))
     high = max(2.0, float((2.0 * np.diagonal(S) - r).max()))
+    # S is exactly symmetric, so its transpose, a Fortran-ordered view, is
+    # the same matrix, and eigh uses its memory as workspace.
+    w, V = scipy.linalg.eigh(S.T, overwrite_a=True)
+    del S
+
+    tol = resolution(n, w[-1])
     if w[0] < low - tol:
         raise NumericalFailure(f"negative Laplacian eigenvalue {w[0]:.3e}")
     if n >= 2 and w[1] <= tol:
@@ -132,18 +174,24 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
 
     # Backward-error contract, spot-checked on a deterministic column sample.
     cols = np.linspace(0, n - 1, num=min(n, 16), dtype=int)
-    resid = np.abs(S @ V[:, cols] - V[:, cols] * w[cols][None, :]).max()
+    Vc = V[:, cols]
+    resid = max_over_blocks(n, lambda rows: np.abs(
+        symmetrized_rows(kernel, rows) @ Vc - Vc[rows] * w[cols][None, :]))
     if resid > 1e-10 * n:
         raise NumericalFailure(f"eigensolve backward error {resid:.3e} > 1e-10*n")
 
-    F = V / sqrt_pi[:, None]
+    F = V  # in place: V is not read again
+    F /= sqrt_pi[:, None]
     # each column's first entry above 1e-12 of its largest is positive
-    A = np.abs(F)
-    first = np.argmax(A > 1e-12 * A.max(axis=0), axis=0)
-    F *= np.where(F[first, np.arange(n)] < 0, -1.0, 1.0)
+    sign = np.empty(n)
+    for c in index_blocks(n):
+        A = np.abs(F[:, c])
+        first = np.argmax(A > 1e-12 * A.max(axis=0), axis=0)
+        sign[c] = np.where(F[first, np.arange(c.start, c.stop)] < 0, -1.0, 1.0)
+    F *= sign
 
-    gram = (F * kernel.pi[:, None]).T @ F
-    ortho = float(np.abs(gram - np.eye(n)).max())
+    ortho = max_over_blocks(n, lambda c: np.abs(
+        F.T @ (F[:, c] * kernel.pi[:, None]) - np.eye(n, c.stop - c.start, -c.start)))
     if ortho > _ORTHO_FAIL:
         raise NumericalFailure(f"orthonormality residual {ortho:.3e} exceeds 1e-6")
 
@@ -170,7 +218,9 @@ def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
     """Row H_t(x, .) reconstructed spectrally; for a sequence x of states,
     the matrix of their rows from one product."""
     weights = decomp.eigfuncs[x] * np.exp(-decomp.lambdas * t)
-    return decomp.pi * (weights @ decomp.eigfuncs.T)
+    rows = weights @ decomp.eigfuncs.T
+    rows *= decomp.pi
+    return rows
 
 
 # ---------------------------------------------------------------------------

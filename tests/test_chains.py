@@ -283,3 +283,25 @@ def test_kernel_arrays_frozen():
         kernel.P[0, 0] = 1.0
     with pytest.raises(ValueError):
         kernel.pi[0] = 1.0
+
+
+@pytest.mark.parametrize("spare_pages,refused", [(1, False), (-1, True)])
+def test_dense_refusal_counts_the_peak_arrays(monkeypatch, spare_pages, refused):
+    # physical memory one page above or below DENSE_PEAK_ARRAYS dense
+    # 64 x 64 matrices; one page below still holds a single matrix many times
+    page, n = 4096, 64
+    pages = chains.DENSE_PEAK_ARRAYS * 8 * n**2 // page + spare_pages
+    monkeypatch.setattr(chains.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}[name])
+    if refused:
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            chains.build_family(chains.cycle_spec(n))
+    else:
+        assert chains.build_family(chains.cycle_spec(n)).n == n
+
+
+def test_max_over_blocks_keeps_a_nan_in_any_block():
+    x = np.arange(3.0 * chains.BLOCK)
+    assert chains.max_over_blocks(x.size, lambda rows: x[rows]) == x[-1]
+    x[-1] = np.nan
+    assert np.isnan(chains.max_over_blocks(x.size, lambda rows: x[rows]))
