@@ -30,7 +30,7 @@ for t, m, se in zip((0.5, 1.0, 2.0), mean, stderr):
 print("\n== hitting a state: cloud vs single walker ==")
 analysis = ChainAnalysis.from_spec(chains.cycle_spec(32))
 kernel, decomp, summary = analysis.kernel, analysis.decomp, analysis.hitting
-cycle_cfg = brw.fill_config(analysis, cfg)
+cycle_cfg = brw.fill_config(analysis.decomp, cfg)
 est = brw.simulate_hit(kernel, 0, cycle_cfg)
 j_ref = decomp.t_rel * math.log1p(summary.t_pi_to[0] / decomp.t_rel)
 print(f"  cycle(32): cloud {est.mean:8.3f} +- {est.stderr:.3f}   "
@@ -63,7 +63,8 @@ for row in result.rows:
 print("\n== plain walks intersect on the sqrt(Q) scale ==")
 for n in (8, 16, 32):
     analysis = ChainAnalysis.from_spec(chains.complete_spec(n))
-    est = brw.plain_intersection(analysis.kernel, brw.fill_config(analysis, cfg))
+    est = brw.plain_intersection(analysis.kernel,
+                                 brw.fill_config(analysis.decomp, cfg))
     root_q = math.sqrt(spectral.spectral_moment(analysis.decomp, 2))
     print(f"  complete({n:2d}): plain {est.mean:6.3f}  sqrt(Q) {root_q:6.3f}  "
           f"ratio {est.mean / root_q:.3f}")

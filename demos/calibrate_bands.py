@@ -59,7 +59,7 @@ def calibrate_scalar_hit(spec):
     decomp, summary = analysis.decomp, analysis.hitting
     ref = decomp.t_rel * math.log1p(summary.t_hit / decomp.t_rel)
     est = brw.simulate_hit(analysis.kernel, int(np.argmax(summary.t_pi_to)),
-                           brw.fill_config(analysis, cfg()))
+                           brw.fill_config(analysis.decomp, cfg()))
     lo, hi = widen(est.mean / ref, est.mean / ref)
     print(f"  {analysis.kernel.label} hit vs t_rel*log(1+t_hit/t_rel): "
           f"ratio={est.mean / ref:.4f} -> band ({lo:.4f}, {hi:.4f})")

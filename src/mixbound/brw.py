@@ -9,6 +9,9 @@ process is exact in distribution with no time discretization.
 
 Default gamma is the spectral gap of the kernel, the critical regime in
 which the population grows by a constant factor every relaxation time.
+The default time cap is 50 t_rel log(1 + T/t_rel) with T = sum_{i>=2}
+1/lambda_i + max_y E_pi[T_y], a bound on t_hit by the triangle inequality
+for hitting times, read from the spectral decomposition alone.
 
 A hit and an intersection are one race, run by one engine: a branching
 cloud against the set another cloud has visited, which for a hit is the
@@ -54,7 +57,8 @@ import numpy as np
 from .analysis import ChainAnalysis
 from .chains import TransitionKernel, build_family
 from .errors import AllCensored, InvalidSpec
-from .spectral import decompose, heat_moment_windowed_all, spectral_moment
+from .spectral import (SpectralDecomposition, decompose, heat_moment_all,
+                       heat_moment_windowed_all, spectral_moment)
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -75,7 +79,7 @@ def replicate_seed(master_seed: int, replicate: int, salt: int = 0) -> int:
 @dataclass(frozen=True)
 class BRWConfig:
     """Simulation knobs.  gamma=None means the spectral gap of the kernel;
-    max_time=None means 50 * t_rel * log(1 + t_hit / t_rel)."""
+    max_time=None means 50 * t_rel * log(1 + T / t_rel), T >= t_hit (fill_config)."""
 
     gamma: float | None = None
     replicates: int = 1000
@@ -119,24 +123,18 @@ def _cum_row(weights: np.ndarray) -> tuple[list, list]:
     return nz.tolist(), cum.tolist()
 
 
-def fill_config(analysis: ChainAnalysis, cfg: BRWConfig) -> BRWConfig:
-    """cfg with gamma defaulting to the spectral gap of the analysed kernel
-    and max_time to 50 * t_rel * log(1 + t_hit / t_rel).  The hitting
-    summary is solved (once, by the analysis) only when max_time needs it."""
-    decomp = analysis.decomp
+def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
+    """cfg with gamma defaulting to the spectral gap and max_time to
+    50 * t_rel * log(1 + T / t_rel).  T = sum_{i>=2} 1/lambda_i + max_y E_pi[T_y]
+    bounds t_hit on every irreducible reversible chain: average E_x[T_y] <=
+    E_x[T_z] + E_z[T_y] over z ~ pi (Levin-Peres-Wilmer, ch. 10)."""
     max_time = cfg.max_time
     if max_time is None:
         t_rel = decomp.t_rel
-        max_time = 50.0 * t_rel * math.log1p(analysis.hitting.t_hit / t_rel)
+        bound = spectral_moment(decomp, 1) + float(heat_moment_all(decomp, 1).max())
+        max_time = 50.0 * t_rel * math.log1p(bound / t_rel)
     return replace(cfg, gamma=cfg.gamma if cfg.gamma is not None else decomp.gap,
                    max_time=max_time)
-
-
-def resolve_config(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
-    """Fill gamma and max_time defaults from the kernel's exact quantities."""
-    if cfg.gamma is not None and cfg.max_time is not None:
-        return cfg
-    return fill_config(ChainAnalysis.from_kernel(kernel), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +288,9 @@ def _run_replicates(run_fn, kernel: TransitionKernel, cfg: BRWConfig,
     common = ([_cum_row(row) for row in kernel.P], _cum_row(kernel.pi)) + params
     workers = min(cfg.threads, os.cpu_count() or 1)
     n_chunks = 1 if workers <= 1 else min(cfg.replicates, 4 * workers)
-    edges = np.linspace(0, cfg.replicates, num=n_chunks + 1, dtype=int)
-    tasks = [(run_fn, cfg.master_seed, salt, int(r0), int(r1))
+    # exact integers: a float edge would lose a count beyond 2**53
+    edges = [cfg.replicates * i // n_chunks for i in range(n_chunks + 1)]
+    tasks = [(run_fn, cfg.master_seed, salt, r0, r1)
              for r0, r1 in zip(edges[:-1], edges[1:]) if r0 < r1]
     if len(tasks) == 1:
         chunks = [_batch(run_fn, common, *task[1:]) for task in tasks]
@@ -338,7 +337,8 @@ def _simulate(run_fn, kernel: TransitionKernel, cfg: BRWConfig, label: str,
     if initial_states is not None:
         initial_states = states("pinned starts", initial_states,
                                 1 if target is not None else 2)
-    cfg = resolve_config(kernel, cfg)
+    if cfg.gamma is None or cfg.max_time is None:
+        cfg = fill_config(decompose(kernel), cfg)
     times = _run_replicates(run_fn, kernel, cfg, cfg.gamma, kernel.n,
                             cfg.max_particles, cfg.max_time, initial_states,
                             target, salt=salt)
@@ -378,9 +378,9 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     """Mean particle count and its standard error at each query time.
 
     Growth runs have no time cap, so only gamma is filled (the spectral
-    gap when it is None) and no hitting time is solved."""
+    gap when it is None)."""
     if cfg.gamma is None:
-        cfg = replace(cfg, gamma=decompose(kernel).gap)
+        cfg = fill_config(decompose(kernel), replace(cfg, max_time=math.inf))
     times = sorted(float(t) for t in times)
     counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
                                       cfg.max_particles), dtype=float)
@@ -398,11 +398,12 @@ def experiment(analysis: ChainAnalysis, target: str, cfg: BRWConfig
     t_rel log(1 + t_pi/t_rel); intersect: two BRW clouds, against
     t_rel log(1 + sqrt(Q)/t_rel); plain: two plain walks, against sqrt(Q).
     Every exact quantity (gamma, the time cap, the reference) is read from
-    the analysis, so nothing is solved twice.
+    the analysis, so nothing is solved twice; only the hit target reads its
+    hitting times.
     """
     kernel, decomp = analysis.kernel, analysis.decomp
     t_rel = decomp.t_rel
-    cfg = fill_config(analysis, cfg)
+    cfg = fill_config(decomp, cfg)
     if target == "hit":
         t_pi_to = analysis.hitting.t_pi_to
         x = int(np.argmax(t_pi_to))
@@ -450,7 +451,6 @@ class SandwichRow:
     reference: float
     ratio: float
     upper_ratio: float
-    lower_ratio: float | None
     upper_ok: bool
     lower_ok: bool
     lower_skipped: bool
@@ -459,7 +459,6 @@ class SandwichRow:
 @dataclass(frozen=True)
 class SandwichResult:
     family: str
-    target: str
     rows: tuple
     c_lo: float
     c_hi: float
@@ -495,7 +494,6 @@ def _sandwich_row(spec, target: str, cfg: BRWConfig, c_lo: float,
         label=kernel.label, size=spec.size, n=kernel.n,
         estimate=est.mean, stderr=est.stderr, censor_rate=est.censor_rate,
         reference=reference, ratio=ratio, upper_ratio=upper,
-        lower_ratio=None if skip_lower else ratio,
         upper_ok=upper <= c_hi,
         lower_ok=skip_lower or ratio >= c_lo,
         lower_skipped=skip_lower)
@@ -521,10 +519,8 @@ def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
     xs = np.log(np.array([r.n for r in rows], dtype=float))
     ys = np.log(np.array([r.ratio for r in rows], dtype=float))
     slope = float(np.polyfit(xs, ys, 1)[0])
-    return SandwichResult(family=family,
-                          target="hit" if target == "hit" else "intersection",
-                          rows=tuple(rows), c_lo=c_lo, c_hi=c_hi, slope=slope,
-                          slope_ok=abs(slope) <= SLOPE_TOL)
+    return SandwichResult(family=family, rows=tuple(rows), c_lo=c_lo, c_hi=c_hi,
+                          slope=slope, slope_ok=abs(slope) <= SLOPE_TOL)
 
 
 def hit_time_sandwich(specs, cfg: BRWConfig, band=None) -> SandwichResult:

@@ -247,7 +247,7 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     p = _read_params(fam, spec.params)
     label = ChainFamilySpec(fam, p).label()
     m, d = (p.get(x, x) for x in _FAMILY_PARAMS[fam].states)
-    _check_dense_fits(label, m, d)
+    check_dense_fits(label, m, d, DENSE_PEAK_ARRAYS)
     if fam == "complete":
         kernel = _uniform_kernel((np.ones((m, m)) - np.eye(m)) / (m - 1), label)
     elif fam == "dlp_birth_death":
@@ -266,19 +266,19 @@ def _uniform_kernel(P, label):
     return TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), label=label, transitive=True)
 
 
-def _check_dense_fits(label, m, d):
-    """Refuse a family of n = m**d states whose DENSE_PEAK_ARRAYS dense
-    n x n matrices of doubles, the exact layer's peak, exceed this
-    machine's physical memory.  Works on log n, so nothing is allocated
-    and m**d is never formed."""
+def check_dense_fits(label, m, d, arrays: int) -> None:
+    """Refuse a chain of n = m**d states when `arrays` dense n x n
+    matrices of doubles (DENSE_PEAK_ARRAYS for the exact layer's peak)
+    exceed this machine's physical memory.  Works on log n, so nothing is
+    allocated and m**d is never formed."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return  # the platform cannot tell; numpy reports a failed allocation
     log10_n = d * math.log10(m) if d < 2**1023 else math.inf  # d beyond a double
-    if math.log10(8 * DENSE_PEAK_ARRAYS) + 2 * log10_n > math.log10(have):
+    if math.log10(8 * arrays) + 2 * log10_n > math.log10(have):
         raise InvalidSpec(f"{label} has about 10^{log10_n:.6g} states; "
-                          f"{DENSE_PEAK_ARRAYS} dense matrices of n^2 doubles exceed "
+                          f"{arrays} dense matrices of n^2 doubles exceed "
                           f"the {have / 2**30:.3g} GiB of physical memory")
 
 

@@ -48,6 +48,9 @@ EXIT_BAD_CHAIN = 3
 EXIT_ALL_CENSORED = 4
 EXIT_NUMERICAL = 5
 
+# Most grid points `profile` writes; each is one row of the CSV.
+MAX_POINTS = 1_000_000
+
 # The exit code of each exception a command may end with.
 _EXIT_CODES = {
     InvalidSpec: EXIT_INVALID_SPEC, BadEps: EXIT_INVALID_SPEC, BadRange: EXIT_INVALID_SPEC,
@@ -180,6 +183,8 @@ def cmd_verify(args, argv) -> int:
 def cmd_profile(args, argv) -> int:
     if args.points < 1:
         raise InvalidSpec(f"--points must be at least 1, got {args.points}")
+    if args.points > MAX_POINTS:
+        raise InvalidSpec(f"--points must be at most {MAX_POINTS}")
     for flag, value in (("--t-min", args.t_min), ("--t-max", args.t_max)):
         if value is not None and not _positive_finite(value):
             raise InvalidSpec(f"{flag} must be finite and > 0, got {value}")
@@ -199,7 +204,8 @@ def cmd_profile(args, argv) -> int:
     rows = []
     for t in grid:
         # max_x d_{2,x}(t)^2 is the linf profile at 2t: the same row sums
-        d2 = prof.linf_distance(2.0 * t) ** 0.5
+        # (a Python float: 2t past the double range is inf, without a warning)
+        d2 = prof.linf_distance(2.0 * float(t)) ** 0.5
         rows.append([t, prof.linf_distance(t), d2, prof.tv_worst(t),
                      prof.ave_l2_sq(t)])
     _write_csv(args.out, argv, canonical_spec_text(specs[0]), None,

@@ -8,13 +8,14 @@ tails from stationarity start at 1 - pi(y).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 
 from .chains import TransitionKernel, index_blocks, max_over_blocks
-from .errors import NumericalFailure, SingularSystem
+from .errors import InvalidSpec, NumericalFailure, SingularSystem
 from .spectral import (SpectralDecomposition, resolution, spectral_moment,
                        symmetrized_laplacian, symmetrized_rows)
 
@@ -62,8 +63,10 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
       subtraction-free GTH-style absorbing-chain elimination, which is
       componentwise accurate at any imbalance but costs O(n^4).
 
-    The restricted-system residual contract (<= 1e-10 * n above the float
-    forming floor) is verified on a sample of target states on every route.
+    A hitting time beyond the largest double (inf, or NaN from an
+    overflowed intermediate) raises InvalidSpec.  The restricted-system
+    residual contract (<= 1e-10 * n above the float forming floor) is then
+    verified on a sample of target states on every route.
 
     Besides P, the birth-death and spectral routes hold one n x n array at
     their peak (the spectral route forms S + q q^T, its inverse and the
@@ -83,11 +86,14 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
             del hit  # before the GTH route forms its own
             hit, route = _gth_hit_matrix(kernel), "gth"
 
+    t_hit = float(hit.max())
+    if not math.isfinite(t_hit):
+        raise InvalidSpec(f"{kernel.label}: a hitting time is not a finite double")
     _check_restricted_residual(kernel, hit, cols)
     t_pi_to = kernel.pi @ hit
     t_target = float(t_pi_to @ kernel.pi)
     return HittingSummary(hit_matrix=hit, t_pi_to=t_pi_to,
-                          t_hit=float(hit.max()), t_target=t_target, route=route)
+                          t_hit=t_hit, t_target=t_target, route=route)
 
 
 def _is_tridiagonal(P: np.ndarray) -> bool:
@@ -102,12 +108,14 @@ def _birth_death_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
         raise SingularSystem("birth-death chain with a zero rate; reducible")
     below = np.cumsum(pi)[:-1]                # pi(0..k)
     above = np.cumsum(pi[::-1])[::-1][1:]     # pi(k+1..n-1)
-    e_up = below / (pi[:-1] * up)
-    e_down = above / (pi[1:] * down)
     hit = np.zeros((n, n))
-    for x in range(n):
-        hit[x, x + 1:] = np.cumsum(e_up[x:])
-        hit[x, :x] = np.cumsum(e_down[:x][::-1])[::-1]
+    # a time beyond the double range comes out as inf, which hit_times refuses
+    with np.errstate(divide="ignore", over="ignore"):
+        e_up = below / (pi[:-1] * up)
+        e_down = above / (pi[1:] * down)
+        for x in range(n):
+            hit[x, x + 1:] = np.cumsum(e_up[x:])
+            hit[x, :x] = np.cumsum(e_down[:x][::-1])[::-1]
     return hit
 
 
@@ -200,7 +208,7 @@ def _gth_absorbing_column(P: np.ndarray, y: int):
 
 def _check_restricted_residual(kernel, hit, cols):
     r, floor = _restricted_residual(kernel.P, hit, cols)
-    bad = r > 1e-10 * kernel.n + floor
+    bad = ~(r <= 1e-10 * kernel.n + floor)  # a NaN residual fails too
     if bad.any():
         y = cols[np.flatnonzero(bad.any(axis=0))[0]]
         raise SingularSystem(

@@ -28,7 +28,7 @@ import math
 import numpy as np
 import scipy.sparse
 
-from .chains import TransitionKernel
+from .chains import DENSE_PEAK_ARRAYS, TransitionKernel, check_dense_fits
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
 from .spectral import SpectralDecomposition, heat_kernel_row, laplacian
@@ -56,6 +56,11 @@ _MAX = float(np.finfo(float).max)
 _LADDER_STEP = 1.0
 # Partial products of rungs kept, the least recently used evicted first.
 _PREFIX_CACHE = 4
+# n x n arrays a heat matrix evaluation holds beside the rungs and cached
+# prefixes: a dense P_u^T, one uncached prefix (the identity, or a new
+# product before the oldest is evicted), and the running sum, power and
+# scaled term of the Poisson sum (pinned by tests/test_memory.py).
+_LADDER_WORK = 5
 # P_u^T is stored in CSR form when at most this share of its entries is
 # nonzero, else dense.  At n = 200 and 500 a CSR product with a dense
 # matrix was the faster one below about a tenth of the entries on one
@@ -127,7 +132,8 @@ class MixingProfile:
             rows = np.ones((1, rows.shape[1]))
         elif self.kernel.transitive:  # linf: state 0 stands for every state
             rows = rows[:1]
-        decay = np.exp(-2.0 * self.decomp.lambdas[1:] * np.reshape(t, (-1, 1)))
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+            decay = np.exp(-2.0 * self.decomp.lambdas[1:] * np.reshape(t, (-1, 1)))
         # C order, so a row sums alike beside any rows (eigfuncs_sq is F-ordered)
         return np.multiply(rows, decay, order="C")
 
@@ -199,11 +205,20 @@ class MixingProfile:
         """R_j = U(h)^(2^j), built by squaring on first use."""
         rungs = self._rungs
         if not rungs:
+            check_dense_fits(self.kernel.label, self.kernel.n, 1, self._ladder_arrays())
             rungs.append(_uniformized(np.eye(self.kernel.n), self._uniform_t,
                                       _poisson_weights(_LADDER_STEP)))
         while len(rungs) <= j:
             rungs.append(rungs[-1] @ rungs[-1])
         return rungs[j]
+
+    def _ladder_arrays(self) -> int:
+        """n x n arrays of doubles held at the ladder's worst case, the
+        exact layer's DENSE_PEAK_ARRAYS included: a rung for each bit of
+        the largest k = floor(t_settled / h), the cached prefixes and the
+        working arrays of one product."""
+        bits = int(self._t_settled // self._step).bit_length()
+        return DENSE_PEAK_ARRAYS + bits + _PREFIX_CACHE + _LADDER_WORK
 
     # -- mixing times --------------------------------------------------------
 

@@ -217,7 +217,8 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
 def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
     """Row H_t(x, .) reconstructed spectrally; for a sequence x of states,
     the matrix of their rows from one product."""
-    weights = decomp.eigfuncs[x] * np.exp(-decomp.lambdas * t)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+        weights = decomp.eigfuncs[x] * np.exp(-decomp.lambdas * t)
     rows = weights @ decomp.eigfuncs.T
     rows *= decomp.pi
     return rows

@@ -224,7 +224,7 @@ def test_criterion_8_dual_engine_oracle(analysis_cache):
         for spec in (chains.complete_spec(4), chains.cycle_spec(8)):
             analysis = analysis_cache(spec)
             kernel = analysis.kernel
-            cfg = brw.fill_config(analysis,
+            cfg = brw.fill_config(analysis.decomp,
                                   brw.BRWConfig(replicates=10_000, master_seed=7))
             x = kernel.n // 2
             main = brw.simulate_hit(kernel, x, cfg)

@@ -13,6 +13,8 @@ from mixbound import analysis, brw, brw_reference, chains, hitting, spectral
 from mixbound.analysis import ChainAnalysis
 from mixbound.errors import AllCensored, InvalidSpec
 
+from conftest import SMALL_BENCHMARK_SPECS
+
 
 @pytest.fixture(scope="module")
 def complete4():
@@ -275,6 +277,50 @@ def test_growth_curve_solves_no_hitting_times(monkeypatch, cycle8):
     assert calls == []
 
 
+def _cap_bound(decomp):
+    """T = sum_{i>=2} 1/lambda_i + max_y E_pi[T_y], the default cap's t_hit bound."""
+    return spectral.spectral_moment(decomp, 1) + \
+        float(spectral.heat_moment_all(decomp, 1).max())
+
+
+@pytest.mark.parametrize("kernel", [
+    *SMALL_BENCHMARK_SPECS,
+    *(chains.dlp_spec(n, 0.5, 0.05) for n in (100, 200, 241)),
+    *(chains.random_reversible_kernel(n, np.random.default_rng(n)) for n in (5, 30, 100)),
+], ids=lambda k: k.label() if isinstance(k, chains.ChainFamilySpec) else k.label)
+def test_default_cap_bound_covers_t_hit(analysis_cache, kernel):
+    a = analysis_cache(kernel)
+    bound = _cap_bound(a.decomp)
+    assert bound >= a.hitting.t_hit * (1.0 - 1e-12)
+    if a.kernel.transitive:  # E_pi[T_y] is the same sum for every y
+        assert bound == pytest.approx(2.0 * spectral.spectral_moment(a.decomp, 1),
+                                      rel=1e-12)
+    t_rel = a.decomp.t_rel
+    cfg = brw.fill_config(a.decomp, brw.BRWConfig())
+    assert cfg.max_time == 50.0 * t_rel * math.log1p(bound / t_rel)
+    assert cfg.gamma == a.decomp.gap
+
+
+def test_no_hitting_solve_outside_the_hit_target(monkeypatch):
+    def refuse(kernel):
+        raise AssertionError("hitting times solved outside the hit target")
+
+    for module in (hitting, analysis):
+        monkeypatch.setattr(module, "hit_times", refuse)
+    cfg = brw.BRWConfig(replicates=20, master_seed=1)
+    specs = [chains.hypercube_spec(d) for d in (3, 4, 5)]
+    for spec in specs:
+        kernel = chains.build_family(spec)
+        brw.simulate_intersection(kernel, cfg)
+        brw.plain_intersection(kernel, cfg)
+        brw.growth_curve(kernel, cfg, [1.0])
+        brw_reference.simulate_intersection_reference(kernel, cfg)
+        a = ChainAnalysis.from_kernel(kernel)
+        brw.experiment(a, "intersect", cfg)
+        brw.experiment(a, "plain", cfg)
+    brw.intersection_sandwich(specs, cfg)
+
+
 def test_first_particle_bounds_hit_time(cycle8):
     # the first particle alone yields E[hit] <= expected hit time from pi
     summary = hitting.hit_times(cycle8)
@@ -291,7 +337,7 @@ def test_intersection_faster_than_hit(cycle8):
 
 def test_engines_agree_quickly(complete4, cycle8):
     for kernel in (complete4, cycle8):
-        cfg = brw.fill_config(ChainAnalysis.from_kernel(kernel),
+        cfg = brw.fill_config(spectral.decompose(kernel),
                               brw.BRWConfig(replicates=3000, master_seed=31))
         x = kernel.n // 2
         assert pooled_gap(brw.simulate_hit(kernel, x, cfg),

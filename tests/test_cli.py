@@ -322,7 +322,8 @@ def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, s
         return wrapper
 
     # ChainAnalysis does all of the solving; a sandwich builds its kernels
-    # in brw first, to check transitivity before any solve
+    # in brw first, to check transitivity before any solve.  Only the hit
+    # target solves hitting times: the default time cap is spectral.
     monkeypatch.setattr(brw, "build_family", counted("build_family", brw.build_family))
     for name in calls:
         monkeypatch.setattr(analysis, name, counted(name, getattr(analysis, name)))
@@ -333,7 +334,8 @@ def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, s
                      *(["--sandwich"] if sandwich else []),
                      "--out", str(tmp_path / "b.csv")]) == 0
     n = len(sizes)
-    assert calls == {"build_family": n, "decompose": n, "hit_times": n}
+    assert calls == {"build_family": n, "decompose": n,
+                     "hit_times": n if target == "hit" else 0}
 
 
 @pytest.mark.parametrize("target,family", [
@@ -405,6 +407,9 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     # eps * t_rel overflows in the moment bound's right side
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e308"], id="eps-1e308"),
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
+    # refused before the grid is formed: numpy cannot hold or size it
+    pytest.param(PROFILE + ["--points", str(10**15)], id="points-1e15"),
+    pytest.param(PROFILE + ["--points", str(10**400)], id="points-1e400"),
     pytest.param(PROFILE + ["--t-min", "0"], id="t-min-0"),
     pytest.param(PROFILE + ["--t-min", "5", "--t-max", "1"], id="t-descending"),
     # above the default t_max of cycle(8), about 15
@@ -440,6 +445,52 @@ def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+class _InProcessPool:
+    """ProcessPoolExecutor's interface, run in this process."""
+
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("replicates", [
+    pytest.param(2**63 - 1, id="replicates-2^63-1"),
+    pytest.param(10**34, id="replicates-1e34"),
+])
+def test_brw_huge_replicate_count_chunks_exactly(monkeypatch, tmp_path, threads,
+                                                 replicates):
+    # the chunk edges are exact integers; _batch is patched, so no replicate runs
+    chunks = []
+    monkeypatch.setattr(brw, "_batch", lambda run_fn, common, seed, salt, r0, r1:
+                        chunks.append((r0, r1)) or [1.0])
+    monkeypatch.setattr(brw, "ProcessPoolExecutor", _InProcessPool)
+    monkeypatch.setattr(brw, "_worker_common", None)
+    monkeypatch.setattr(brw.os, "cpu_count", lambda: 2)
+    monkeypatch.setenv("MIXBOUND_THREADS", threads)
+    assert cli.main(["brw", "--family", "cycle", "--sizes", "4", "--target", "hit",
+                     "--replicates", str(replicates),
+                     "--out", str(tmp_path / "b.csv")]) == 0
+    assert len(chunks) == (1 if threads == "1" else 8)
+    assert chunks[0][0] == 0 and chunks[-1][1] == replicates
+    assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+
+
+def test_profile_t_max_near_double_max_exit0_quietly(tmp_path):
+    # 2t and lambda t overflow to inf, where every profile has its limit
+    res = run_cli("profile", "--family", "cycle", "--sizes", "4", "--t-max", "1e308",
+                  "--out", str(tmp_path / "p.csv"))
+    assert (res.returncode, res.stderr) == (0, "")
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "--help"])
@@ -456,6 +507,9 @@ def test_help_exits_0(capsys):
     pytest.param(b"family=custom\nmatrix=m.csv\nn=3\n", id="custom-unknown-key"),
     pytest.param(b"family=dlp\nn=10\nlambda=5e-324\neps=0.3\n", id="dlp-lambda-5e-324"),
     pytest.param(b"family=dlp\nn=10\nlambda=0.5\neps=4e-324\n", id="dlp-eps-4e-324"),
+    # pi(k) P(k,k+1) underflows to 0, so a hitting time is beyond the doubles
+    pytest.param(b"family=dlp\nn=100\nlambda=1e-300\neps=0.3\n",
+                 id="dlp-hitting-beyond-double-range"),
 ])
 def test_bad_spec_file_exit2_one_line(tmp_path, capsys, content):
     spec = tmp_path / "bad.spec"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mixbound import chains, hitting, spectral
-from mixbound.errors import SingularSystem
+from mixbound.errors import InvalidSpec, SingularSystem
 
 from conftest import BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS, random_kernels
 
@@ -301,3 +302,23 @@ def test_perturbed_hit_column_fails_residual_check():
     hit[:, cols[3]] *= 1.0 + 1e-6
     with pytest.raises(SingularSystem, match=f"target {cols[3]} "):
         hitting._check_restricted_residual(kernel, hit, cols)
+
+
+def test_nan_hit_column_fails_residual_check():
+    # NaN > bound is False: the check must fail NaN, not pass it
+    kernel = chains.build_family(chains.torus_spec(2, 8))
+    hit = hitting.hit_times(kernel).hit_matrix.copy()
+    cols = np.linspace(0, kernel.n - 1, num=8, dtype=int)
+    hit[5, cols[2]] = np.nan
+    with pytest.raises(SingularSystem, match=f"target {cols[2]} "):
+        hitting._check_restricted_residual(kernel, hit, cols)
+
+
+def test_hitting_time_beyond_double_range_refused_quietly():
+    # pi(k) P(k,k+1) underflows to 0 on dlp(100, 1e-300, 0.3); the parent
+    # returned t_hit = inf after six RuntimeWarnings
+    kernel = chains.build_family(chains.dlp_spec(100, 1e-300, 0.3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidSpec, match="not a finite double"):
+            hitting.hit_times(kernel)

@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mixbound import chains
+from mixbound import chains, mixing
 from mixbound.analysis import ChainAnalysis
+from mixbound.errors import InvalidSpec
 from mixbound.hitting import hit_times
 from mixbound.mixing import MixingProfile
 from mixbound.spectral import decompose
@@ -94,3 +95,43 @@ def test_tv_worst_holds_two_row_arrays():
     assert profile._balanced and len(kernel.scan_states) == kernel.n
     peak = _traced_peak(lambda: profile.tv_worst(1.0))
     assert peak <= 2.5 * 8 * kernel.n**2
+
+
+def _drifted_profile():
+    kernel = chains.build_family(chains.dlp_spec(200, 0.5, 0.05))
+    return kernel, MixingProfile(kernel, decompose(kernel))
+
+
+def test_heat_ladder_peaks_within_its_refusal_count():
+    # three TV crossings build every rung up to the top bit of
+    # floor(t_settled / h) and fill the prefix cache.  F and F^2 are live
+    # before tracing starts, so the ladder's own arrays bound the peak;
+    # P_u^T is sparse here, so one more n x n temporary would fail this
+    kernel, profile = _drifted_profile()
+    ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
+
+    def crossings():
+        for eps in (0.125, 0.25, 0.5):
+            profile.mixing_time("tv", eps)
+
+    peak = _traced_peak(crossings)
+    assert len(profile._rungs) == ladder - mixing._PREFIX_CACHE - mixing._LADDER_WORK
+    assert len(profile._prefixes) == mixing._PREFIX_CACHE
+    assert peak <= ladder * 8 * kernel.n**2
+
+
+@pytest.mark.parametrize("refused", [False, True])
+def test_heat_ladder_refusal_counts_its_arrays(monkeypatch, refused):
+    # physical memory one page above or below the ladder's worst case plus
+    # the dense peak; the refusal comes before the first rung is built
+    kernel, profile = _drifted_profile()
+    page, need = 4096, profile._ladder_arrays() * 8 * kernel.n**2
+    pages = (need - 1) // page if refused else need // page + 1
+    monkeypatch.setattr(chains.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}[name])
+    if refused:
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            profile.mixing_time("tv", 0.25)
+        assert profile._rungs == []
+    else:
+        assert profile.mixing_time("tv", 0.25) > 0.0
