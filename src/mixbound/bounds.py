@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import ChainAnalysis
-from .chains import ChainFamilySpec
+from .chains import ChainFamilySpec, _check_states
 from .errors import BadEps, BadRange, CertificateMismatch
 from .mixing import hierarchy_check
 from .reports import BoundReport
@@ -179,7 +179,8 @@ def truncation_factor_reports(analysis: ChainAnalysis, x: int,
     equality when the whole spectrum sits at the gap.  At order 0 this is
     the familiar e^M / (e^M - 1).
     """
-    return _head_window_reports(analysis, [x], M)
+    xs = _check_states("truncation_factor_reports", "x", (x,), analysis.kernel.n)
+    return _head_window_reports(analysis, xs, M)
 
 
 def truncation_factor_worst(analysis: ChainAnalysis, M: float) -> list[BoundReport]:

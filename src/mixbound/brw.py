@@ -20,6 +20,8 @@ so a cloud that starts on the other's set scores time 0.  A state is
 "visited" from its first occupancy onward; a birth site is already in the
 parent cloud's visited set, so only jump arrivals (and time 0) can create
 first visits.  Pinned starts must be integers in 0..n-1, one per cloud.
+Two plain (non-branching) walks are the intersection race at gamma = 0,
+where every event is a jump.
 
 Replicate r draws its seed from (master_seed, r) through splitmix64, which
 makes every estimate bit-reproducible and embarrassingly parallel; results
@@ -44,18 +46,17 @@ min(threads, chunks, cpu_count), so threads acts as a cap.
 from __future__ import annotations
 
 import math
-import operator
 import os
 from bisect import bisect
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from random import Random
 
 import numpy as np
 
 from .analysis import ChainAnalysis
-from .chains import TransitionKernel, build_family
+from .chains import TransitionKernel, _check_states, build_family
 from .errors import AllCensored, InvalidSpec
 from .spectral import (SpectralDecomposition, decompose, heat_moment_all,
                        heat_moment_windowed_all, spectral_moment)
@@ -142,9 +143,9 @@ def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
 #
 # rows[x] and start are (neighbours, cumprobs) tables from _cum_row;
 # -log(1.0 - random()) / rate is Random.expovariate(rate), inlined to save
-# a method call per event.  _run_race and _run_plain take what _simulate
-# passes; plain walks never split, so _run_plain ignores gamma,
-# max_particles and target.
+# a method call per event.  _run_race takes what _simulate passes.  Two
+# plain walks are the intersection race at gamma = 0, which never splits;
+# _run_plain makes that call and stays top level for the pool.
 
 def _race_start(random, start, n, initial_states, target):
     """(visited, positions) of a race at time 0, or None when both sides
@@ -167,7 +168,8 @@ def _race_start(random, start, n, initial_states, target):
 def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
               initial_states, target):
     """First time a particle of one cloud lands on a state the other has
-    visited: the hit time with a target, else the intersection time."""
+    visited: the hit time with a target, else the intersection time.  At
+    gamma = 0 no particle splits."""
     random = Random(seed).random
     log = math.log
     race = _race_start(random, start, n, initial_states, target)
@@ -176,11 +178,17 @@ def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
     visited, positions = race
     total = 1.0 + gamma
     jump_p = 1.0 / total
-    # Known defect, kept so estimates stay bit-identical: this list is never
-    # heapified, so cloud 0's first event is processed first even when cloud
-    # 1's comes earlier.  The fix moves the intersection estimates, so it
-    # waits for the next re-record of the benchmark reference.
+    # at gamma = 0 every event is a jump and the split coin draws nothing:
+    # float() is 0.0
+    coin = random if gamma else float
     heap = [(-log(1.0 - random()) / total, pr, 0) for pr in (0, 1) if positions[pr]]
+    # Known defect of branching races, kept so their estimates stay
+    # bit-identical: their heap is never heapified, so cloud 0's first event
+    # is processed first even when cloud 1's comes earlier.  The fix moves
+    # the intersection estimates, so it waits for the next re-record of the
+    # benchmark reference; plain walks are already ordered.
+    if not gamma:
+        heapify(heap)
     while True:
         # the earliest event stays at heap[0] until heapreplace swaps in the
         # particle's next one; an offspring's event is later, so its push
@@ -189,7 +197,7 @@ def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
         if t > max_time:
             return None
         own = positions[pr]
-        if random() < jump_p:
+        if coin() < jump_p:
             nbrs, cum = rows[own[p]]
             z = nbrs[bisect(cum, random())]
             own[p] = z
@@ -204,28 +212,9 @@ def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
         heapreplace(heap, (t - log(1.0 - random()) / total, pr, p))
 
 
-def _run_plain(seed, rows, start, gamma, n, max_particles, max_time,
-               initial_states, target):
-    random = Random(seed).random
-    log = math.log
-    race = _race_start(random, start, n, initial_states, None)
-    if race is None:
-        return 0.0
-    visited, ([a], [b]) = race
-    pos = [a, b]
-    clocks = [-log(1.0 - random()), -log(1.0 - random())]
-    while True:
-        w = 0 if clocks[0] <= clocks[1] else 1
-        t = clocks[w]
-        if t > max_time:
-            return None
-        nbrs, cum = rows[pos[w]]
-        z = nbrs[bisect(cum, random())]
-        pos[w] = z
-        if visited[1 - w][z]:
-            return t
-        visited[w][z] = True
-        clocks[w] = t - log(1.0 - random())
+def _run_plain(seed, rows, start, gamma, *race_args):
+    """Two plain walks: the intersection race at gamma = 0."""
+    return _run_race(seed, rows, start, 0.0, *race_args)
 
 
 def _run_growth(seed, rows, start, gamma, times, max_particles):
@@ -322,21 +311,11 @@ def _simulate(run_fn, kernel: TransitionKernel, cfg: BRWConfig, label: str,
     """Every estimator's one path: check the target and the pinned starts
     (one for a hit, two otherwise), fill cfg's defaults, run run_fn (with
     _run_race's arguments) on every replicate and reduce the times."""
-    def states(what, values, count):
-        try:
-            values = [operator.index(v) for v in values]
-        except TypeError:
-            values = []
-        if len(values) != count or not all(0 <= v < kernel.n for v in values):
-            raise InvalidSpec(f"{label}: {what} must be {count} integer "
-                              f"state(s) in 0..{kernel.n - 1}")
-        return values
-
     if target is not None:
-        (target,) = states("the target", (target,), 1)
+        (target,) = _check_states(label, "the target", (target,), kernel.n)
     if initial_states is not None:
-        initial_states = states("pinned starts", initial_states,
-                                1 if target is not None else 2)
+        initial_states = _check_states(label, "pinned starts", initial_states,
+                                       kernel.n, 1 if target is not None else 2)
     if cfg.gamma is None or cfg.max_time is None:
         cfg = fill_config(decompose(kernel), cfg)
     times = _run_replicates(run_fn, kernel, cfg, cfg.gamma, kernel.n,

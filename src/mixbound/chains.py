@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import io
 import math
+import operator
 import os
 import warnings
 from dataclasses import dataclass, field
@@ -61,6 +62,21 @@ def max_over_blocks(n: int, block) -> float:
     """The largest entry of block(rows) over the `index_blocks` of n, which
     is NaN when any block holds a NaN, as the max of one array would be."""
     return float(np.max([block(rows).max() for rows in index_blocks(n)]))
+
+
+def _check_states(label: str, what: str, values, n: int, count: int = 1) -> list:
+    """values as a list of count integer states in 0..n-1, else InvalidSpec
+    naming label.  Any integer type is accepted (operator.index); a float,
+    a string, a negative index or a wrong count is refused, never aliased
+    or truncated."""
+    try:
+        values = [operator.index(v) for v in values]
+    except TypeError:
+        values = []
+    if len(values) != count or not all(0 <= v < n for v in values):
+        raise InvalidSpec(f"{label}: {what} must be {count} integer "
+                          f"state(s) in 0..{n - 1}")
+    return values
 
 
 class _Family(NamedTuple):
@@ -482,9 +498,10 @@ def _representable(pi: np.ndarray) -> bool:
 def stationary(P: np.ndarray) -> np.ndarray:
     """Unique positive probability vector with pi P = pi.
 
-    Uses Grassmann-Taksar-Heyman elimination: no subtractions, so every
-    entry keeps relative accuracy even when pi spans hundreds of orders of
-    magnitude (the small-drift birth-death family does).  A matrix that
+    Grassmann-Taksar-Heyman elimination (`_gth_eliminate`) and its
+    back-substitution: no subtractions, so every entry keeps relative
+    accuracy even when pi spans hundreds of orders of magnitude (the
+    small-drift birth-death family does).  A matrix that
     fails a check of `validate` raises as in `kernel_from_matrix`, before
     the elimination.
     """
@@ -494,14 +511,12 @@ def stationary(P: np.ndarray) -> np.ndarray:
     _raise_first_failure(_matrix_checks(P))
     n = P.shape[0]
     A = P.copy()
+    _gth_eliminate(A)
     pi = np.empty(n)
     pi[0] = 1.0
     # pi spread beyond the double range overflows to inf and then NaN;
     # the representability check below reports it
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(n - 1, 0, -1):
-            A[:k, k] /= A[k, :k].sum()
-            A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, n):
             pi[k] = pi[:k] @ A[:k, k]
         pi /= pi.sum()
@@ -513,6 +528,28 @@ def stationary(P: np.ndarray) -> np.ndarray:
     if not resid <= 1e-10:
         raise NumericalFailure(f"stationary residual {resid:.3e} exceeds 1e-10")
     return pi
+
+
+def _gth_eliminate(A: np.ndarray) -> np.ndarray:
+    """Grassmann-Taksar-Heyman elimination of states n-1, ..., 1 of the
+    nonnegative matrix A, in place; returns the pivots.
+
+    State k's pivot s[k] = sum_{j<k} A[k, j] is its outflow into the states
+    before it, which replaces the diagonal 1 - A[k, k] exactly, as the
+    fold-in updates preserve row sums.  Its fold-in column A[:k, k] is
+    divided by s[k], and A[:k, :k] gains the flow through k.  Only sums,
+    products and quotients of nonnegative numbers, so every entry keeps
+    relative accuracy.  A zero pivot (a reducible A) is not refused here:
+    it leaves inf or NaN entries, quietly, and s[0] is left unset.
+    """
+    n = A.shape[0]
+    s = np.empty(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            s[k] = A[k, :k].sum()
+            A[:k, k] /= s[k]
+            A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    return s
 
 
 def kernel_from_matrix(P: np.ndarray, pi: np.ndarray | None = None,

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chains import TransitionKernel, index_blocks, max_over_blocks
+from .chains import (TransitionKernel, _check_states, _gth_eliminate, index_blocks,
+                     max_over_blocks)
 from .errors import InvalidSpec, NumericalFailure, SingularSystem
 from .spectral import (SpectralDecomposition, resolution, spectral_moment,
                        symmetrized_laplacian, symmetrized_rows)
@@ -59,9 +60,10 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
       is well conditioned, but the difference cancels catastrophically
       once hitting times span many orders of magnitude.
     - "gth": when the spectral route shows a scale above ~1e8, or any
-      non-positive off-diagonal entry, every column is recomputed with a
-      subtraction-free GTH-style absorbing-chain elimination, which is
-      componentwise accurate at any imbalance but costs O(n^4).
+      non-positive off-diagonal entry, every column is recomputed by the
+      subtraction-free GTH elimination of `stationary`, run once per
+      target, which is componentwise accurate at any imbalance but costs
+      O(n^4).
 
     A hitting time beyond the largest double (inf, or NaN from an
     overflowed intermediate) raises InvalidSpec.  The restricted-system
@@ -71,7 +73,7 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     Besides P, the birth-death and spectral routes hold one n x n array at
     their peak (the spectral route forms S + q q^T, its inverse and the
     hitting matrix in the same memory); the GTH route holds two, the
-    hitting matrix and one target's (n-1) x (n-1) block.
+    hitting matrix and one target's permuted copy of P.
     """
     n = kernel.n
     cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
@@ -166,44 +168,33 @@ def _fundamental_rows(kernel, q, rows):
 
 
 def _gth_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
-    hit = np.zeros((kernel.n, kernel.n))
-    for y in range(kernel.n):
-        keep, h = _gth_absorbing_column(kernel.P, y)
-        hit[keep, y] = h
-    return hit
+    """Every column of E_x[T_y] by `chains._gth_eliminate`, one target y
+    at a time.
 
-
-def _gth_absorbing_column(P: np.ndarray, y: int):
-    """Expected absorption times into y, by GTH elimination.
-
+    P is copied with y moved to index 0, so y is eliminated last and each
+    other state's pivot is its outflow into y and into the states before
+    it.  The unit right-hand side then folds in along the stored fold-in
+    columns, and a forward solve over the eliminated rows gives the times.
     Only additions, multiplications and divisions of nonnegative numbers,
-    so every entry keeps relative accuracy regardless of scale.  State k's
-    outflow g[k] + sum_{j<k} B[k, j] replaces the diagonal 1 - B[k, k]
-    exactly (row sums are preserved by the fold-in updates).
+    so every entry keeps relative accuracy regardless of scale.
     """
-    n = P.shape[0]
-    keep = np.flatnonzero(np.arange(n) != y)
-    m = keep.size
-    B = P[np.ix_(keep, keep)]
-    g = P[keep, y]
-    b = np.ones(m)
-    s = np.empty(m)
-    for k in range(m - 1, 0, -1):
-        s[k] = g[k] + B[k, :k].sum()
-        if s[k] <= 0.0:
-            raise SingularSystem(f"no outflow from state {keep[k]}; reducible")
-        f = B[:k, k] / s[k]
-        b[:k] += f * b[k]
-        g[:k] += f * g[k]
-        B[:k, :k] += np.outer(f, B[k, :k])
-    if g[0] <= 0.0:
-        raise SingularSystem(f"no outflow from state {keep[0]}; reducible")
-    s[0] = g[0]
-    h = np.empty(m)
-    h[0] = b[0] / s[0]
-    for k in range(1, m):
-        h[k] = (b[k] + B[k, :k] @ h[:k]) / s[k]
-    return keep, h
+    n = kernel.n
+    hit = np.zeros((n, n))
+    for y in range(n):
+        order = np.r_[y, 0:y, y + 1:n]
+        A = kernel.P[np.ix_(order, order)]
+        s = _gth_eliminate(A)
+        bad = np.flatnonzero(~(s[1:] > 0.0))
+        if bad.size:  # the first zero pivot eliminated
+            raise SingularSystem(f"no outflow from state {order[bad[-1] + 1]}; reducible")
+        b = np.ones(n)
+        for k in range(n - 1, 1, -1):
+            b[1:k] += A[1:k, k] * b[k]
+        h = np.zeros(n)  # h[0] = E_y[T_y] = 0
+        for k in range(1, n):
+            h[k] = (b[k] + A[k, 1:k] @ h[1:k]) / s[k]
+        hit[order, y] = h
+    return hit
 
 
 def _check_restricted_residual(kernel, hit, cols):
@@ -288,6 +279,7 @@ def hitting_tail_profile(kernel: TransitionKernel, y: int) -> TailProfile:
     smallest rate at or below `spectral.resolution` of the block cannot be
     told from zero and raises NumericalFailure.
     """
+    (y,) = _check_states("hitting_tail_profile", "y", (y,), kernel.n)
     S, q = symmetrized_laplacian(kernel)
     keep = np.arange(kernel.n) != y
     block = S[np.ix_(keep, keep)]

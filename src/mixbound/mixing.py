@@ -28,7 +28,8 @@ import math
 import numpy as np
 import scipy.sparse
 
-from .chains import DENSE_PEAK_ARRAYS, TransitionKernel, check_dense_fits
+from .chains import (DENSE_PEAK_ARRAYS, TransitionKernel, _check_states,
+                     check_dense_fits)
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
 from .spectral import SpectralDecomposition, heat_kernel_row, laplacian
@@ -111,7 +112,8 @@ class MixingProfile:
 
     def l2_distance_sq(self, x: int, t: float) -> float:
         """H_{2t}(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2 exp(-2 lambda_i t)."""
-        return float(self._terms("l2x", t, [x]).sum(axis=1)[0])
+        xs = _check_states("l2_distance_sq", "x", (x,), self.kernel.n)
+        return float(self._terms("l2x", t, xs).sum(axis=1)[0])
 
     def l2_distance(self, x: int, t: float) -> float:
         return self.l2_distance_sq(x, t) ** 0.5
@@ -139,6 +141,7 @@ class MixingProfile:
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
+        (x,) = _check_states("tv_distance", "x", (x,), self.kernel.n)
         return float(self._l1_distances(self._heat_rows(t, x)))
 
     def tv_worst(self, t: float) -> float:
@@ -235,7 +238,8 @@ class MixingProfile:
         if kind == "l2x":
             if x is None:
                 raise ValueError("l2x mixing time needs a state x")
-            return float(self._l2x_times(eps, [int(x)])[0])
+            xs = _check_states("mixing_time", "x", (x,), self.kernel.n)
+            return float(self._l2x_times(eps, xs)[0])
         solved = self._times.setdefault(kind, {})
         if eps not in solved and kind != "tv":
             solved[eps] = float(self._crossings(kind, eps)[0])

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chains import TransitionKernel, index_blocks, max_over_blocks
+from .chains import TransitionKernel, _check_states, index_blocks, max_over_blocks
 from .errors import InvalidSpec, NumericalFailure
 
 _ORTHO_FAIL = 1e-6
@@ -211,6 +211,7 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
     decay = np.exp(-decomp.lambdas * t)
     if x is None:
         return decomp.eigfuncs_sq @ decay
+    (x,) = _check_states("heat_diag_ratio", "x", (x,), decomp.n)
     return float(decomp.eigfuncs_sq[x] @ decay)
 
 

@@ -8,6 +8,7 @@ if str(SRC) not in sys.path:
 # mixbound first: its OPENBLAS_THREAD_TIMEOUT default (idle BLAS workers
 # sleep instead of spinning) only takes effect before numpy's first import.
 import mixbound  # noqa: E402,F401
+import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
@@ -62,6 +63,23 @@ def dlp_matrix(n, lam, eps):
     P[i + 1, i] = lam * eps
     P[np.arange(n), np.arange(n)] = 1.0 - P.sum(axis=1)
     return P
+
+
+def reference_gap(kernel):
+    """Gap of the symmetrized Laplacian built from the same float
+    off-diagonal entries, by a 60-digit mpmath eigensolve."""
+    with mpmath.workdps(60):
+        n, P = kernel.n, kernel.P
+        q = [mpmath.sqrt(mpmath.mpf(float(p))) for p in kernel.pi]
+        S = mpmath.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                if i != j and P[i, j] != 0.0:
+                    rate = mpmath.mpf(float(P[i, j]))
+                    S[i, i] += rate
+                    S[i, j] = -q[i] * rate / q[j]
+        S = (S + S.T) / 2
+        return float(sorted(mpmath.eigsy(S, eigvals_only=True))[1])
 
 
 @pytest.fixture(scope="session")

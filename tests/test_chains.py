@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixbound import chains
+from mixbound import bounds, chains, hitting, spectral
+from mixbound.analysis import ChainAnalysis
 from mixbound.errors import InvalidSpec, NotIrreducible, NotReversible
 
 from conftest import BENCHMARK_SPECS, dlp_matrix
@@ -305,3 +306,24 @@ def test_max_over_blocks_keeps_a_nan_in_any_block():
     assert chains.max_over_blocks(x.size, lambda rows: x[rows]) == x[-1]
     x[-1] = np.nan
     assert np.isnan(chains.max_over_blocks(x.size, lambda rows: x[rows]))
+
+
+_STATE_ENTRIES = {
+    "mixing_time": lambda a, x: a.profile.mixing_time("l2x", 0.5, x),
+    "l2_distance_sq": lambda a, x: a.profile.l2_distance_sq(x, 1.0),
+    "tv_distance": lambda a, x: a.profile.tv_distance(x, 3.0),
+    "heat_diag_ratio": lambda a, x: spectral.heat_diag_ratio(a.decomp, 1.0, x),
+    "truncation_factor_reports": lambda a, x: bounds.truncation_factor_reports(a, x, 2.0),
+    "hitting_tail_profile": lambda a, y: hitting.hitting_tail_profile(a.kernel, y),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 8, 2.5, "a"])
+@pytest.mark.parametrize("entry", list(_STATE_ENTRIES))
+def test_exact_api_refuses_a_bad_state(entry, bad):
+    # -1 used to alias state 7 and 2.5 to truncate to state 2
+    analysis = ChainAnalysis.from_spec(chains.dlp_spec(8, 0.5, 0.2))
+    call = _STATE_ENTRIES[entry]
+    with pytest.raises(InvalidSpec, match=f"{entry}: .* in 0..7"):
+        call(analysis, bad)
+    assert call(analysis, np.int64(2)) is not None

@@ -108,6 +108,25 @@ def test_singular_system_detected_for_reducible_chain():
         hitting.hit_times(bad)
 
 
+def test_gth_route_reducible_chain_refused():
+    # two 3-cliques: not tridiagonal, so only the GTH elimination sees it
+    P = np.zeros((6, 6))
+    P[:3, :3] = P[3:, 3:] = 1.0 / 3.0
+    bad = chains.TransitionKernel(n=6, P=P, pi=np.full(6, 1.0 / 6.0))
+    with pytest.raises(SingularSystem, match="reducible"):
+        hitting._gth_hit_matrix(bad)
+
+
+def test_gth_route_matches_spectral_route():
+    for kernel in random_kernels(20, max_n=30, seed=11):
+        cols = np.arange(kernel.n)
+        gth = hitting._gth_hit_matrix(kernel)
+        ref = hitting._spectral_hit_matrix(kernel, cols)
+        off = ~np.eye(kernel.n, dtype=bool)
+        assert (np.abs(gth - ref)[off] / ref[off]).max() <= 1e-10, kernel.label
+        hitting._check_restricted_residual(kernel, gth, cols)
+
+
 def test_route_is_recorded():
     for spec in (chains.dlp_spec(16, 0.5, 0.05), chains.dlp_spec(32, 0.4, 0.05, k=16)):
         assert _pair(spec)[1].route == "birth_death"

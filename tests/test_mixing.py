@@ -111,9 +111,8 @@ def test_mixing_times_match_bisection_on_random_kernels():
 
 
 def test_tv_crossing_evaluation_count():
-    # each tv_worst call on this drifted chain is an expm or a stepped
-    # product; bisection to float resolution took about 56, and Brent on
-    # unstepped expm values 17
+    # each tv_worst call on this drifted chain is a product of heat-ladder
+    # rungs; bisection to float resolution took about 56 calls
     _, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
     tv_worst = prof.tv_worst
@@ -280,8 +279,9 @@ def _random40_profile():
 
 
 def test_tv_worst_matches_scan_on_nontransitive():
-    # dlp(8)'s pi ratio is 9^7 ~ 4.8e6, so its rows come from expm; the
-    # random kernel is balanced, so its rows come from the spectral product
+    # dlp(8)'s pi ratio is 9^7 ~ 4.8e6, so its rows come from the heat
+    # ladder; the random kernel is balanced, so its rows come from the
+    # spectral product
     for prof in (_profile(chains.dlp_spec(8, 0.5, 0.1))[2], _random40_profile()):
         for t in (0.5, 2.0, 10.0):
             scan = max(prof.tv_distance(x, t) for x in range(prof.kernel.n))

@@ -1,6 +1,5 @@
 import math
 
-import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -12,7 +11,7 @@ from scipy.linalg import expm
 from mixbound import chains, spectral
 from mixbound.errors import InvalidSpec, NumericalFailure
 
-from conftest import BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS
+from conftest import BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS, reference_gap
 
 
 def _decomp(spec):
@@ -94,29 +93,12 @@ def test_laplacian_is_identity_minus_p_below_half_diagonal():
             == (np.eye(kernel.n) - kernel.P).tobytes())
 
 
-def _reference_gap(kernel):
-    """Gap of the symmetrized Laplacian built from the same float
-    off-diagonal entries, by a 60-digit mpmath eigensolve."""
-    with mpmath.workdps(60):
-        n, P = kernel.n, kernel.P
-        q = [mpmath.sqrt(mpmath.mpf(float(p))) for p in kernel.pi]
-        S = mpmath.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                if i != j and P[i, j] != 0.0:
-                    rate = mpmath.mpf(float(P[i, j]))
-                    S[i, i] += rate
-                    S[i, j] = -q[i] * rate / q[j]
-        S = (S + S.T) / 2
-        return float(sorted(mpmath.eigsy(S, eigvals_only=True))[1])
-
-
 @pytest.mark.parametrize("lam", [1e-6, 1e-9, 1e-12])
 def test_slow_chain_gap_matches_high_precision_reference(lam):
     # P(k,k) is within lam of 1, so 1 - P(k,k) alone would keep only the
     # absolute accuracy of the diagonal
     kernel = chains.build_family(chains.dlp_spec(20, lam, 0.3))
-    assert spectral.decompose(kernel).gap == pytest.approx(_reference_gap(kernel),
+    assert spectral.decompose(kernel).gap == pytest.approx(reference_gap(kernel),
                                                           rel=1e-12, abs=0.0)
 
 
@@ -134,7 +116,7 @@ def test_weak_bottleneck_gap_is_accurate_to_the_resolution():
     d = spectral.decompose(kernel)
     tol = spectral.resolution(kernel.n, d.lambdas[-1])
     assert tol < d.gap < 1e-10
-    assert abs(d.gap - _reference_gap(kernel)) <= tol
+    assert abs(d.gap - reference_gap(kernel)) <= tol
 
 
 @pytest.mark.parametrize("rows", [
