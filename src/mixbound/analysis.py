@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .chains import ChainFamilySpec, TransitionKernel, build_family
-from .hitting import HittingSummary, hit_times
+from .hitting import HittingSummary, character_hit_times, hit_times
 from .mixing import MixingProfile
-from .spectral import SpectralDecomposition, decompose, spectral_moment
+from .spectral import (SpectralDecomposition, character_decompose, decompose,
+                       spectral_moment)
 
 
 @dataclass
@@ -16,7 +17,11 @@ class ChainAnalysis:
     """Kernel plus its decomposition, hitting summary and mixing profile.
 
     The one place these are computed: bounds, brw and cli read them from
-    an analysis instead of solving the kernel again."""
+    an analysis instead of solving the kernel again.  It is also the one
+    place a route is chosen: a kernel with a group (a built-in transitive
+    family) takes the character route, with no eigensolve, no inverse and
+    no n x n array beyond P; any other kernel the dense route, whose peak
+    `chains.DENSE_PEAK_ARRAYS` counts."""
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition
@@ -24,13 +29,15 @@ class ChainAnalysis:
 
     @cached_property
     def hitting(self) -> HittingSummary:
-        """Hitting-time summary, solved on first access (profiles never
-        need it)."""
+        """Hitting-time summary on the route of the decomposition, solved
+        on first access (profiles never need it)."""
+        if self.decomp.route == "character":
+            return character_hit_times(self.kernel, self.decomp)
         return hit_times(self.kernel)
 
     @classmethod
     def from_kernel(cls, kernel: TransitionKernel) -> "ChainAnalysis":
-        decomp = decompose(kernel)
+        decomp = decompose(kernel) if kernel.group is None else character_decompose(kernel)
         return cls(kernel=kernel, decomp=decomp,
                    profile=MixingProfile(kernel, decomp))
 
@@ -56,3 +63,18 @@ class ChainAnalysis:
         out["t_mix_tv"] = p.mixing_time("tv", 0.25)
         out["t_mix_ave_l2"] = p.mixing_time("ave_l2", 0.5)
         return out
+
+
+class DenseAnalysis(ChainAnalysis):
+    """A ChainAnalysis on the dense route whatever the kernel's structure.
+
+    BRW reads gamma, the time cap and the argmax(t_pi_to) hit target from
+    its analysis, and its gate pins the estimates bit for bit, so it keeps
+    the dense bits until ROADMAP items 1(b) and 1(e) take them from the
+    group; those items delete this class."""
+
+    @classmethod
+    def from_kernel(cls, kernel: TransitionKernel) -> "DenseAnalysis":
+        decomp = decompose(kernel)
+        return cls(kernel=kernel, decomp=decomp,
+                   profile=MixingProfile(kernel, decomp))

@@ -55,7 +55,7 @@ from random import Random
 
 import numpy as np
 
-from .analysis import ChainAnalysis
+from .analysis import ChainAnalysis, DenseAnalysis
 from .chains import TransitionKernel, _check_states, build_family
 from .errors import AllCensored, InvalidSpec
 from .spectral import (SpectralDecomposition, decompose, heat_moment_all,
@@ -458,7 +458,7 @@ def _sandwich_row(spec, target: str, cfg: BRWConfig, c_lo: float,
     kernel = build_family(spec)
     if target == "intersect" and not kernel.transitive:
         raise InvalidSpec("intersection sandwich expects a transitive family")
-    analysis = ChainAnalysis.from_kernel(kernel)
+    analysis = DenseAnalysis.from_kernel(kernel)
     est, reference = experiment(analysis, target, cfg)
     ratio = upper = est.mean / reference
     skip_lower = False

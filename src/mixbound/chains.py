@@ -35,8 +35,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InvalidSpec, NotIrreducible, NotReversible, NumericalFailure
 
@@ -47,9 +45,10 @@ _TINY = float(np.finfo(float).tiny)
 # Rows (or columns) per block when the exact layer works on an n x n
 # matrix a block at a time, so each temporary holds BLOCK x n doubles.
 BLOCK = 32
-# Most n x n arrays of doubles the exact layer holds at once, P included:
-# P, the eigenfunctions, their squares and the hitting matrix when an
-# analysis solves its hitting times (pinned by tests/test_memory.py).
+# Most n x n arrays of doubles the dense route of the exact layer holds at
+# once, P included: P, the eigenfunctions, their squares and the hitting
+# matrix when an analysis solves its hitting times (pinned by
+# tests/test_memory.py).  The character route holds P alone.
 DENSE_PEAK_ARRAYS = 4
 
 
@@ -86,6 +85,18 @@ class _Family(NamedTuple):
     defaults: dict = {}  # a parameter that may be left out -> the one it copies
 
 
+class CayleyGroup(NamedTuple):
+    """The abelian group Z_m^d a transitive kernel walks on.
+
+    shape is (m,)*d, and state x is the row-major flattening of its
+    element, as `np.unravel_index(x, shape)` reads it.  The walk steps by
+    +-e_i, 1/(2d) each, or, when complete, to every other element, 1/(n-1)
+    each (the complete graph, as Z_n)."""
+
+    shape: tuple
+    complete: bool = False
+
+
 # The one statement of each family's parameters, which every reader of a
 # spec goes by.  A spec file names the custom matrix's CSV.
 _FAMILY_PARAMS = {
@@ -111,24 +122,34 @@ class TransitionKernel:
     The container itself performs only shape coercion; the construction
     paths (`build_family`, `kernel_from_matrix`, `load_kernel`) enforce the
     invariants and raise on violation.  Arrays are frozen after
-    construction and safe to share across threads.
+    construction and safe to share across threads.  group is the Cayley
+    group of a built-in transitive family, else None; a custom kernel has
+    none even when it is transitive.
     """
 
     n: int
     P: np.ndarray
     pi: np.ndarray
     label: str = "custom"
-    transitive: bool = False
+    group: CayleyGroup | None = None
 
     def __post_init__(self):
         P = np.array(self.P, dtype=float)
         pi = np.array(self.pi, dtype=float)
         if P.shape != (self.n, self.n) or pi.shape != (self.n,):
             raise InvalidSpec(f"shape mismatch: n={self.n}, P{P.shape}, pi{pi.shape}")
+        if self.group is not None and math.prod(self.group.shape) != self.n:
+            raise InvalidSpec(f"a group of shape {self.group.shape} does not have "
+                              f"n={self.n} elements")
         P.setflags(write=False)
         pi.setflags(write=False)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "pi", pi)
+
+    @property
+    def transitive(self) -> bool:
+        """Whether every state is equivalent: the kernel has a group."""
+        return self.group is not None
 
     @property
     def scan_states(self):
@@ -265,11 +286,12 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     m, d = (p.get(x, x) for x in _FAMILY_PARAMS[fam].states)
     check_dense_fits(label, m, d, DENSE_PEAK_ARRAYS)
     if fam == "complete":
-        kernel = _uniform_kernel((np.ones((m, m)) - np.eye(m)) / (m - 1), label)
+        kernel = _uniform_kernel((np.ones((m, m)) - np.eye(m)) / (m - 1), label,
+                                 CayleyGroup((m,), complete=True))
     elif fam == "dlp_birth_death":
         kernel = _build_dlp(p["n"], p["lambda"], p["eps"], p["k"])
     else:  # Z_m^d: the cycle has d = 1, the hypercube m = 2
-        kernel = _build_torus(d, m, label)
+        kernel = _uniform_kernel(_torus_matrix(d, m), label, CayleyGroup((m,) * d))
 
     report = validate(kernel)
     if not report.passed:
@@ -277,9 +299,9 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     return kernel
 
 
-def _uniform_kernel(P, label):
+def _uniform_kernel(P, label, group):
     n = P.shape[0]
-    return TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), label=label, transitive=True)
+    return TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), label=label, group=group)
 
 
 def check_dense_fits(label, m, d, arrays: int) -> None:
@@ -298,7 +320,7 @@ def check_dense_fits(label, m, d, arrays: int) -> None:
                           f"the {have / 2**30:.3g} GiB of physical memory")
 
 
-def _build_torus(d, m, label):
+def _torus_matrix(d, m):
     """Walk on Z_m^d stepping +-1 in one uniformly chosen coordinate; also
     the cycle (d = 1) and the hypercube (m = 2, where both steps of a
     coordinate land on the same neighbour)."""
@@ -310,7 +332,7 @@ def _build_torus(d, m, label):
         c = (s // stride) % m
         for step in (+1, -1):
             P[s, s + ((c + step) % m - c) * stride] += 1.0 / (2 * d)
-    return _uniform_kernel(P, label)
+    return P
 
 
 def _build_dlp(n, lam, eps, k):
@@ -354,7 +376,7 @@ def _build_dlp(n, lam, eps, k):
             P[idx, idx - 1] = down
 
     label = f"dlp_birth_death(n={n},lambda={_fmt_param(lam)},eps={_fmt_param(eps)},k={k})"
-    return TransitionKernel(n=n, P=P, pi=pi, label=label, transitive=False)
+    return TransitionKernel(n=n, P=P, pi=pi, label=label)
 
 
 def _dlp_rates(n, lam, k):
@@ -460,14 +482,25 @@ def _matrix_checks(P) -> tuple:
     entries and strong connectivity."""
     support = P > 0
     support |= P < 0  # |P| > 0 without forming |P|; NaN is no edge
-    n_comp, _ = connected_components(csr_matrix(support.view(np.int8)),
-                                     directed=True, connection="strong")
     # a row holding inf and -inf sums to NaN, which fails the row-sum check
     with np.errstate(over="ignore", invalid="ignore"):
         row_sums = float(np.abs(P.sum(axis=1) - 1.0).max())
+    # strongly connected: every state is reached from state 0, and reaches it
+    connected = _reaches_all(support) and _reaches_all(support.T)
     return (CheckResult("row_sums", row_sums, STRUCT_TOL),
             CheckResult("nonnegative_entries", float(max(0.0, -P.min())), 0.0),
-            CheckResult("strongly_connected", float(n_comp != 1), 0.0))
+            CheckResult("strongly_connected", float(not connected), 0.0))
+
+
+def _reaches_all(edges: np.ndarray) -> bool:
+    """Whether a breadth-first search from state 0 along the edges i -> j
+    where edges[i, j] is True reaches every state."""
+    seen = np.arange(edges.shape[0]) == 0
+    frontier = seen
+    while frontier.any():
+        frontier = edges[frontier].any(axis=0) & ~seen
+        seen = seen | frontier
+    return bool(seen.all())
 
 
 # The exception a failed check raises, and what the failure means.
@@ -565,7 +598,7 @@ def kernel_from_matrix(P: np.ndarray, pi: np.ndarray | None = None,
         raise InvalidSpec(f"matrix must be square with n >= 2, got shape {P.shape}")
     if pi is None:
         pi = stationary(P)
-    kernel = TransitionKernel(n=P.shape[0], P=P, pi=pi, label=label, transitive=False)
+    kernel = TransitionKernel(n=P.shape[0], P=P, pi=pi, label=label)
     _raise_first_failure(validate(kernel).checks)
     return kernel
 
@@ -578,8 +611,7 @@ def random_reversible_kernel(n: int, rng: np.random.Generator,
     deg = W.sum(axis=1)
     P = W / deg[:, None]
     pi = deg / deg.sum()
-    return TransitionKernel(n=n, P=P, pi=pi,
-                            label=label or f"random(n={n})", transitive=False)
+    return TransitionKernel(n=n, P=P, pi=pi, label=label or f"random(n={n})")
 
 
 # ---------------------------------------------------------------------------

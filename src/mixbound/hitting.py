@@ -4,12 +4,19 @@ All quantities refer to the continuous-time rate-1 chain, whose expected
 hitting times coincide with the expected step counts of the embedded
 discrete chain.  The convention is T_y = 0 when the start state is y, so
 tails from stationarity start at 1 - pi(y).
+
+`hit_times` solves any kernel densely.  On a kernel with a group,
+`character_hit_times` reads every hitting time off the symbol of a
+character decomposition instead, by one FFT of size n, and forms no
+n x n array unless hit_matrix is read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -17,8 +24,8 @@ import scipy.linalg
 from .chains import (TransitionKernel, _check_states, _gth_eliminate, index_blocks,
                      max_over_blocks)
 from .errors import InvalidSpec, NumericalFailure, SingularSystem
-from .spectral import (SpectralDecomposition, resolution, spectral_moment,
-                       symmetrized_laplacian, symmetrized_rows)
+from .spectral import (SpectralDecomposition, _translates, resolution,
+                       spectral_moment, symmetrized_laplacian, symmetrized_rows)
 
 
 @dataclass(frozen=True)
@@ -28,14 +35,20 @@ class HittingSummary:
     t_pi_to[x] is the expected hitting time of x from stationarity, t_hit
     the maximum entry and t_target the common value of the pi-averaged row
     sums (the random target time).  route names the solver that produced
-    hit_matrix: "birth_death", "spectral" or "gth" (see hit_times).
+    them: "birth_death", "spectral" or "gth" (see hit_times), or
+    "character" (see character_hit_times).
     """
 
-    hit_matrix: np.ndarray
     t_pi_to: np.ndarray
     t_hit: float
     t_target: float
     route: str
+    form_hit_matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def hit_matrix(self) -> np.ndarray:
+        """The n x n matrix of E_x[T_y], from form_hit_matrix on first access."""
+        return self.form_hit_matrix()
 
 
 def hit_times(kernel: TransitionKernel) -> HittingSummary:
@@ -73,7 +86,9 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     Besides P, the birth-death and spectral routes hold one n x n array at
     their peak (the spectral route forms S + q q^T, its inverse and the
     hitting matrix in the same memory); the GTH route holds two, the
-    hitting matrix and one target's permuted copy of P.
+    hitting matrix and one target's permuted copy of P.  These counts,
+    and `chains.DENSE_PEAK_ARRAYS`, are of this dense solve only;
+    `character_hit_times` holds O(n) doubles.
     """
     n = kernel.n
     cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
@@ -94,8 +109,36 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     _check_restricted_residual(kernel, hit, cols)
     t_pi_to = kernel.pi @ hit
     t_target = float(t_pi_to @ kernel.pi)
-    return HittingSummary(hit_matrix=hit, t_pi_to=t_pi_to,
-                          t_hit=t_hit, t_target=t_target, route=route)
+    return HittingSummary(t_pi_to=t_pi_to, t_hit=t_hit, t_target=t_target,
+                          route=route, form_hit_matrix=lambda: hit)
+
+
+def character_hit_times(kernel: TransitionKernel,
+                        decomp: SpectralDecomposition) -> HittingSummary:
+    """Every E_x[T_y] of a kernel with a group, from its character
+    decomposition (`spectral.character_decompose`).
+
+    With w_k = 1/lambda_k for k != 0 and w_0 = 0, E_x[T_0] = sum_k (1 -
+    Re chi_k(x)) w_k = T - Re fftn(w)(x), T = sum_{k != 0} 1/lambda_k, and
+    E_x[T_y] = E_{x-y}[T_0] = E_{y-x}[T_0], as the walk commutes with the
+    group and its steps are symmetric.  By the eigentime identity every
+    t_pi_to[y] and t_target equal T exactly.  The restricted-system
+    residual contract of `hit_times` is verified on the column y = 0.
+    hit_matrix[x, y] = h(y - x) is formed only when read.
+    """
+    from numpy import fft  # only this route reads it
+    symbol = decomp.symbol
+    w = np.zeros(symbol.shape)
+    w.flat[1:] = 1.0 / symbol.flat[1:]  # lambda_k > 0 for k != 0
+    total = spectral_moment(decomp, 1)
+    # w is even, w(-k) = w(k), so fftn(w) = n ifftn(w) is real
+    h = total - fft.fftn(w).real
+    h.flat[0] = 0.0  # E_0[T_0], which the sum gives only to rounding
+    column = h.ravel()
+    _check_restricted_residual(kernel, column[:, None], np.zeros(1, int))
+    return HittingSummary(t_pi_to=np.full(kernel.n, total), t_hit=float(column.max()),
+                          t_target=total, route="character",
+                          form_hit_matrix=lambda: _translates(h, range(kernel.n)))
 
 
 def _is_tridiagonal(P: np.ndarray) -> bool:

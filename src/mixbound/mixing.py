@@ -230,14 +230,18 @@ class MixingProfile:
 
         linf uses threshold eps, l2x eps^2 on the squared distance, ave_l2
         eps^2 on the summed squares, tv 2*eps on the worst L1 distance.
+        Only l2x is a time of one state: it needs x, and every other kind
+        refuses one (ValueError).
         """
         _check_eps(eps)
         if kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
+        if (x is None) == (kind == "l2x"):
+            raise ValueError(f"the {kind} mixing time needs a state x" if x is None
+                             else f"the {kind} mixing time is over every state; "
+                                  f"it takes no state x")
         eps = float(eps)
         if kind == "l2x":
-            if x is None:
-                raise ValueError("l2x mixing time needs a state x")
             xs = _check_states("mixing_time", "x", (x,), self.kernel.n)
             return float(self._l2x_times(eps, xs)[0])
         solved = self._times.setdefault(kind, {})

@@ -1,4 +1,5 @@
-"""Dense symmetric eigendecomposition of I - P in the pi-weighted geometry.
+"""Eigendecomposition of I - P in the pi-weighted geometry: dense, or from
+the characters of a Cayley group.
 
 Under reversibility D^{1/2} (I - P) D^{-1/2} with D = diag(pi) is symmetric,
 so the Laplacian has a real spectrum 0 = lambda_1 < lambda_2 <= ... <= 2 and
@@ -14,6 +15,17 @@ eigenvalue threshold: by Weyl's bound a perturbation dS of a symmetric
 matrix moves each eigenvalue by at most ||dS||, and rounding S and solving
 for its spectrum perturbs it by about n * eps * ||S||, so an eigenvalue
 within that of zero cannot be told from zero.
+
+A built-in transitive family walks on an abelian group Z_m^d
+(`chains.CayleyGroup`), whose characters chi_k(x) = exp(2 pi i <k,x>/m)
+are eigenfunctions of every such walk (Diaconis 1988, ch. 3).  There
+`character_decompose` reads the spectrum off the group's symbol, with no
+eigensolve: lambda(k) = (1/d) sum_i 2 sin^2(pi k_i/m) for the steps
++-e_i, and n/(n-1) for every k != 0 on the complete graph.  Every
+|chi_k|^2 is 1, so eigfuncs_sq is a view of ones, and a heat row is one
+inverse FFT of exp(-lambda t) over the group.  The dense eigenvectors,
+and the n x n arrays counted in `chains.DENSE_PEAK_ARRAYS`, belong to the
+dense route only.
 """
 
 from __future__ import annotations
@@ -24,7 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .chains import TransitionKernel, _check_states, index_blocks, max_over_blocks
+from .chains import (CayleyGroup, TransitionKernel, _check_states, index_blocks,
+                     max_over_blocks)
 from .errors import InvalidSpec, NumericalFailure
 
 _ORTHO_FAIL = 1e-6
@@ -104,13 +117,21 @@ class SpectralDecomposition:
 
     ``eigfuncs[:, i]`` is f_i with the first nonzero entry positive;
     ``eigfuncs_sq`` caches the squares because every heat-kernel diagonal
-    evaluation consumes them.
+    evaluation consumes them.  On the character route eigfuncs is None,
+    eigfuncs_sq is a read-only view of ones and symbol holds lambda(k)
+    over the group's shape; the dense route has no symbol.
     """
 
     lambdas: np.ndarray
-    eigfuncs: np.ndarray
+    eigfuncs: np.ndarray | None
     eigfuncs_sq: np.ndarray
     pi: np.ndarray
+    symbol: np.ndarray | None = None
+
+    @property
+    def route(self) -> str:
+        """"character" when read off a group's symbol, else "dense"."""
+        return "dense" if self.symbol is None else "character"
 
     @property
     def n(self) -> int:
@@ -142,7 +163,9 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
 
     At its peak it holds three n x n arrays of doubles, P included: P, S
     and the eigenvectors while `eigh` overwrites S, then P, F and F^2.
-    Every other step works on `index_blocks` of rows or columns.
+    Every other step works on `index_blocks` of rows or columns.  These
+    counts, and `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
+    `character_decompose` holds no n x n array besides P.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)
@@ -199,6 +222,65 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
                                  pi=kernel.pi.copy())
 
 
+def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
+    """The spectrum of a kernel with a group, from the group's symbol.
+
+    lambdas is the symbol sorted, eigfuncs_sq a read-only view of ones
+    that costs no memory, and there are no eigfuncs.  The contract is an
+    eigen-residual on at most 16 sampled characters,
+    ||P chi_k - (1 - lambda_k) chi_k||_inf <= 1e-10 * n, which also
+    catches a group that does not match P; it raises NumericalFailure.
+    Besides P it holds O(n) doubles.
+    """
+    n, shape = kernel.n, kernel.group.shape
+    symbol = _symbol(kernel.group)
+    ks = np.linspace(0, n - 1, num=min(n, 16), dtype=int)
+    k = np.array(np.unravel_index(ks, shape))
+    x = np.array(np.unravel_index(np.arange(n), shape))
+    # <k, x> mod m in integers, so every phase is exact before the scaling
+    phase = (2.0 * np.pi / shape[0]) * ((x.T @ k) % shape[0])
+    chi = np.hstack([np.cos(phase), np.sin(phase)])  # real and imaginary parts
+    lam = np.tile(symbol.ravel()[ks], 2)
+    resid = float(np.abs(kernel.P @ chi - (1.0 - lam) * chi).max())
+    if not resid <= 1e-10 * n:
+        raise NumericalFailure(f"character eigen-residual {resid:.3e} > 1e-10*n: "
+                               f"the group {shape} does not match P")
+    return SpectralDecomposition(lambdas=np.sort(symbol, axis=None), eigfuncs=None,
+                                 eigfuncs_sq=np.broadcast_to(1.0, (n, n)),
+                                 pi=kernel.pi.copy(), symbol=symbol)
+
+
+def _symbol(group: CayleyGroup) -> np.ndarray:
+    """lambda(k) over the group's shape, with no subtraction: (1/d)
+    sum_i 2 sin^2(pi k_i/m), or n/(n-1) for every k != 0 when complete.
+    sin is taken at min(k, m - k), so lambda(k) = lambda(-k) exactly."""
+    if group.complete:
+        (n,) = group.shape
+        symbol = np.full(n, n / (n - 1))
+        symbol[0] = 0.0
+        return symbol
+    m, d = group.shape[0], len(group.shape)
+    k = np.arange(m)
+    term = 2.0 * np.sin(np.pi * np.minimum(k, m - k) / m) ** 2
+    symbol = np.zeros(group.shape)
+    for i in range(d):
+        symbol += term.reshape((m,) + (1,) * (d - 1 - i))
+    symbol /= d
+    return symbol
+
+
+def _translates(values: np.ndarray, x) -> np.ndarray:
+    """Row y -> f(y - x) of a function f on a group, given as values over
+    the group's shape, for the state x; for a sequence x of states, the
+    matrix of their rows.  Each row is f rolled by x's coordinates."""
+    xs = np.atleast_1d(x)
+    axes = tuple(range(values.ndim))
+    rows = np.empty((xs.size, values.size))
+    for row, y in zip(rows, xs):
+        row[:] = np.roll(values, np.unravel_index(y, values.shape), axes).ravel()
+    return rows if np.ndim(x) else rows[0]
+
+
 # ---------------------------------------------------------------------------
 # heat kernel evaluations
 
@@ -217,7 +299,15 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
 
 def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
     """Row H_t(x, .) reconstructed spectrally; for a sequence x of states,
-    the matrix of their rows from one product."""
+    the matrix of their rows from one product.
+
+    On the character route H_t(0, .) is Re ifftn(exp(-lambda t)) over the
+    group, and H_t(x, y) = H_t(0, y - x): the row of x is that row rolled
+    by x's coordinates."""
+    if decomp.symbol is not None:
+        from numpy import fft  # only this route reads it
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+            return _translates(fft.ifftn(np.exp(-decomp.symbol * t)).real, x)
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
         weights = decomp.eigfuncs[x] * np.exp(-decomp.lambdas * t)
     rows = weights @ decomp.eigfuncs.T

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from mixbound import bounds, chains, hitting, spectral
 from mixbound.analysis import ChainAnalysis
@@ -187,6 +189,21 @@ def test_not_irreducible_rejected():
         chains.stationary(P)
     with pytest.raises(NotIrreducible):
         chains.kernel_from_matrix(P, pi=np.full(4, 0.25))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12).flatmap(lambda n: st.lists(
+    st.lists(st.sampled_from([0.0, 0.0, 0.3, -0.2, np.nan]), min_size=n, max_size=n),
+    min_size=n, max_size=n)))
+def test_connectivity_verdict_matches_strong_components(rows):
+    # the two breadth-first searches from state 0 against scipy's strong
+    # components, on supports with negative and NaN entries (NaN is no edge)
+    P = np.array(rows)
+    support = (P > 0) | (P < 0)
+    n_comp, _ = connected_components(csr_matrix(support.view(np.int8)),
+                                     directed=True, connection="strong")
+    check = next(c for c in chains._matrix_checks(P) if c.name == "strongly_connected")
+    assert check.passed == (n_comp == 1)
 
 
 def test_not_reversible_rejected():

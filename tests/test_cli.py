@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mixbound import analysis, brw, chains, cli
 from mixbound.errors import NumericalFailure, SingularSystem
@@ -297,9 +298,12 @@ def test_brw_sandwich_same_data_at_one_and_two_workers(monkeypatch, tmp_path,
                   "--ell", "1,2", "--eps", "0.25,0.5"], 2, id="verify"),
 ])
 def test_hitting_solved_only_when_used(monkeypatch, tmp_path, command, solves):
+    # these families take the character route; a solve on either route counts
     calls = []
-    real = analysis.hit_times
-    monkeypatch.setattr(analysis, "hit_times", lambda k: calls.append(k) or real(k))
+    for name in ("hit_times", "character_hit_times"):
+        real = getattr(analysis, name)
+        monkeypatch.setattr(analysis, name,
+                            lambda *a, real=real: calls.append(a) or real(*a))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c4.spec").write_text("family=complete\nn=4\n")
     assert cli.main([*command, "--out", "out.csv"]) == 0
@@ -731,3 +735,23 @@ def test_optcheck_exit0(tmp_path):
     assert len(lines) == 51
     worst = max(float(ln.split(",")[-1]) for ln in lines[1:])
     assert worst <= 1e-10
+
+
+@pytest.mark.parametrize("spec_text,flags", [
+    ("family=cycle\nn=64\n", ["--family", "cycle", "--sizes", "64"]),
+    ("family=torus\nd=2\nm=8\n", ["--family", "torus", "--d", "2", "--sizes", "8"]),
+    ("family=hypercube\nd=6\n", ["--family", "hypercube", "--sizes", "6"]),
+    ("family=complete\nn=20\n", ["--family", "complete", "--sizes", "20"]),
+], ids=["cycle", "torus", "hypercube", "complete"])
+def test_transitive_commands_make_no_dense_solve(monkeypatch, tmp_path, spec_text, flags):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense solve on the character route")
+
+    for name in ("eigh", "inv"):
+        monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "k.spec").write_text(spec_text)
+    for command in (["analyze", "--spec", "k.spec"],
+                    ["verify", *flags, "--ell", "1,2", "--eps", "0.25,0.5"],
+                    ["profile", *flags, "--points", "5"]):
+        assert cli.main([*command, "--out", "out.csv"]) == 0, command

@@ -10,6 +10,7 @@ import scipy.linalg
 
 from mixbound import chains, mixing
 from mixbound.analysis import ChainAnalysis
+from mixbound.bounds import standard_sweep
 from mixbound.errors import InvalidSpec
 from mixbound.hitting import hit_times
 from mixbound.mixing import MixingProfile
@@ -81,10 +82,28 @@ def _traced_peak(f) -> int:
 
 def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
     # P is live before tracing starts; the BLOCK-row temporaries add about
-    # half an array at n = 256, so one more n x n temporary would fail this
-    kernel = chains.build_family(chains.torus_spec(2, 16))
-    peak = _traced_peak(lambda: ChainAnalysis.from_kernel(kernel).hitting)
-    assert peak <= chains.DENSE_PEAK_ARRAYS * 8 * kernel.n**2
+    # half an array at n = 256, so one more n x n temporary would fail this.
+    # The kernel has no group, so the analysis takes the dense route
+    kernel = chains.random_reversible_kernel(256, np.random.default_rng(0))
+
+    def analysis_with_hitting():
+        analysis = ChainAnalysis.from_kernel(kernel)
+        assert analysis.decomp.route == "dense" and analysis.hitting.route == "spectral"
+
+    assert _traced_peak(analysis_with_hitting) <= chains.DENSE_PEAK_ARRAYS * 8 * kernel.n**2
+
+
+def test_character_analysis_allocates_under_one_array():
+    # the character route forms no n x n array: its eigfuncs_sq is a view
+    # of ones and hit_matrix is never read by the sweep
+    kernel = chains.build_family(chains.torus_spec(2, 32))
+
+    def sweep():
+        analysis = ChainAnalysis.from_kernel(kernel)
+        assert analysis.hitting.route == "character"
+        standard_sweep(analysis)
+
+    assert _traced_peak(sweep) < 8 * kernel.n**2
 
 
 def test_tv_worst_holds_two_row_arrays():

@@ -48,6 +48,16 @@ def test_bad_eps_rejected():
         prof.mixing_time("tv", -1.0)
 
 
+@pytest.mark.parametrize("kind,x", [("tv", -1), ("linf", "a"), ("tv", 0),
+                                    ("linf", 3), ("ave_l2", 0), ("l2x", None)])
+def test_mixing_time_takes_a_state_for_l2x_alone(kind, x):
+    # a worst-case time refuses a state rather than ignore it; before, the
+    # first two returned the worst-state 23.496342192785647 and 65.19937321637518
+    _, _, prof = _profile(chains.dlp_spec(8, 0.5, 0.2))
+    with pytest.raises(ValueError, match="state x"):
+        prof.mixing_time(kind, 0.5 if kind == "linf" else 0.25, x=x)
+
+
 @pytest.mark.parametrize("eps", [math.inf, math.nan])
 def test_non_finite_eps_rejected(eps):
     _, _, prof = _profile(chains.complete_spec(4))
