@@ -20,8 +20,9 @@ class ChainAnalysis:
     an analysis instead of solving the kernel again.  It is also the one
     place a route is chosen: a kernel with a group (a built-in transitive
     family) takes the character route, with no eigensolve, no inverse and
-    no n x n array beyond P; any other kernel the dense route, whose peak
-    `chains.DENSE_PEAK_ARRAYS` counts."""
+    no n x n array, not even P (`chains.CHARACTER_PEAK_VECTORS`); any
+    other kernel the dense route, whose peak `chains.DENSE_PEAK_ARRAYS`
+    counts."""
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition

@@ -22,7 +22,7 @@ from .chains import ChainFamilySpec, _check_states
 from .errors import BadEps, BadRange, CertificateMismatch
 from .mixing import hierarchy_check
 from .reports import BoundReport
-from .spectral import (gamma_window_mass, heat_moment_all,
+from .spectral import (_gamma_masses, gamma_window_mass, heat_moment_all,
                        heat_moment_windowed_all, lower_gamma_regularized,
                        spectral_moment)
 
@@ -156,8 +156,7 @@ def _head_window_reports(analysis: ChainAnalysis, states, M: float) -> list:
     fsq = decomp.eigfuncs_sq[:, 1:]
     reports = []
     for k, full_w in enumerate((1.0 / lam, lam**-2.0)):
-        trunc_w = full_w * np.array([lower_gamma_regularized(k + 1, window * l)
-                                     for l in lam])
+        trunc_w = full_w * _gamma_masses(k + 1, window, lam)
         factor = 1.0 / lower_gamma_regularized(k + 1, M)
         full = [float(decomp.pi[x]) * float(fsq[x] @ full_w) for x in states]
         trunc = [factor * (float(decomp.pi[x]) * float(fsq[x] @ trunc_w))

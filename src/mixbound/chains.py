@@ -3,10 +3,13 @@
 States are integers ``0..n-1``.  Torus states are row-major flattenings of
 coordinate tuples, so ``torus(d=1, m=n)`` reproduces ``cycle(n)`` exactly.
 Every kernel stores its stationary distribution explicitly; reversibility
-is certified when a kernel is built, not assumed.  `validate` is the one
-certifier: every construction path accepts a kernel only when all of its
-checks pass, and `kernel_from_matrix` and `stationary` raise from its
-first failed check.
+is certified when a kernel is built, not assumed.  A kernel stores P, or,
+for a built-in transitive family, only its Cayley group's steps
+(`CayleyGroup`), from which products with P are taken in O(n) memory and
+P itself is formed only when a dense consumer reads it.  `validate` is the
+one certifier, from P or from the step table: every construction path
+accepts a kernel only when all of its checks pass, and
+`kernel_from_matrix` and `stationary` raise from its first failed check.
 
 Chain-spec files are UTF-8 ``key=value`` lines, e.g.::
 
@@ -48,8 +51,15 @@ BLOCK = 32
 # Most n x n arrays of doubles the dense route of the exact layer holds at
 # once, P included: P, the eigenfunctions, their squares and the hitting
 # matrix when an analysis solves its hitting times (pinned by
-# tests/test_memory.py).  The character route holds P alone.
+# tests/test_memory.py).  A kernel kept as its group's steps is refused by
+# this count only where its dense P is formed (`TransitionKernel.P`).
 DENSE_PEAK_ARRAYS = 4
+# Most arrays of n doubles a kernel kept as its group's steps holds at once
+# on the character route, no n x n array among them: about 90 plus the
+# group's dimension d, most of it the phases of the eigen-residual's 16
+# sampled characters, one part of them and its image under P (pinned by
+# tests/test_memory.py).
+CHARACTER_PEAK_VECTORS = 128
 
 
 def index_blocks(n: int) -> list:
@@ -86,15 +96,62 @@ class _Family(NamedTuple):
 
 
 class CayleyGroup(NamedTuple):
-    """The abelian group Z_m^d a transitive kernel walks on.
+    """The abelian group Z_m^d a transitive kernel walks on, and its steps.
 
     shape is (m,)*d, and state x is the row-major flattening of its
     element, as `np.unravel_index(x, shape)` reads it.  The walk steps by
     +-e_i, 1/(2d) each, or, when complete, to every other element, 1/(n-1)
-    each (the complete graph, as Z_n)."""
+    each (the complete graph, as Z_n).  At m = 2 the steps +e_i and -e_i
+    are the same element, and P(x, x + e_i) = 1/d holds both."""
 
     shape: tuple
     complete: bool = False
+
+    @property
+    def steps(self) -> np.ndarray:
+        """The step table: one row of d coordinates per step, in the order
+        `dense` adds them, with the weight `step_weight` each."""
+        m, d = self.shape[0], len(self.shape)
+        if self.complete:
+            return np.arange(1, m)[:, None]
+        eye = np.eye(d, dtype=int)
+        return np.stack([eye, -eye], axis=1).reshape(2 * d, d)
+
+    @property
+    def step_weight(self) -> float:
+        return 1.0 / (self.shape[0] - 1) if self.complete else 1.0 / (2 * len(self.shape))
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """P @ X from the steps, for X of n rows, in O(n) memory per column:
+        (P X)(x) is the mean of X(x + s) over the steps s, each a roll of X
+        along the group's axes, or (sum X - X)/(n - 1) when complete."""
+        if self.complete:
+            return (X.sum(axis=0) - X) / (self.shape[0] - 1)
+        Y = X.reshape(self.shape + X.shape[1:])
+        axes = tuple(range(len(self.shape)))
+        out = np.zeros_like(Y)
+        for step in self.steps:
+            out += np.roll(Y, tuple(-step), axes)
+        out *= self.step_weight
+        return out.reshape(X.shape)
+
+    def dense(self) -> np.ndarray:
+        """The n x n matrix P of the walk, the one dense builder of a
+        group's kernel; the torus branch is also the cycle (d = 1) and the
+        hypercube (m = 2, where both steps of a coordinate land on the
+        same neighbour)."""
+        m, d = self.shape[0], len(self.shape)
+        if self.complete:
+            return (np.ones((m, m)) - np.eye(m)) / (m - 1)
+        n = m**d
+        P = np.zeros((n, n))
+        s = np.arange(n)
+        for i in range(d):
+            stride = m ** (d - 1 - i)
+            c = (s // stride) % m
+            for step in (+1, -1):
+                P[s, s + ((c + step) % m - c) * stride] += 1.0 / (2 * d)
+        return P
 
 
 # The one statement of each family's parameters, which every reader of a
@@ -115,36 +172,64 @@ _SIZED = [name for name, fam in _FAMILY_PARAMS.items() if fam.size]
 SIZED_FAMILIES = (*_SIZED, *(alias for alias, name in _ALIASES.items() if name in _SIZED))
 
 
-@dataclass(frozen=True)
 class TransitionKernel:
     """Row-stochastic matrix P with certified stationary distribution pi.
 
-    The container itself performs only shape coercion; the construction
-    paths (`build_family`, `kernel_from_matrix`, `load_kernel`) enforce the
-    invariants and raise on violation.  Arrays are frozen after
-    construction and safe to share across threads.  group is the Cayley
-    group of a built-in transitive family, else None; a custom kernel has
-    none even when it is transitive.
+    A kernel stores either P or, for a built-in transitive family, its
+    Cayley group alone (`stepped`): then P is formed from the group's
+    steps on first read, once and only after its memory check, and every
+    product with P that the character route takes is `apply`, which forms
+    no n x n array.  The container itself performs only shape coercion;
+    the construction paths (`build_family`, `kernel_from_matrix`,
+    `load_kernel`) certify it with `validate` and raise on violation.
+    Arrays are frozen after construction and safe to share across
+    threads.  group is the Cayley group of a built-in transitive family,
+    else None; a custom kernel has none even when it is transitive.
     """
 
-    n: int
-    P: np.ndarray
-    pi: np.ndarray
-    label: str = "custom"
-    group: CayleyGroup | None = None
-
-    def __post_init__(self):
-        P = np.array(self.P, dtype=float)
-        pi = np.array(self.pi, dtype=float)
-        if P.shape != (self.n, self.n) or pi.shape != (self.n,):
-            raise InvalidSpec(f"shape mismatch: n={self.n}, P{P.shape}, pi{pi.shape}")
-        if self.group is not None and math.prod(self.group.shape) != self.n:
-            raise InvalidSpec(f"a group of shape {self.group.shape} does not have "
-                              f"n={self.n} elements")
-        P.setflags(write=False)
+    def __init__(self, n: int, P: np.ndarray | None = None, *, pi: np.ndarray,
+                 label: str = "custom", group: CayleyGroup | None = None):
+        if P is not None:
+            P = np.array(P, dtype=float)
+            P.setflags(write=False)
+        elif group is None:
+            raise InvalidSpec("a kernel needs its matrix P or its group")
+        pi = np.array(pi, dtype=float)
+        if (P is not None and P.shape != (n, n)) or pi.shape != (n,):
+            raise InvalidSpec(f"shape mismatch: n={n}, "
+                              f"P{None if P is None else P.shape}, pi{pi.shape}")
+        if group is not None and math.prod(group.shape) != n:
+            raise InvalidSpec(f"a group of shape {group.shape} does not have "
+                              f"n={n} elements")
         pi.setflags(write=False)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "pi", pi)
+        for name, value in (("n", n), ("pi", pi), ("label", label), ("group", group),
+                            ("stepped", P is None), ("_P", P)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a TransitionKernel is immutable; cannot set {name}")
+
+    def __repr__(self):
+        return f"TransitionKernel(n={self.n}, label={self.label!r}, group={self.group})"
+
+    @property
+    def P(self) -> np.ndarray:
+        """The n x n matrix; a stepped kernel forms it from its group on
+        first read, refused when the dense route's peak of
+        DENSE_PEAK_ARRAYS such arrays exceeds physical memory."""
+        if self._P is None:
+            check_dense_fits(self.label, self.n, 1, DENSE_PEAK_ARRAYS)
+            P = self.group.dense()
+            P.setflags(write=False)
+            object.__setattr__(self, "_P", P)
+        return self._P
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """P @ X: from the group's steps on a stepped kernel, else the
+        product with the stored P."""
+        return self.group.apply(X) if self.stepped else self.P @ X
+
+    __matmul__ = apply  # kernel @ X reads as P @ X where P or a kernel is taken
 
     @property
     def transitive(self) -> bool:
@@ -284,14 +369,14 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     p = _read_params(fam, spec.params)
     label = ChainFamilySpec(fam, p).label()
     m, d = (p.get(x, x) for x in _FAMILY_PARAMS[fam].states)
-    check_dense_fits(label, m, d, DENSE_PEAK_ARRAYS)
-    if fam == "complete":
-        kernel = _uniform_kernel((np.ones((m, m)) - np.eye(m)) / (m - 1), label,
-                                 CayleyGroup((m,), complete=True))
-    elif fam == "dlp_birth_death":
+    if fam == "dlp_birth_death":
+        check_dense_fits(label, m, d, DENSE_PEAK_ARRAYS)
         kernel = _build_dlp(p["n"], p["lambda"], p["eps"], p["k"])
     else:  # Z_m^d: the cycle has d = 1, the hypercube m = 2
-        kernel = _uniform_kernel(_torus_matrix(d, m), label, CayleyGroup((m,) * d))
+        check_dense_fits(label, m, d, CHARACTER_PEAK_VECTORS, rank=1)
+        n = m**d
+        kernel = TransitionKernel(n=n, pi=np.full(n, 1.0 / n), label=label,
+                                  group=CayleyGroup((m,) * d, complete=fam == "complete"))
 
     report = validate(kernel)
     if not report.passed:
@@ -299,40 +384,21 @@ def build_family(spec: ChainFamilySpec) -> TransitionKernel:
     return kernel
 
 
-def _uniform_kernel(P, label, group):
-    n = P.shape[0]
-    return TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), label=label, group=group)
-
-
-def check_dense_fits(label, m, d, arrays: int) -> None:
-    """Refuse a chain of n = m**d states when `arrays` dense n x n
-    matrices of doubles (DENSE_PEAK_ARRAYS for the exact layer's peak)
-    exceed this machine's physical memory.  Works on log n, so nothing is
+def check_dense_fits(label, m, d, arrays: int, rank: int = 2) -> None:
+    """Refuse a chain of n = m**d states when `arrays` dense arrays of
+    n**rank doubles (n x n matrices at rank 2, vectors at rank 1) exceed
+    this machine's physical memory.  Works on log n, so nothing is
     allocated and m**d is never formed."""
     try:
         have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, OSError, ValueError):
         return  # the platform cannot tell; numpy reports a failed allocation
     log10_n = d * math.log10(m) if d < 2**1023 else math.inf  # d beyond a double
-    if math.log10(8 * arrays) + 2 * log10_n > math.log10(have):
+    if math.log10(8 * arrays) + rank * log10_n > math.log10(have):
+        what = "dense matrices of n^2" if rank == 2 else "arrays of n"
         raise InvalidSpec(f"{label} has about 10^{log10_n:.6g} states; "
-                          f"{arrays} dense matrices of n^2 doubles exceed "
+                          f"{arrays} {what} doubles exceed "
                           f"the {have / 2**30:.3g} GiB of physical memory")
-
-
-def _torus_matrix(d, m):
-    """Walk on Z_m^d stepping +-1 in one uniformly chosen coordinate; also
-    the cycle (d = 1) and the hypercube (m = 2, where both steps of a
-    coordinate land on the same neighbour)."""
-    n = m**d
-    P = np.zeros((n, n))
-    s = np.arange(n)
-    for i in range(d):
-        stride = m ** (d - 1 - i)
-        c = (s // stride) % m
-        for step in (+1, -1):
-            P[s, s + ((c + step) % m - c) * stride] += 1.0 / (2 * d)
-    return P
 
 
 def _build_dlp(n, lam, eps, k):
@@ -458,15 +524,21 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
     """Measure every kernel invariant and report residuals.
 
     Never raises; failures are carried in the report.  A NaN or an inf
-    anywhere in P or pi fails at least one check.
+    anywhere in P or pi fails at least one check.  A stepped kernel is
+    measured from its group's step table (`_step_checks`), in O(n) memory;
+    every other kernel from P.
     """
-    P, pi = kernel.P, kernel.pi
-    row_sums, nonnegative, connected = _matrix_checks(P)
-    # an inf in pi turns inf * 0 into NaN, which fails the checks below
-    with np.errstate(over="ignore", invalid="ignore"):
-        balance = max_over_blocks(kernel.n, lambda rows: np.abs(
-            pi[rows, None] * P[rows] - pi[None, :] * P[:, rows].T))
-        stat = float(np.abs(pi @ P - pi).max())
+    pi = kernel.pi
+    if kernel.stepped:
+        row_sums, nonnegative, balance, stat, connected = _step_checks(kernel)
+    else:
+        P = kernel.P
+        row_sums, nonnegative, connected = _matrix_checks(P)
+        # an inf in pi turns inf * 0 into NaN, which fails the checks below
+        with np.errstate(over="ignore", invalid="ignore"):
+            balance = max_over_blocks(kernel.n, lambda rows: np.abs(
+                pi[rows, None] * P[rows] - pi[None, :] * P[:, rows].T))
+            stat = float(np.abs(pi @ P - pi).max())
     return ValidationReport((
         row_sums, nonnegative,
         CheckResult("pi_positive", float(max(0.0, -(pi.min() - _TINY))), 0.0),
@@ -475,6 +547,41 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
         CheckResult("stationarity", stat, STRUCT_TOL),
         connected,
     ))
+
+
+def _step_checks(kernel: TransitionKernel) -> tuple:
+    """The row-sum, sign, balance, stationarity and connectivity checks of
+    `validate` from a stepped kernel's step table, in O(n * steps) time.
+
+    P(x, x + e) = W(e), the weight of the steps landing on the element e,
+    so every row sums the step weights; detailed balance pairs pi(x) W(e)
+    with pi(x + e) W(-e), and (pi P)(y) = sum_e pi(y - e) W(e), one roll of
+    pi per element.  A symmetric step set with equal weights and a uniform
+    pi pass both.  The steps reach every state from any state iff they
+    generate the group, which on a finite abelian group holds iff no
+    character but the trivial one is 1 on every step: chi_k(e) = 1 iff
+    <k, e> = 0 mod m.
+    """
+    group, pi = kernel.group, kernel.pi.reshape(kernel.group.shape)
+    m, axes = group.shape[0], tuple(range(len(group.shape)))
+    elements, counts = np.unique(group.steps % m, axis=0, return_counts=True)
+    W = counts * group.step_weight
+    weight_of = dict(zip(map(tuple, elements), W))
+    balance, pi_P = 0.0, np.zeros_like(pi)
+    with np.errstate(over="ignore", invalid="ignore"):  # as in validate
+        for e, w in zip(elements, W):
+            back = weight_of.get(tuple(-e % m), 0.0)
+            before = np.roll(pi, tuple(e), axes)  # pi(y - e) at y
+            balance = max(balance, float(np.abs(before * w - pi * back).max()))
+            pi_P += before * w
+        stat = float(np.abs(pi_P - pi).max())
+    k = np.array(np.unravel_index(np.arange(kernel.n), group.shape)).T
+    for e in elements:
+        k = k[(k @ e) % m == 0]  # the characters still 1 on every step so far
+    return (CheckResult("row_sums", abs(float(W.sum()) - 1.0), STRUCT_TOL),
+            CheckResult("nonnegative_entries", float(max(0.0, -W.min())), 0.0),
+            balance, stat,
+            CheckResult("strongly_connected", float(len(k) > 1), 0.0))
 
 
 def _matrix_checks(P) -> tuple:

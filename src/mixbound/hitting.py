@@ -241,7 +241,7 @@ def _gth_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
 
 
 def _check_restricted_residual(kernel, hit, cols):
-    r, floor = _restricted_residual(kernel.P, hit, cols)
+    r, floor = _restricted_residual(kernel, hit, cols)
     bad = ~(r <= 1e-10 * kernel.n + floor)  # a NaN residual fails too
     if bad.any():
         y = cols[np.flatnonzero(bad.any(axis=0))[0]]
@@ -260,9 +260,11 @@ def _restricted_residual(P, hit, cols):
     from P, not from I - P: a small diagonal 1 - P(k,k) inherits the
     eps-sized rounding of P(k,k), far above eps * |1 - P(k,k)|.  Every
     route leaves hit[y, y] = 0, so off row y the column P @ hit[:, y] is
-    the restricted system's product without a copy of its block.
+    the restricted system's product without a copy of its block.  P is
+    the matrix or the kernel, whose `@` is `TransitionKernel.apply`: the
+    steps of a stepped kernel, else its stored P.
     """
-    n = P.shape[0]
+    n = hit.shape[0]
     eps = np.finfo(float).eps
     H = hit[:, cols]
     r = np.abs(H - P @ H - 1.0)

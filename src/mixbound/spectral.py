@@ -81,9 +81,11 @@ def symmetrized_laplacian(kernel: TransitionKernel):
     `laplacian` of the kernel and D = diag(sqrt_pi).
 
     S is a fresh array, filled in place a block of rows at a time by
-    `symmetrized_rows`, so no n x n temporary is formed.
+    `symmetrized_rows`, so no n x n temporary is formed.  P is read first,
+    so a stepped kernel forms it, or is refused, before S is allocated.
     """
-    S = np.empty((kernel.n, kernel.n))
+    P = kernel.P
+    S = np.empty(P.shape)
     for rows in index_blocks(kernel.n):
         S[rows] = symmetrized_rows(kernel, rows)
     return S, np.sqrt(kernel.pi)
@@ -165,7 +167,7 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     and the eigenvectors while `eigh` overwrites S, then P, F and F^2.
     Every other step works on `index_blocks` of rows or columns.  These
     counts, and `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
-    `character_decompose` holds no n x n array besides P.
+    `character_decompose` holds no n x n array.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)
@@ -228,9 +230,10 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     lambdas is the symbol sorted, eigfuncs_sq a read-only view of ones
     that costs no memory, and there are no eigfuncs.  The contract is an
     eigen-residual on at most 16 sampled characters,
-    ||P chi_k - (1 - lambda_k) chi_k||_inf <= 1e-10 * n, which also
-    catches a group that does not match P; it raises NumericalFailure.
-    Besides P it holds O(n) doubles.
+    ||P chi_k - (1 - lambda_k) chi_k||_inf <= 1e-10 * n with P chi_k from
+    `TransitionKernel.apply`, which also catches a group that does not
+    match the kernel's steps or stored P; it raises NumericalFailure.  It
+    holds O(n) doubles and no n x n array.
     """
     n, shape = kernel.n, kernel.group.shape
     symbol = _symbol(kernel.group)
@@ -239,12 +242,14 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     x = np.array(np.unravel_index(np.arange(n), shape))
     # <k, x> mod m in integers, so every phase is exact before the scaling
     phase = (2.0 * np.pi / shape[0]) * ((x.T @ k) % shape[0])
-    chi = np.hstack([np.cos(phase), np.sin(phase)])  # real and imaginary parts
-    lam = np.tile(symbol.ravel()[ks], 2)
-    resid = float(np.abs(kernel.P @ chi - (1.0 - lam) * chi).max())
+    lam = symbol.ravel()[ks]
+    resid = 0.0
+    for part in (np.cos, np.sin):  # the real and imaginary parts
+        chi = part(phase)
+        resid = max(resid, float(np.abs(kernel.apply(chi) - (1.0 - lam) * chi).max()))
     if not resid <= 1e-10 * n:
         raise NumericalFailure(f"character eigen-residual {resid:.3e} > 1e-10*n: "
-                               f"the group {shape} does not match P")
+                               f"the group {shape} does not match the kernel")
     return SpectralDecomposition(lambdas=np.sort(symbol, axis=None), eigfuncs=None,
                                  eigfuncs_sq=np.broadcast_to(1.0, (n, n)),
                                  pi=kernel.pi.copy(), symbol=symbol)
@@ -292,7 +297,7 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
     """
     decay = np.exp(-decomp.lambdas * t)
     if x is None:
-        return decomp.eigfuncs_sq @ decay
+        return _diagonal(decomp, decay)
     (x,) = _check_states("heat_diag_ratio", "x", (x,), decomp.n)
     return float(decomp.eigfuncs_sq[x] @ decay)
 
@@ -381,17 +386,33 @@ def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     """
     weights = _moment_weights(decomp, ell)
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_moments(decomp.eigfuncs_sq[:, 1:] @ weights, ell)
+        return _finite_moments(_diagonal(decomp, weights), ell)
 
 
 def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     """Same integrals truncated at 2*ell*t_rel, via the regularized gamma."""
     weights = _moment_weights(decomp, ell)
-    window = 2.0 * ell * decomp.t_rel
-    masses = np.array([lower_gamma_regularized(ell, window * l)
-                       for l in decomp.lambdas[1:]])
+    masses = _gamma_masses(ell, 2.0 * ell * decomp.t_rel, decomp.lambdas[1:])
     with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_moments(decomp.eigfuncs_sq[:, 1:] @ (weights * masses), ell)
+        return _finite_moments(_diagonal(decomp, weights * masses), ell)
+
+
+def _diagonal(decomp: SpectralDecomposition, weights: np.ndarray) -> np.ndarray:
+    """The vector over x of sum_i f_i(x)^2 weights[i] over the last
+    len(weights) eigenfunctions, as eigfuncs_sq @ weights.  On the
+    character route every state has the same heat diagonal, so row 0's
+    sum, from the same product on one row, is repeated over the states."""
+    fsq = decomp.eigfuncs_sq[:, decomp.n - weights.size:]
+    if decomp.route == "character":
+        return np.repeat(fsq[:1] @ weights, decomp.n)
+    return fsq @ weights
+
+
+def _gamma_masses(ell: int, window: float, lam: np.ndarray) -> np.ndarray:
+    """lower_gamma_regularized(ell, window * l) for each l in lam, called
+    once per distinct value."""
+    values, where = np.unique(lam, return_inverse=True)
+    return np.array([lower_gamma_regularized(ell, window * l) for l in values])[where]
 
 
 def eigenvalue_clustering(decomp: SpectralDecomposition, target: float,

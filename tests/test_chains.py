@@ -306,16 +306,22 @@ def test_kernel_arrays_frozen():
 @pytest.mark.parametrize("spare_pages,refused", [(1, False), (-1, True)])
 def test_dense_refusal_counts_the_peak_arrays(monkeypatch, spare_pages, refused):
     # physical memory one page above or below DENSE_PEAK_ARRAYS dense
-    # 64 x 64 matrices; one page below still holds a single matrix many times
+    # 64 x 64 matrices; one page below still holds a single matrix many times.
+    # The dlp kernel stores P, so its build is refused; the cycle is kept as
+    # its steps and is refused where its dense P is formed
     page, n = 4096, 64
     pages = chains.DENSE_PEAK_ARRAYS * 8 * n**2 // page + spare_pages
     monkeypatch.setattr(chains.os, "sysconf", lambda name: {
         "SC_PAGE_SIZE": page, "SC_PHYS_PAGES": pages}[name])
+    cycle = chains.build_family(chains.cycle_spec(n))
     if refused:
         with pytest.raises(InvalidSpec, match="physical memory"):
-            chains.build_family(chains.cycle_spec(n))
+            chains.build_family(chains.dlp_spec(n, 0.5, 0.2))
+        with pytest.raises(InvalidSpec, match="physical memory"):
+            cycle.P
     else:
-        assert chains.build_family(chains.cycle_spec(n)).n == n
+        assert chains.build_family(chains.dlp_spec(n, 0.5, 0.2)).n == n
+        assert cycle.P.shape == (n, n)
 
 
 def test_max_over_blocks_keeps_a_nan_in_any_block():

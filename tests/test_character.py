@@ -153,3 +153,80 @@ def test_eigfuncs_sq_is_a_view_of_ones():
     fsq = decomp.eigfuncs_sq
     assert fsq.shape == (1024, 1024) and fsq.strides == (0, 0)
     assert not fsq.flags.writeable and np.all(fsq == 1.0)
+
+
+# The step form of every transitive family: small sizes of each shape,
+# including m = 2, where both steps of a coordinate land on one neighbour.
+STEP_SPECS = [
+    *(chains.cycle_spec(n) for n in (2, 3, 17)),
+    *(chains.torus_spec(d, m) for d in (1, 2, 3) for m in (2, 3, 5)),
+    *(chains.hypercube_spec(d) for d in range(1, 7)),
+    *(chains.complete_spec(n) for n in range(2, 8)),
+]
+
+
+def _textbook_matrix(spec):
+    """P of a transitive family entry by entry: 1/(n-1) off the diagonal of
+    the complete graph, else 1/(2d) added for each step +-e_i of Z_m^d."""
+    kernel = chains.build_family(spec)
+    n, shape = kernel.n, kernel.group.shape
+    if kernel.group.complete:
+        return (np.ones((n, n)) - np.eye(n)) / (n - 1)
+    P = np.zeros((n, n))
+    for x in range(n):
+        c = np.unravel_index(x, shape)
+        for i in range(len(shape)):
+            for step in (+1, -1):
+                y = list(c)
+                y[i] = (y[i] + step) % shape[0]
+                P[x, np.ravel_multi_index(y, shape)] += 1.0 / (2 * len(shape))
+    return P
+
+
+@pytest.mark.parametrize("spec", STEP_SPECS, ids=lambda s: s.label())
+def test_apply_is_the_product_with_the_formed_P(spec):
+    kernel = chains.build_family(spec)
+    assert kernel.stepped
+    X = np.random.default_rng(kernel.n).standard_normal((kernel.n, 5))
+    got, want = kernel.apply(X), kernel.P @ X
+    # a few ulp of the sum of |P(x, y) X(y)|, which bounds either rounding
+    ulp = np.finfo(float).eps * (kernel.P @ np.abs(X))
+    assert np.all(np.abs(got - want) <= 4 * ulp)
+    assert np.array_equal(kernel @ X, got)
+    assert np.array_equal(kernel.apply(X[:, 0]), got[:, 0])
+
+
+@pytest.mark.parametrize("spec", STEP_SPECS, ids=lambda s: s.label())
+def test_formed_P_is_the_textbook_matrix_and_passes_dense_validate(spec):
+    kernel = chains.build_family(spec)
+    P = kernel.P
+    assert np.array_equal(P, _textbook_matrix(spec)) and not P.flags.writeable
+    assert kernel.P is P  # formed once
+    steps = chains.validate(kernel)
+    dense = chains.validate(chains.TransitionKernel(n=kernel.n, P=P, pi=kernel.pi))
+    assert steps.passed and dense.passed, (str(steps), str(dense))
+    assert [c.name for c in steps.checks] == [c.name for c in dense.checks]
+
+
+@pytest.mark.parametrize("steps,failed", [
+    ([[1], [1]], "detailed_balance"),  # one direction only
+    ([[2], [-2]], "strongly_connected"),  # the even states alone
+])
+def test_steps_that_break_the_certificate_fail_validation(monkeypatch, steps, failed):
+    monkeypatch.setattr(chains.CayleyGroup, "steps", property(lambda self: np.array(steps)))
+    kernel = chains.TransitionKernel(n=16, pi=np.full(16, 1.0 / 16),
+                                     group=chains.CayleyGroup((16,)))
+    report = chains.validate(kernel)
+    assert [c.name for c in report.checks if not c.passed] == [failed], str(report)
+    with pytest.raises(NumericalFailure, match="failed validation"):
+        chains.build_family(chains.cycle_spec(16))
+
+
+def test_steps_that_do_not_match_the_symbol_fail_the_eigen_residual(monkeypatch):
+    # +-3 generate Z_16 and pass the certificate, but their spectrum is not
+    # the symbol of the steps +-1
+    monkeypatch.setattr(chains.CayleyGroup, "steps", property(lambda self: np.array([[3], [-3]])))
+    kernel = chains.build_family(chains.cycle_spec(16))
+    assert chains.validate(kernel).passed
+    with pytest.raises(NumericalFailure, match="eigen-residual"):
+        ChainAnalysis.from_kernel(kernel)

@@ -749,9 +749,44 @@ def test_transitive_commands_make_no_dense_solve(monkeypatch, tmp_path, spec_tex
 
     for name in ("eigh", "inv"):
         monkeypatch.setattr(scipy.linalg, name, refuse)
+    monkeypatch.setattr(chains.CayleyGroup, "dense", refuse)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "k.spec").write_text(spec_text)
     for command in (["analyze", "--spec", "k.spec"],
                     ["verify", *flags, "--ell", "1,2", "--eps", "0.25,0.5"],
                     ["profile", *flags, "--points", "5"]):
         assert cli.main([*command, "--out", "out.csv"]) == 0, command
+
+
+@pytest.mark.parametrize("flags", [
+    ["--family", "torus", "--d", "2", "--sizes", "128"],
+    ["--family", "hypercube", "--sizes", "14"],
+], ids=["torus-2-128", "hypercube-14"])
+def test_verify_at_n_16384_keeps_the_steps(tmp_path, flags):
+    # n = 16384: four dense arrays would take 8 GiB, the character route
+    # a few MiB; every report passes
+    out = tmp_path / "v.csv"
+    assert cli.main(["verify", *flags, "--out", str(out)]) == 0
+    assert all(ln.endswith(",1") for ln in data_lines(out)[1:])
+
+
+def test_brw_at_n_16384_refused_where_dense_P_is_formed(monkeypatch, tmp_path, capsys):
+    # 2 GiB of physical memory holds the steps but not four dense 16384^2
+    # arrays; BRW's dense route is refused before P is allocated
+    import tracemalloc
+
+    monkeypatch.setattr(chains.os, "sysconf", lambda name: {
+        "SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**31 // 4096}[name])
+    tracemalloc.start()
+    try:
+        code = cli.main(["brw", "--family", "torus", "--d", "2", "--sizes", "128",
+                         "--target", "hit", "--out", str(tmp_path / "b.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "physical memory" in lines[0] and "Traceback" not in err
+    assert peak <= chains.CHARACTER_PEAK_VECTORS * 8 * 16384

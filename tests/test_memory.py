@@ -1,6 +1,7 @@
 """The dense exact layer forms each n x n matrix once: its traced peak is
 pinned, and its outputs are bit for bit those of the textbook formulas
-that form every intermediate as a new n x n array."""
+that form every intermediate as a new n x n array.  The character route
+holds O(n) doubles, pinned too."""
 
 import tracemalloc
 
@@ -93,17 +94,23 @@ def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
     assert _traced_peak(analysis_with_hitting) <= chains.DENSE_PEAK_ARRAYS * 8 * kernel.n**2
 
 
-def test_character_analysis_allocates_under_one_array():
-    # the character route forms no n x n array: its eigfuncs_sq is a view
-    # of ones and hit_matrix is never read by the sweep
-    kernel = chains.build_family(chains.torus_spec(2, 32))
+def test_character_route_holds_order_n_doubles():
+    # a kernel kept as its steps is built, certified, analysed, its hitting
+    # times solved and swept without any n x n array: eigfuncs_sq is a view
+    # of ones, the heat diagonals come from one row and P is never formed.
+    # At n = 4096 one n x n array is 32 times the pin
+    spec, n = chains.torus_spec(2, 64), 4096
+    kernels = []
 
     def sweep():
+        kernel = chains.build_family(spec)
         analysis = ChainAnalysis.from_kernel(kernel)
         assert analysis.hitting.route == "character"
         standard_sweep(analysis)
+        kernels.append(kernel)
 
-    assert _traced_peak(sweep) < 8 * kernel.n**2
+    assert _traced_peak(sweep) <= chains.CHARACTER_PEAK_VECTORS * 8 * n
+    assert kernels[0].stepped and kernels[0]._P is None
 
 
 def test_tv_worst_holds_two_row_arrays():
