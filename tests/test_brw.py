@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
 
 from mixbound import analysis, brw, brw_reference, chains, hitting, spectral
 from mixbound.analysis import ChainAnalysis
@@ -344,6 +345,50 @@ def test_engines_agree_quickly(complete4, cycle8):
                           brw_reference.simulate_hit_reference(kernel, x, cfg)) <= 3.0
         assert pooled_gap(brw.simulate_intersection(kernel, cfg),
                           brw_reference.simulate_intersection_reference(kernel, cfg)) <= 3.0
+
+
+def _exact_hit_time(kernel, x, gamma, method="LSODA", rtol=1e-10):
+    """E_pi[T_x] of a BRW branching at rate gamma, from the branching backward
+    equation (Athreya-Ney 1972, ch. V): u(t, y), the chance that no particle
+    of a BRW started at y has reached x by time t, solves
+    du/dt = (P - I) u + gamma (u^2 - u) on the states y != x, with u(0) = 1
+    and u(t, x) = 0, and E_pi[T_x] = int_0^inf sum_y pi(y) u(t, y) dt.  The
+    integral rides along as one more component; the solve stops once every
+    u is below 1e-16."""
+    rest = np.arange(kernel.n) != x
+    Q, pi = kernel.P[np.ix_(rest, rest)], kernel.pi[rest]
+
+    def rhs(t, z):
+        u = z[:-1]
+        return np.append(Q @ u - u + gamma * (u * u - u), pi @ u)
+
+    def extinct(t, z):
+        return z[:-1].max() - 1e-16
+
+    extinct.terminal = True
+    sol = solve_ivp(rhs, (0.0, 1e6), np.append(np.ones(rest.sum()), 0.0),
+                    method=method, rtol=rtol, atol=1e-16, events=extinct)
+    assert sol.status == 1, sol.message  # stopped by the event
+    return float(sol.y[-1, -1])
+
+
+@pytest.mark.parametrize("spec,exact", [(chains.complete_spec(4), 0.905309),
+                                        (chains.cycle_spec(8), 4.550888)],
+                         ids=["complete4", "cycle8"])
+def test_hit_estimates_match_the_exact_backward_equation(spec, exact):
+    kernel = chains.build_family(spec)
+    gamma = spectral.decompose(kernel).gap  # the gamma a default BRWConfig fills in
+    value = _exact_hit_time(kernel, 0, gamma)
+    # the oracle's own accuracy: half the tolerance, and another solver
+    assert value == pytest.approx(_exact_hit_time(kernel, 0, gamma, rtol=5e-11), rel=1e-8)
+    assert value == pytest.approx(_exact_hit_time(kernel, 0, gamma, method="DOP853"),
+                                  rel=1e-8)
+    assert value == pytest.approx(exact, abs=5e-7)
+    cfg = brw.BRWConfig(replicates=20_000, master_seed=41)
+    for est in (brw.simulate_hit(kernel, 0, cfg),
+                brw_reference.simulate_hit_reference(kernel, 0, cfg)):
+        assert est.censor_rate == 0.0
+        assert abs(est.mean - value) <= 4.0 * est.stderr, est
 
 
 def test_plain_intersection_tracks_sqrt_moment():

@@ -278,6 +278,39 @@ def test_canonical_text_is_stable():
     assert a == chains.canonical_spec_text(chains.torus_spec(2, 8))
 
 
+def test_matrix_digest_reads_values_not_layout():
+    matrix = np.arange(12.0).reshape(3, 4) / 7.0
+    want = chains._matrix_digest(matrix)
+    wide = np.zeros((3, 8))
+    wide[:, ::2] = matrix
+    assert chains._matrix_digest(np.asfortranarray(matrix)) == want
+    assert chains._matrix_digest(wide[:, ::2]) == want  # a strided view
+    assert chains._matrix_digest(matrix.astype(">f8")) == want  # big-endian
+    ints = np.arange(12).reshape(3, 4)
+    assert chains._matrix_digest(ints) == chains._matrix_digest(ints.astype(float))
+
+
+def test_matrix_digest_tells_shape_and_signed_zero_apart():
+    matrix = np.arange(12.0).reshape(3, 4)
+    digests = {chains._matrix_digest(matrix.reshape(shape))
+               for shape in [(3, 4), (4, 3), (2, 6), (12, 1)]}
+    assert len(digests) == 4
+    zero = np.full((2, 2), 0.5)
+    zero[0, 0] = 0.0
+    negative_zero = zero.copy()
+    negative_zero[0, 0] = -0.0
+    assert chains._matrix_digest(zero) != chains._matrix_digest(negative_zero)
+
+
+def test_custom_spec_text_is_pinned():
+    # sha256 of the int64 words 2, 3, 3 and the nine float64 values, all
+    # little-endian; the encoding is named in the line
+    spec = chains.custom_spec([[0.0, 0.5, 0.5], [0.5, 0.0, 0.5], [0.5, 0.5, 0.0]])
+    assert chains.canonical_spec_text(spec) == (
+        "family=custom\n"
+        "matrix=sha256-f8le:d762f6903d5d5963bfd5704271ffabd5ad5ec1face0d9e65e0b4e31056e3f9af\n")
+
+
 def test_export_kernel_csv_roundtrip(tmp_path):
     kernel = chains.build_family(chains.cycle_spec(5))
     out = tmp_path / "k.csv"

@@ -790,3 +790,25 @@ def test_brw_at_n_16384_refused_where_dense_P_is_formed(monkeypatch, tmp_path, c
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "physical memory" in lines[0] and "Traceback" not in err
     assert peak <= chains.CHARACTER_PEAK_VECTORS * 8 * 16384
+
+
+def test_custom_spec_commands_do_not_print_the_matrix_again(monkeypatch, tmp_path):
+    # the spec digest hashes the matrix's bytes; nothing writes it as text
+    matrix = chains.random_reversible_kernel(12, np.random.default_rng(3)).P
+    np.savetxt(tmp_path / "m.csv", matrix, fmt="%.17g", delimiter=",")
+    (tmp_path / "k.spec").write_text("family=custom\nmatrix=m.csv\n")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the matrix printed as text")
+
+    monkeypatch.setattr(chains, "_matrix_csv_bytes", refuse)
+    monkeypatch.setattr(np, "savetxt", refuse)
+    monkeypatch.chdir(tmp_path)
+    spec_text = chains.canonical_spec_text(chains.custom_spec(matrix))
+    assert spec_text.splitlines()[1].startswith("matrix=sha256-f8le:")
+    digest = f"# spec-digest: sha256:{cli._digest(spec_text)}"
+    for command in (["analyze", "--spec", "k.spec"],
+                    ["verify", "--spec", "k.spec", "--ell", "1,2"],
+                    ["profile", "--spec", "k.spec", "--points", "5"]):
+        assert cli.main([*command, "--out", "out.csv"]) == 0, command
+        assert digest in manifest_lines("out.csv"), command
