@@ -55,9 +55,9 @@ BLOCK = 32
 # this count only where its dense P is formed (`TransitionKernel.P`).
 DENSE_PEAK_ARRAYS = 4
 # Most arrays of n doubles a kernel kept as its group's steps holds at once
-# on the character route, no n x n array among them: about 85 at any
-# dimension d, most of it the phases of the eigen-residual's 16 sampled
-# characters, one part of them and its image under P (pinned by
+# on the character route, no n x n array among them: about 90 plus the
+# group's dimension d, most of it the phases of the eigen-residual's 16
+# sampled characters, one part of them and its image under P (pinned by
 # tests/test_memory.py).
 CHARACTER_PEAK_VECTORS = 128
 
@@ -569,11 +569,9 @@ def _step_checks(kernel: TransitionKernel) -> tuple:
     P(x, x + e) = W(e), the weight of the steps landing on the element e,
     so every row sums the step weights; detailed balance pairs pi(x) W(e)
     with pi(x + e) W(-e), and (pi P)(y) = sum_e pi(y - e) W(e), one roll of
-    pi per element.  On the complete graph every other element is a step
-    of one weight w, so these are w (max pi - min pi) and (sum pi - pi) /
-    (n - 1), in O(n).  A symmetric step set with equal weights and a
-    uniform pi pass both.  The steps reach every state from any state iff
-    they generate the group, which on a finite abelian group holds iff no
+    pi per element.  A symmetric step set with equal weights and a uniform
+    pi pass both.  The steps reach every state from any state iff they
+    generate the group, which on a finite abelian group holds iff no
     character but the trivial one is 1 on every step: chi_k(e) = 1 iff
     <k, e> = 0 mod m.
     """
@@ -581,19 +579,16 @@ def _step_checks(kernel: TransitionKernel) -> tuple:
     m, axes = group.shape[0], tuple(range(len(group.shape)))
     elements, counts = np.unique(group.steps % m, axis=0, return_counts=True)
     W = counts * group.step_weight
+    weight_of = dict(zip(map(tuple, elements), W))
+    balances, pi_P = [], np.zeros_like(pi)
     with np.errstate(over="ignore", invalid="ignore"):  # as in validate
-        if group.complete:  # every other element is a step of weight W[0]
-            balance = float(W[0] * (pi.max() - pi.min()))
-            stat = float(np.abs((pi.sum() - pi) / (m - 1) - pi).max())
-        else:
-            weight_of = dict(zip(map(tuple, elements), W))
-            balance, pi_P = 0.0, np.zeros_like(pi)
-            for e, w in zip(elements, W):
-                back = weight_of.get(tuple(-e % m), 0.0)
-                before = np.roll(pi, tuple(e), axes)  # pi(y - e) at y
-                balance = max(balance, float(np.abs(before * w - pi * back).max()))
-                pi_P += before * w
-            stat = float(np.abs(pi_P - pi).max())
+        for e, w in zip(elements, W):
+            back = weight_of.get(tuple(-e % m), 0.0)
+            before = np.roll(pi, tuple(e), axes)  # pi(y - e) at y
+            balances.append(np.abs(before * w - pi * back).max())
+            pi_P += before * w
+        stat = float(np.abs(pi_P - pi).max())
+    balance = float(np.max(balances))  # NaN if any residual is, as in validate
     k = np.array(np.unravel_index(np.arange(kernel.n), group.shape)).T
     for e in elements:
         if len(k) == 1:  # the trivial character alone is left

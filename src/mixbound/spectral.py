@@ -239,8 +239,9 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     symbol = _symbol(kernel.group)
     ks = np.linspace(0, n - 1, num=min(n, 16), dtype=int)
     k = np.array(np.unravel_index(ks, shape))
+    x = np.array(np.unravel_index(np.arange(n), shape))
     # <k, x> mod m in integers, so every phase is exact before the scaling
-    phase = (2.0 * np.pi / shape[0]) * _phases(shape[0], k)
+    phase = (2.0 * np.pi / shape[0]) * ((x.T @ k) % shape[0])
     lam = symbol.ravel()[ks]
     resid = 0.0
     for part in (np.cos, np.sin):  # the real and imaginary parts
@@ -252,19 +253,6 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     return SpectralDecomposition(lambdas=np.sort(symbol, axis=None), eigfuncs=None,
                                  eigfuncs_sq=np.broadcast_to(1.0, (n, n)),
                                  pi=kernel.pi.copy(), symbol=symbol)
-
-
-def _phases(m: int, k: np.ndarray) -> np.ndarray:
-    """<k, x> mod m for every state x (a row each, row-major) and every
-    column of k, the d coordinates of a character, in integers.  The
-    per-axis tables x_i k_i, x_i in 0..m-1, are broadcast and summed one
-    axis at a time, so after i axes the rows cover the first m^i states."""
-    axis_values = np.arange(m)[:, None]
-    ints = np.zeros((1, k.shape[1]), dtype=int)
-    for k_i in k:
-        ints = (ints[:, None] + axis_values * k_i).reshape(-1, k.shape[1])
-    ints %= m
-    return ints
 
 
 def _symbol(group: CayleyGroup) -> np.ndarray:

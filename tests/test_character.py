@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbound import chains, spectral
+from mixbound import chains
 from mixbound.analysis import ChainAnalysis, DenseAnalysis
 from mixbound.bounds import standard_sweep
 from mixbound.errors import InvalidSpec, NumericalFailure
@@ -130,17 +130,6 @@ def test_group_that_does_not_match_the_walk_fails_the_eigen_residual():
             ChainAnalysis.from_kernel(_tagged(P, group))
 
 
-@pytest.mark.parametrize("shape", [(7,), (64,), (8, 8), (5, 5, 5), (2,) * 10])
-def test_phases_are_the_inner_products_mod_m(shape):
-    # the per-axis broadcast against the product of the coordinate matrix
-    # with the sampled characters, the integers character_decompose scales
-    n, m = math.prod(shape), shape[0]
-    ks = np.linspace(0, n - 1, num=min(n, 16), dtype=int)
-    k = np.array(np.unravel_index(ks, shape))
-    x = np.array(np.unravel_index(np.arange(n), shape))
-    assert np.array_equal(spectral._phases(m, k), (x.T @ k) % m)
-
-
 def test_group_of_the_wrong_size_refused():
     P = chains.build_family(chains.cycle_spec(8)).P
     with pytest.raises(InvalidSpec, match="group"):
@@ -222,9 +211,9 @@ def test_formed_P_is_the_textbook_matrix_and_passes_dense_validate(spec):
 @pytest.mark.parametrize("n", [2, 3, 7, 64])
 @pytest.mark.parametrize("delta", [0.0, 1e-14, 1e-6, np.nan])
 def test_complete_step_certificate_gives_the_dense_verdicts(n, delta):
-    # the closed forms of the complete graph against validate on the formed
-    # P, with pi moved by delta between states 0 and n - 1; the residuals
-    # differ by rounding alone
+    # the step certificate of the complete graph against validate on the
+    # formed P, with pi moved by delta between states 0 and n - 1; the
+    # residuals differ by rounding alone
     group = chains.CayleyGroup((n,), complete=True)
     pi = np.full(n, 1.0 / n)
     pi[0] += delta
