@@ -20,7 +20,7 @@ import numpy as np
 from .analysis import ChainAnalysis
 from .chains import ChainFamilySpec, _check_states
 from .errors import BadEps, BadRange, CertificateMismatch
-from .mixing import hierarchy_check
+from .mixing import _MAX, _TINY, hierarchy_check
 from .reports import BoundReport
 from .spectral import (_gamma_masses, gamma_window_mass, heat_moment_all,
                        heat_moment_windowed_all, lower_gamma_regularized,
@@ -35,11 +35,15 @@ _TRUNCATION_M = (1.0, 2.0, 5.0)
 
 def _rhs_moment(t_rel, moment, ell, eps):
     """Order-ell moment bound on the uniform time at threshold eps.  The L2
-    bounds are half of it at eps^2, as t_l2(eps) = t_linf(eps^2) / 2."""
+    bounds are half of it at eps^2, as t_l2(eps) = t_linf(eps^2) / 2.  The
+    scale eps t_rel^ell is refused unless it is a normal double."""
     scale = eps * t_rel**ell
-    if not math.isfinite(scale):
-        raise BadEps(f"threshold {eps:.3e} times t_rel^{ell} overflows a double")
-    return t_rel * max(math.log(moment / scale), float(ell))
+    if not _TINY <= scale <= _MAX:
+        raise BadEps(f"threshold {eps:.3e} times t_rel^{ell} is {scale:.3e}, "
+                     "which is not a normal double")
+    ratio = moment / scale
+    # a ratio of at most 1 has log <= 0 < ell, and one that is 0 has no log
+    return t_rel * (float(ell) if ratio <= 1.0 else max(math.log(ratio), float(ell)))
 
 
 def _worst_report(name: str, states, lhs, rhs, **ctx) -> BoundReport:

@@ -482,8 +482,8 @@ def _sandwich(specs, cfg: BRWConfig, target: str, bands: dict,
               band) -> SandwichResult:
     """Rows from experiment for each spec, the band verdicts and the
     log-log slope of ratio against n; see the two public wrappers."""
-    if len(specs) < 3:
-        raise InvalidSpec("need at least 3 sizes")
+    if len({spec.size for spec in specs}) < 3:  # a trend needs 3 state counts
+        raise InvalidSpec("need at least 3 distinct sizes")
     family = specs[0].family
     if band is None:
         if family not in bands:

@@ -3,12 +3,12 @@
 States are integers ``0..n-1``.  Torus states are row-major flattenings of
 coordinate tuples, so ``torus(d=1, m=n)`` reproduces ``cycle(n)`` exactly.
 Every kernel stores its stationary distribution explicitly; reversibility
-is certified when a kernel is built, not assumed.  A kernel stores P, or,
-for a built-in transitive family, only its Cayley group's steps
-(`CayleyGroup`), from which products with P are taken in O(n) memory and
-P itself is formed only when a dense consumer reads it.  `validate` is the
-one certifier, from P or from the step table: every construction path
-accepts a kernel only when all of its checks pass, and
+is certified when a kernel is built, not assumed.  A kernel holds P, or,
+for a built-in transitive family, its Cayley group (`CayleyGroup`), never
+both: products with P are then taken from the group's steps in O(n)
+memory, and P itself is formed only when a dense consumer reads it.
+`validate` is the one certifier, from P or from the step table: every
+construction path accepts a kernel only when all of its checks pass, and
 `kernel_from_matrix` and `stationary` raise from its first failed check.
 
 Chain-spec files are UTF-8 ``key=value`` lines, e.g.::
@@ -137,20 +137,16 @@ class CayleyGroup(NamedTuple):
 
     def dense(self) -> np.ndarray:
         """The n x n matrix P of the walk, the one dense builder of a
-        group's kernel; the torus branch is also the cycle (d = 1) and the
-        hypercube (m = 2, where both steps of a coordinate land on the
-        same neighbour)."""
-        m, d = self.shape[0], len(self.shape)
-        if self.complete:
-            return (np.ones((m, m)) - np.eye(m)) / (m - 1)
-        n = m**d
-        P = np.zeros((n, n))
-        s = np.arange(n)
-        for i in range(d):
-            stride = m ** (d - 1 - i)
-            c = (s // stride) % m
-            for step in (+1, -1):
-                P[s, s + ((c + step) % m - c) * stride] += 1.0 / (2 * d)
+        group's kernel: step_weight added at (x, x + s) for each row s of
+        `steps`, in its order, so a step that lands where another did (at
+        m = 2) adds to it."""
+        rows = np.arange(math.prod(self.shape))
+        x = np.unravel_index(rows, self.shape)
+        P = np.zeros((rows.size, rows.size))
+        for step in self.steps:
+            y = np.ravel_multi_index(tuple(c + s for c, s in zip(x, step)), self.shape,
+                                     mode="wrap")
+            P[rows, y] += self.step_weight
         return P
 
 
@@ -175,12 +171,12 @@ SIZED_FAMILIES = (*_SIZED, *(alias for alias, name in _ALIASES.items() if name i
 class TransitionKernel:
     """Row-stochastic matrix P with certified stationary distribution pi.
 
-    A kernel stores either P or, for a built-in transitive family, its
-    Cayley group alone (`stepped`): then P is formed from the group's
-    steps on first read, once and only after its memory check, and every
-    product with P that the character route takes is `apply`, which forms
-    no n x n array.  The container itself performs only shape coercion;
-    the construction paths (`build_family`, `kernel_from_matrix`,
+    A kernel holds either P or, for a built-in transitive family, its
+    Cayley group, and refuses both: with a group, P is formed from the
+    group's steps on first read, once and only after its memory check,
+    and every product with P that the character route takes is `apply`,
+    which forms no n x n array.  The container itself performs only shape
+    coercion; the construction paths (`build_family`, `kernel_from_matrix`,
     `load_kernel`) certify it with `validate` and raise on violation.
     Arrays are frozen after construction and safe to share across
     threads.  group is the Cayley group of a built-in transitive family,
@@ -189,11 +185,11 @@ class TransitionKernel:
 
     def __init__(self, n: int, P: np.ndarray | None = None, *, pi: np.ndarray,
                  label: str = "custom", group: CayleyGroup | None = None):
+        if (P is None) == (group is None):
+            raise InvalidSpec("a kernel holds exactly one of its matrix P and its group")
         if P is not None:
             P = np.array(P, dtype=float)
             P.setflags(write=False)
-        elif group is None:
-            raise InvalidSpec("a kernel needs its matrix P or its group")
         pi = np.array(pi, dtype=float)
         if (P is not None and P.shape != (n, n)) or pi.shape != (n,):
             raise InvalidSpec(f"shape mismatch: n={n}, "
@@ -203,7 +199,7 @@ class TransitionKernel:
                               f"n={n} elements")
         pi.setflags(write=False)
         for name, value in (("n", n), ("pi", pi), ("label", label), ("group", group),
-                            ("stepped", P is None), ("_P", P)):
+                            ("_P", P)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -214,8 +210,8 @@ class TransitionKernel:
 
     @property
     def P(self) -> np.ndarray:
-        """The n x n matrix; a stepped kernel forms it from its group on
-        first read, refused when the dense route's peak of
+        """The n x n matrix; a kernel with a group forms it from the
+        group's steps on first read, refused when the dense route's peak of
         DENSE_PEAK_ARRAYS such arrays exceeds physical memory."""
         if self._P is None:
             check_dense_fits(self.label, self.n, 1, DENSE_PEAK_ARRAYS)
@@ -225,11 +221,9 @@ class TransitionKernel:
         return self._P
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        """P @ X: from the group's steps on a stepped kernel, else the
+        """P @ X: from the group's steps on a kernel with a group, else the
         product with the stored P."""
-        return self.group.apply(X) if self.stepped else self.P @ X
-
-    __matmul__ = apply  # kernel @ X reads as P @ X where P or a kernel is taken
+        return self.P @ X if self.group is None else self.group.apply(X)
 
     @property
     def transitive(self) -> bool:
@@ -537,12 +531,12 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
     """Measure every kernel invariant and report residuals.
 
     Never raises; failures are carried in the report.  A NaN or an inf
-    anywhere in P or pi fails at least one check.  A stepped kernel is
+    anywhere in P or pi fails at least one check.  A kernel with a group is
     measured from its group's step table (`_step_checks`), in O(n) memory;
     every other kernel from P.
     """
     pi = kernel.pi
-    if kernel.stepped:
+    if kernel.group is not None:
         row_sums, nonnegative, balance, stat, connected = _step_checks(kernel)
     else:
         P = kernel.P
@@ -564,7 +558,7 @@ def validate(kernel: TransitionKernel) -> ValidationReport:
 
 def _step_checks(kernel: TransitionKernel) -> tuple:
     """The row-sum, sign, balance, stationarity and connectivity checks of
-    `validate` from a stepped kernel's step table, in O(n * steps) time.
+    `validate` from the step table of a kernel's group, in O(n * steps) time.
 
     P(x, x + e) = W(e), the weight of the steps landing on the element e,
     so every row sums the step weights; detailed balance pairs pi(x) W(e)

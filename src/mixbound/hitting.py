@@ -249,7 +249,7 @@ def _check_restricted_residual(kernel, hit, cols):
             f"restricted system residual for target {y} exceeds contract")
 
 
-def _restricted_residual(P, hit, cols):
+def _restricted_residual(kernel, hit, cols):
     """|h - P h - 1| and its rounding floor for each column y in cols of
     hit, as n x len(cols) arrays that are 0 on the target row y.
 
@@ -260,15 +260,15 @@ def _restricted_residual(P, hit, cols):
     from P, not from I - P: a small diagonal 1 - P(k,k) inherits the
     eps-sized rounding of P(k,k), far above eps * |1 - P(k,k)|.  Every
     route leaves hit[y, y] = 0, so off row y the column P @ hit[:, y] is
-    the restricted system's product without a copy of its block.  P is
-    the matrix or the kernel, whose `@` is `TransitionKernel.apply`: the
-    steps of a stepped kernel, else its stored P.
+    the restricted system's product without a copy of its block, taken by
+    `TransitionKernel.apply`: from the steps of a kernel with a group,
+    else from its stored P.
     """
     n = hit.shape[0]
     eps = np.finfo(float).eps
     H = hit[:, cols]
-    r = np.abs(H - P @ H - 1.0)
-    floor = 4.0 * n * eps * (np.abs(H) + P @ np.abs(H) + 1.0)
+    r = np.abs(H - kernel.apply(H) - 1.0)
+    floor = 4.0 * n * eps * (np.abs(H) + kernel.apply(np.abs(H)) + 1.0)
     targets = (cols, np.arange(len(cols)))
     r[targets] = floor[targets] = 0.0
     return r, floor

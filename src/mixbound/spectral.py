@@ -82,7 +82,7 @@ def symmetrized_laplacian(kernel: TransitionKernel):
 
     S is a fresh array, filled in place a block of rows at a time by
     `symmetrized_rows`, so no n x n temporary is formed.  P is read first,
-    so a stepped kernel forms it, or is refused, before S is allocated.
+    so a kernel with a group forms it, or is refused, before S is allocated.
     """
     P = kernel.P
     S = np.empty(P.shape)
@@ -231,9 +231,9 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     that costs no memory, and there are no eigfuncs.  The contract is an
     eigen-residual on at most 16 sampled characters,
     ||P chi_k - (1 - lambda_k) chi_k||_inf <= 1e-10 * n with P chi_k from
-    `TransitionKernel.apply`, which also catches a group that does not
-    match the kernel's steps or stored P; it raises NumericalFailure.  It
-    holds O(n) doubles and no n x n array.
+    `TransitionKernel.apply`, which also catches steps whose spectrum is
+    not the group's symbol; it raises NumericalFailure.  It holds O(n)
+    doubles and no n x n array.
     """
     n, shape = kernel.n, kernel.group.shape
     symbol = _symbol(kernel.group)
@@ -249,7 +249,7 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
         resid = max(resid, float(np.abs(kernel.apply(chi) - (1.0 - lam) * chi).max()))
     if not resid <= 1e-10 * n:
         raise NumericalFailure(f"character eigen-residual {resid:.3e} > 1e-10*n: "
-                               f"the group {shape} does not match the kernel")
+                               f"the steps of the group {shape} do not match its symbol")
     return SpectralDecomposition(lambdas=np.sort(symbol, axis=None), eigfuncs=None,
                                  eigfuncs_sq=np.broadcast_to(1.0, (n, n)),
                                  pi=kernel.pi.copy(), symbol=symbol)

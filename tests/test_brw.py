@@ -391,6 +391,114 @@ def test_hit_estimates_match_the_exact_backward_equation(spec, exact):
         assert abs(est.mean - value) <= 4.0 * est.stderr, est
 
 
+def _exact_race_time(kernel, gamma, cap):
+    """(E[T 1{hit}] / P(hit), number of states) of the intersection race of
+    two clouds started from pi x pi that branch at rate gamma, solved as a
+    finite absorbing chain.  A state is each cloud's particle count per
+    site and its visited set.  A particle of cloud c at x jumps to y at
+    rate P(x, y), a hit when y is in the other cloud's visited set, and
+    splits at rate gamma, which censors (absorbs with no hit) once the
+    clouds hold cap particles.  A shared start is a hit at time 0.  With q
+    the rate out of a state and R the rates between states, P(hit) = p and
+    E[T 1{hit}] = h solve q p - R p = (rate of a hit) and q h - R h = p."""
+    P, pi, n = kernel.P, kernel.pi, kernel.n
+    index, states, rows = {}, [], []
+
+    def number(state):
+        if state not in index:
+            index[state] = len(states)
+            states.append(state)
+        return index[state]
+
+    def moved(state, c, src, dst):
+        """The number of state with one particle of cloud c put on dst,
+        taken from src unless src is None."""
+        cloud = list(state[c])
+        if src is not None:
+            cloud[src] -= 1
+        cloud[dst] += 1
+        new = list(state)
+        new[c], new[2 + c] = tuple(cloud), state[2 + c] | {dst}
+        return number(tuple(new))
+
+    def one(x):
+        return tuple(int(y == x) for y in range(n))
+
+    weights = {number((one(a), one(b), frozenset([a]), frozenset([b]))): pi[a] * pi[b]
+               for a in range(n) for b in range(n) if a != b}
+    while len(rows) < len(states):
+        state = states[len(rows)]
+        total = sum(state[0]) + sum(state[1])
+        out, hit = {}, 0.0
+        for c in (0, 1):
+            for x in np.flatnonzero(state[c]):
+                k = state[c][x]
+                for y in np.flatnonzero(P[x]):
+                    if y in state[3 - c]:
+                        hit += k * P[x, y]
+                    else:
+                        j = moved(state, c, x, int(y))
+                        out[j] = out.get(j, 0.0) + k * P[x, y]
+                if gamma and total < cap:
+                    j = moved(state, c, None, x)
+                    out[j] = out.get(j, 0.0) + k * gamma
+        rows.append((total * (1.0 + gamma), out, hit))
+    A = np.diag([q for q, _, _ in rows])
+    for i, (_, out, _) in enumerate(rows):
+        A[i, list(out)] -= list(out.values())
+    p = np.linalg.solve(A, [hit for _, _, hit in rows])
+    h = np.linalg.solve(A, p)
+    starts, w = list(weights), np.array(list(weights.values()))
+    p_hit = w @ p[starts] + pi @ pi  # a shared start: a hit at time 0
+    return float(w @ h[starts] / p_hit), len(states)
+
+
+# Capped races at gamma = 0.5: the kernel, the particle cap, the exact
+# value and the number of states of its chain.
+CAPPED_RACES = {"complete3-cap4": (chains.complete_spec(3), 4, 0.40263, 132),
+                "complete3-cap6": (chains.complete_spec(3), 6, 0.44101, 390),
+                "cycle4-cap4": (chains.cycle_spec(4), 4, 0.58137, 740)}
+_UNORDERED = pytest.mark.xfail(raises=AssertionError,
+                               reason="brw._run_race processes cloud 0's first event "
+                               "first in a branching race (its unheapified heap)")
+
+
+@pytest.mark.parametrize("estimator,race", [
+    *(pytest.param(brw_reference.simulate_intersection_reference, race,
+                   id=f"reference-{race}") for race in CAPPED_RACES),
+    pytest.param(brw.simulate_intersection, "complete3-cap4", marks=_UNORDERED,
+                 id="main-complete3-cap4"),
+    pytest.param(brw.simulate_intersection, "complete3-cap6", marks=_UNORDERED,
+                 id="main-complete3-cap6"),
+    pytest.param(brw.simulate_intersection, "cycle4-cap4", id="main-cycle4-cap4"),
+])
+def test_capped_race_estimates_match_the_exact_chain(estimator, race):
+    spec, cap, exact, count = CAPPED_RACES[race]
+    kernel = chains.build_family(spec)
+    value, states = _exact_race_time(kernel, 0.5, cap)
+    assert value == pytest.approx(exact, abs=5e-6) and states == count
+    cfg = brw.BRWConfig(gamma=0.5, replicates=20_000, master_seed=1,
+                        max_particles=cap, max_time=1e9)
+    est = estimator(kernel, cfg)
+    assert abs(est.mean - value) <= 4.0 * est.stderr, (est, value)
+
+
+@pytest.mark.parametrize("spec,exact", [(chains.complete_spec(3), 0.55556),
+                                        (chains.cycle_spec(4), 0.93452),
+                                        (chains.complete_spec(4), 0.82500),
+                                        (chains.cycle_spec(5), 1.38528)],
+                         ids=["complete3", "cycle4", "complete4", "cycle5"])
+def test_plain_intersection_matches_the_exact_chain(spec, exact):
+    # two plain walks are the race with no splits, so the cap never binds
+    kernel = chains.build_family(spec)
+    value, _ = _exact_race_time(kernel, 0.0, 2)
+    assert value == pytest.approx(exact, abs=5e-6)
+    cfg = brw.BRWConfig(gamma=0.5, replicates=20_000, master_seed=1, max_time=1e9)
+    est = brw.plain_intersection(kernel, cfg)
+    assert est.censor_rate == 0.0
+    assert abs(est.mean - value) <= 4.0 * est.stderr, (est, value)
+
+
 def test_plain_intersection_tracks_sqrt_moment():
     # transitive case: expected plain intersection time is of order sqrt(Q)
     cfg = brw.BRWConfig(replicates=1500, master_seed=37)
@@ -446,6 +554,16 @@ def test_intersection_sandwich_structure():
 def test_sandwich_rejects_short_sequences():
     with pytest.raises(ValueError):
         brw.hit_time_sandwich([chains.cycle_spec(8)], brw.BRWConfig(replicates=10))
+
+
+def test_sandwich_rejects_repeated_sizes(monkeypatch):
+    # one state count three times fits no trend; refused before any build
+    def refuse(spec):
+        raise AssertionError("a kernel was built")
+
+    monkeypatch.setattr(brw, "build_family", refuse)
+    with pytest.raises(InvalidSpec, match="3 distinct sizes"):
+        brw.hit_time_sandwich([chains.torus_spec(2, 4)] * 3, brw.BRWConfig(replicates=10))
 
 
 def test_intersection_sandwich_rejects_nontransitive():

@@ -106,34 +106,19 @@ def test_tv_distance_from_any_state_matches_dense(spec):
                        - dense.profile.tv_distance(x, t)) <= 1e-12, (x, t)
 
 
-def _tagged(P, group):
-    n = P.shape[0]
-    return chains.TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n), group=group)
-
-
-def test_group_on_a_perturbed_kernel_fails_the_eigen_residual():
-    P = chains.build_family(chains.cycle_spec(16)).P.copy()
-    P[0, 1] += 1e-6
-    P[0, 15] -= 1e-6
-    with pytest.raises(NumericalFailure, match="eigen-residual"):
-        ChainAnalysis.from_kernel(_tagged(P, chains.CayleyGroup((16,))))
-
-
-def test_group_that_does_not_match_the_walk_fails_the_eigen_residual():
-    # the torus Z_8^2 tagged as the cycle Z_64, and the reverse
-    torus = chains.build_family(chains.torus_spec(2, 8))
-    cycle = chains.build_family(chains.cycle_spec(64))
-    for P, group in ((torus.P, chains.CayleyGroup((64,))),
-                     (cycle.P, chains.CayleyGroup((8, 8))),
-                     (cycle.P, chains.CayleyGroup((64,), complete=True))):
-        with pytest.raises(NumericalFailure, match="eigen-residual"):
-            ChainAnalysis.from_kernel(_tagged(P, group))
+def test_kernel_with_both_its_matrix_and_its_group_refused():
+    # a kernel holds its matrix P or its group, never both and never neither
+    P = chains.build_family(chains.cycle_spec(16)).P
+    pi, group = np.full(16, 1.0 / 16), chains.CayleyGroup((16,))
+    with pytest.raises(InvalidSpec, match="exactly one"):
+        chains.TransitionKernel(n=16, P=P, pi=pi, group=group)
+    with pytest.raises(InvalidSpec, match="exactly one"):
+        chains.TransitionKernel(n=16, pi=pi)
 
 
 def test_group_of_the_wrong_size_refused():
-    P = chains.build_family(chains.cycle_spec(8)).P
     with pytest.raises(InvalidSpec, match="group"):
-        _tagged(P, chains.CayleyGroup((3, 3)))
+        chains.TransitionKernel(n=8, pi=np.full(8, 1.0 / 8), group=chains.CayleyGroup((3, 3)))
 
 
 def test_only_the_built_in_transitive_families_carry_a_group():
@@ -186,13 +171,12 @@ def _textbook_matrix(spec):
 @pytest.mark.parametrize("spec", STEP_SPECS, ids=lambda s: s.label())
 def test_apply_is_the_product_with_the_formed_P(spec):
     kernel = chains.build_family(spec)
-    assert kernel.stepped
+    assert kernel.group is not None and kernel._P is None
     X = np.random.default_rng(kernel.n).standard_normal((kernel.n, 5))
     got, want = kernel.apply(X), kernel.P @ X
     # a few ulp of the sum of |P(x, y) X(y)|, which bounds either rounding
     ulp = np.finfo(float).eps * (kernel.P @ np.abs(X))
     assert np.all(np.abs(got - want) <= 4 * ulp)
-    assert np.array_equal(kernel @ X, got)
     assert np.array_equal(kernel.apply(X[:, 0]), got[:, 0])
 
 

@@ -411,6 +411,14 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e-170"], id="eps-1e-170"),
     # eps * t_rel overflows in the moment bound's right side
     pytest.param(VERIFY + ["--sizes", "8", "--eps", "1e308"], id="eps-1e308"),
+    # eps * t_rel^ell underflows there: to 0, or (eps^2 on the L2 bounds)
+    # below the normal range
+    pytest.param(VERIFY + ["--sizes", "3", "--ell", "2000"], id="cycle3-ell-2000"),
+    pytest.param(VERIFY + ["--sizes", "3", "--ell", "100000"], id="cycle3-ell-100000"),
+    pytest.param(VERIFY[:2] + ["complete", "--sizes", "50", "--ell", "40000"],
+                 id="complete50-ell-40000"),
+    pytest.param(VERIFY + ["--sizes", "3", "--ell", "568", "--eps", "1e-150"],
+                 id="cycle3-ell-568-eps-1e-150"),
     pytest.param(PROFILE + ["--points", "-1"], id="points-negative"),
     # refused before the grid is formed: numpy cannot hold or size it
     pytest.param(PROFILE + ["--points", str(10**15)], id="points-1e15"),
@@ -423,6 +431,10 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
     pytest.param(["brw", "--family", "torus", "--d", "2", "--sizes", "4,6",
                   "--target", "hit", "--sandwich"], id="sandwich-two-sizes"),
+    # one state count three times: no size trend can be fitted
+    pytest.param(["brw", "--family", "torus", "--d", "2", "--sizes", "4,4,4",
+                  "--target", "hit", "--replicates", "50", "--sandwich"],
+                 id="sandwich-repeated-size"),
     pytest.param(["optcheck", "--instances", "-3"], id="instances-negative"),
     pytest.param(["optcheck", "--seed", "-5"], id="seed-negative"),
     # dense matrices beyond physical memory, refused before any allocation
@@ -448,6 +460,13 @@ def test_bad_argument_exit2_one_line(monkeypatch, tmp_path, capsys, argv):
     lines = err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "Traceback" not in err
+
+
+def test_verify_moment_scale_at_the_normal_edge(monkeypatch, tmp_path):
+    # cycle(3) has t_rel = 2/3: at ell = 1700 every scale eps t_rel^ell is
+    # still a normal double (about 1e-300), so no bound is refused
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(VERIFY + ["--sizes", "3", "--ell", "1700", "--out", "v.csv"]) == 0
 
 
 class _InProcessPool:

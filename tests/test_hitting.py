@@ -302,7 +302,7 @@ def test_restricted_residual_matches_block_form(kernel):
     h = hitting.hit_times(kernel)
     n = kernel.n
     cols = np.arange(n)
-    r, floor = hitting._restricted_residual(kernel.P, h.hit_matrix, cols)
+    r, floor = hitting._restricted_residual(kernel, h.hit_matrix, cols)
     # Both forms round differently; they must agree within the rounding
     # floor the contract already grants, which is far below its threshold.
     for y in cols:

@@ -110,7 +110,7 @@ def test_character_route_holds_order_n_doubles():
         kernels.append(kernel)
 
     assert _traced_peak(sweep) <= chains.CHARACTER_PEAK_VECTORS * 8 * n
-    assert kernels[0].stepped and kernels[0]._P is None
+    assert kernels[0].group is not None and kernels[0]._P is None
 
 
 def test_tv_worst_holds_two_row_arrays():
