@@ -648,12 +648,14 @@ def _representable(pi: np.ndarray) -> bool:
 def stationary(P: np.ndarray) -> np.ndarray:
     """Unique positive probability vector with pi P = pi.
 
-    Grassmann-Taksar-Heyman elimination (`_gth_eliminate`) and its
-    back-substitution: no subtractions, so every entry keeps relative
-    accuracy even when pi spans hundreds of orders of magnitude (the
-    small-drift birth-death family does).  A matrix that
-    fails a check of `validate` raises as in `kernel_from_matrix`, before
-    the elimination.
+    Grassmann-Taksar-Heyman elimination (`_gth_eliminate`, in panels of
+    BLOCK states) and its back-substitution along the fold-in columns: no
+    subtractions, so every entry keeps relative accuracy even when pi
+    spans hundreds of orders of magnitude (the small-drift birth-death
+    family does).  Besides P it holds the eliminated copy of P and
+    temporaries of at most BLOCK x n doubles (pinned by
+    tests/test_memory.py).  A matrix that fails a check of `validate`
+    raises as in `kernel_from_matrix`, before the elimination.
     """
     P = np.asarray(P, dtype=float)
     if P.ndim != 2 or P.shape[0] != P.shape[1]:
@@ -687,18 +689,36 @@ def _gth_eliminate(A: np.ndarray) -> np.ndarray:
     State k's pivot s[k] = sum_{j<k} A[k, j] is its outflow into the states
     before it, which replaces the diagonal 1 - A[k, k] exactly, as the
     fold-in updates preserve row sums.  Its fold-in column A[:k, k] is
-    divided by s[k], and A[:k, :k] gains the flow through k.  Only sums,
-    products and quotients of nonnegative numbers, so every entry keeps
-    relative accuracy.  A zero pivot (a reducible A) is not refused here:
-    it leaves inf or NaN entries, quietly, and s[0] is left unset.
+    divided by s[k], and A[:k, :k] gains the flow through k, the product
+    A[:k, k] A[k, :k].
+
+    The states go in panels of the `index_blocks` of n, last panel first.
+    Within a panel k0..k1-1, state k's product goes at once only to the
+    panel's rows k0..k-1 and to the panel columns k0..k-1 of the rows
+    above, the entries the panel's later states read.  A[:k0, :k0] gains
+    the whole panel's products in one matrix product per block of rows,
+    A[:k0, k0:k1] @ A[k0:k1, :k0], whose factors are the panel's final
+    fold-in columns and rows.  So when state k is eliminated, s[k], A[:k, k]
+    and A[k, :k] are final, as in the one-state-at-a-time loop, and only
+    the order of the additions into A[:k0, :k0] differs from it.  Every
+    factor is nonnegative: only sums, products and quotients of
+    nonnegative numbers, so every entry keeps relative accuracy.  Each
+    temporary holds at most BLOCK x n doubles.  s[0] is 0, the outflow of
+    state 0 into no state.  A zero pivot (a reducible A) is not refused
+    here: it leaves inf or NaN entries, quietly.
     """
     n = A.shape[0]
     s = np.empty(n)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(n - 1, 0, -1):
-            s[k] = A[k, :k].sum()
-            A[:k, k] /= s[k]
-            A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+        for panel in reversed(index_blocks(n)):
+            k0 = panel.start
+            for k in reversed(range(k0, panel.stop)):
+                s[k] = A[k, :k].sum()
+                A[:k, k] /= s[k]
+                A[k0:k, :k] += np.outer(A[k0:k, k], A[k, :k])
+                A[:k0, k0:k] += np.outer(A[:k0, k], A[k, k0:k])
+            for rows in index_blocks(k0):
+                A[rows, :k0] += A[rows, panel] @ A[panel, :k0]
     return s
 
 

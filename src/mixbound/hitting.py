@@ -75,8 +75,8 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     - "gth": when the spectral route shows a scale above ~1e8, or any
       non-positive off-diagonal entry, every column is recomputed by the
       subtraction-free GTH elimination of `stationary`, run once per
-      target, which is componentwise accurate at any imbalance but costs
-      O(n^4).
+      target in panels of `chains.BLOCK` states, which is componentwise
+      accurate at any imbalance but costs O(n^4).
 
     A hitting time beyond the largest double (inf, or NaN from an
     overflowed intermediate) raises InvalidSpec.  The restricted-system
@@ -86,7 +86,9 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     Besides P, the birth-death and spectral routes hold one n x n array at
     their peak (the spectral route forms S + q q^T, its inverse and the
     hitting matrix in the same memory); the GTH route holds two, the
-    hitting matrix and one target's permuted copy of P.  These counts,
+    hitting matrix and one target's permuted copy of P, freed before the
+    next target's is formed, plus the elimination's temporaries of at
+    most BLOCK x n doubles (pinned by tests/test_memory.py).  These counts,
     and `chains.DENSE_PEAK_ARRAYS`, are of this dense solve only;
     `character_hit_times` holds O(n) doubles.
     """
@@ -237,6 +239,7 @@ def _gth_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
         for k in range(1, n):
             h[k] = (b[k] + A[k, 1:k] @ h[1:k]) / s[k]
         hit[order, y] = h
+        del A  # before the next target's copy is formed
     return hit
 
 

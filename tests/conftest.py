@@ -65,6 +65,27 @@ def dlp_matrix(n, lam, eps):
     return P
 
 
+def gth_eliminate_unblocked(A):
+    """The GTH elimination one state at a time, the textbook loop that
+    `chains._gth_eliminate` runs in panels: in place, returns the pivots."""
+    n = A.shape[0]
+    s = np.empty(n)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n - 1, 0, -1):
+            s[k] = A[k, :k].sum()
+            A[:k, k] /= s[k]
+            A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    return s
+
+
+def two_cliques(m):
+    """The walk on two disjoint m-cliques with loops: reducible, and not
+    tridiagonal for m > 2."""
+    P = np.zeros((2 * m, 2 * m))
+    P[:m, :m] = P[m:, m:] = 1.0 / m
+    return P
+
+
 def reference_gap(kernel):
     """Gap of the symmetrized Laplacian built from the same float
     off-diagonal entries, by a 60-digit mpmath eigensolve."""

@@ -9,7 +9,7 @@ from mixbound import bounds, chains, hitting, spectral
 from mixbound.analysis import ChainAnalysis
 from mixbound.errors import InvalidSpec, NotIrreducible, NotReversible
 
-from conftest import BENCHMARK_SPECS, dlp_matrix
+from conftest import BENCHMARK_SPECS, dlp_matrix, gth_eliminate_unblocked, two_cliques
 
 
 def test_complete4_matrix():
@@ -95,6 +95,41 @@ def test_dlp_stationary_detailed_balance_product():
 def test_stationary_matches_builder_pi(spec):
     k = chains.build_family(spec)
     assert np.abs(chains.stationary(k.P) - k.pi).max() < 1e-10
+
+
+@pytest.mark.parametrize("n", [2 * chains.BLOCK + 5, 150, 400])
+def test_gth_panels_match_the_one_state_loop(n):
+    # the panels add the flow into A[:k0, :k0] in another order, so each
+    # pivot, fold-in column and row agrees to rounding, not bit for bit
+    P = chains.random_reversible_kernel(n, np.random.default_rng(n)).P
+    A, B = P.copy(), P.copy()
+    s, ref = chains._gth_eliminate(A), gth_eliminate_unblocked(B)
+
+    def rel(x, y):
+        return float(np.abs(x / y - 1.0).max())
+
+    assert rel(s[1:], ref[1:]) <= 1e-13
+    for k in range(1, n):
+        assert rel(A[:k, k], B[:k, k]) <= 1e-13, k
+        assert rel(A[k, :k], B[k, :k]) <= 1e-13, k
+
+
+@pytest.mark.parametrize("n, tol", [(200, 3.2e-12), (241, 4.0e-12)])
+def test_stationary_of_shuffled_dlp_matches_closed_form(n, tol):
+    # pi spans 19^(n-1), up to the double range at n = 241; shuffled, the
+    # matrix is no longer tridiagonal.  The one-state loop has the same
+    # errors, 3.17e-12 and 3.98e-12
+    kernel = chains.build_family(chains.dlp_spec(n, 0.5, 0.05))
+    perm = np.random.default_rng(0).permutation(n)
+    pi = chains.stationary(kernel.P[np.ix_(perm, perm)])
+    assert np.abs(pi / kernel.pi[perm] - 1.0).max() <= tol
+
+
+def test_stationary_refuses_two_cliques_before_eliminating(monkeypatch):
+    # n = 80 spans three panels; the connectivity check refuses it first
+    monkeypatch.setattr(chains, "_gth_eliminate", None)
+    with pytest.raises(NotIrreducible):
+        chains.stationary(two_cliques(40))
 
 
 @pytest.mark.parametrize("k_param", [0, 5, 10, 15, 16])

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from mixbound import chains, hitting, spectral
 from mixbound.errors import InvalidSpec, SingularSystem
 
-from conftest import BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS, random_kernels
+from conftest import (BENCHMARK_SPECS, SMALL_BENCHMARK_SPECS, gth_eliminate_unblocked,
+                      random_kernels, two_cliques)
 
 
 def _pair(spec):
@@ -117,8 +118,22 @@ def test_gth_route_reducible_chain_refused():
         hitting._gth_hit_matrix(bad)
 
 
+def test_gth_zero_pivot_past_the_first_panel_named():
+    # two 40-state cliques: with target 0, state 40 is the first with no
+    # outflow into the states before it, in the second panel eliminated
+    P = two_cliques(40)
+    n = P.shape[0]
+    s = gth_eliminate_unblocked(P.copy())
+    state = int(np.flatnonzero(~(s[1:] > 0.0))[-1] + 1)
+    assert state < chains.index_blocks(n)[-1].start
+    bad = chains.TransitionKernel(n=n, P=P, pi=np.full(n, 1.0 / n))
+    with pytest.raises(SingularSystem, match=f"no outflow from state {state};"):
+        hitting._gth_hit_matrix(bad)
+
+
 def test_gth_route_matches_spectral_route():
-    for kernel in random_kernels(20, max_n=30, seed=11):
+    wide = chains.random_reversible_kernel(2 * chains.BLOCK + 5, np.random.default_rng(11))
+    for kernel in random_kernels(20, max_n=30, seed=11) + [wide]:
         cols = np.arange(kernel.n)
         gth = hitting._gth_hit_matrix(kernel)
         ref = hitting._spectral_hit_matrix(kernel, cols)

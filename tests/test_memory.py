@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from mixbound import chains, mixing
+from mixbound import chains, hitting, mixing
 from mixbound.analysis import ChainAnalysis
 from mixbound.bounds import standard_sweep
 from mixbound.errors import InvalidSpec
@@ -92,6 +92,22 @@ def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
         assert analysis.decomp.route == "dense" and analysis.hitting.route == "spectral"
 
     assert _traced_peak(analysis_with_hitting) <= chains.DENSE_PEAK_ARRAYS * 8 * kernel.n**2
+
+
+def test_stationary_holds_one_array_beyond_P():
+    # the eliminated copy of P, the support mask (an eighth of an array)
+    # and the panels' BLOCK x n temporaries: 1.37 arrays at n = 256, so one
+    # more n x n temporary would fail this
+    P = chains.random_reversible_kernel(256, np.random.default_rng(0)).P
+    assert _traced_peak(lambda: chains.stationary(P)) <= 1.5 * 8 * P.shape[0]**2
+
+
+def test_gth_route_holds_two_arrays_beyond_P():
+    # the hitting matrix and one target's permuted copy of P, plus the
+    # panels' temporaries: 2.69 arrays at n = 160.  The previous target's
+    # copy kept alive, or one k x k temporary per state, fails this
+    kernel = chains.random_reversible_kernel(160, np.random.default_rng(0))
+    assert _traced_peak(lambda: hitting._gth_hit_matrix(kernel)) <= 3.0 * 8 * kernel.n**2
 
 
 def test_character_route_holds_order_n_doubles():
