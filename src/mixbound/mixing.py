@@ -3,7 +3,7 @@
 Profiles are evaluated spectrally.  The L2, L-infinity and average L2
 profiles are positive mixtures sum_{i>=2} w_i exp(-2 lambda_i t), which
 subtract nothing and so keep their relative accuracy however small they
-get.  The heat rows of all scanned states come from one product per t.
+get.  The heat rows of a set of states come from one product per t.
 When pi is too unbalanced for the spectral reconstruction they come from
 the heat matrix H(t) = exp(-tL), with L the `spectral.laplacian`, on a
 dyadic ladder of uniformized factors (Jensen 1953): with q the largest
@@ -11,12 +11,16 @@ diagonal entry of L, P_u = I - L/q and U(s) = sum_k w_k P_u^k, w_k the
 Poisson(sq) weights, the rungs are R_0 = U(h) for the step h = c/q and
 R_{j+1} = R_j^2, and H(t) is the product of the rungs over the set bits
 of k = floor(t/h), highest bit first, times U(t - kh), whose Poisson mean
-is below c.  Every factor is nonnegative, so nothing subtracts, and H(t)
+is below c; a row alone goes through the same factors as a 1 x n
+product.  Every factor is nonnegative, so nothing subtracts, and H(t)
 depends on t alone.
 Every mixing time is the first crossing of a strictly decreasing profile.
 The mixtures have convex logs, so their crossings come from one vectorised
-Newton iteration; TV's come from a bracket plus a Brent-Dekker root solve
-(Brent 1973).  Both run to 1e-13 * t_rel plus a few ulp of t, far inside
+Newton iteration.  TV's is the latest crossing of the rows' L1 distances,
+each nonincreasing in t: the rows still above the threshold at the
+relaxation bound are solved alone, worst first, each by a bracket plus a
+Brent-Dekker root solve (Brent 1973), until a check of the rest finds
+none above.  Both run to 1e-13 * t_rel plus a few ulp of t, far inside
 the 1e-9 * t_rel contract.  The total variation convention here is
 t_tv(eps) = first time the worst-case L1 distance drops to 2*eps, so the
 plain t_tv corresponds to eps = 1/4."""
@@ -141,25 +145,25 @@ class MixingProfile:
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
-        (x,) = _check_states("tv_distance", "x", (x,), self.kernel.n)
-        return float(self._l1_distances(self._heat_rows(t, x)))
+        xs = _check_states("tv_distance", "x", (x,), self.kernel.n)
+        return float(self._l1_distances(t, xs)[0])
 
     def tv_worst(self, t: float) -> float:
-        return float(self._l1_distances(self._heat_rows(t, self.kernel.scan_states)).max())
+        return float(self._l1_distances(t, self.kernel.scan_states).max())
 
-    def _l1_distances(self, rows: np.ndarray):
-        """sum_y |rows[..., y] - pi(y)|, formed in place in rows, which
-        `_heat_rows` returns fresh."""
-        rows -= self.decomp.pi
-        np.abs(rows, out=rows)
-        return rows.sum(axis=-1)
-
-    def _heat_rows(self, t: float, xs) -> np.ndarray:
-        """Rows H_t(xs, .), in a fresh array: spectral when pi is balanced,
-        else rows of the heat matrix on the ladder."""
+    def _l1_distances(self, t: float, xs) -> np.ndarray:
+        """L1 distances sum_y |H_t(x,y) - pi(y)| of the states x of the
+        sequence xs.  The rows are spectral when pi is balanced; else they
+        come from the heat ladder, as a 1 x n product through the rungs
+        (`_ladder_row`) for one state, and as the heat matrix, whose
+        prefixes are cached, for more, where the distances of every row
+        are formed and those of xs returned."""
+        pi = self.decomp.pi
         if self._balanced:
-            return heat_kernel_row(self.decomp, xs, t)
-        return self._heat_matrix(t)[xs]
+            return _l1_from(heat_kernel_row(self.decomp, xs, t), pi)
+        if len(xs) == 1:
+            return _l1_from(self._ladder_row(t, xs[0]), pi)
+        return _l1_from(self._heat_matrix(t), pi)[xs]
 
     def _heat_matrix(self, t: float) -> np.ndarray:
         """H(t) = exp(-tL) on the dyadic ladder.
@@ -178,15 +182,32 @@ class MixingProfile:
         return _uniformized(self._prefix(int(k)), self._uniform_t,
                             _poisson_weights(r * self._q))
 
+    def _ladder_row(self, t: float, x: int) -> np.ndarray:
+        """Row x of H(t) as a 1 x n array, the factors of `_heat_matrix`
+        applied to the row alone: row x of the first rung, then every later
+        rung and U(r) as 1 x n products.  Nothing is cached, and no n x n
+        array beyond the rungs is formed."""
+        k, r = divmod(min(t, self._t_settled), self._step)
+        bits = _set_bits(int(k))
+        if bits:
+            row = self._rung(bits[0])[x:x + 1]
+            for j in bits[1:]:
+                row = row @ self._rung(j)
+        else:  # H(t) = U(r): start from row x of the identity
+            row = np.zeros((1, self.kernel.n))
+            row[0, x] = 1.0
+        return _uniformized(row, self._uniform_t, _poisson_weights(r * self._q))
+
     def _prefix(self, k: int) -> np.ndarray:
         """Product of the rungs over the set bits of k, highest bit first.
 
         The product over the highest i bits is cached under k with its
         lower bits cleared and is always formed as the product over the
-        highest i - 1 bits times one rung.  Brent's late iterates share
-        their high bits, so they start from a cached prefix.
+        highest i - 1 bits times one rung.  The all-row checks of a TV
+        crossing come at nearby times, which share their high bits, so
+        they start from a cached prefix.
         """
-        bits = [j for j in range(k.bit_length() - 1, -1, -1) if k >> j & 1]
+        bits = _set_bits(k)
         if not bits:
             return np.eye(self.kernel.n)
         cache = self._prefixes
@@ -232,6 +253,13 @@ class MixingProfile:
         eps^2 on the summed squares, tv 2*eps on the worst L1 distance.
         Only l2x is a time of one state: it needs x, and every other kind
         refuses one (ValueError).
+
+        H_s is an L1 contraction that fixes pi, so a row's L1 distance
+        ||delta_x H_t - pi||_1 never grows with t: t_tv is the latest of
+        the rows' own crossings, and a row at or below 2*eps at some time
+        stays there.  `_tv_crossing` solves the rows still above 2*eps one
+        at a time; every round drops the row it solved, so it ends after
+        at most one round per scanned state.
         """
         _check_eps(eps)
         if kind not in KINDS:
@@ -248,16 +276,66 @@ class MixingProfile:
         if eps not in solved and kind != "tv":
             solved[eps] = float(self._crossings(kind, eps)[0])
         elif eps not in solved:
-            # a crossing solved at a smaller eps is a time where the profile
-            # has already crossed: the tightest one is the first bracket end
-            crossed = [t for e, t in solved.items() if e < eps]
+            # a positive crossing solved at a smaller eps is a time where the
+            # profile has already crossed: the tightest one is the bracket end
             t_rel = self.decomp.t_rel
-            hi = min(crossed) if crossed else t_rel * (
-                np.log(max(1.0 / float(self.decomp.pi.min()), 2.0)) / 2.0
-                + abs(np.log(2.0 * eps)) + 1.0)
-            solved[eps] = _first_crossing(self.tv_worst, _threshold("tv", eps),
-                                          hi, xtol=_XTOL_REL * t_rel)
+            hi = min((t for e, t in solved.items() if e < eps and t > 0.0),
+                     default=t_rel * (
+                         np.log(max(1.0 / float(self.decomp.pi.min()), 2.0)) / 2.0
+                         + abs(np.log(2.0 * eps)) + 1.0))
+            solved[eps] = self._tv_crossing(eps, hi)
         return solved[eps]
+
+    def _tv_crossing(self, eps: float, hi: float) -> float:
+        """First time the L1 distance of every scanned row is at most
+        2*eps, the latest of the rows' own crossings, given a time hi past
+        it in exact arithmetic.
+
+        With several states scanned, every row is evaluated once at the
+        relaxation bound t_rel log(1/(2 eps)), below which the gap
+        eigenfunction keeps the worst row above 2*eps in exact arithmetic.
+        What counts is the evaluated value: the rows above 2*eps there are
+        the candidates and the bound is the lower bracket end; if none is
+        (in rounding), the crossing lies below the bound, which becomes the
+        upper bracket end over every row.  Each round solves the candidate
+        that was worst at the last evaluation alone, by `_first_crossing`
+        from the lower bracket end, and checks the other candidates at its
+        crossing t in one evaluation.  If none is above 2*eps there, t is
+        the answer; else those above are the candidates and t the lower
+        bracket end.  A row alone and beside other rows can differ in its
+        last bits, so the solved row leaves the candidates whatever the
+        check would read it as: every round drops at least one row.  One
+        scanned state is solved from 0 at once, as the bound would only
+        cost an evaluation.
+        """
+        threshold = _threshold("tv", eps)
+        xtol = _XTOL_REL * self.decomp.t_rel
+        xs = np.asarray(self.kernel.scan_states)
+        lo, dist = 0.0, np.zeros(len(xs))
+        if len(xs) > 1:
+            bound = self.decomp.t_rel * max(math.log(0.5 / eps), 0.0)
+            dist = self._l1_distances(bound, xs)
+            above = dist > threshold
+            if above.any():
+                lo, xs, dist = bound, xs[above], dist[above]
+            elif bound == 0.0:
+                return 0.0
+            else:
+                hi = bound
+        while True:
+            i = int(dist.argmax())
+            x = int(xs[i])
+            # a crossing solved at a smaller eps lies past lo save for rounding
+            t = _first_crossing(lambda s: self.tv_distance(x, s), threshold,
+                                hi if hi > lo else 2.0 * lo, xtol, lo)
+            xs = np.delete(xs, i)
+            if not xs.size:
+                return t
+            dist = self._l1_distances(t, xs)
+            above = dist > threshold
+            if not above.any():
+                return t
+            lo, xs, dist = t, xs[above], dist[above]
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
         """Per-state L2 mixing times over the scanned states, so one entry
@@ -375,34 +453,51 @@ def _uniformized(H: np.ndarray, uniform_t, weights) -> np.ndarray:
     return total.T
 
 
+def _l1_from(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
+    """sum_y |rows[..., y] - pi(y)|, formed in place in the fresh rows."""
+    rows -= pi
+    np.abs(rows, out=rows)
+    return rows.sum(axis=-1)
+
+
+def _set_bits(k: int) -> list:
+    """The set bits of k, highest first."""
+    return [j for j in range(k.bit_length() - 1, -1, -1) if k >> j & 1]
+
+
 def _check_eps(eps: float) -> None:
     if not (eps > 0 and math.isfinite(eps)):
         raise BadEps(f"eps must be positive and finite, got {eps}")
 
 
-def _first_crossing(value, threshold, hi_guess, xtol=0.0):
-    """inf{t >= 0 : value(t) <= threshold} for a nonincreasing value.
+def _first_crossing(value, threshold, hi_guess, xtol=0.0, lo=0.0):
+    """inf{t >= lo : value(t) <= threshold} for a nonincreasing value.
 
-    Doubles hi_guess until the profile has crossed, then runs Brent-Dekker
-    (inverse quadratic interpolation and secant steps, safeguarded by
-    bisection) on f = value - threshold until the bracket is narrower than
-    xtol plus a few ulp of t.  Returns the bracket end at which the profile
-    has already crossed, so value(t) <= threshold holds at the returned t.
+    Doubles the bracket [lo, hi_guess] from lo until the profile has
+    crossed at its end, then runs Brent-Dekker (inverse quadratic
+    interpolation and secant steps, safeguarded by bisection) on f = value
+    - threshold until the bracket is narrower than xtol plus a few ulp of
+    t.  Returns the bracket end at which the profile has already crossed,
+    so value(t) <= threshold holds at the returned t; lo when it has
+    crossed there.  A hi_guess that is not finite and above lo is refused
+    (ValueError): no doubling would move it.
     """
-    fa = value(0.0) - threshold
+    if not lo < hi_guess < math.inf:
+        raise ValueError(f"the bracket end {hi_guess!r} is not finite and above {lo!r}")
+    fa = value(lo) - threshold
     if fa <= 0.0:
-        return 0.0
+        return lo
     b = float(hi_guess)
     for _ in range(200):
         fb = value(b) - threshold
         if fb <= 0.0:
             break
-        b *= 2.0
+        b = lo + (b - lo) * 2.0
     else:
         raise NumericalFailure("profile failed to cross its threshold")
     # a: previous iterate, b: best estimate, c: keeps f(b), f(c) of
     # opposite signs; d: last step, e: the step before it
-    a = 0.0
+    a = lo
     c, fc = a, fa
     d = e = b - a
     while True:

@@ -86,6 +86,16 @@ def two_cliques(m):
     return P
 
 
+def joined_cliques(delta, m=10):
+    """Two m-state cliques, steps of 1/m inside each, joined by one edge
+    of rate delta: the gap is about delta / m."""
+    P = np.zeros((2 * m, 2 * m))
+    P[:m, :m] = P[m:, m:] = 1.0 / m
+    P[0, 0] = P[m, m] = 1.0 / m - delta
+    P[0, m] = P[m, 0] = delta
+    return P
+
+
 def reference_gap(kernel):
     """Gap of the symmetrized Laplacian built from the same float
     off-diagonal entries, by a 60-digit mpmath eigensolve."""

@@ -12,7 +12,7 @@ from mixbound import analysis, brw, chains, cli
 from mixbound.errors import NumericalFailure, SingularSystem
 from mixbound.reports import BoundReport
 
-from conftest import dlp_matrix, reference_gap
+from conftest import dlp_matrix, joined_cliques, reference_gap
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -688,16 +688,6 @@ def test_analyze_dlp_near_double_limit_exit0(tmp_path):
     assert all(np.isfinite(float(cols[f"q{ell}"])) for ell in range(1, 5))
 
 
-def _two_cliques(delta, m=10):
-    """Two m-state cliques, steps of 1/m inside each, joined by one edge
-    of rate delta: the gap is about delta / m."""
-    P = np.zeros((2 * m, 2 * m))
-    P[:m, :m] = P[m:, m:] = 1.0 / m
-    P[0, 0] = P[m, m] = 1.0 / m - delta
-    P[0, m] = P[m, 0] = delta
-    return P
-
-
 def _t_rel_written(command, out):
     """The relaxation time a run that exited 0 wrote, read back from its CSV."""
     header, *rows = data_lines(out)
@@ -725,7 +715,7 @@ def test_weak_bottleneck_exit5_or_accurate_t_rel(tmp_path, capsys, command, delt
     # solve that fails its checks is raised, never rerouted to GTH while
     # the gap is off.  Today profile exits 0 with t_rel off by 1.0e-8,
     # 1.1e-5 and 1.2e-3 at the three larger deltas.
-    P = _two_cliques(delta)
+    P = joined_cliques(delta)
     np.savetxt(tmp_path / "m.csv", P, fmt="%.17g", delimiter=",")
     spec = tmp_path / "cliques.spec"
     spec.write_text("family=custom\nmatrix=m.csv\n")

@@ -139,6 +139,26 @@ def test_tv_worst_holds_two_row_arrays():
     assert peak <= 2.5 * 8 * kernel.n**2
 
 
+def test_tv_crossing_holds_two_row_arrays():
+    # every row is evaluated once, at the relaxation bound, as in tv_worst;
+    # later evaluations hold the rows still above 2 eps or one row: 2.14
+    # arrays at n = 256
+    kernel = chains.random_reversible_kernel(256, np.random.default_rng(1))
+    profile = MixingProfile(kernel, decompose(kernel))
+    peak = _traced_peak(lambda: profile.mixing_time("tv", 0.25))
+    assert peak <= 2.5 * 8 * kernel.n**2
+
+
+def test_ladder_row_holds_order_n_doubles():
+    # a row alone goes through the rungs as 1 x n products, from row x of
+    # the identity when t is below one step: about 5 n doubles at n = 200.
+    # Picking the row out of an n x n identity would hold 200 n
+    kernel, profile = _drifted_profile()
+    for t in (0.5 * profile._step, 1000.0):
+        profile._ladder_row(t, 7)  # builds the rungs up to t
+        assert _traced_peak(lambda: profile._ladder_row(t, 7)) <= 8 * 8 * kernel.n, t
+
+
 def _drifted_profile():
     kernel = chains.build_family(chains.dlp_spec(200, 0.5, 0.05))
     return kernel, MixingProfile(kernel, decompose(kernel))

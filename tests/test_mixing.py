@@ -6,10 +6,10 @@ import scipy.linalg
 import scipy.sparse
 
 from mixbound import chains, mixing, spectral
-from mixbound.analysis import ChainAnalysis
+from mixbound.analysis import ChainAnalysis, DenseAnalysis
 from mixbound.errors import BadEps, NumericalFailure
 
-from conftest import SMALL_BENCHMARK_SPECS, random_kernels
+from conftest import SMALL_BENCHMARK_SPECS, joined_cliques, random_kernels
 
 
 def _profile(spec):
@@ -120,16 +120,22 @@ def test_mixing_times_match_bisection_on_random_kernels():
         _assert_matches_bisection(kernel, spectral.decompose(kernel), 0.25)
 
 
-def test_tv_crossing_evaluation_count():
-    # each tv_worst call on this drifted chain is a product of heat-ladder
-    # rungs; bisection to float resolution took about 56 calls
+def test_tv_crossing_evaluation_count(monkeypatch):
+    # on this drifted chain an evaluation of every row is a heat matrix, n x n
+    # products of ladder rungs, and a row alone is 1 x n products.  Brent on
+    # the maximum over the rows took up to 14 heat matrices (bisection about
+    # 56); the solve on the rows still above 2 eps takes 2, and 25 rows alone
     _, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
-    calls = []
-    tv_worst = prof.tv_worst
-    prof.tv_worst = lambda t: calls.append(t) or tv_worst(t)
+    matrices, rows = [], []
+    heat_matrix, ladder_row = prof._heat_matrix, prof._ladder_row
+    monkeypatch.setattr(prof, "_heat_matrix",
+                        lambda t: matrices.append(t) or heat_matrix(t))
+    monkeypatch.setattr(prof, "_ladder_row",
+                        lambda t, x: rows.append(t) or ladder_row(t, x))
     t = prof.mixing_time("tv", 0.05)
-    assert len(calls) <= 14
-    assert tv_worst(t) <= 0.1
+    assert len(matrices) <= 2
+    assert len(rows) <= 25
+    assert prof.tv_worst(t) <= 0.1
 
 
 @pytest.mark.parametrize("kind,name,x", [("linf", "linf_distance", None),
@@ -261,6 +267,102 @@ def test_tv_crossing_after_other_crossings_matches_bisection():
                                  "tv", 0.25, None)
     for prof in (cold, warm):
         assert abs(prof.mixing_time("tv", 0.25) - ref) <= 1e-9 * decomp.t_rel
+
+
+def _two_state(p):
+    return chains.kernel_from_matrix(np.array([[1.0 - p, p], [p, 1.0 - p]]))
+
+
+# kernels whose TV crossings run the row solve through its branches
+_TV_KERNELS = {
+    **{f"custom400-seed{seed}": (lambda seed=seed: chains.random_reversible_kernel(
+        400, np.random.default_rng(seed))) for seed in (0, 1)},
+    **{f"dlp{n}": (lambda n=n: chains.build_family(chains.dlp_spec(n, 0.5, 0.05)))
+       for n in (100, 200)},
+    "shuffled-dlp20": lambda: _shuffled_dlp20_profile().kernel,
+    **{f"cliques-{delta:g}": (lambda delta=delta: chains.kernel_from_matrix(
+        joined_cliques(delta))) for delta in (1e-2, 1e-4, 1e-6)},
+    "two-state-flip": lambda: _two_state(1.0),
+    "two-state-half": lambda: _two_state(0.5),
+}
+
+
+@pytest.mark.parametrize("label", list(_TV_KERNELS))
+def test_tv_row_solve_matches_all_row_bisection(label, monkeypatch):
+    # the 400 rows of the custom kernels all cross within 6% of each other
+    # (every row is above 2 eps = 0.25 at t = 2.0, the last crosses at
+    # 2.1206), so several rows are solved in turn; dlp(100) and dlp(200)
+    # take the heat ladder, the shuffled dlp(20) with a dense P_u; at eps =
+    # 1/2 the relaxation bound is 0
+    kernel = _TV_KERNELS[label]()
+    decomp = spectral.decompose(kernel)
+    prof = mixing.MixingProfile(kernel, decomp)
+    rounds = []
+    first_crossing = mixing._first_crossing
+    monkeypatch.setattr(mixing, "_first_crossing",
+                        lambda *a: rounds.append(a) or first_crossing(*a))
+    for eps in (0.125, 0.25, 0.5):
+        t = prof.mixing_time("tv", eps)
+        ref = _bisection_mixing_time(mixing.MixingProfile(kernel, decomp), "tv", eps, None)
+        assert abs(t - ref) <= 1e-9 * decomp.t_rel, (eps, t, ref)
+        # the last row solved has crossed in its own evaluation, which can
+        # differ from its value beside every other row in the last bits
+        assert prof.tv_worst(t) <= 2.0 * eps * (1.0 + 4.0 * np.finfo(float).eps)
+    if label.startswith("custom"):
+        assert len(rounds) > 3  # some crossing took more than one row solve
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5])
+def test_tv_row_solve_from_a_bound_that_has_crossed(p):
+    # on a two-state chain the worst L1 distance is exactly e^{-t/t_rel}, so
+    # at the relaxation bound it equals 2 eps and reads below it in rounding:
+    # the crossing is solved below the bound
+    kernel = _two_state(p)
+    decomp = spectral.decompose(kernel)
+    prof = mixing.MixingProfile(kernel, decomp)
+    for eps in (0.05, 0.1, 0.3):
+        assert prof.tv_worst(decomp.t_rel * math.log(0.5 / eps)) <= 2.0 * eps
+        ref = _bisection_mixing_time(mixing.MixingProfile(kernel, decomp), "tv", eps, None)
+        assert abs(prof.mixing_time("tv", eps) - ref) <= 1e-9 * decomp.t_rel
+
+
+def test_tv_crossing_at_zero():
+    # every row is within 2 eps of pi at t = 0: 2 (1 - pi(x)) is at most 1 on
+    # the two-state chain at eps = 1/2, and below 2 on any chain at eps = 1.
+    # A crossing at 0 is no bracket end for a larger eps (the torus scans
+    # one state, which goes to the root finder at once)
+    two_state = _two_state(1.0)
+    custom = chains.random_reversible_kernel(400, np.random.default_rng(0))
+    torus = chains.build_family(chains.torus_spec(2, 4))
+    for kernel, eps in ((two_state, 0.5), (custom, 1.0), (torus, 1.0)):
+        prof = mixing.MixingProfile(kernel, spectral.decompose(kernel))
+        assert prof.mixing_time("tv", eps) == 0.0
+        assert prof.mixing_time("tv", 2.0 * eps) == 0.0
+
+
+def test_tv_crossings_evaluate_few_row_sets(monkeypatch):
+    # Brent on the maximum over the rows evaluated all 400 rows 31 times for
+    # these three crossings; the row solve evaluates more than one row 8 times
+    kernel = chains.random_reversible_kernel(400, np.random.default_rng(0))
+    prof = mixing.MixingProfile(kernel, spectral.decompose(kernel))
+    sizes = []
+    row = spectral.heat_kernel_row
+    monkeypatch.setattr(mixing, "heat_kernel_row",
+                        lambda d, xs, t: sizes.append(len(xs)) or row(d, xs, t))
+    for eps in (0.125, 0.25, 0.5):
+        prof.mixing_time("tv", eps)
+    assert sum(size > 1 for size in sizes) <= 9
+
+
+def test_one_state_tv_crossings_keep_their_bits():
+    # a kernel that scans one state solves its row from 0 as Brent on
+    # tv_worst did: the character route of torus(2,32) and the dense rows of
+    # torus(2,8), whose t_tv the BRW sandwich's band verdict reads
+    torus = ChainAnalysis.from_spec(chains.torus_spec(2, 32))
+    assert [torus.profile.mixing_time("tv", eps) for eps in (0.125, 0.25, 0.5)] \
+        == [197.01100557763502, 128.37475815655955, 60.90389053727385]
+    dense = DenseAnalysis.from_spec(chains.torus_spec(2, 8))
+    assert dense.profile.mixing_time("tv", 0.25) == 8.379639887013145
 
 
 # ---------------------------------------------------------------------------
@@ -492,6 +594,16 @@ def test_hierarchy_rejects_eps_one():
     a = ChainAnalysis.from_spec(chains.complete_spec(4))
     with pytest.raises(BadEps):
         mixing.hierarchy_check(a.profile, 1.0, a.hitting.t_hit)
+
+
+@pytest.mark.parametrize("hi,lo", [(0.0, 0.0), (-1.0, 0.0), (math.inf, 0.0),
+                                   (math.nan, 0.0), (2.0, 2.0), (1.0, 2.0)])
+def test_first_crossing_refuses_a_bracket_end_doubling_cannot_move(hi, lo):
+    # a bracket end of 0 was doubled 200 times and then blamed the profile
+    calls = []
+    with pytest.raises(ValueError, match="bracket end"):
+        mixing._first_crossing(lambda t: calls.append(t) or 1.0, 0.5, hi, lo=lo)
+    assert not calls
 
 
 def test_first_crossing_failure_is_numerical():
