@@ -307,8 +307,8 @@ class TailProfile:
 
     def survival(self, t: float) -> float:
         """Exact P_pi[T_y > t]; equals 1 - pi(y) at t = 0."""
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+        if not t >= 0:  # NaN too
+            raise ValueError(f"t must be nonnegative, got {t}")
         return float(self.weights @ np.exp(-self.rates * t))
 
     def mean(self) -> float:

@@ -4,16 +4,16 @@ Profiles are evaluated spectrally.  The L2, L-infinity and average L2
 profiles are positive mixtures sum_{i>=2} w_i exp(-2 lambda_i t), which
 subtract nothing and so keep their relative accuracy however small they
 get.  The heat rows of a set of states come from one product per t.
-When pi is too unbalanced for the spectral reconstruction they come from
-the heat matrix H(t) = exp(-tL), with L the `spectral.laplacian`, on a
-dyadic ladder of uniformized factors (Jensen 1953): with q the largest
-diagonal entry of L, P_u = I - L/q and U(s) = sum_k w_k P_u^k, w_k the
-Poisson(sq) weights, the rungs are R_0 = U(h) for the step h = c/q and
-R_{j+1} = R_j^2, and H(t) is the product of the rungs over the set bits
-of k = floor(t/h), highest bit first, times U(t - kh), whose Poisson mean
-is below c; a row alone goes through the same factors as a 1 x n
-product.  Every factor is nonnegative, so nothing subtracts, and H(t)
-depends on t alone.
+When pi is too unbalanced for the spectral reconstruction they are rows
+of H(t) = exp(-tL), with L the `spectral.laplacian`, on a dyadic ladder
+of uniformized factors (Jensen 1953): with q the largest diagonal entry
+of L, P_u = I - L/q and U(s) = sum_k w_k P_u^k, w_k the Poisson(sq)
+weights, the rungs are R_0 = U(h) for the step h = c/q and R_{j+1} =
+R_j^2, and H(t) is the product of the rungs over the set bits of k =
+floor(t/h), highest bit first, times U(t - kh), whose Poisson mean is
+below c.  The requested rows alone go through these factors, as
+products of as many rows as were asked for.  Every factor is
+nonnegative, so nothing subtracts, and the rows depend on t alone.
 Every mixing time is the first crossing of a strictly decreasing profile.
 The mixtures have convex logs, so their crossings come from one vectorised
 Newton iteration.  TV's is the latest crossing of the rows' L1 distances,
@@ -59,12 +59,10 @@ _MAX = float(np.finfo(float).max)
 # R_0 and bounds the mean of every last factor U(t - kh).  Of the steps
 # tried on dlp(100) and dlp(200), 1 was the fastest.
 _LADDER_STEP = 1.0
-# Partial products of rungs kept, the least recently used evicted first.
-_PREFIX_CACHE = 4
-# n x n arrays a heat matrix evaluation holds beside the rungs and cached
-# prefixes: a dense P_u^T, one uncached prefix (the identity, or a new
-# product before the oldest is evicted), and the running sum, power and
-# scaled term of the Poisson sum (pinned by tests/test_memory.py).
+# n x n arrays an evaluation of every row holds beside the rungs: the row
+# block, kept while `_uniformized` holds three of its transposed copy,
+# running sum, new power and scaled term, and a dense P_u^T (pinned by
+# tests/test_memory.py).
 _LADDER_WORK = 5
 # P_u^T is stored in CSR form when at most this share of its entries is
 # nonzero, else dense.  At n = 200 and 500 a CSR product with a dense
@@ -73,8 +71,7 @@ _LADDER_WORK = 5
 _SPARSE_SHARE = 1.0 / 16.0
 # From t_rel (log(1/pi_min)/2 + _SETTLED) on, every row of H(t) lies
 # within e^{-_SETTLED} of pi in L1 norm, below double resolution, so the
-# heat matrix is evaluated there for any later t and the ladder stops
-# growing.
+# rows are evaluated there for any later t and the ladder stops growing.
 _SETTLED = 40.0
 # A Poisson sum stops once the bound on its remaining weight falls below
 # this.
@@ -105,26 +102,25 @@ class MixingProfile:
             self._t_settled = decomp.t_rel * (
                 -0.5 * math.log(float(kernel.pi.min())) + _SETTLED)
             self._rungs: list = []  # R_j = U(h)^(2^j)
-            self._prefixes: dict = {}  # binary prefix of k -> rung product
 
     # -- distance profiles -------------------------------------------------
 
     def linf_distance(self, t: float) -> float:
         """max_y H_t(y,y)/pi(y) - 1 over the scanned states, the worst
         relative density deviation, as sum_{i>=2} f_i(y)^2 exp(-lambda_i t)."""
-        return float(self._terms("linf", 0.5 * t).sum(axis=1).max())
+        return float(self._terms("linf", 0.5 * _check_time(t)).sum(axis=1).max())
 
     def l2_distance_sq(self, x: int, t: float) -> float:
         """H_{2t}(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2 exp(-2 lambda_i t)."""
         xs = _check_states("l2_distance_sq", "x", (x,), self.kernel.n)
-        return float(self._terms("l2x", t, xs).sum(axis=1)[0])
+        return float(self._terms("l2x", _check_time(t), xs).sum(axis=1)[0])
 
     def l2_distance(self, x: int, t: float) -> float:
         return self.l2_distance_sq(x, t) ** 0.5
 
     def ave_l2_sq(self, t: float) -> float:
         """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
-        return float(self._terms("ave_l2", t).sum(axis=1)[0])
+        return float(self._terms("ave_l2", _check_time(t)).sum(axis=1)[0])
 
     def _terms(self, kind: str, t, xs=None) -> np.ndarray:
         """w_i exp(-2 lambda_i t), i >= 2, at one t or one per row, for rows w
@@ -146,84 +142,42 @@ class MixingProfile:
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
         xs = _check_states("tv_distance", "x", (x,), self.kernel.n)
-        return float(self._l1_distances(t, xs)[0])
+        return float(self._l1_distances(_check_time(t), xs)[0])
 
     def tv_worst(self, t: float) -> float:
-        return float(self._l1_distances(t, self.kernel.scan_states).max())
+        return float(self._l1_distances(_check_time(t), self.kernel.scan_states).max())
 
     def _l1_distances(self, t: float, xs) -> np.ndarray:
         """L1 distances sum_y |H_t(x,y) - pi(y)| of the states x of the
-        sequence xs.  The rows are spectral when pi is balanced; else they
-        come from the heat ladder, as a 1 x n product through the rungs
-        (`_ladder_row`) for one state, and as the heat matrix, whose
-        prefixes are cached, for more, where the distances of every row
-        are formed and those of xs returned."""
-        pi = self.decomp.pi
-        if self._balanced:
-            return _l1_from(heat_kernel_row(self.decomp, xs, t), pi)
-        if len(xs) == 1:
-            return _l1_from(self._ladder_row(t, xs[0]), pi)
-        return _l1_from(self._heat_matrix(t), pi)[xs]
+        sequence xs, formed in their rows: spectral rows when pi is
+        balanced, else rows of the heat ladder (`_ladder_rows`)."""
+        rows = (heat_kernel_row(self.decomp, xs, t) if self._balanced
+                else self._ladder_rows(t, xs))
+        return _l1_from(rows, self.decomp.pi)
 
-    def _heat_matrix(self, t: float) -> np.ndarray:
-        """H(t) = exp(-tL) on the dyadic ladder.
+    def _ladder_rows(self, t: float, xs) -> np.ndarray:
+        """Rows xs of H(t) = exp(-tL) on the dyadic ladder, len(xs) x n.
 
         With the step h and k, r = divmod(t, h), H(t) is the product of the
-        rungs R_j = U(h)^(2^j) over the set bits of k, highest bit first
-        (`_prefix`), times U(r), whose Poisson mean rq is below
-        _LADDER_STEP (`_uniformized`).  Every factor is nonnegative and
-        stochastic, so no product cancels, and the error grows with the
-        number of factors, like that of scaling and squaring.  Past
-        t_settled the matrix at t_settled is returned.  The cached
-        products are formed the same way whenever they are formed, so
-        H(t) is bit for bit the same whatever was evaluated before it.
-        """
-        k, r = divmod(min(t, self._t_settled), self._step)
-        return _uniformized(self._prefix(int(k)), self._uniform_t,
-                            _poisson_weights(r * self._q))
-
-    def _ladder_row(self, t: float, x: int) -> np.ndarray:
-        """Row x of H(t) as a 1 x n array, the factors of `_heat_matrix`
-        applied to the row alone: row x of the first rung, then every later
-        rung and U(r) as 1 x n products.  Nothing is cached, and no n x n
-        array beyond the rungs is formed."""
+        rungs R_j = U(h)^(2^j) over the set bits of k, highest bit first,
+        times U(r), whose Poisson mean rq is below _LADDER_STEP
+        (`_uniformized`).  The rows start as rows xs of the first rung, or
+        of the identity when k = 0, and every later factor is a len(xs) x n
+        product.  Every factor is nonnegative and stochastic, so no product
+        cancels, and the error grows with the number of factors, like that
+        of scaling and squaring.  Past t_settled the rows at t_settled are
+        returned.  Only the rungs are cached, so the rows depend on t and
+        xs alone, whatever was evaluated before."""
         k, r = divmod(min(t, self._t_settled), self._step)
         bits = _set_bits(int(k))
         if bits:
-            row = self._rung(bits[0])[x:x + 1]
+            rows = self._rung(bits[0])[xs]
             for j in bits[1:]:
-                row = row @ self._rung(j)
-        else:  # H(t) = U(r): start from row x of the identity
-            row = np.zeros((1, self.kernel.n))
-            row[0, x] = 1.0
-        return _uniformized(row, self._uniform_t, _poisson_weights(r * self._q))
-
-    def _prefix(self, k: int) -> np.ndarray:
-        """Product of the rungs over the set bits of k, highest bit first.
-
-        The product over the highest i bits is cached under k with its
-        lower bits cleared and is always formed as the product over the
-        highest i - 1 bits times one rung.  The all-row checks of a TV
-        crossing come at nearby times, which share their high bits, so
-        they start from a cached prefix.
-        """
-        bits = _set_bits(k)
-        if not bits:
-            return np.eye(self.kernel.n)
-        cache = self._prefixes
-        done, A = 1, self._rung(bits[0])
-        for i in range(len(bits), 1, -1):
-            key = k >> bits[i - 1] << bits[i - 1]
-            if key in cache:
-                done, A = i, cache.pop(key)
-                cache[key] = A  # a hit counts as a use
-                break
-        for j in bits[done:]:
-            A = A @ self._rung(j)
-            cache[k >> j << j] = A
-            if len(cache) > _PREFIX_CACHE:
-                del cache[next(iter(cache))]
-        return A
+                rows = rows @ self._rung(j)
+        else:  # H(t) = U(r): start from rows xs of the identity
+            rows = np.zeros((len(xs), self.kernel.n))
+            rows[np.arange(len(xs)), xs] = 1.0
+        return _uniformized(rows, self._uniform_t, _poisson_weights(r * self._q))
 
     def _rung(self, j: int) -> np.ndarray:
         """R_j = U(h)^(2^j), built by squaring on first use."""
@@ -239,10 +193,10 @@ class MixingProfile:
     def _ladder_arrays(self) -> int:
         """n x n arrays of doubles held at the ladder's worst case, the
         exact layer's DENSE_PEAK_ARRAYS included: a rung for each bit of
-        the largest k = floor(t_settled / h), the cached prefixes and the
-        working arrays of one product."""
+        the largest k = floor(t_settled / h) and the working arrays of an
+        evaluation of every row."""
         bits = int(self._t_settled // self._step).bit_length()
-        return DENSE_PEAK_ARRAYS + bits + _PREFIX_CACHE + _LADDER_WORK
+        return DENSE_PEAK_ARRAYS + bits + _LADDER_WORK
 
     # -- mixing times --------------------------------------------------------
 
@@ -463,6 +417,16 @@ def _l1_from(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _set_bits(k: int) -> list:
     """The set bits of k, highest first."""
     return [j for j in range(k.bit_length() - 1, -1, -1) if k >> j & 1]
+
+
+def _check_time(t: float) -> float:
+    """t as a float for a profile evaluator: NaN or t < 0 is refused
+    (ValueError), and +inf is evaluated as the largest double, where every
+    profile is at its limit and lambda_1 t = 0 * t stays 0."""
+    t = float(t)
+    if not t >= 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    return min(t, _MAX)
 
 
 def _check_eps(eps: float) -> None:

@@ -201,8 +201,9 @@ def test_tail_complete4_closed_form():
         assert prof.survival(t) == pytest.approx(0.75 * math.exp(-t / 3.0), rel=1e-10)
     assert hitting.hitting_tail_profile(kernel, 2).survival(1.0) == pytest.approx(
         0.75 * math.exp(-1.0 / 3.0), rel=1e-10)
-    with pytest.raises(ValueError):
-        prof.survival(-1.0)
+    for t in (-1.0, math.nan):  # NaN once slipped past t < 0 and returned NaN
+        with pytest.raises(ValueError, match="nonnegative"):
+            prof.survival(t)
 
 
 def test_tail_monotone_and_exponentially_bounded():

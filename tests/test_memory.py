@@ -3,11 +3,13 @@ pinned, and its outputs are bit for bit those of the textbook formulas
 that form every intermediate as a new n x n array.  The character route
 holds O(n) doubles, pinned too."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from mixbound import chains, hitting, mixing
 from mixbound.analysis import ChainAnalysis
@@ -155,8 +157,8 @@ def test_ladder_row_holds_order_n_doubles():
     # Picking the row out of an n x n identity would hold 200 n
     kernel, profile = _drifted_profile()
     for t in (0.5 * profile._step, 1000.0):
-        profile._ladder_row(t, 7)  # builds the rungs up to t
-        assert _traced_peak(lambda: profile._ladder_row(t, 7)) <= 8 * 8 * kernel.n, t
+        profile._ladder_rows(t, [7])  # builds the rungs up to t
+        assert _traced_peak(lambda: profile._ladder_rows(t, [7])) <= 8 * 8 * kernel.n, t
 
 
 def _drifted_profile():
@@ -164,22 +166,61 @@ def _drifted_profile():
     return kernel, MixingProfile(kernel, decompose(kernel))
 
 
-def test_heat_ladder_peaks_within_its_refusal_count():
-    # three TV crossings build every rung up to the top bit of
-    # floor(t_settled / h) and fill the prefix cache.  F and F^2 are live
-    # before tracing starts, so the ladder's own arrays bound the peak;
-    # P_u^T is sparse here, so one more n x n temporary would fail this
-    kernel, profile = _drifted_profile()
-    ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
+def _dense_drifted_kernel(n):
+    """Metropolis moves to a uniform state for pi(i) proportional to
+    e^{-30 i/(n-1)}: pi spans about 1e13 and every entry of P is nonzero,
+    so the heat ladder keeps P_u^T dense."""
+    log_pi = np.linspace(0.0, -30.0, n)
+    P = np.minimum(1.0, np.exp(log_pi[None, :] - log_pi[:, None])) / n
+    np.fill_diagonal(P, 0.0)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return chains.kernel_from_matrix(P)
+
+
+def _ladder_crossings_peak(kernel):
+    """(traced peak, profile) of three TV crossings on a new profile, then
+    every row at t_settled, which builds every rung up to the top bit of
+    floor(t_settled / h).  F and F^2 are live before tracing starts, so
+    the ladder's own arrays bound the peak; P_u^T is formed under the
+    trace."""
+    decomp = decompose(kernel)
+    profiles = []
 
     def crossings():
+        profiles.append(MixingProfile(kernel, decomp))
         for eps in (0.125, 0.25, 0.5):
-            profile.mixing_time("tv", eps)
+            profiles[0].mixing_time("tv", eps)
+        profiles[0].tv_worst(math.inf)
 
     peak = _traced_peak(crossings)
-    assert len(profile._rungs) == ladder - mixing._PREFIX_CACHE - mixing._LADDER_WORK
-    assert len(profile._prefixes) == mixing._PREFIX_CACHE
+    profile = profiles[0]
+    assert not profile._balanced
+    assert len(profile._rungs) == (profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
+                                   - mixing._LADDER_WORK)
+    return peak, profile
+
+
+def test_heat_ladder_peaks_within_its_refusal_count():
+    # P_u^T is sparse here and its dense slot free, so one more n x n
+    # temporary would fail this: 14.06 arrays measured, 10 of them rungs
+    kernel = chains.build_family(chains.dlp_spec(200, 0.5, 0.05))
+    peak, profile = _ladder_crossings_peak(kernel)
+    assert scipy.sparse.issparse(profile._uniform_t)
+    ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
     assert peak <= ladder * 8 * kernel.n**2
+
+
+def test_dense_heat_ladder_peaks_within_its_refusal_count():
+    # every counted array is taken here, P_u^T among them, so the peak is
+    # within half an array of the count and the count is not loose; the
+    # rest is a few vectors of n doubles (about 2 at n = 200): 16.01 arrays
+    # measured, 11 of them rungs.  One more n x n temporary would fail this
+    kernel = _dense_drifted_kernel(200)
+    peak, profile = _ladder_crossings_peak(kernel)
+    assert not scipy.sparse.issparse(profile._uniform_t)
+    ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
+    array = 8 * kernel.n**2
+    assert (ladder - 0.5) * array < peak <= ladder * array + 8 * 8 * kernel.n
 
 
 @pytest.mark.parametrize("refused", [False, True])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -46,6 +47,45 @@ def test_bad_eps_rejected():
         prof.mixing_time("linf", 0.0)
     with pytest.raises(BadEps):
         prof.mixing_time("tv", -1.0)
+
+
+_EVALUATORS = {
+    "linf_distance": lambda prof, t: prof.linf_distance(t),
+    "l2_distance_sq": lambda prof, t: prof.l2_distance_sq(0, t),
+    "l2_distance": lambda prof, t: prof.l2_distance(0, t),
+    "ave_l2_sq": lambda prof, t: prof.ave_l2_sq(t),
+    "tv_distance": lambda prof, t: prof.tv_distance(0, t),
+    "tv_worst": lambda prof, t: prof.tv_worst(t),
+}
+_CYCLE8 = lambda: chains.build_family(chains.cycle_spec(8))
+_ROUTES = {
+    "ladder": lambda: _profile(chains.dlp_spec(20, 0.5, 0.05))[2],
+    "dense": lambda: DenseAnalysis.from_kernel(_CYCLE8()).profile,
+    "character": lambda: ChainAnalysis.from_kernel(_CYCLE8()).profile,
+}
+
+
+@pytest.mark.parametrize("route", list(_ROUTES))
+def test_profile_evaluators_refuse_times_they_are_not_defined_at(route):
+    # before, tv_distance(0, -1.0) read 7.61 on cycle(8), above the L1
+    # ceiling of 2; tv_distance(3, nan) on dlp(20) raised "cannot convert
+    # float NaN to integer"; linf_distance(nan) returned nan; and
+    # tv_worst(inf) read NaN, from 0 * inf at lambda_1 = 0, on both
+    # spectral routes.  +inf is the limit, reached once every e^{-lambda_i
+    # t}, i >= 2, underflows (and on the ladder past t_settled)
+    prof = _ROUTES[route]()
+    assert prof._balanced == (route != "ladder")
+    assert (prof.decomp.symbol is not None) == (route == "character")
+    late = 1e3 * prof.decomp.t_rel
+    assert prof._balanced or late > prof._t_settled
+    for name, evaluate in _EVALUATORS.items():
+        for t in (math.nan, -1.0, -5e-324, -math.inf):
+            with pytest.raises(ValueError, match="nonnegative"):
+                evaluate(prof, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            limit = evaluate(prof, math.inf)
+        assert math.isfinite(limit) and limit == evaluate(prof, late), name
 
 
 @pytest.mark.parametrize("kind,x", [("tv", -1), ("linf", "a"), ("tv", 0),
@@ -121,19 +161,22 @@ def test_mixing_times_match_bisection_on_random_kernels():
 
 
 def test_tv_crossing_evaluation_count(monkeypatch):
-    # on this drifted chain an evaluation of every row is a heat matrix, n x n
-    # products of ladder rungs, and a row alone is 1 x n products.  Brent on
-    # the maximum over the rows took up to 14 heat matrices (bisection about
-    # 56); the solve on the rows still above 2 eps takes 2, and 25 rows alone
+    # on this drifted chain every evaluation is rows of the heat ladder,
+    # len(xs) x n products of its rungs.  Brent on the maximum over the rows
+    # took up to 14 evaluations of every row (bisection about 56); the solve
+    # on the rows still above 2 eps takes 2 of more than one row, and 25
+    # rows alone
     _, _, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
-    matrices, rows = [], []
-    heat_matrix, ladder_row = prof._heat_matrix, prof._ladder_row
-    monkeypatch.setattr(prof, "_heat_matrix",
-                        lambda t: matrices.append(t) or heat_matrix(t))
-    monkeypatch.setattr(prof, "_ladder_row",
-                        lambda t, x: rows.append(t) or ladder_row(t, x))
+    blocks, rows = [], []
+    ladder_rows = prof._ladder_rows
+
+    def counted(t, xs):
+        (rows if len(xs) == 1 else blocks).append(t)
+        return ladder_rows(t, xs)
+
+    monkeypatch.setattr(prof, "_ladder_rows", counted)
     t = prof.mixing_time("tv", 0.05)
-    assert len(matrices) <= 2
+    assert len(blocks) <= 2
     assert len(rows) <= 25
     assert prof.tv_worst(t) <= 0.1
 
@@ -203,7 +246,6 @@ def test_stepped_tv_worst_matches_direct_expm():
             H = scipy.linalg.expm(-t * L)
             ref = float(np.abs(H - kernel.pi).sum(axis=1).max())
             assert abs(prof.tv_worst(t) - ref) <= 1e-13, (kernel.n, t)
-            assert len(prof._prefixes) <= 4
 
 
 @pytest.mark.parametrize("tau", [1e-9, 0.5, 4.0, 16.0, 64.0])
@@ -225,7 +267,7 @@ def test_uniformized_step_matches_expm_product(chain, tau):
 
 
 def test_tv_crossing_makes_no_expm_call(monkeypatch):
-    # on the unbalanced route every heat matrix comes from the ladder
+    # on the unbalanced route every heat row comes from the ladder
     _, decomp, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
     expm = scipy.linalg.expm
@@ -240,6 +282,7 @@ def test_tv_crossing_makes_no_expm_call(monkeypatch):
 
 @pytest.mark.parametrize("chain", ["dlp200", "shuffled-dlp20"])
 def test_heat_matrix_independent_of_evaluation_order(chain):
+    # every row of H(t) and a fixed 3 of them, from the heat ladder
     if chain == "dlp200":
         make = lambda: _profile(chains.dlp_spec(200, 0.5, 0.05))[2]
         times = [479.04, 2000.0, 0.0, 300.0, 479.5, 0.5, 1000.0, 462.25, 479.03]
@@ -247,13 +290,35 @@ def test_heat_matrix_independent_of_evaluation_order(chain):
         make = _shuffled_dlp20_profile
         times = [53.36, 400.0, 0.0, 30.0, 53.4, 0.25, 120.0, 47.74, 53.35]
     forward, backward = make(), make()
-    first = {t: forward._heat_matrix(t).copy() for t in times}
-    for t in reversed(times):
-        assert np.array_equal(backward._heat_matrix(t), first[t]), t
+    n = forward.kernel.n
+    row_sets = (range(n), [n - 1, 3, n // 2])
+    first = {(t, i): forward._ladder_rows(t, xs)
+             for t in times for i, xs in enumerate(row_sets)}
+
+    def check(order):
+        for t in order:
+            for i, xs in enumerate(row_sets):
+                assert np.array_equal(backward._ladder_rows(t, xs), first[t, i]), (t, i)
+
+    check(reversed(times))
     # a crossing solved in between leaves every value as it was
     backward.mixing_time("tv", 0.25)
-    for t in times:
-        assert np.array_equal(backward._heat_matrix(t), first[t]), t
+    check(times)
+
+
+@pytest.mark.parametrize("chain", ["dlp200", "shuffled-dlp20"])
+def test_ladder_row_alone_matches_its_row_in_a_block(chain):
+    # BLAS takes another route for a 1 x n product than for an n x n one,
+    # so the bits may differ; the entries lie in [0, 1].  Times below one
+    # step, in the middle and past t_settled
+    prof = (_profile(chains.dlp_spec(200, 0.5, 0.05))[2] if chain == "dlp200"
+            else _shuffled_dlp20_profile())
+    n = prof.kernel.n
+    for t in (0.5 * prof._step, 0.5 * prof._t_settled, 2.0 * prof._t_settled):
+        block = prof._ladder_rows(t, range(n))
+        for x in range(n):
+            row = prof._ladder_rows(t, [x])[0]
+            assert np.abs(row - block[x]).max() <= 4 * np.finfo(float).eps, (t, x)
 
 
 def test_tv_crossing_after_other_crossings_matches_bisection():
