@@ -357,10 +357,15 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     """Mean particle count and its standard error at each query time.
 
     Growth runs have no time cap, so only gamma is filled (the spectral
-    gap when it is None)."""
+    gap when it is None).  A query time that is NaN, negative or infinite
+    is refused (InvalidSpec) before any replicate runs."""
+    times = sorted(float(t) for t in times)
+    bad = [t for t in times if not 0.0 <= t < math.inf]
+    if bad:
+        raise InvalidSpec(f"growth_curve: query times must be finite and "
+                          f"nonnegative, got {bad[0]}")
     if cfg.gamma is None:
         cfg = fill_config(decompose(kernel), replace(cfg, max_time=math.inf))
-    times = sorted(float(t) for t in times)
     counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
                                       cfg.max_particles), dtype=float)
     mean = counts.mean(axis=0)

@@ -24,8 +24,9 @@ import scipy.linalg
 from .chains import (TransitionKernel, _check_states, _gth_eliminate, index_blocks,
                      max_over_blocks)
 from .errors import InvalidSpec, NumericalFailure, SingularSystem
-from .spectral import (SpectralDecomposition, _translates, resolution,
-                       spectral_moment, symmetrized_laplacian, symmetrized_rows)
+from .spectral import (SpectralDecomposition, _check_time, _translates,
+                       resolution, spectral_moment, symmetrized_laplacian,
+                       symmetrized_rows)
 
 
 @dataclass(frozen=True)
@@ -307,9 +308,9 @@ class TailProfile:
 
     def survival(self, t: float) -> float:
         """Exact P_pi[T_y > t]; equals 1 - pi(y) at t = 0."""
-        if not t >= 0:  # NaN too
-            raise ValueError(f"t must be nonnegative, got {t}")
-        return float(self.weights @ np.exp(-self.rates * t))
+        t = _check_time(t)
+        with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+            return float(self.weights @ np.exp(-self.rates * t))
 
     def mean(self) -> float:
         return float(self.weights @ (1.0 / self.rates))

@@ -12,8 +12,10 @@ weights, the rungs are R_0 = U(h) for the step h = c/q and R_{j+1} =
 R_j^2, and H(t) is the product of the rungs over the set bits of k =
 floor(t/h), highest bit first, times U(t - kh), whose Poisson mean is
 below c.  The requested rows alone go through these factors, as
-products of as many rows as were asked for.  Every factor is
-nonnegative, so nothing subtracts, and the rows depend on t alone.
+products of as many rows as were asked for; the last factor's Poisson
+sum runs over the columns of their transposed copy, in place, once the
+rows are dropped.  Every factor is nonnegative, so nothing subtracts,
+and the rows depend on t alone.
 Every mixing time is the first crossing of a strictly decreasing profile.
 The mixtures have convex logs, so their crossings come from one vectorised
 Newton iteration.  TV's is the latest crossing of the rows' L1 distances,
@@ -36,7 +38,7 @@ from .chains import (DENSE_PEAK_ARRAYS, TransitionKernel, _check_states,
                      check_dense_fits)
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
-from .spectral import SpectralDecomposition, heat_kernel_row, laplacian
+from .spectral import SpectralDecomposition, _check_time, _heat_rows, laplacian
 
 KINDS = ("linf", "l2x", "tv", "ave_l2")
 
@@ -59,11 +61,11 @@ _MAX = float(np.finfo(float).max)
 # R_0 and bounds the mean of every last factor U(t - kh).  Of the steps
 # tried on dlp(100) and dlp(200), 1 was the fastest.
 _LADDER_STEP = 1.0
-# n x n arrays an evaluation of every row holds beside the rungs: the row
-# block, kept while `_uniformized` holds three of its transposed copy,
-# running sum, new power and scaled term, and a dense P_u^T (pinned by
-# tests/test_memory.py).
-_LADDER_WORK = 5
+# n x n arrays an evaluation of every row holds beside the rungs: three
+# in `_uniformized` (the running sum, formed in the transposed copy of
+# the rows, a power and the next power or a scaled term) and a dense
+# P_u^T (pinned by tests/test_memory.py).
+_LADDER_WORK = 4
 # P_u^T is stored in CSR form when at most this share of its entries is
 # nonzero, else dense.  At n = 200 and 500 a CSR product with a dense
 # matrix was the faster one below about a tenth of the entries on one
@@ -86,7 +88,8 @@ class MixingProfile:
     def __init__(self, kernel: TransitionKernel, decomp: SpectralDecomposition):
         self.kernel = kernel
         self.decomp = decomp
-        self._times: dict = {}  # kind, or ("l2x", x) -> {eps: crossing time}
+        # kind -> {eps: crossing time}, for l2x a read-only array over scan_states
+        self._times: dict = {}
         self._balanced = float(kernel.pi.max() / kernel.pi.min()) <= _BALANCE_LIMIT
         if not self._balanced:
             L = laplacian(kernel)
@@ -151,7 +154,7 @@ class MixingProfile:
         """L1 distances sum_y |H_t(x,y) - pi(y)| of the states x of the
         sequence xs, formed in their rows: spectral rows when pi is
         balanced, else rows of the heat ladder (`_ladder_rows`)."""
-        rows = (heat_kernel_row(self.decomp, xs, t) if self._balanced
+        rows = (_heat_rows(self.decomp, xs, t) if self._balanced
                 else self._ladder_rows(t, xs))
         return _l1_from(rows, self.decomp.pi)
 
@@ -160,32 +163,37 @@ class MixingProfile:
 
         With the step h and k, r = divmod(t, h), H(t) is the product of the
         rungs R_j = U(h)^(2^j) over the set bits of k, highest bit first,
-        times U(r), whose Poisson mean rq is below _LADDER_STEP
-        (`_uniformized`).  The rows start as rows xs of the first rung, or
-        of the identity when k = 0, and every later factor is a len(xs) x n
-        product.  Every factor is nonnegative and stochastic, so no product
-        cancels, and the error grows with the number of factors, like that
-        of scaling and squaring.  Past t_settled the rows at t_settled are
-        returned.  Only the rungs are cached, so the rows depend on t and
-        xs alone, whatever was evaluated before."""
+        times U(r), whose Poisson mean rq is below _LADDER_STEP.  The rows
+        start as rows xs of the first rung, and every later rung is a
+        len(xs) x n product.  Their transposed copy, or columns xs of the
+        identity when k = 0, is the fresh input of `_uniformized`, and the
+        row block is dropped before the sum.  Every factor is nonnegative
+        and stochastic, so no product cancels, and the error grows with the
+        number of factors, like that of scaling and squaring.  Past
+        t_settled the rows at t_settled are returned.  Only the rungs are
+        cached, so the rows depend on t and xs alone, whatever was
+        evaluated before."""
         k, r = divmod(min(t, self._t_settled), self._step)
         bits = _set_bits(int(k))
         if bits:
             rows = self._rung(bits[0])[xs]
             for j in bits[1:]:
                 rows = rows @ self._rung(j)
-        else:  # H(t) = U(r): start from rows xs of the identity
-            rows = np.zeros((len(xs), self.kernel.n))
-            rows[np.arange(len(xs)), xs] = 1.0
-        return _uniformized(rows, self._uniform_t, _poisson_weights(r * self._q))
+            cols = np.ascontiguousarray(rows.T)
+            del rows
+        else:  # H(t) = U(r): start from columns xs of the identity
+            cols = np.zeros((self.kernel.n, len(xs)))
+            cols[xs, np.arange(len(xs))] = 1.0
+        return _uniformized(cols, self._uniform_t, _poisson_weights(r * self._q)).T
 
     def _rung(self, j: int) -> np.ndarray:
         """R_j = U(h)^(2^j), built by squaring on first use."""
         rungs = self._rungs
         if not rungs:
             check_dense_fits(self.kernel.label, self.kernel.n, 1, self._ladder_arrays())
+            # the identity is its own transpose, and U(h) the sum's transpose
             rungs.append(_uniformized(np.eye(self.kernel.n), self._uniform_t,
-                                      _poisson_weights(_LADDER_STEP)))
+                                      _poisson_weights(_LADDER_STEP)).T)
         while len(rungs) <= j:
             rungs.append(rungs[-1] @ rungs[-1])
         return rungs[j]
@@ -225,7 +233,7 @@ class MixingProfile:
         eps = float(eps)
         if kind == "l2x":
             xs = _check_states("mixing_time", "x", (x,), self.kernel.n)
-            return float(self._l2x_times(eps, xs)[0])
+            return float(self._crossings("l2x", eps, xs)[0])
         solved = self._times.setdefault(kind, {})
         if eps not in solved and kind != "tv":
             solved[eps] = float(self._crossings(kind, eps)[0])
@@ -293,25 +301,21 @@ class MixingProfile:
 
     def l2_mixing_times(self, eps: float) -> np.ndarray:
         """Per-state L2 mixing times over the scanned states, so one entry
-        (state 0) when the kernel is transitive.  Each equals
-        mixing_time("l2x", eps, x) bit for bit."""
+        (state 0) when the kernel is transitive, as one read-only array
+        cached per eps.  `_crossings` solves every row alone, so each
+        entry equals mixing_time("l2x", eps, x) bit for bit."""
         _check_eps(eps)
-        return self._l2x_times(float(eps), list(self.kernel.scan_states))
+        solved = self._times.setdefault("l2x", {})
+        eps = float(eps)
+        if eps not in solved:
+            solved[eps] = self._crossings("l2x", eps, self.kernel.scan_states)
+            solved[eps].flags.writeable = False
+        return solved[eps]
 
     def worst_l2_mixing_time(self, eps: float) -> float:
         return float(self.l2_mixing_times(eps).max())
 
     # -- internals -----------------------------------------------------------
-
-    def _l2x_times(self, eps: float, xs: list) -> np.ndarray:
-        """Cached l2x crossings of the states xs, the missing ones solved at once."""
-        solved = [self._times.setdefault(("l2x", x), {}) for x in xs]
-        todo = [i for i, s in enumerate(solved) if eps not in s]
-        if todo:
-            times = self._crossings("l2x", eps, [xs[i] for i in todo])
-            for i, t in zip(todo, times):
-                solved[i][eps] = float(t)
-        return np.array([s[eps] for s in solved])
 
     def _crossings(self, kind: str, eps: float, xs=None) -> np.ndarray:
         """First crossings of the linf, l2x or ave_l2 profile at eps: one per
@@ -392,19 +396,23 @@ def _poisson_weights(m: float) -> list:
             return weights
 
 
-def _uniformized(H: np.ndarray, uniform_t, weights) -> np.ndarray:
-    """H sum_k w_k P_u^k, with uniform_t = P_u^T in CSR or dense form.
+def _uniformized(X: np.ndarray, uniform_t, weights) -> np.ndarray:
+    """sum_k w_k (P_u^T)^k X over the columns of the C-ordered X, with
+    uniform_t = P_u^T in CSR or dense form; the transpose of H sum_k w_k
+    P_u^k for H = X^T.
 
-    The sum runs in transposed space, sum_k w_k (P_u^T)^k H^T, where every
-    term is a product with a C-ordered dense array; the result is
-    returned as the transpose of that sum.  Every term is nonnegative.
+    The sum is formed in place in X, which must be fresh: its first power
+    is taken before X is scaled by w_0.  So it holds the running sum, a
+    power and the next power or a scaled term, and every term is
+    nonnegative.
     """
-    X = np.ascontiguousarray(H.T)
-    total = weights[0] * X
-    for w in weights[1:]:
-        X = uniform_t @ X
-        total += w * X
-    return total.T
+    power = uniform_t @ X
+    X *= weights[0]
+    for w in weights[1:-1]:
+        X += w * power
+        power = uniform_t @ power
+    X += weights[-1] * power
+    return X
 
 
 def _l1_from(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -417,16 +425,6 @@ def _l1_from(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:
 def _set_bits(k: int) -> list:
     """The set bits of k, highest first."""
     return [j for j in range(k.bit_length() - 1, -1, -1) if k >> j & 1]
-
-
-def _check_time(t: float) -> float:
-    """t as a float for a profile evaluator: NaN or t < 0 is refused
-    (ValueError), and +inf is evaluated as the largest double, where every
-    profile is at its limit and lambda_1 t = 0 * t stays 0."""
-    t = float(t)
-    if not t >= 0.0:
-        raise ValueError(f"t must be nonnegative, got {t}")
-    return min(t, _MAX)
 
 
 def _check_eps(eps: float) -> None:

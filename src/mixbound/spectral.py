@@ -43,6 +43,11 @@ from .errors import InvalidSpec, NumericalFailure
 _ORTHO_FAIL = 1e-6
 # Constant of the resolution rule, in units of n * eps * ||S||.
 _RESOLUTION_C = 8.0
+_MAX = float(np.finfo(float).max)
+# Highest order at which `lower_gamma_regularized` keeps the finite series.
+# Against mpmath, in the range of z where it is kept, the series rounds
+# within 2 half-ulps of 1 up to this order (and within 5 up to ell = 24).
+_SERIES_ORDER = 8
 
 
 def laplacian(kernel: TransitionKernel) -> np.ndarray:
@@ -289,13 +294,27 @@ def _translates(values: np.ndarray, x) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # heat kernel evaluations
 
+def _check_time(t: float) -> float:
+    """t as a float for a heat or profile evaluator: NaN or t < 0 is
+    refused (ValueError), and +inf is evaluated as the largest double,
+    where every profile is at its limit and lambda_1 t = 0 * t stays 0."""
+    t = float(t)
+    if not t >= 0.0:
+        raise ValueError(f"t must be nonnegative, got {t}")
+    return min(t, _MAX)
+
+
 def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
                     x: int | None = None) -> float | np.ndarray:
     """H_t(x,x) / pi(x) = sum_i f_i(x)^2 exp(-lambda_i t).
 
     A float for one state x, or the vector over all states when x is None.
+    The time is checked by `_check_time` and the state by
+    `chains._check_states` (InvalidSpec).
     """
-    decay = np.exp(-decomp.lambdas * t)
+    t = _check_time(t)
+    with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
+        decay = np.exp(-decomp.lambdas * t)
     if x is None:
         return _diagonal(decomp, decay)
     (x,) = _check_states("heat_diag_ratio", "x", (x,), decomp.n)
@@ -304,7 +323,18 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
 
 def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
     """Row H_t(x, .) reconstructed spectrally; for a sequence x of states,
-    the matrix of their rows from one product.
+    the matrix of their rows from one product (`_heat_rows`).  The time is
+    checked by `_check_time` and the states by `chains._check_states`
+    (InvalidSpec)."""
+    if np.ndim(x):
+        x = _check_states("heat_kernel_row", "x", x, decomp.n, len(x))
+    else:
+        (x,) = _check_states("heat_kernel_row", "x", (x,), decomp.n)
+    return _heat_rows(decomp, x, _check_time(t))
+
+
+def _heat_rows(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
+    """`heat_kernel_row` on states and a time already checked.
 
     On the character route H_t(0, .) is Re ifftn(exp(-lambda t)) over the
     group, and H_t(x, y) = H_t(0, y - x): the row of x is that row rolled
@@ -324,23 +354,81 @@ def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
 # moment functionals of the centered heat diagonal
 
 def lower_gamma_regularized(ell: int, z: float) -> float:
-    """P(Gamma(ell,1) <= z) for integer ell, by the exact finite series.
+    """P(Gamma(ell,1) <= z) for integer ell, the chance that a Poisson(z)
+    count is at least ell, to 1e-15 absolute and, in the normal range,
+    1e-12 relative.
 
-    1 - exp(-z) * sum_{k<ell} z^k / k!; no quadrature error enters the
-    inequality checks that consume this.
+    For ell up to _SERIES_ORDER and z >= max(ell - 3/2, 1/2) it is the
+    exact finite series 1 - exp(-z) * sum_{k<ell} z^k / k!, which
+    subtracts at most 0.91 there; every order and window the bound sweep
+    uses is in this range.  Elsewhere the smaller tail is summed from
+    the Poisson term next to ell outward, each term formed on its own
+    (`_poisson_term`) and the sum rounded once (fsum): the terms from ell
+    up when z < ell, else those below ell, and 1 minus their sum.  Every
+    term is positive, so nothing cancels but the final 1 - sum, which is
+    then below 1/2.  NaN is refused (ValueError).
     """
     if ell < 1 or ell != int(ell):
         raise ValueError(f"ell must be a positive integer, got {ell!r}")
     if z <= 0.0:
         return 0.0
-    if z > 745.0:
-        return 1.0  # exp(-z) underflows; the mass is 1 to double precision
-    term = 1.0
-    acc = 1.0
-    for k in range(1, int(ell)):
-        term *= z / k
-        acc += term
-    return 1.0 - math.exp(-z) * acc
+    if ell <= _SERIES_ORDER and z >= 0.5 and z >= ell - 1.5:
+        if z > 745.0:
+            return 1.0  # exp(-z) underflows; the mass is 1 to double precision
+        term = 1.0
+        acc = 1.0
+        for k in range(1, int(ell)):
+            term *= z / k
+            acc += term
+        return 1.0 - math.exp(-z) * acc
+    if math.isnan(z):
+        raise ValueError(f"z must be a number, got {z!r}")
+    if z == math.inf:
+        return 1.0
+    ell = int(ell)
+    # the terms fall away from ell on either side: by z/(k+1) going up
+    # from ell > z, by k/z going down from ell - 1 < z
+    step = 1 if z < ell else -1
+    k = ell if step > 0 else ell - 1
+    terms = [_poisson_term(k, z)]
+    while k + step >= 0 and terms[-1] > 1e-17 * terms[0]:
+        k += step
+        terms.append(_poisson_term(k, z))
+    tail = math.fsum(terms)
+    return tail if step > 0 else 1.0 - tail
+
+
+def _poisson_term(k: int, z: float) -> float:
+    """e^{-z} z^k / k!, to a few ulp, and to 1e-12 relative however
+    small it gets in the normal range.
+
+    For k <= 22, whose k! is an exact double, it is formed as written,
+    in logs when z > 700, where e^{-z} would leave the normal range.
+    Else it is exp(-delta(k) - bd0(k, z)) / sqrt(2 pi k) (Loader 2000):
+    delta(k) = log k! - (k + 1/2) log k + k - log sqrt(2 pi), Stirling's
+    error, from its asymptotic series, and bd0(k, z) = k log(k/z) + z - k,
+    from the series in v = (k - z)/(k + z) when k is near z, where the
+    formula as written cancels."""
+    if k <= 22:
+        if z <= 700.0:
+            return math.exp(-z) * z**k / math.factorial(k)
+        return math.exp(k * math.log(z) - z - math.lgamma(k + 1.0))
+    d = k - z
+    if abs(d) < 0.1 * (k + z):
+        v = d / (k + z)
+        bd0, odd, j = d * v, 2.0 * k * v, 1
+        while True:  # bd0 = d v + 2k sum_{j>=1} v^(2j+1) / (2j+1)
+            odd *= v * v
+            nxt = bd0 + odd / (2 * j + 1)
+            if nxt == bd0:
+                break
+            bd0, j = nxt, j + 1
+    else:
+        bd0 = k * math.log(k / z) + z - k
+    kk = float(k) * k
+    delta = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * kk)) / kk)
+                       / kk) / kk) / k
+    return math.exp(-delta - bd0) / math.sqrt(2.0 * math.pi * k)
 
 
 def gamma_window_mass(ell: int) -> float:

@@ -261,6 +261,20 @@ def test_growth_matches_exponential(complete4):
         assert abs(m - math.exp(gamma * t)) <= 3.0 * se
 
 
+def test_growth_curve_refuses_times_it_cannot_answer(monkeypatch, cycle8):
+    # before, a NaN time ran every replicate to the particle cap and read a
+    # mean of 1e5 there, and a time of -1 read 1 particle
+    def refuse(*args):
+        raise AssertionError("a replicate ran")
+
+    monkeypatch.setattr(brw, "_run_replicates", refuse)
+    for gamma in (0.2, None):
+        cfg = brw.BRWConfig(replicates=5, gamma=gamma)
+        for bad in (math.nan, -1.0, -5e-324, math.inf, -math.inf):
+            with pytest.raises(InvalidSpec, match="query times"):
+                brw.growth_curve(cycle8, cfg, [1.0, bad])
+
+
 def test_growth_curve_single_replicate(cycle8):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

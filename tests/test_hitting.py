@@ -218,6 +218,12 @@ def test_tail_monotone_and_exponentially_bounded():
             assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
             for t, v in zip(grid, vals):
                 assert v <= math.exp(-t / h.t_hit) + 1e-12
+            # +inf is read as the largest double; every kernel here has
+            # rates above 1, which overflow there to exp(-inf) = 0 with no
+            # warning
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert prof.survival(math.inf) == 0.0
 
 
 def test_tail_mean_matches_pi_start_hitting_time():

@@ -202,10 +202,13 @@ def _ladder_crossings_peak(kernel):
 
 def test_heat_ladder_peaks_within_its_refusal_count():
     # P_u^T is sparse here and its dense slot free, so one more n x n
-    # temporary would fail this: 14.06 arrays measured, 10 of them rungs
+    # temporary would fail this: 13.05 arrays measured, 10 of them rungs,
+    # of a count of 18 with the dense peak's 4 (the row block kept through
+    # the Poisson sum read 14.05 of 19)
     kernel = chains.build_family(chains.dlp_spec(200, 0.5, 0.05))
     peak, profile = _ladder_crossings_peak(kernel)
     assert scipy.sparse.issparse(profile._uniform_t)
+    assert profile._ladder_arrays() == 18
     ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
     assert peak <= ladder * 8 * kernel.n**2
 
@@ -213,7 +216,7 @@ def test_heat_ladder_peaks_within_its_refusal_count():
 def test_dense_heat_ladder_peaks_within_its_refusal_count():
     # every counted array is taken here, P_u^T among them, so the peak is
     # within half an array of the count and the count is not loose; the
-    # rest is a few vectors of n doubles (about 2 at n = 200): 16.01 arrays
+    # rest is a few vectors of n doubles (about 2 at n = 200): 15.01 arrays
     # measured, 11 of them rungs.  One more n x n temporary would fail this
     kernel = _dense_drifted_kernel(200)
     peak, profile = _ladder_crossings_peak(kernel)

@@ -259,8 +259,9 @@ def test_uniformized_step_matches_expm_product(chain, tau):
     H = scipy.linalg.expm(-s * L)
     ref = H @ scipy.linalg.expm(-tau * L)
     weights = mixing._poisson_weights(tau * prof._q)
-    step = mixing._uniformized(H, prof._uniform_t, weights)
-    assert np.abs(step - ref).max() <= 1e-14
+    # the sum runs over the columns of the fresh transposed copy of H
+    step = mixing._uniformized(np.ascontiguousarray(H.T), prof._uniform_t, weights)
+    assert np.abs(step.T - ref).max() <= 1e-14
     uniform_t = prof._uniform_t
     entries = uniform_t.data if scipy.sparse.issparse(uniform_t) else uniform_t
     assert (entries >= 0.0).all()
@@ -411,8 +412,8 @@ def test_tv_crossings_evaluate_few_row_sets(monkeypatch):
     kernel = chains.random_reversible_kernel(400, np.random.default_rng(0))
     prof = mixing.MixingProfile(kernel, spectral.decompose(kernel))
     sizes = []
-    row = spectral.heat_kernel_row
-    monkeypatch.setattr(mixing, "heat_kernel_row",
+    row = spectral._heat_rows
+    monkeypatch.setattr(mixing, "_heat_rows",
                         lambda d, xs, t: sizes.append(len(xs)) or row(d, xs, t))
     for eps in (0.125, 0.25, 0.5):
         prof.mixing_time("tv", eps)
@@ -428,6 +429,19 @@ def test_one_state_tv_crossings_keep_their_bits():
         == [197.01100557763502, 128.37475815655955, 60.90389053727385]
     dense = DenseAnalysis.from_spec(chains.torus_spec(2, 8))
     assert dense.profile.mixing_time("tv", 0.25) == 8.379639887013145
+
+
+@pytest.mark.parametrize("n,times", [
+    (100, (245.90611204526857, 233.8609961649491, 217.24513517203138)),
+    (200, (479.0397020214004, 462.2500166227767, 438.9612043002722)),
+])
+def test_ladder_tv_crossings_keep_their_bits(n, times):
+    # the exact_drifted kernels scan every state, so their crossings take
+    # the multi-row path through the heat ladder; the same bits at one and
+    # two BLAS threads
+    _, _, prof = _profile(chains.dlp_spec(n, 0.5, 0.05))
+    assert not prof._balanced
+    assert tuple(prof.mixing_time("tv", eps) for eps in (0.125, 0.25, 0.5)) == times
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +484,8 @@ def test_tv_worst_balanced_one_row_product_per_t(monkeypatch):
     prof = _random40_profile()
     assert prof._balanced and not prof.kernel.transitive
     calls = []
-    row = spectral.heat_kernel_row
-    monkeypatch.setattr(mixing, "heat_kernel_row",
+    row = spectral._heat_rows
+    monkeypatch.setattr(mixing, "_heat_rows",
                         lambda *a: calls.append(a) or row(*a))
     for t in (0.5, 2.0):
         prof.tv_worst(t)

@@ -1,5 +1,8 @@
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -131,6 +134,38 @@ def test_rows_summing_to_one_within_struct_tol_decompose(rows):
     assert d.lambdas[0] == 0.0 and d.lambdas[-1] < 2.0 + 1e-12
 
 
+def test_heat_evaluators_check_their_arguments():
+    # before, heat_kernel_row(decomp, -1, 1.0) on dlp(8, 0.5, 0.2) returned
+    # state 7's row, and on cycle(8) a state of -1 or 8 raised numpy's
+    # ValueError; t = -3 gave entries 98.07, -79.50 and 45.53, NaN gave NaN,
+    # +inf NaN with a RuntimeWarning, and heat_diag_ratio(decomp, -50.0, 0)
+    # read 2.9e21.  +inf is the limit: rows pi, diagonal ratios 1
+    for spec in (chains.dlp_spec(8, 0.5, 0.2), chains.cycle_spec(8)):
+        d = _decomp(spec)
+        for x in (-1, 8, 1.0, "0", [0, -1], [8], [0.0]):
+            with pytest.raises(InvalidSpec, match="heat_kernel_row"):
+                spectral.heat_kernel_row(d, x, 1.0)
+            if np.ndim(x) == 0:
+                with pytest.raises(InvalidSpec, match="heat_diag_ratio"):
+                    spectral.heat_diag_ratio(d, 1.0, x)
+        for t in (-3.0, -50.0, -5e-324, math.nan, -math.inf):
+            for evaluate in (lambda t: spectral.heat_kernel_row(d, 0, t),
+                             lambda t: spectral.heat_kernel_row(d, [0, 3], t),
+                             lambda t: spectral.heat_diag_ratio(d, t, 0),
+                             lambda t: spectral.heat_diag_ratio(d, t)):
+                with pytest.raises(ValueError, match="nonnegative"):
+                    evaluate(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = spectral.heat_kernel_row(d, [0, 3], math.inf)
+            row = spectral.heat_kernel_row(d, 7, math.inf)
+            ratios = spectral.heat_diag_ratio(d, math.inf)
+            ratio = spectral.heat_diag_ratio(d, math.inf, 7)
+        pi = chains.build_family(spec).pi
+        assert np.abs(rows - pi).max() <= 1e-12 and np.abs(row - pi).max() <= 1e-12
+        assert np.abs(ratios - 1.0).max() <= 1e-12 and abs(ratio - 1.0) <= 1e-12
+
+
 def test_reconstruction_matches_matrix_exponential():
     kernel = chains.build_family(chains.torus_spec(2, 4))
     d = spectral.decompose(kernel)
@@ -247,6 +282,71 @@ def test_gamma_series_matches_scipy(ell, z):
     mine = spectral.lower_gamma_regularized(ell, z)
     ref = float(scipy.special.gammainc(ell, z))
     assert mine == pytest.approx(ref, rel=1e-9, abs=1e-12)
+
+
+# (ell, z) -> what the exact finite series 1 - e^{-z} sum_{k<ell} z^k/k!
+# read there before the tails were summed
+_GAMMA_EXAMPLES = {
+    "z-past-745-near-ell": (1000, 800.0),  # 1.0, true 5.5e-12
+    "z-past-745-below-ell": (800, 746.0),  # 1.0, true 0.0261
+    "series-overflow": (1000, 740.0),  # -inf
+    "cancelled-1000": (1000, 700.0),  # -1.3e-15, true 1.0e-26
+    "cancelled-100": (100, 30.0),  # -2.2e-16, true 7.3e-24
+    "small-z": (5, 0.01),  # 2.3e-4 relative off
+}
+
+
+def _check_lower_gamma(ell, z):
+    """Within 1e-15 of mpmath's regularized gamma, and within 1e-12
+    relative where that is a normal double below 1/2."""
+    with mpmath.workdps(40):
+        ref = float(mpmath.gammainc(ell, 0, z, regularized=True))
+    got = spectral.lower_gamma_regularized(ell, z)
+    assert 0.0 <= got <= 1.0, (ell, z, got)
+    assert abs(got - ref) <= 1e-15, (ell, z, got, ref)
+    if sys.float_info.min <= ref < 0.5:
+        assert abs(got - ref) <= 1e-12 * ref, (ell, z, got, ref)
+
+
+@pytest.mark.parametrize("ell,z", list(_GAMMA_EXAMPLES.values()),
+                         ids=list(_GAMMA_EXAMPLES))
+def test_lower_gamma_regularized_examples(ell, z):
+    _check_lower_gamma(ell, z)
+
+
+def test_lower_gamma_regularized_matches_mpmath_up_to_order_1000():
+    for ell in (*range(1, 13), 15, 22, 23, 24, 30, 50, 100, 200, 500, 999, 1000):
+        ratios = (0.01, 0.1, 0.5, 0.8, 0.9, 0.97, 1.0, 1.03, 1.1, 1.25, 1.5, 2.0, 4.0)
+        for z in {*(r * ell for r in ratios), ell - 1.0, ell - 0.5, ell + 1.0,
+                  1e-3, 0.3, 1.0, 700.5, 746.0, 1e4}:
+            if z > 0.0:
+                _check_lower_gamma(ell, z)
+
+
+def test_lower_gamma_keeps_the_series_bits_the_sweep_reads():
+    # the windowed moments and gamma_window_mass read orders 1 to 4 at z of
+    # about 2 ell and above, the head windows orders 1 and 2 at z of about
+    # 1 and above (M t_rel lambda_i, which rounding can put below 1)
+    def series(ell, z):
+        if z > 745.0:
+            return 1.0
+        term = acc = 1.0
+        for k in range(1, ell):
+            term *= z / k
+            acc += term
+        return 1.0 - math.exp(-z) * acc
+
+    for ell in (1, 2, 3, 4):
+        low = 1.0 - 1e-12 if ell <= 2 else 2.0 * ell * (1.0 - 1e-12)
+        for z in np.geomspace(low, 2000.0, 400):
+            assert spectral.lower_gamma_regularized(ell, z) == series(ell, z), (ell, z)
+
+
+def test_lower_gamma_regularized_refuses_nan():
+    with pytest.raises(ValueError, match="number"):
+        spectral.lower_gamma_regularized(3, math.nan)
+    assert spectral.lower_gamma_regularized(1000, math.inf) == 1.0
+    assert spectral.lower_gamma_regularized(1000, 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------
