@@ -275,8 +275,6 @@ class CotrendRow:
     t_rel: float
     t_hit: float
     t_mix_linf: float
-    t_target: float
-    t_mix_ave: float
 
     @property
     def linf_over_hit(self) -> float:
@@ -319,8 +317,6 @@ def ratio_cotrend_table(specs: list[ChainFamilySpec]) -> CotrendTable:
             t_rel=analysis.decomp.t_rel,
             t_hit=analysis.hitting.t_hit,
             t_mix_linf=analysis.profile.mixing_time("linf", 0.5),
-            t_target=analysis.hitting.t_target,
-            t_mix_ave=analysis.profile.mixing_time("ave_l2", 0.5),
         ))
     return CotrendTable(rows=tuple(rows))
 

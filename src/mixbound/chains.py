@@ -50,9 +50,12 @@ _TINY = float(np.finfo(float).tiny)
 BLOCK = 32
 # Most n x n arrays of doubles the dense route of the exact layer holds at
 # once, P included: P, the eigenfunctions, their squares and the hitting
-# matrix when an analysis solves its hitting times (pinned by
-# tests/test_memory.py).  A kernel kept as its group's steps is refused by
-# this count only where its dense P is formed (`TransitionKernel.P`).
+# matrix while an analysis solves its hitting times, which `hit_times`
+# drops on return (pinned by tests/test_memory.py).  A command that sweeps
+# a balanced dense kernel holds one more: its TV evaluations over every
+# scanned state hold two row arrays beside P, the eigenfunctions and their
+# squares.  A kernel kept as its group's steps is refused by this count
+# only where its dense P is formed (`TransitionKernel.P`).
 DENSE_PEAK_ARRAYS = 4
 # Most arrays of n doubles a kernel kept as its group's steps holds at once
 # on the character route, no n x n array among them: about 90 plus the

@@ -35,8 +35,8 @@ from . import __version__
 from .analysis import ChainAnalysis, DenseAnalysis
 from .bounds import OptProblem, budget_rate_optimum, standard_sweep
 from .brw import BRWConfig, experiment, hit_time_sandwich, intersection_sandwich
-from .chains import (SIZED_FAMILIES, ChainFamilySpec, canonical_spec_text,
-                     family_spec, parse_chain_spec)
+from .chains import (SIZED_FAMILIES, ChainFamilySpec, build_family,
+                     canonical_spec_text, family_spec, parse_chain_spec)
 from .errors import (AllCensored, BadEps, BadRange, CertificateMismatch,
                      InvalidSpec, NotIrreducible, NotReversible,
                      NumericalFailure, SingularSystem)
@@ -144,13 +144,23 @@ def _add_family_flags(sub):
 # ---------------------------------------------------------------------------
 # subcommands
 
+def _analyses(specs: list):
+    """The analysis of each spec in turn, emptying the list: a spec is
+    dropped once its kernel is built, so a custom spec's matrix is not
+    live beside the kernel's own copy of P."""
+    while specs:
+        kernel = build_family(specs.pop(0))
+        yield ChainAnalysis.from_kernel(kernel)
+
+
 def cmd_analyze(args, argv) -> int:
-    spec = parse_chain_spec(args.spec)
-    analysis = ChainAnalysis.from_spec(spec)
+    specs = [parse_chain_spec(args.spec)]
+    spec_text = canonical_spec_text(specs[0])
+    (analysis,) = _analyses(specs)
     s = analysis.summary()
     header = ["kernel"] + list(s.keys())
     row = [analysis.kernel.label] + [s[k] for k in s]
-    _write_csv(args.out, argv, canonical_spec_text(spec), None, header, [row])
+    _write_csv(args.out, argv, spec_text, None, header, [row])
     print(f"analyze: wrote {args.out} ({analysis.kernel.label})")
     return EXIT_OK
 
@@ -163,8 +173,8 @@ def cmd_verify(args, argv) -> int:
     header = ["name", "kernel", "eps", "ell", "x", "M", "lhs", "rhs", "slack", "passed"]
     rows = []
     n_fail = 0
-    for spec in specs:
-        analysis = ChainAnalysis.from_spec(spec)
+    spec_text = "".join(canonical_spec_text(s) for s in specs)
+    for analysis in _analyses(specs):
         reports = standard_sweep(analysis, eps_list=eps_list, ell_list=ells)
         for r in reports:
             ctx = r.context
@@ -173,7 +183,6 @@ def cmd_verify(args, argv) -> int:
                          ctx.get("x", ""), ctx.get("M", ""),
                          r.lhs, r.rhs, r.slack, int(r.passed)])
             n_fail += 0 if r.passed else 1
-    spec_text = "".join(canonical_spec_text(s) for s in specs)
     if args.out:
         _write_csv(args.out, argv, spec_text, None, header, rows)
     print(f"verify: {len(rows)} reports, {n_fail} failures")
@@ -191,7 +200,8 @@ def cmd_profile(args, argv) -> int:
     specs = _family_specs(args)
     if len(specs) != 1:
         raise InvalidSpec("profile works on a single kernel; give one size")
-    analysis = ChainAnalysis.from_spec(specs[0])
+    spec_text = canonical_spec_text(specs[0])
+    (analysis,) = _analyses(specs)
     prof, decomp = analysis.profile, analysis.decomp
     t_rel = decomp.t_rel
     t_lo = args.t_min if args.t_min is not None else t_rel / 100.0
@@ -208,7 +218,7 @@ def cmd_profile(args, argv) -> int:
         d2 = prof.linf_distance(2.0 * float(t)) ** 0.5
         rows.append([t, prof.linf_distance(t), d2, prof.tv_worst(t),
                      prof.ave_l2_sq(t)])
-    _write_csv(args.out, argv, canonical_spec_text(specs[0]), None,
+    _write_csv(args.out, argv, spec_text, None,
                ["t", "d_inf", "d2_max", "tv_max", "ave_l2_sq"], rows)
     print(f"profile: wrote {args.out} ({analysis.kernel.label}, {args.points} points)")
     return EXIT_OK

@@ -5,10 +5,11 @@ hitting times coincide with the expected step counts of the embedded
 discrete chain.  The convention is T_y = 0 when the start state is y, so
 tails from stationarity start at 1 - pi(y).
 
-`hit_times` solves any kernel densely.  On a kernel with a group,
-`character_hit_times` reads every hitting time off the symbol of a
-character decomposition instead, by one FFT of size n, and forms no
-n x n array unless hit_matrix is read.
+`hit_times` solves any kernel densely and returns with no n x n array
+live.  On a kernel with a group, `character_hit_times` reads every
+hitting time off the symbol of a character decomposition instead, by one
+FFT of size n, and forms no n x n array.  Either forms the matrix of
+every E_x[T_y] only when hit_matrix is read, which no command does.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .spectral import (SpectralDecomposition, _check_time, _translates,
 
 @dataclass(frozen=True)
 class HittingSummary:
-    """hit_matrix[x, y] = E_x[T_y], plus the derived scalars.
+    """The scalars derived from hit_matrix[x, y] = E_x[T_y], which is
+    formed only when read.
 
     t_pi_to[x] is the expected hitting time of x from stationarity, t_hit
     the maximum entry and t_target the common value of the pi-averaged row
@@ -48,7 +50,9 @@ class HittingSummary:
 
     @cached_property
     def hit_matrix(self) -> np.ndarray:
-        """The n x n matrix of E_x[T_y], from form_hit_matrix on first access."""
+        """The n x n matrix of E_x[T_y], formed by form_hit_matrix on first
+        access: `hit_times` solves its route again, with the same calls and
+        so the same bits, and `character_hit_times` translates its column."""
         return self.form_hit_matrix()
 
 
@@ -89,10 +93,25 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     hitting matrix in the same memory); the GTH route holds two, the
     hitting matrix and one target's permuted copy of P, freed before the
     next target's is formed, plus the elimination's temporaries of at
-    most BLOCK x n doubles (pinned by tests/test_memory.py).  These counts,
-    and `chains.DENSE_PEAK_ARRAYS`, are of this dense solve only;
+    most BLOCK x n doubles (pinned by tests/test_memory.py).  The summary
+    keeps t_pi_to and the scalars: the matrix is dropped on return, and
+    hit_matrix solves the same route again when read.  These counts, and
+    `chains.DENSE_PEAK_ARRAYS`, are of this dense solve only;
     `character_hit_times` holds O(n) doubles.
     """
+    hit, route, t_hit = _dense_hit_matrix(kernel)
+    t_pi_to = kernel.pi @ hit
+    del hit  # hit_matrix solves it again when read
+    t_target = float(t_pi_to @ kernel.pi)
+    return HittingSummary(t_pi_to=t_pi_to, t_hit=t_hit, t_target=t_target,
+                          route=route,
+                          form_hit_matrix=lambda: _dense_hit_matrix(kernel)[0])
+
+
+def _dense_hit_matrix(kernel: TransitionKernel) -> tuple:
+    """(hit matrix, route, t_hit) of `hit_times`, its finiteness and its
+    residual contract checked: the same calls, so the same bits, on every
+    solve."""
     n = kernel.n
     cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
     if _is_tridiagonal(kernel.P):
@@ -105,15 +124,11 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
         if hit.max() > 1e8 or off_min <= 0.0:
             del hit  # before the GTH route forms its own
             hit, route = _gth_hit_matrix(kernel), "gth"
-
     t_hit = float(hit.max())
     if not math.isfinite(t_hit):
         raise InvalidSpec(f"{kernel.label}: a hitting time is not a finite double")
     _check_restricted_residual(kernel, hit, cols)
-    t_pi_to = kernel.pi @ hit
-    t_target = float(t_pi_to @ kernel.pi)
-    return HittingSummary(t_pi_to=t_pi_to, t_hit=t_hit, t_target=t_target,
-                          route=route, form_hit_matrix=lambda: hit)
+    return hit, route, t_hit
 
 
 def character_hit_times(kernel: TransitionKernel,

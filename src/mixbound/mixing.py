@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse
 
 from .chains import (DENSE_PEAK_ARRAYS, TransitionKernel, _check_states,
-                     check_dense_fits)
+                     check_dense_fits, index_blocks)
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
 from .spectral import SpectralDecomposition, _check_time, _heat_rows, laplacian
@@ -111,36 +111,62 @@ class MixingProfile:
     def linf_distance(self, t: float) -> float:
         """max_y H_t(y,y)/pi(y) - 1 over the scanned states, the worst
         relative density deviation, as sum_{i>=2} f_i(y)^2 exp(-lambda_i t)."""
-        return float(self._terms("linf", 0.5 * _check_time(t)).sum(axis=1).max())
+        return float(self._row_sums("linf", 0.5 * _check_time(t))[0][0])
 
     def l2_distance_sq(self, x: int, t: float) -> float:
         """H_{2t}(x,x)/pi(x) - 1 = sum_{i>=2} f_i(x)^2 exp(-2 lambda_i t)."""
         xs = _check_states("l2_distance_sq", "x", (x,), self.kernel.n)
-        return float(self._terms("l2x", _check_time(t), xs).sum(axis=1)[0])
+        return float(self._row_sums("l2x", _check_time(t), xs)[0][0])
 
     def l2_distance(self, x: int, t: float) -> float:
         return self.l2_distance_sq(x, t) ** 0.5
 
     def ave_l2_sq(self, t: float) -> float:
         """sum_x pi(x) d_{2,x}(t)^2 = sum_{i>=2} exp(-2 lambda_i t)."""
-        return float(self._terms("ave_l2", _check_time(t)).sum(axis=1)[0])
+        return float(self._row_sums("ave_l2", _check_time(t))[0][0])
 
-    def _terms(self, kind: str, t, xs=None) -> np.ndarray:
-        """w_i exp(-2 lambda_i t), i >= 2, at one t or one per row, for rows w
-        = f_i(x)^2 for x in xs (l2x), for the scanned states (linf, their
-        worst at t/2) or ones (ave_l2).  Every evaluator and crossing solve
-        forms its terms here, so a crossing meets its threshold exactly."""
-        rows = self.decomp.eigfuncs_sq[:, 1:]
+    def _row_sums(self, kind: str, t, xs=None, slopes: bool = False):
+        """(g, s) over rows w: g = sum_{i>=2} w_i exp(-2 lambda_i t), at one
+        t or one per row, and with slopes s = -g', its 2 lambda-weighted
+        sum, else None.  The rows are f_i(x)^2 for x in xs (l2x), ones
+        (ave_l2) or, for linf, at one t, the worst of the scanned states.
+        Every evaluator and crossing solve sums here, so a crossing meets
+        its threshold exactly.  The terms are formed chains.BLOCK rows at a
+        time in C order, so a row sums alike beside any rows (eigfuncs_sq
+        is F-ordered) and no n x n array is formed; at one t the
+        exponentials are taken once."""
+        lam2 = 2.0 * self.decomp.lambdas[1:]
+        weights = self.decomp.eigfuncs_sq[:, 1:]
         if kind == "l2x":
-            rows = rows[xs]
+            xs = np.asarray(xs)
+            count = len(xs)
         elif kind == "ave_l2":
-            rows = np.ones((1, rows.shape[1]))
-        elif self.kernel.transitive:  # linf: state 0 stands for every state
-            rows = rows[:1]
+            weights, count = np.ones((1, lam2.size)), 1
+        else:  # linf: state 0 stands for every state of a transitive kernel
+            count = len(self.kernel.scan_states)
+        g = np.empty(count)
+        s = np.empty(count) if slopes and kind != "linf" else None
+        per_row = np.ndim(t) > 0
         with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
-            decay = np.exp(-2.0 * self.decomp.lambdas[1:] * np.reshape(t, (-1, 1)))
-        # C order, so a row sums alike beside any rows (eigfuncs_sq is F-ordered)
-        return np.multiply(rows, decay, order="C")
+            if not per_row:
+                decay = np.exp(-lam2 * t)
+            for block in index_blocks(count):
+                if per_row:
+                    decay = np.exp(-lam2 * t[block, None])
+                terms = np.multiply(weights[xs[block] if kind == "l2x" else block],
+                                    decay, order="C")
+                g[block] = terms.sum(axis=1)
+                if s is not None:
+                    terms *= lam2
+                    s[block] = terms.sum(axis=1)
+        if kind == "linf":  # the worst row; its slope from its terms alone
+            top = [g.argmax()]
+            g = g[top]
+            if slopes:
+                terms = np.multiply(weights[top], decay, order="C")
+                terms *= lam2
+                s = terms.sum(axis=1)
+        return g, s
 
     def tv_distance(self, x: int, t: float) -> float:
         """L1 distance sum_y |H_t(x,y) - pi(y)|; twice the TV distance."""
@@ -322,7 +348,7 @@ class MixingProfile:
         state of xs for l2x, else one.
 
         The profile is g(s) = sum_i w_i e^{-2 lambda_i s} for a row w of
-        `_terms`, for linf the worst row at s = t/2.  log g is convex (for
+        `_row_sums`, for linf the worst row at s = t/2.  log g is convex (for
         linf a max of convex functions), so Newton's method on log g -
         log threshold, with the (worst) row's slope, climbs from s = 0
         monotonically to the root.  A row leaves once its step is within
@@ -332,24 +358,18 @@ class MixingProfile:
         threshold = _threshold(kind, eps)
         worst = kind == "linf"
         xs = np.asarray(xs if kind == "l2x" else [0])
-        lam2 = 2.0 * self.decomp.lambdas[1:]
         tol = _XTOL_REL * self.decomp.t_rel * (0.5 if worst else 1.0)  # in s
         times = np.zeros(len(xs))
 
-        def profile(rows):  # terms and values g of rows at their times
-            if worst:
-                terms = self._terms(kind, times[0])
-                g = terms.sum(axis=1)
-                top = [g.argmax()]
-                return terms[top], g[top]
-            terms = self._terms(kind, times[rows], xs[rows])
-            return terms, terms.sum(axis=1)
+        def profile(rows, slopes=False):  # g and slopes of rows at their times
+            return self._row_sums(kind, times[0] if worst else times[rows], xs[rows],
+                                  slopes=slopes)
 
         active = np.arange(len(xs))
         for _ in range(_NEWTON_MAX):
-            terms, g = profile(active)
+            g, slope = profile(active, slopes=True)
             # g / slope is at most 1/(2 lambda_2): it cannot overflow
-            step = (np.log(g) - math.log(threshold)) * (g / (terms * lam2).sum(axis=1))
+            step = (np.log(g) - math.log(threshold)) * (g / slope)
             if not np.isfinite(step).all():
                 raise NumericalFailure(f"{kind} Newton step is not finite")
             step[(step < 0.0) & (times[active] == 0.0)] = 0.0  # crossed at 0
@@ -362,7 +382,7 @@ class MixingProfile:
         times += np.where(times > 0.0, tol + 4.0 * _EPS * times, 0.0)
         late = np.arange(len(xs))
         for _ in range(_NEWTON_MAX):
-            late = late[profile(late)[1] > threshold]
+            late = late[profile(late)[0] > threshold]
             if not late.size:
                 return 2.0 * times if worst else times
             times[late] += tol + 4.0 * _EPS * times[late]

@@ -170,8 +170,11 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
 
     At its peak it holds three n x n arrays of doubles, P included: P, S
     and the eigenvectors while `eigh` overwrites S, then P, F and F^2.
-    Every other step works on `index_blocks` of rows or columns.  These
-    counts, and `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
+    Every other step works on `index_blocks` of rows or columns.  P, F
+    and F^2 stay live as long as the analysis: with the two row arrays of
+    a TV evaluation over every scanned state they are the five arrays a
+    dense `verify` holds at its peak.  These counts, and
+    `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
     `character_decompose` holds no n x n array.
     """
     n = kernel.n

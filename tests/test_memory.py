@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
-from mixbound import chains, hitting, mixing
+from mixbound import chains, cli, hitting, mixing
 from mixbound.analysis import ChainAnalysis
 from mixbound.bounds import standard_sweep
 from mixbound.errors import InvalidSpec
@@ -94,6 +94,90 @@ def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
         assert analysis.decomp.route == "dense" and analysis.hitting.route == "spectral"
 
     assert _traced_peak(analysis_with_hitting) <= chains.DENSE_PEAK_ARRAYS * 8 * kernel.n**2
+
+
+def _shuffled_dlp(n):
+    """dlp(n, 0.5, 0.05) with its states shuffled: no longer tridiagonal,
+    and its hitting times need the GTH route."""
+    bd = chains.build_family(chains.dlp_spec(n, 0.5, 0.05))
+    perm = np.random.default_rng(3).permutation(n)
+    return chains.kernel_from_matrix(bd.P[np.ix_(perm, perm)])
+
+
+@pytest.mark.parametrize("kernel,route", [
+    (chains.build_family(chains.dlp_spec(200, 0.5, 0.05)), "birth_death"),
+    (chains.random_reversible_kernel(256, np.random.default_rng(0)), "spectral"),
+    (_shuffled_dlp(48), "gth"),
+], ids=["birth_death", "spectral", "gth"])
+def test_hit_times_returns_with_no_n_by_n_array_live(kernel, route):
+    # the summary keeps t_pi_to and its scalars; hit_matrix solves the same
+    # route again when read, with the same calls and so the same bits.
+    # About 0.01 arrays stay live (1.01 with the matrix kept)
+    summaries = []
+    tracemalloc.start()
+    try:
+        summaries.append(hit_times(kernel))
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live < 0.5 * 8 * kernel.n**2
+    (h,) = summaries
+    assert h.route == route
+    assert np.array_equal(kernel.pi @ h.hit_matrix, h.t_pi_to)
+    assert h.t_hit == float(h.hit_matrix.max())
+
+
+def _swept_analysis():
+    """The dense analysis of random_reversible_kernel(256) with its hitting
+    times solved: P, F and F^2 are live."""
+    analysis = ChainAnalysis.from_kernel(
+        chains.random_reversible_kernel(256, np.random.default_rng(0)))
+    assert analysis.hitting.route == "spectral"
+    return analysis
+
+
+@pytest.mark.parametrize("evaluate", [
+    lambda p: p.l2_mixing_times(0.5),
+    lambda p: p.mixing_time("linf", 0.5),
+    lambda p: p.linf_distance(1.0),
+], ids=["l2x", "linf", "linf_distance"])
+def test_spectral_crossings_form_no_n_by_n_array(evaluate):
+    # the terms are formed BLOCK rows at a time and only their row sums
+    # kept: 0.68 (l2x) and 0.52 (linf) arrays at n = 256, where the
+    # rows x (n - 1) term arrays read 4.02 and 1.26
+    analysis = _swept_analysis()
+    assert _traced_peak(lambda: evaluate(analysis.profile)) < 8 * analysis.kernel.n**2
+
+
+def test_sweep_holds_two_row_arrays_beyond_the_analysis():
+    # beside P, F and F^2 the sweep's peak is one TV evaluation over every
+    # scanned state, the spectral weights and the heat rows (as in
+    # tv_worst): 2.18 arrays at n = 256, one beyond DENSE_PEAK_ARRAYS in
+    # all.  One more n x n temporary would fail this
+    analysis = _swept_analysis()
+    assert _traced_peak(lambda: standard_sweep(analysis)) <= 2.5 * 8 * analysis.kernel.n**2
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("verify", ["--ell", "1,2,3,4", "--eps", "0.25,0.5,1.0"]),
+    ("analyze", []),
+    ("profile", []),
+], ids=["verify", "analyze", "profile"])
+def test_command_drops_the_custom_spec_matrix(tmp_path, command, flags):
+    # the parsed matrix is dropped once the kernel holds its own copy of P,
+    # so a command holds P, F, F^2 and the two arrays of a TV evaluation:
+    # 5.24-5.28 arrays at n = 256 traced around cli.main, one more with the
+    # matrix kept.  One more n x n array would fail this
+    n = 256
+    P = chains.random_reversible_kernel(n, np.random.default_rng(0)).P
+    np.savetxt(tmp_path / "custom.csv", P, fmt="%.17g", delimiter=",")
+    (tmp_path / "custom.spec").write_text("family=custom\nmatrix=custom.csv\n")
+    del P
+    argv = [command, "--spec", str(tmp_path / "custom.spec"), *flags,
+            "--out", str(tmp_path / "out.csv")]
+    codes = []
+    assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 5.5 * 8 * n**2
+    assert codes == [cli.EXIT_OK]
 
 
 def test_stationary_holds_one_array_beyond_P():

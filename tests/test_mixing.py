@@ -187,11 +187,12 @@ def test_tv_crossing_evaluation_count(monkeypatch):
 def test_log_scale_crossing_evaluation_count(kind, name, x, monkeypatch):
     # the linf and l2x profiles fall from about 1/pi_min = 1e254; on a linear
     # scale a root solve took 23-24 evaluations.  Every evaluation of the
-    # Newton solve is one call to _terms; name is the public evaluator
+    # Newton solve is one call to _row_sums; name is the public evaluator
     _, decomp, prof = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
-    terms = prof._terms
-    monkeypatch.setattr(prof, "_terms", lambda *a: calls.append(a) or terms(*a))
+    row_sums = prof._row_sums
+    monkeypatch.setattr(prof, "_row_sums",
+                        lambda *a, **k: calls.append(a) or row_sums(*a, **k))
     t = prof.mixing_time(kind, 0.5, x)
     assert 0 < len(calls) <= 12
     threshold = 0.25 if kind == "ave_l2" else 0.5
@@ -557,8 +558,9 @@ def test_l2x_time_independent_of_batch(monkeypatch):
     # every state alone on a fresh profile against all of them in one solve
     kernel, decomp, together = _profile(chains.dlp_spec(200, 0.5, 0.05))
     calls = []
-    terms = together._terms
-    monkeypatch.setattr(together, "_terms", lambda *a: calls.append(a) or terms(*a))
+    row_sums = together._row_sums
+    monkeypatch.setattr(together, "_row_sums",
+                        lambda *a, **k: calls.append(a) or row_sums(*a, **k))
     vec = together.l2_mixing_times(0.125)
     # one call per Newton step (5-6 here) and per crossing check (1);
     # one call per state and profile value would be thousands
