@@ -22,8 +22,9 @@ class ChainAnalysis:
     family) takes the character route, with no eigensolve, no inverse and
     no n x n array, not even P (`chains.CHARACTER_PEAK_VECTORS`); any
     other kernel the dense route, whose peak `chains.DENSE_PEAK_ARRAYS`
-    counts: P, F and F^2, which the analysis keeps, and the hitting
-    matrix while the hitting times are solved, which it does not."""
+    counts: P and F, which the analysis keeps, and the hitting matrix
+    while the hitting times are solved or one square of F while a moment
+    is formed, which it does not."""
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition

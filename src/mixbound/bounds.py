@@ -23,8 +23,8 @@ from .errors import BadEps, BadRange, CertificateMismatch
 from .mixing import _MAX, _TINY, hierarchy_check
 from .reports import BoundReport
 from .spectral import (_gamma_masses, gamma_window_mass, heat_moment_all,
-                       heat_moment_windowed_all, lower_gamma_regularized,
-                       spectral_moment)
+                       heat_moment_dots, heat_moment_windowed_all,
+                       lower_gamma_regularized, spectral_moment)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TRUNCATION_M = (1.0, 2.0, 5.0)
@@ -149,22 +149,24 @@ def relaxation_hitting_report(analysis: ChainAnalysis) -> BoundReport:
 def _head_window_reports(analysis: ChainAnalysis, states, M: float) -> list:
     """Worst-state report of each head-window order over states.
 
-    The gamma-mass weights depend on M only, so they are built once.  The
-    dots stay per state: one matrix-vector product rounds differently.
+    The gamma-mass weights depend on M only, so they are built once, and
+    every dot of the call comes from one `heat_moment_dots`.
     """
     if M <= 0:
         raise ValueError("M must be positive")
     decomp = analysis.decomp
     lam = decomp.lambdas[1:]
     window = M * decomp.t_rel
-    fsq = decomp.eigfuncs_sq[:, 1:]
-    reports = []
+    weights = []
     for k, full_w in enumerate((1.0 / lam, lam**-2.0)):
-        trunc_w = full_w * _gamma_masses(k + 1, window, lam)
+        weights += [full_w, full_w * _gamma_masses(k + 1, window, lam)]
+    dots = heat_moment_dots(decomp, states, weights)
+    pi = [float(decomp.pi[x]) for x in states]
+    reports = []
+    for k in range(2):
         factor = 1.0 / lower_gamma_regularized(k + 1, M)
-        full = [float(decomp.pi[x]) * float(fsq[x] @ full_w) for x in states]
-        trunc = [factor * (float(decomp.pi[x]) * float(fsq[x] @ trunc_w))
-                 for x in states]
+        full = [p * float(d) for p, d in zip(pi, dots[2 * k])]
+        trunc = [factor * (p * float(d)) for p, d in zip(pi, dots[2 * k + 1])]
         reports.append(_worst_report(f"head_window_order{k}", states, full, trunc,
                                      kernel=analysis.kernel.label, M=M))
     return reports

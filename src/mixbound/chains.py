@@ -49,13 +49,14 @@ _TINY = float(np.finfo(float).tiny)
 # matrix a block at a time, so each temporary holds BLOCK x n doubles.
 BLOCK = 32
 # Most n x n arrays of doubles the dense route of the exact layer holds at
-# once, P included: P, the eigenfunctions, their squares and the hitting
-# matrix while an analysis solves its hitting times, which `hit_times`
-# drops on return (pinned by tests/test_memory.py).  A command that sweeps
-# a balanced dense kernel holds one more: its TV evaluations over every
-# scanned state hold two row arrays beside P, the eigenfunctions and their
-# squares.  A kernel kept as its group's steps is refused by this count
-# only where its dense P is formed (`TransitionKernel.P`).
+# once, P included: P and the eigenfunctions, which an analysis keeps, and
+# at most two more, the hitting matrix and the GTH route's permuted copy
+# of P while an analysis solves its hitting times (`hit_times` drops them
+# on return), or one square of the eigenfunctions while a sweep reads it.
+# TV evaluations hold rows of BLOCK states (pinned by tests/test_memory.py).
+# The count stays at four where the traced peak is lower, as LAPACK's
+# workspace is not traced.  A kernel kept as its group's steps is refused
+# by this count only where its dense P is formed (`TransitionKernel.P`).
 DENSE_PEAK_ARRAYS = 4
 # Most arrays of n doubles a kernel kept as its group's steps holds at once
 # on the character route, no n x n array among them: about 90 plus the

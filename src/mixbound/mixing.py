@@ -3,7 +3,8 @@
 Profiles are evaluated spectrally.  The L2, L-infinity and average L2
 profiles are positive mixtures sum_{i>=2} w_i exp(-2 lambda_i t), which
 subtract nothing and so keep their relative accuracy however small they
-get.  The heat rows of a set of states come from one product per t.
+get.  The heat rows of a set of states come from one product per t and
+chains.BLOCK states.
 When pi is too unbalanced for the spectral reconstruction they are rows
 of H(t) = exp(-tL), with L the `spectral.laplacian`, on a dyadic ladder
 of uniformized factors (Jensen 1953): with q the largest diagonal entry
@@ -38,7 +39,8 @@ from .chains import (DENSE_PEAK_ARRAYS, TransitionKernel, _check_states,
                      check_dense_fits, index_blocks)
 from .errors import BadEps, NumericalFailure
 from .reports import BoundReport
-from .spectral import SpectralDecomposition, _check_time, _heat_rows, laplacian
+from .spectral import (SpectralDecomposition, _check_time, _heat_rows,
+                       _squared_rows, laplacian)
 
 KINDS = ("linf", "l2x", "tv", "ave_l2")
 
@@ -132,40 +134,42 @@ class MixingProfile:
         (ave_l2) or, for linf, at one t, the worst of the scanned states.
         Every evaluator and crossing solve sums here, so a crossing meets
         its threshold exactly.  The terms are formed chains.BLOCK rows at a
-        time in C order, so a row sums alike beside any rows (eigfuncs_sq
-        is F-ordered) and no n x n array is formed; at one t the
-        exponentials are taken once."""
+        time, as fresh C-ordered rows from `spectral._squared_rows`, so a
+        row sums alike beside any rows and no n x n array is formed; at
+        one t the exponentials are taken once."""
         lam2 = 2.0 * self.decomp.lambdas[1:]
-        weights = self.decomp.eigfuncs_sq[:, 1:]
-        if kind == "l2x":
-            xs = np.asarray(xs)
-            count = len(xs)
-        elif kind == "ave_l2":
-            weights, count = np.ones((1, lam2.size)), 1
+        if kind == "ave_l2":
+            xs = None
         else:  # linf: state 0 stands for every state of a transitive kernel
-            count = len(self.kernel.scan_states)
+            xs = np.asarray(xs if kind == "l2x" else self.kernel.scan_states)
+        count = 1 if xs is None else len(xs)
         g = np.empty(count)
         s = np.empty(count) if slopes and kind != "linf" else None
         per_row = np.ndim(t) > 0
+
+        def terms(rows, decay):  # a row of ave_l2's weights is ones
+            if xs is None:
+                return np.array(np.broadcast_to(decay, (1, lam2.size)))
+            return _squared_rows(self.decomp, xs[rows], decay)
+
         with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
             if not per_row:
                 decay = np.exp(-lam2 * t)
             for block in index_blocks(count):
                 if per_row:
                     decay = np.exp(-lam2 * t[block, None])
-                terms = np.multiply(weights[xs[block] if kind == "l2x" else block],
-                                    decay, order="C")
-                g[block] = terms.sum(axis=1)
+                block_terms = terms(block, decay)
+                g[block] = block_terms.sum(axis=1)
                 if s is not None:
-                    terms *= lam2
-                    s[block] = terms.sum(axis=1)
+                    block_terms *= lam2
+                    s[block] = block_terms.sum(axis=1)
         if kind == "linf":  # the worst row; its slope from its terms alone
             top = [g.argmax()]
             g = g[top]
             if slopes:
-                terms = np.multiply(weights[top], decay, order="C")
-                terms *= lam2
-                s = terms.sum(axis=1)
+                block_terms = terms(top, decay)
+                block_terms *= lam2
+                s = block_terms.sum(axis=1)
         return g, s
 
     def tv_distance(self, x: int, t: float) -> float:
@@ -178,11 +182,16 @@ class MixingProfile:
 
     def _l1_distances(self, t: float, xs) -> np.ndarray:
         """L1 distances sum_y |H_t(x,y) - pi(y)| of the states x of the
-        sequence xs, formed in their rows: spectral rows when pi is
-        balanced, else rows of the heat ladder (`_ladder_rows`)."""
-        rows = (_heat_rows(self.decomp, xs, t) if self._balanced
-                else self._ladder_rows(t, xs))
-        return _l1_from(rows, self.decomp.pi)
+        sequence xs, formed in their rows: spectral rows of chains.BLOCK
+        states at a time when pi is balanced, so no n x n array is held,
+        else rows of the heat ladder (`_ladder_rows`), all at once."""
+        if not self._balanced:
+            return _l1_from(self._ladder_rows(t, xs), self.decomp.pi)
+        xs = np.asarray(xs)
+        dist = np.empty(len(xs))
+        for block in index_blocks(len(xs)):
+            dist[block] = _l1_from(_heat_rows(self.decomp, xs[block], t), self.decomp.pi)
+        return dist
 
     def _ladder_rows(self, t: float, xs) -> np.ndarray:
         """Rows xs of H(t) = exp(-tL) on the dyadic ladder, len(xs) x n.

@@ -22,16 +22,16 @@ are eigenfunctions of every such walk (Diaconis 1988, ch. 3).  There
 `character_decompose` reads the spectrum off the group's symbol, with no
 eigensolve: lambda(k) = (1/d) sum_i 2 sin^2(pi k_i/m) for the steps
 +-e_i, and n/(n-1) for every k != 0 on the complete graph.  Every
-|chi_k|^2 is 1, so eigfuncs_sq is a view of ones, and a heat row is one
-inverse FFT of exp(-lambda t) over the group.  The dense eigenvectors,
-and the n x n arrays counted in `chains.DENSE_PEAK_ARRAYS`, belong to the
-dense route only.
+|chi_k|^2 is 1, so a heat diagonal is the same at every state, and a
+heat row is one inverse FFT of exp(-lambda t) over the group.  The dense
+eigenvectors, and the n x n arrays counted in `chains.DENSE_PEAK_ARRAYS`,
+belong to the dense route only.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -122,18 +122,20 @@ def symmetrized_rows(kernel: TransitionKernel, rows: slice) -> np.ndarray:
 class SpectralDecomposition:
     """Eigenvalues of I - P and pi-orthonormal eigenfunctions (as columns).
 
-    ``eigfuncs[:, i]`` is f_i with the first nonzero entry positive;
-    ``eigfuncs_sq`` caches the squares because every heat-kernel diagonal
-    evaluation consumes them.  On the character route eigfuncs is None,
-    eigfuncs_sq is a read-only view of ones and symbol holds lambda(k)
-    over the group's shape; the dense route has no symbol.
+    ``eigfuncs[:, i]`` is f_i with the first nonzero entry positive.  On
+    the character route eigfuncs is None and symbol holds lambda(k) over
+    the group's shape; the dense route has no symbol.  The squares f_i^2
+    are not held: the functions of this module that read them form them
+    in the layout they read.  The moment vectors are kept once formed,
+    read-only, in a memo that repr and == leave out.
     """
 
     lambdas: np.ndarray
     eigfuncs: np.ndarray | None
-    eigfuncs_sq: np.ndarray
     pi: np.ndarray
     symbol: np.ndarray | None = None
+    _moments: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     @property
     def route(self) -> str:
@@ -169,11 +171,12 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     top eigenvalue.
 
     At its peak it holds three n x n arrays of doubles, P included: P, S
-    and the eigenvectors while `eigh` overwrites S, then P, F and F^2.
-    Every other step works on `index_blocks` of rows or columns.  P, F
-    and F^2 stay live as long as the analysis: with the two row arrays of
-    a TV evaluation over every scanned state they are the five arrays a
-    dense `verify` holds at its peak.  These counts, and
+    and the eigenvectors while `eigh` overwrites S.  Every other step
+    works on `index_blocks` of rows or columns, and it returns holding P
+    and F, which stay live as long as the analysis.  A moment vector or a
+    head-window dot forms one square of F beside them, and a TV
+    evaluation holds rows of `chains.BLOCK` states, so a dense `verify`
+    peaks at P, F and one array more.  These counts, and
     `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
     `character_decompose` holds no n x n array.
     """
@@ -228,16 +231,16 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     if ortho > _ORTHO_FAIL:
         raise NumericalFailure(f"orthonormality residual {ortho:.3e} exceeds 1e-6")
 
-    return SpectralDecomposition(lambdas=w, eigfuncs=F, eigfuncs_sq=F**2,
-                                 pi=kernel.pi.copy())
+    return SpectralDecomposition(lambdas=w, eigfuncs=F, pi=kernel.pi.copy())
 
 
 def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     """The spectrum of a kernel with a group, from the group's symbol.
 
-    lambdas is the symbol sorted, eigfuncs_sq a read-only view of ones
-    that costs no memory, and there are no eigfuncs.  The contract is an
-    eigen-residual on at most 16 sampled characters,
+    lambdas is the symbol sorted, and there are no eigfuncs: every
+    |chi_k|^2 is 1, which `_squares` reads as a view of ones that costs
+    no memory.  The contract is an eigen-residual on at most 16 sampled
+    characters,
     ||P chi_k - (1 - lambda_k) chi_k||_inf <= 1e-10 * n with P chi_k from
     `TransitionKernel.apply`, which also catches steps whose spectrum is
     not the group's symbol; it raises NumericalFailure.  It holds O(n)
@@ -259,7 +262,6 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
         raise NumericalFailure(f"character eigen-residual {resid:.3e} > 1e-10*n: "
                                f"the steps of the group {shape} do not match its symbol")
     return SpectralDecomposition(lambdas=np.sort(symbol, axis=None), eigfuncs=None,
-                                 eigfuncs_sq=np.broadcast_to(1.0, (n, n)),
                                  pi=kernel.pi.copy(), symbol=symbol)
 
 
@@ -321,7 +323,7 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
     if x is None:
         return _diagonal(decomp, decay)
     (x,) = _check_states("heat_diag_ratio", "x", (x,), decomp.n)
-    return float(decomp.eigfuncs_sq[x] @ decay)
+    return float(_squared_rows(decomp, [x], decay).sum())
 
 
 def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
@@ -473,30 +475,93 @@ def spectral_moment(decomp: SpectralDecomposition, ell: int) -> float:
 def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
     """Vector over x of int_0^inf s^{ell-1} (H_s(x,x)-pi(x)) / ((ell-1)! pi(x)) ds.
 
-    Closed form: sum_{i>=2} f_i(x)^2 / lambda_i^ell.
+    Closed form: sum_{i>=2} f_i(x)^2 / lambda_i^ell.  Formed once per
+    decomposition and order, and read-only (`_keep_moments`).
     """
-    weights = _moment_weights(decomp, ell)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_moments(_diagonal(decomp, weights), ell)
+    key = ("full", ell)
+    if key not in decomp._moments:
+        weights = _moment_weights(decomp, ell)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _keep_moments(decomp, key, _diagonal(decomp, weights))
+    return decomp._moments[key]
 
 
 def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
-    """Same integrals truncated at 2*ell*t_rel, via the regularized gamma."""
-    weights = _moment_weights(decomp, ell)
-    masses = _gamma_masses(ell, 2.0 * ell * decomp.t_rel, decomp.lambdas[1:])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _finite_moments(_diagonal(decomp, weights * masses), ell)
+    """Same integrals truncated at 2*ell*t_rel, via the regularized gamma;
+    formed once per decomposition and order, and read-only."""
+    key = ("windowed", ell)
+    if key not in decomp._moments:
+        weights = _moment_weights(decomp, ell)
+        masses = _gamma_masses(ell, 2.0 * ell * decomp.t_rel, decomp.lambdas[1:])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _keep_moments(decomp, key, _diagonal(decomp, weights * masses))
+    return decomp._moments[key]
+
+
+def _keep_moments(decomp: SpectralDecomposition, key, moments: np.ndarray) -> None:
+    """Keep a moment vector read-only in the decomposition's memo under
+    key = (kind, ell); one that overflowed is refused (`_finite_moments`)
+    and not kept."""
+    _finite_moments(moments, key[1]).flags.writeable = False
+    decomp._moments[key] = moments
+
+
+def heat_moment_dots(decomp: SpectralDecomposition, states,
+                     weights) -> np.ndarray:
+    """sum_{i>=2} f_i(x)^2 w_i for each weight vector w of weights (rows)
+    and each state x of states, as a len(weights) x len(states) array.
+
+    One square of the eigenfunctions, F-ordered like F, serves every dot
+    of the call.  The dots are taken one state at a time, each a row of
+    that square against w: one matrix-vector product over the states
+    rounds differently.
+    """
+    fsq = _squares(decomp, 1)
+    dots = np.empty((len(weights), len(states)))
+    for i, w in enumerate(weights):
+        for j, x in enumerate(states):
+            dots[i, j] = fsq[x] @ w
+    return dots
 
 
 def _diagonal(decomp: SpectralDecomposition, weights: np.ndarray) -> np.ndarray:
     """The vector over x of sum_i f_i(x)^2 weights[i] over the last
-    len(weights) eigenfunctions, as eigfuncs_sq @ weights.  On the
-    character route every state has the same heat diagonal, so row 0's
-    sum, from the same product on one row, is repeated over the states."""
-    fsq = decomp.eigfuncs_sq[:, decomp.n - weights.size:]
+    len(weights) eigenfunctions, as one product of their squares with
+    weights.  On the character route every state has the same heat
+    diagonal, so row 0's sum, from the same product on one row, is
+    repeated over the states."""
+    fsq = _squares(decomp, decomp.n - weights.size)
     if decomp.route == "character":
         return np.repeat(fsq[:1] @ weights, decomp.n)
     return fsq @ weights
+
+
+def _squares(decomp: SpectralDecomposition, first: int) -> np.ndarray:
+    """f_i(x)^2 over every state x and the eigenfunctions from index first
+    on, n x (n - first): a fresh F-ordered array on the dense route, laid
+    out like F, and a read-only view of ones on the character route,
+    where every |chi_k|^2 is 1."""
+    if decomp.eigfuncs is None:
+        return np.broadcast_to(1.0, (decomp.n, decomp.n - first))
+    return np.square(decomp.eigfuncs[:, first:])
+
+
+def _squared_rows(decomp: SpectralDecomposition, xs, decay: np.ndarray) -> np.ndarray:
+    """The terms f_i(x)^2 decay_i over the last decay.shape[-1]
+    eigenfunctions, one row per state x of xs, as a fresh C-ordered
+    array; decay is one row, or one per state.
+
+    The rows of F are gathered, squared in place and scaled by decay in
+    place, so a row's terms and its sums do not depend on the rows beside
+    it.  On the character route every |chi_k|^2 is 1, and the rows are
+    decay itself."""
+    shape = (len(xs), decay.shape[-1])
+    if decomp.eigfuncs is None:
+        return np.array(np.broadcast_to(decay, shape))
+    terms = decomp.eigfuncs[np.asarray(xs), decomp.n - shape[1]:]
+    np.square(terms, out=terms)
+    terms *= decay
+    return terms
 
 
 def _gamma_masses(ell: int, window: float, lam: np.ndarray) -> np.ndarray:

@@ -133,7 +133,7 @@ def _head_window_reference(analysis, x, M):
     the per-state reference truncation_factor_worst must match exactly."""
     decomp = analysis.decomp
     lam = decomp.lambdas[1:]
-    fsq = decomp.eigfuncs_sq[x, 1:]
+    fsq = np.square(decomp.eigfuncs)[x, 1:]
     pi_x = float(decomp.pi[x])
     window = M * decomp.t_rel
     ctx = {"kernel": analysis.kernel.label, "x": x, "M": M}
@@ -188,6 +188,26 @@ def test_window_factor_worst_matches_per_state_reference(make):
             assert bounds.moment_bound_reports(analysis, ell, eps)[1] == l2x
 
 
+def test_sweep_forms_each_moment_vector_once(monkeypatch):
+    # a default sweep reads the full and windowed moments of orders 1-4,
+    # each formed once per decomposition and kept read-only: 8 products of
+    # the squared eigenfunctions, where forming them per read made 27
+    analysis = ChainAnalysis.from_kernel(
+        chains.random_reversible_kernel(40, np.random.default_rng(11)))
+    products = []
+    diagonal = spectral._diagonal
+    monkeypatch.setattr(spectral, "_diagonal",
+                        lambda d, w: products.append(w.size) or diagonal(d, w))
+    bounds.standard_sweep(analysis)
+    assert len(products) <= 8
+    for moments in (spectral.heat_moment_all, spectral.heat_moment_windowed_all):
+        sigma = moments(analysis.decomp, 2)
+        assert moments(analysis.decomp, 2) is sigma and not sigma.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            sigma[0] = 0.0
+    assert len(products) <= 8 and "_moments" not in repr(analysis.decomp)
+
+
 def test_printed_order1_window_constant_is_false(complete4):
     """Counterexample freeze: the (1 - e^{-M})^{-2} factor fails whenever
     the whole spectrum sits at a single rate; the sharp constant is
@@ -195,7 +215,7 @@ def test_printed_order1_window_constant_is_false(complete4):
     reintroduced."""
     decomp = complete4.decomp
     lam = decomp.lambdas[1:]
-    fsq = decomp.eigfuncs_sq[0, 1:]
+    fsq = np.ones(lam.size)  # every |chi_k|^2 is 1
     for M in (1.0, 2.0, 5.0):
         window = M * decomp.t_rel
         full = float(fsq @ lam**-2.0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbound import chains
+from mixbound import chains, spectral
 from mixbound.analysis import ChainAnalysis, DenseAnalysis
 from mixbound.bounds import standard_sweep
 from mixbound.errors import InvalidSpec, NumericalFailure
@@ -133,9 +133,12 @@ def test_only_the_built_in_transitive_families_carry_a_group():
     assert ChainAnalysis.from_kernel(dlp).decomp.route == "dense"
 
 
-def test_eigfuncs_sq_is_a_view_of_ones():
+def test_character_squares_are_a_view_of_ones():
+    # the decomposition holds no eigenfunction array; the squares the
+    # moment sums read are a read-only view that costs no memory
     decomp = ChainAnalysis.from_spec(chains.torus_spec(2, 32)).decomp
-    fsq = decomp.eigfuncs_sq
+    assert decomp.eigfuncs is None
+    fsq = spectral._squares(decomp, 0)
     assert fsq.shape == (1024, 1024) and fsq.strides == (0, 0)
     assert not fsq.flags.writeable and np.all(fsq == 1.0)
 

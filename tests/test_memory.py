@@ -21,8 +21,8 @@ from mixbound.spectral import decompose
 
 
 def _reference(kernel):
-    """(lambdas, eigfuncs, eigfuncs_sq, hit_matrix, t_pi_to) formed one
-    whole n x n array per step, with no block and no in-place update."""
+    """(lambdas, eigfuncs, hit_matrix, t_pi_to) formed one whole n x n
+    array per step, with no block and no in-place update."""
     P, pi, n = kernel.P, kernel.pi, kernel.n
     L = np.eye(n) - P
     slow = np.flatnonzero(np.diagonal(P) > 0.5)
@@ -41,7 +41,7 @@ def _reference(kernel):
     N = scipy.linalg.inv(S + np.outer(q, q))
     hit = np.diag(N)[None, :] / pi[None, :] - N / np.outer(q, q)
     np.fill_diagonal(hit, 0.0)
-    return w, F, F**2, hit, pi @ hit
+    return w, F, hit, pi @ hit
 
 
 def _lazy(kernel):
@@ -62,11 +62,10 @@ _RANDOM = chains.random_reversible_kernel(100, np.random.default_rng(0))
     _lazy(_RANDOM),
 ], ids=lambda k: k.label)
 def test_exact_layer_bit_identical_to_whole_array_formulas(kernel):
-    w, F, F2, hit, t_pi_to = _reference(kernel)
+    w, F, hit, t_pi_to = _reference(kernel)
     d, h = decompose(kernel), hit_times(kernel)
     assert np.array_equal(d.lambdas, w)
     assert np.array_equal(d.eigfuncs, F)
-    assert np.array_equal(d.eigfuncs_sq, F2)
     assert h.route == "spectral"
     assert np.array_equal(h.hit_matrix, hit)
     assert np.array_equal(h.t_pi_to, t_pi_to)
@@ -84,16 +83,19 @@ def _traced_peak(f) -> int:
 
 
 def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
-    # P is live before tracing starts; the BLOCK-row temporaries add about
-    # half an array at n = 256, so one more n x n temporary would fail this.
-    # The kernel has no group, so the analysis takes the dense route
+    # P is live before tracing starts and counts in DENSE_PEAK_ARRAYS: F and
+    # the hitting matrix, with the BLOCK-row temporaries, read 2.62 arrays
+    # beyond it at n = 256 (3.62 with F^2 kept), so one more n x n temporary
+    # would fail this.  The kernel has no group, so the analysis takes the
+    # dense route
     kernel = chains.random_reversible_kernel(256, np.random.default_rng(0))
 
     def analysis_with_hitting():
         analysis = ChainAnalysis.from_kernel(kernel)
         assert analysis.decomp.route == "dense" and analysis.hitting.route == "spectral"
 
-    assert _traced_peak(analysis_with_hitting) <= chains.DENSE_PEAK_ARRAYS * 8 * kernel.n**2
+    array = 8 * kernel.n**2
+    assert _traced_peak(analysis_with_hitting) + array <= chains.DENSE_PEAK_ARRAYS * array
 
 
 def _shuffled_dlp(n):
@@ -129,7 +131,7 @@ def test_hit_times_returns_with_no_n_by_n_array_live(kernel, route):
 
 def _swept_analysis():
     """The dense analysis of random_reversible_kernel(256) with its hitting
-    times solved: P, F and F^2 are live."""
+    times solved: P and F are live."""
     analysis = ChainAnalysis.from_kernel(
         chains.random_reversible_kernel(256, np.random.default_rng(0)))
     assert analysis.hitting.route == "spectral"
@@ -149,13 +151,13 @@ def test_spectral_crossings_form_no_n_by_n_array(evaluate):
     assert _traced_peak(lambda: evaluate(analysis.profile)) < 8 * analysis.kernel.n**2
 
 
-def test_sweep_holds_two_row_arrays_beyond_the_analysis():
-    # beside P, F and F^2 the sweep's peak is one TV evaluation over every
-    # scanned state, the spectral weights and the heat rows (as in
-    # tv_worst): 2.18 arrays at n = 256, one beyond DENSE_PEAK_ARRAYS in
-    # all.  One more n x n temporary would fail this
+def test_sweep_holds_one_square_beyond_the_analysis():
+    # beside P and F the sweep's peak is one square of F, formed for a
+    # moment vector or the head-window dots, and the BLOCK-row temporaries:
+    # 1.14 arrays at n = 256 (2.18 with F^2 kept and the TV rows of every
+    # scanned state at once).  One more n x n temporary would fail this
     analysis = _swept_analysis()
-    assert _traced_peak(lambda: standard_sweep(analysis)) <= 2.5 * 8 * analysis.kernel.n**2
+    assert _traced_peak(lambda: standard_sweep(analysis)) <= 1.5 * 8 * analysis.kernel.n**2
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -165,9 +167,10 @@ def test_sweep_holds_two_row_arrays_beyond_the_analysis():
 ], ids=["verify", "analyze", "profile"])
 def test_command_drops_the_custom_spec_matrix(tmp_path, command, flags):
     # the parsed matrix is dropped once the kernel holds its own copy of P,
-    # so a command holds P, F, F^2 and the two arrays of a TV evaluation:
-    # 5.24-5.28 arrays at n = 256 traced around cli.main, one more with the
-    # matrix kept.  One more n x n array would fail this
+    # so a command holds P, F and the hitting matrix or one square of F:
+    # 3.27-3.75 arrays at n = 256 traced around cli.main, within
+    # DENSE_PEAK_ARRAYS (5.26-5.32 with F^2 kept and the TV rows of every
+    # state at once).  One more n x n array would fail this
     n = 256
     P = chains.random_reversible_kernel(n, np.random.default_rng(0)).P
     np.savetxt(tmp_path / "custom.csv", P, fmt="%.17g", delimiter=",")
@@ -176,7 +179,7 @@ def test_command_drops_the_custom_spec_matrix(tmp_path, command, flags):
     argv = [command, "--spec", str(tmp_path / "custom.spec"), *flags,
             "--out", str(tmp_path / "out.csv")]
     codes = []
-    assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 5.5 * 8 * n**2
+    assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 4.0 * 8 * n**2
     assert codes == [cli.EXIT_OK]
 
 
@@ -198,7 +201,7 @@ def test_gth_route_holds_two_arrays_beyond_P():
 
 def test_character_route_holds_order_n_doubles():
     # a kernel kept as its steps is built, certified, analysed, its hitting
-    # times solved and swept without any n x n array: eigfuncs_sq is a view
+    # times solved and swept without any n x n array: its squares are a view
     # of ones, the heat diagonals come from one row and P is never formed.
     # At n = 4096 one n x n array is 32 times the pin
     spec, n = chains.torus_spec(2, 64), 4096
@@ -216,23 +219,24 @@ def test_character_route_holds_order_n_doubles():
 
 
 def test_tv_worst_holds_two_row_arrays():
-    # the spectral weights and the heat rows, n x n each when every state
-    # is scanned; the L1 distances are formed in the heat rows
+    # the spectral weights and the heat rows of BLOCK states, whose L1
+    # distances are formed in the heat rows: 0.39 arrays at n = 256, where
+    # the rows of every scanned state at once read 2.13
     kernel = chains.random_reversible_kernel(256, np.random.default_rng(1))
     profile = MixingProfile(kernel, decompose(kernel))
     assert profile._balanced and len(kernel.scan_states) == kernel.n
     peak = _traced_peak(lambda: profile.tv_worst(1.0))
-    assert peak <= 2.5 * 8 * kernel.n**2
+    assert peak <= 0.5 * 8 * kernel.n**2
 
 
 def test_tv_crossing_holds_two_row_arrays():
     # every row is evaluated once, at the relaxation bound, as in tv_worst;
-    # later evaluations hold the rows still above 2 eps or one row: 2.14
-    # arrays at n = 256
+    # later evaluations hold the rows still above 2 eps or one row, BLOCK
+    # states at a time: 0.40 arrays at n = 256 (2.14 with every row at once)
     kernel = chains.random_reversible_kernel(256, np.random.default_rng(1))
     profile = MixingProfile(kernel, decompose(kernel))
     peak = _traced_peak(lambda: profile.mixing_time("tv", 0.25))
-    assert peak <= 2.5 * 8 * kernel.n**2
+    assert peak <= 0.5 * 8 * kernel.n**2
 
 
 def test_ladder_row_holds_order_n_doubles():
@@ -264,7 +268,7 @@ def _dense_drifted_kernel(n):
 def _ladder_crossings_peak(kernel):
     """(traced peak, profile) of three TV crossings on a new profile, then
     every row at t_settled, which builds every rung up to the top bit of
-    floor(t_settled / h).  F and F^2 are live before tracing starts, so
+    floor(t_settled / h).  F is live before tracing starts, so
     the ladder's own arrays bound the peak; P_u^T is formed under the
     trace."""
     decomp = decompose(kernel)

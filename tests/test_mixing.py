@@ -409,16 +409,29 @@ def test_tv_crossing_at_zero():
 
 def test_tv_crossings_evaluate_few_row_sets(monkeypatch):
     # Brent on the maximum over the rows evaluated all 400 rows 31 times for
-    # these three crossings; the row solve evaluates more than one row 8 times
+    # these three crossings; the row solve evaluates more than one row at 8
+    # distinct times, the first time every row.  Each evaluation forms its
+    # rows chains.BLOCK states at a time, so a per-state loop fails this
     kernel = chains.random_reversible_kernel(400, np.random.default_rng(0))
     prof = mixing.MixingProfile(kernel, spectral.decompose(kernel))
-    sizes = []
-    row = spectral._heat_rows
+    evaluations, products = [], []  # (t, rows); rows of each _heat_rows call
+    row, l1 = spectral._heat_rows, prof._l1_distances
+
+    def counted_l1(t, xs):
+        before = len(products)
+        dist = l1(t, xs)
+        evaluations.append((t, list(xs)))
+        assert sum(products[before:], []) == list(xs)
+        assert len(products) - before == math.ceil(len(xs) / chains.BLOCK)
+        return dist
+
     monkeypatch.setattr(mixing, "_heat_rows",
-                        lambda d, xs, t: sizes.append(len(xs)) or row(d, xs, t))
+                        lambda d, xs, t: products.append(list(xs)) or row(d, xs, t))
+    monkeypatch.setattr(prof, "_l1_distances", counted_l1)
     for eps in (0.125, 0.25, 0.5):
         prof.mixing_time("tv", eps)
-    assert sum(size > 1 for size in sizes) <= 9
+    assert evaluations[0][1] == list(range(kernel.n))
+    assert 1 <= len({t for t, xs in evaluations if len(xs) > 1}) <= 9
 
 
 def test_one_state_tv_crossings_keep_their_bits():
@@ -482,15 +495,20 @@ def test_tv_worst_matches_scan_on_nontransitive():
 
 
 def test_tv_worst_balanced_one_row_product_per_t(monkeypatch):
+    # every row once per t, from one product per chains.BLOCK states: two
+    # products for 40 states, where a per-state loop would make 40
     prof = _random40_profile()
     assert prof._balanced and not prof.kernel.transitive
     calls = []
     row = spectral._heat_rows
     monkeypatch.setattr(mixing, "_heat_rows",
-                        lambda *a: calls.append(a) or row(*a))
+                        lambda d, xs, t: calls.append((t, list(xs))) or row(d, xs, t))
+    n = prof.kernel.n
     for t in (0.5, 2.0):
         prof.tv_worst(t)
-    assert len(calls) == 2
+        assert [s for s, _ in calls] == [t] * math.ceil(n / chains.BLOCK)
+        assert sorted(sum((xs for _, xs in calls), [])) == list(range(n))
+        calls.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +544,7 @@ def test_distance_hierarchy_pointwise():
 
 def test_worst_l2_is_linf_at_double_time_bit_for_bit():
     # `profile` reads d2_max as linf_distance(2t) ** 0.5, so a row's sum may
-    # not depend on the rows summed beside it (eigfuncs_sq is F-ordered)
+    # not depend on the rows summed beside it (F is F-ordered)
     kernels = [chains.build_family(chains.dlp_spec(100, 0.5, 0.05)),
                chains.build_family(chains.torus_spec(2, 8)),
                chains.random_reversible_kernel(150, np.random.default_rng(5))]
@@ -569,6 +587,24 @@ def test_l2x_time_independent_of_batch(monkeypatch):
     for x in range(kernel.n):
         assert alone.mixing_time("l2x", 0.125, x=x) == vec[x], x
         assert alone.l2_distance(x, vec[x]) <= 0.125
+
+
+@pytest.mark.xfail(raises=NumericalFailure, strict=True, reason="ROADMAP loose end: "
+                   "the Newton stop is below the rounding floor of t")
+def test_worst_l2_time_at_the_rounding_floor_of_t():
+    # at eps = 1e-5 the crossing lies near t = 1277.33, about 360 t_rel, where
+    # the iterate oscillates by about 3e-11 while a row leaves only once its
+    # step is within 1e-13 t_rel = 3.5e-13, under two ulp of t
+    kernel, decomp, prof = _profile(chains.dlp_spec(241, 0.5, 0.05))
+    t = prof.worst_l2_mixing_time(1e-5)
+    worst = lambda s: max(prof.l2_distance_sq(x, s) for x in range(kernel.n))
+    lo, hi = 0.0, decomp.t_rel
+    while worst(hi) > 1e-10:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-11 * decomp.t_rel:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if worst(mid) > 1e-10 else (lo, mid)
+    assert abs(t - hi) <= 1e-9 * decomp.t_rel
 
 
 def _cycle_excess_crossing(lams, eps_sq, factor):
