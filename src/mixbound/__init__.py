@@ -2,17 +2,21 @@
 reversible Markov chains, inequality verification against closed-form
 bounds, and critical branching random walk experiments.
 
+The exact layer needs numpy alone: no module imports scipy when it is
+imported, and only the BRW experiments load it, inside `brw`, for the
+two dense solves whose bits the benchmark gate pins.
+
 Importing the package sets ``OPENBLAS_THREAD_TIMEOUT`` to
 ``OPENBLAS_THREAD_TIMEOUT_DEFAULT`` unless the variable is already set;
-an explicit value wins.  numpy and scipy each load their own OpenBLAS
-copy, and after every BLAS call each copy's idle worker threads spin for
-about 2^28 cycles (OpenBLAS's default) before they sleep, so on a small
-host the Python thread shares its cores with up to two spinning workers.
-The shorter timeout lets them sleep at once.  It changes neither the
-thread count nor how BLAS splits its work, so no result depends on it
-bit for bit.  OpenBLAS reads the variable once, when it loads: the
-default has no effect in a process that imported numpy (or scipy)
-before mixbound.
+an explicit value wins.  numpy loads its own OpenBLAS copy, and scipy,
+where `brw` loads it, another; after every BLAS call each copy's idle
+worker threads spin for about 2^28 cycles (OpenBLAS's default) before
+they sleep, so on a small host the Python thread shares its cores with
+spinning workers.  The shorter timeout lets them sleep at once.  It
+changes neither the thread count nor how BLAS splits its work, so no
+result depends on it bit for bit.  OpenBLAS reads the variable once,
+when it loads: the default has no effect in a process that imported
+numpy (or scipy) before mixbound.
 """
 
 import os

@@ -22,9 +22,9 @@ class ChainAnalysis:
     family) takes the character route, with no eigensolve, no inverse and
     no n x n array, not even P (`chains.CHARACTER_PEAK_VECTORS`); any
     other kernel the dense route, whose peak `chains.DENSE_PEAK_ARRAYS`
-    counts: P and F, which the analysis keeps, and the hitting matrix
-    while the hitting times are solved or one square of F while a moment
-    is formed, which it does not."""
+    counts: P and F, which the analysis keeps, and numpy's eigh or inv
+    with their copies and workspaces while F or the hitting times are
+    solved, or one square of F while a moment is formed."""
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition
@@ -67,17 +67,3 @@ class ChainAnalysis:
         out["t_mix_ave_l2"] = p.mixing_time("ave_l2", 0.5)
         return out
 
-
-class DenseAnalysis(ChainAnalysis):
-    """A ChainAnalysis on the dense route whatever the kernel's structure.
-
-    BRW reads gamma, the time cap and the argmax(t_pi_to) hit target from
-    its analysis, and its gate pins the estimates bit for bit, so it keeps
-    the dense bits until ROADMAP items 1(b) and 1(e) take them from the
-    group; those items delete this class."""
-
-    @classmethod
-    def from_kernel(cls, kernel: TransitionKernel) -> "DenseAnalysis":
-        decomp = decompose(kernel)
-        return cls(kernel=kernel, decomp=decomp,
-                   profile=MixingProfile(kernel, decomp))

@@ -11,7 +11,10 @@ Default gamma is the spectral gap of the kernel, the critical regime in
 which the population grows by a constant factor every relaxation time.
 The default time cap is 50 t_rel log(1 + T/t_rel) with T = sum_{i>=2}
 1/lambda_i + max_y E_pi[T_y], a bound on t_hit by the triangle inequality
-for hitting times, read from the spectral decomposition alone.
+for hitting times, read from the spectral decomposition alone.  The gap,
+and the t_rel, Q and hit target of `experiment`, come from scipy's dense
+solves (`_gate_solves`), whose bits the benchmark gate pins; everything
+else comes from `analysis.ChainAnalysis`, which needs numpy alone.
 
 A hit and an intersection are one race, run by one engine: a branching
 cloud against the set another cloud has visited, which for a hit is the
@@ -55,10 +58,11 @@ from random import Random
 
 import numpy as np
 
-from .analysis import ChainAnalysis, DenseAnalysis
+from .analysis import ChainAnalysis
 from .chains import TransitionKernel, _check_states, build_family
 from .errors import AllCensored, InvalidSpec
-from .spectral import (SpectralDecomposition, decompose, heat_moment_all,
+from .hitting import hit_times
+from .spectral import (SpectralDecomposition, _eigensolve, heat_moment_all,
                        heat_moment_windowed_all, spectral_moment)
 
 _MASK = 0xFFFFFFFFFFFFFFFF
@@ -124,11 +128,42 @@ def _cum_row(weights: np.ndarray) -> tuple[list, list]:
     return nz.tolist(), cum.tolist()
 
 
+def _gate_solves(kernel: TransitionKernel, hit: bool = False) -> tuple:
+    """(lambdas, t_pi_to): the two reads of the kernel whose bits the BRW
+    gate pins, from scipy's dense solves.
+
+    lambdas are the eigenvalues of I - P from the in-place evr solve of
+    `spectral._eigensolve`, its eigenvectors dropped after the
+    backward-error check; gamma, t_rel and Q are read from them.  With
+    hit, t_pi_to is that of `hitting.hit_times` with scipy's inv in its
+    spectral route, and picks the hit target; else it is None.  scipy is
+    imported here alone, so no command but brw loads it.
+    """
+    import scipy.linalg
+    lambdas = _eigensolve(kernel, lambda S: scipy.linalg.eigh(S.T, overwrite_a=True))[0]
+    if not hit:
+        return lambdas, None
+    # A is exactly symmetric, so its transpose, a Fortran-ordered view, is
+    # the same matrix: inv overwrites it, and the transpose of the result
+    # is C-ordered again
+    summary = hit_times(kernel, inv=lambda A: scipy.linalg.inv(A.T, overwrite_a=True).T)
+    return lambdas, summary.t_pi_to
+
+
+def _default_gamma(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
+    """cfg with gamma defaulting to the spectral gap of `_gate_solves`."""
+    if cfg.gamma is not None:
+        return cfg
+    return replace(cfg, gamma=float(_gate_solves(kernel)[0][1]))
+
+
 def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
     """cfg with gamma defaulting to the spectral gap and max_time to
     50 * t_rel * log(1 + T / t_rel).  T = sum_{i>=2} 1/lambda_i + max_y E_pi[T_y]
     bounds t_hit on every irreducible reversible chain: average E_x[T_y] <=
-    E_x[T_z] + E_z[T_y] over z ~ pi (Levin-Peres-Wilmer, ch. 10)."""
+    E_x[T_z] + E_z[T_y] over z ~ pi (Levin-Peres-Wilmer, ch. 10).  The
+    estimators set gamma by `_default_gamma` first, so decomp gives them
+    the time cap alone."""
     max_time = cfg.max_time
     if max_time is None:
         t_rel = decomp.t_rel
@@ -316,8 +351,9 @@ def _simulate(run_fn, kernel: TransitionKernel, cfg: BRWConfig, label: str,
     if initial_states is not None:
         initial_states = _check_states(label, "pinned starts", initial_states,
                                        kernel.n, 1 if target is not None else 2)
-    if cfg.gamma is None or cfg.max_time is None:
-        cfg = fill_config(decompose(kernel), cfg)
+    cfg = _default_gamma(kernel, cfg)
+    if cfg.max_time is None:
+        cfg = fill_config(ChainAnalysis.from_kernel(kernel).decomp, cfg)
     times = _run_replicates(run_fn, kernel, cfg, cfg.gamma, kernel.n,
                             cfg.max_particles, cfg.max_time, initial_states,
                             target, salt=salt)
@@ -357,15 +393,15 @@ def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
     """Mean particle count and its standard error at each query time.
 
     Growth runs have no time cap, so only gamma is filled (the spectral
-    gap when it is None).  A query time that is NaN, negative or infinite
-    is refused (InvalidSpec) before any replicate runs."""
+    gap of `_gate_solves` when it is None).  A query time that is NaN,
+    negative or infinite is refused (InvalidSpec) before any replicate
+    runs."""
     times = sorted(float(t) for t in times)
     bad = [t for t in times if not 0.0 <= t < math.inf]
     if bad:
         raise InvalidSpec(f"growth_curve: query times must be finite and "
                           f"nonnegative, got {bad[0]}")
-    if cfg.gamma is None:
-        cfg = fill_config(decompose(kernel), replace(cfg, max_time=math.inf))
+    cfg = _default_gamma(kernel, cfg)
     counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
                                       cfg.max_particles), dtype=float)
     mean = counts.mean(axis=0)
@@ -381,18 +417,21 @@ def experiment(analysis: ChainAnalysis, target: str, cfg: BRWConfig
     hit: first hit of the state hardest to reach from pi, against
     t_rel log(1 + t_pi/t_rel); intersect: two BRW clouds, against
     t_rel log(1 + sqrt(Q)/t_rel); plain: two plain walks, against sqrt(Q).
-    Every exact quantity (gamma, the time cap, the reference) is read from
-    the analysis, so nothing is solved twice; only the hit target reads its
-    hitting times.
+    gamma, t_rel, Q and, for hit, t_pi and its state come from one call of
+    `_gate_solves`, whose bits the gate pins; the time cap is read from the
+    analysis.
     """
-    kernel, decomp = analysis.kernel, analysis.decomp
-    t_rel = decomp.t_rel
-    cfg = fill_config(decomp, cfg)
+    kernel = analysis.kernel
+    lambdas, t_pi_to = _gate_solves(kernel, hit=target == "hit")
+    t_rel = 1.0 / float(lambdas[1])
+    if cfg.gamma is None:
+        cfg = replace(cfg, gamma=float(lambdas[1]))
+    cfg = fill_config(analysis.decomp, cfg)
     if target == "hit":
-        t_pi_to = analysis.hitting.t_pi_to
         x = int(np.argmax(t_pi_to))
         return simulate_hit(kernel, x, cfg), t_rel * math.log1p(t_pi_to[x] / t_rel)
-    root_q = math.sqrt(spectral_moment(decomp, 2))
+    # Q = sum_{i>=2} lambda_i^-2, formed as spectral_moment forms it
+    root_q = math.sqrt(float(np.sum(lambdas[1:] ** -2.0)))
     if target == "intersect":
         return simulate_intersection(kernel, cfg), t_rel * math.log1p(root_q / t_rel)
     if target == "plain":
@@ -459,11 +498,12 @@ class SandwichResult:
 def _sandwich_row(spec, target: str, cfg: BRWConfig, c_lo: float,
                   c_hi: float) -> SandwichRow:
     """One size of a sandwich.  Its analysis is freed on return, before the
-    next (larger) size is solved."""
+    next (larger) size is solved; t_tv and rho_min, which only the band
+    verdicts read, come from it."""
     kernel = build_family(spec)
     if target == "intersect" and not kernel.transitive:
         raise InvalidSpec("intersection sandwich expects a transitive family")
-    analysis = DenseAnalysis.from_kernel(kernel)
+    analysis = ChainAnalysis.from_kernel(kernel)
     est, reference = experiment(analysis, target, cfg)
     ratio = upper = est.mean / reference
     skip_lower = False

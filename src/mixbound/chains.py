@@ -49,15 +49,17 @@ _TINY = float(np.finfo(float).tiny)
 # matrix a block at a time, so each temporary holds BLOCK x n doubles.
 BLOCK = 32
 # Most n x n arrays of doubles the dense route of the exact layer holds at
-# once, P included: P and the eigenfunctions, which an analysis keeps, and
-# at most two more, the hitting matrix and the GTH route's permuted copy
-# of P while an analysis solves its hitting times (`hit_times` drops them
-# on return), or one square of the eigenfunctions while a sweep reads it.
-# TV evaluations hold rows of BLOCK states (pinned by tests/test_memory.py).
-# The count stays at four where the traced peak is lower, as LAPACK's
-# workspace is not traced.  A kernel kept as its group's steps is refused
+# once, P included, counted from the peak RSS since LAPACK's buffers are
+# not traced.  numpy's eigh (syevd) holds four arrays beside S, its copy
+# of S, the eigenvectors and a workspace of 2 n^2 doubles, so `decompose`
+# peaks at six with P and S; `hit_times`' spectral route at six too, P,
+# the eigenfunctions the analysis keeps, S + q q^T and inv's copy of it,
+# its identity and the inverse.  Freed buffers the allocator keeps add
+# about half an array: an analysis with its hitting times read 6.5 to
+# 6.7 arrays at n = 1024, at one and two BLAS threads (pinned by
+# tests/test_memory.py).  A kernel kept as its group's steps is refused
 # by this count only where its dense P is formed (`TransitionKernel.P`).
-DENSE_PEAK_ARRAYS = 4
+DENSE_PEAK_ARRAYS = 7
 # Most arrays of n doubles a kernel kept as its group's steps holds at once
 # on the character route, no n x n array among them: about 90 plus the
 # group's dimension d, most of it the phases of the eigen-residual's 16
@@ -606,11 +608,25 @@ def _matrix_checks(P) -> tuple:
     # a row holding inf and -inf sums to NaN, which fails the row-sum check
     with np.errstate(over="ignore", invalid="ignore"):
         row_sums = float(np.abs(P.sum(axis=1) - 1.0).max())
-    # strongly connected: every state is reached from state 0, and reaches it
-    connected = _reaches_all(support) and _reaches_all(support.T)
+    # strongly connected: every state is reached from state 0, and reaches it.
+    # On a band, i reaches i + 1 only by its own edge and i + 1 reaches i
+    # likewise, so every sub- and super-diagonal entry must be an edge: O(n)
+    # where the search would take one round per state
+    if _is_tridiagonal(support):
+        connected = bool(np.diagonal(support, 1).all()
+                         and np.diagonal(support, -1).all())
+    else:
+        connected = _reaches_all(support) and _reaches_all(support.T)
     return (CheckResult("row_sums", row_sums, STRUCT_TOL),
             CheckResult("nonnegative_entries", float(max(0.0, -P.min())), 0.0),
             CheckResult("strongly_connected", float(not connected), 0.0))
+
+
+def _is_tridiagonal(A: np.ndarray) -> bool:
+    """Whether every nonzero entry of the square A (NaN included) lies on
+    its main, sub- or super-diagonal."""
+    band = sum(np.count_nonzero(np.diagonal(A, k)) for k in (-1, 0, 1))
+    return np.count_nonzero(A) == band
 
 
 def _reaches_all(edges: np.ndarray) -> bool:

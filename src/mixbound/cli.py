@@ -32,7 +32,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .analysis import ChainAnalysis, DenseAnalysis
+from .analysis import ChainAnalysis
 from .bounds import OptProblem, budget_rate_optimum, standard_sweep
 from .brw import BRWConfig, experiment, hit_time_sandwich, intersection_sandwich
 from .chains import (SIZED_FAMILIES, ChainFamilySpec, build_family,
@@ -249,7 +249,7 @@ def cmd_brw(args, argv) -> int:
               f"slope={result.slope:.3f} passed={result.passed}")
     else:
         for spec in specs:
-            analysis = DenseAnalysis.from_spec(spec)
+            analysis = ChainAnalysis.from_spec(spec)
             kernel = analysis.kernel
             est, ref = experiment(analysis, args.target, cfg)
             rows.append([spec.size, kernel.n, args.target, est.mean, est.stderr,

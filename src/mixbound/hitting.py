@@ -10,6 +10,9 @@ live.  On a kernel with a group, `character_hit_times` reads every
 hitting time off the symbol of a character decomposition instead, by one
 FFT of size n, and forms no n x n array.  Either forms the matrix of
 every E_x[T_y] only when hit_matrix is read, which no command does.
+The dense solves are numpy's (linalg.inv and eigh), so the module needs
+numpy alone; `brw` passes scipy's inv to `hit_times` for its gated hit
+target.
 """
 
 from __future__ import annotations
@@ -20,10 +23,10 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
+from numpy import fft
 
-from .chains import (TransitionKernel, _check_states, _gth_eliminate, index_blocks,
-                     max_over_blocks)
+from .chains import (TransitionKernel, _check_states, _gth_eliminate, _is_tridiagonal,
+                     index_blocks, max_over_blocks)
 from .errors import InvalidSpec, NumericalFailure, SingularSystem
 from .spectral import (SpectralDecomposition, _check_time, _translates,
                        resolution, spectral_moment, symmetrized_laplacian,
@@ -56,7 +59,7 @@ class HittingSummary:
         return self.form_hit_matrix()
 
 
-def hit_times(kernel: TransitionKernel) -> HittingSummary:
+def hit_times(kernel: TransitionKernel, inv=None) -> HittingSummary:
     """Solve every E_x[T_y] exactly, by one of three routes.
 
     E_x[T_y] solves the linear system (I - P) restricted to V \\ {y} with
@@ -70,7 +73,8 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
       accuracy at any imbalance, in O(n^2) total.
     - "spectral": every other kernel first gets all columns from one
       symmetric solve: with S the symmetrized Laplacian, q = sqrt(pi) and
-      N = (S + q q^T)^{-1},
+      N = (S + q q^T)^{-1} from inv, numpy.linalg.inv (LAPACK gesv on
+      the identity) when None,
 
           E_x[T_y] = N[y,y] / pi(y) - N[x,y] / sqrt(pi(x) pi(y)).
 
@@ -88,9 +92,10 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     residual contract (<= 1e-10 * n above the float forming floor) is then
     verified on a sample of target states on every route.
 
-    Besides P, the birth-death and spectral routes hold one n x n array at
-    their peak (the spectral route forms S + q q^T, its inverse and the
-    hitting matrix in the same memory); the GTH route holds two, the
+    Besides P, the birth-death route holds one n x n array at its peak;
+    the spectral route four, S + q q^T and numpy's copy of it, the
+    identity it solves on and the inverse, which becomes the hitting
+    matrix in place; the GTH route holds two, the
     hitting matrix and one target's permuted copy of P, freed before the
     next target's is formed, plus the elimination's temporaries of at
     most BLOCK x n doubles (pinned by tests/test_memory.py).  The summary
@@ -99,16 +104,17 @@ def hit_times(kernel: TransitionKernel) -> HittingSummary:
     `chains.DENSE_PEAK_ARRAYS`, are of this dense solve only;
     `character_hit_times` holds O(n) doubles.
     """
-    hit, route, t_hit = _dense_hit_matrix(kernel)
+    inv = np.linalg.inv if inv is None else inv
+    hit, route, t_hit = _dense_hit_matrix(kernel, inv)
     t_pi_to = kernel.pi @ hit
     del hit  # hit_matrix solves it again when read
     t_target = float(t_pi_to @ kernel.pi)
     return HittingSummary(t_pi_to=t_pi_to, t_hit=t_hit, t_target=t_target,
                           route=route,
-                          form_hit_matrix=lambda: _dense_hit_matrix(kernel)[0])
+                          form_hit_matrix=lambda: _dense_hit_matrix(kernel, inv)[0])
 
 
-def _dense_hit_matrix(kernel: TransitionKernel) -> tuple:
+def _dense_hit_matrix(kernel: TransitionKernel, inv) -> tuple:
     """(hit matrix, route, t_hit) of `hit_times`, its finiteness and its
     residual contract checked: the same calls, so the same bits, on every
     solve."""
@@ -117,7 +123,7 @@ def _dense_hit_matrix(kernel: TransitionKernel) -> tuple:
     if _is_tridiagonal(kernel.P):
         hit, route = _birth_death_hit_matrix(kernel), "birth_death"
     else:
-        hit, route = _spectral_hit_matrix(kernel, cols), "spectral"
+        hit, route = _spectral_hit_matrix(kernel, cols, inv), "spectral"
         np.fill_diagonal(hit, np.inf)
         off_min = float(hit.min())
         np.fill_diagonal(hit, 0.0)
@@ -144,7 +150,6 @@ def character_hit_times(kernel: TransitionKernel,
     residual contract of `hit_times` is verified on the column y = 0.
     hit_matrix[x, y] = h(y - x) is formed only when read.
     """
-    from numpy import fft  # only this route reads it
     symbol = decomp.symbol
     w = np.zeros(symbol.shape)
     w.flat[1:] = 1.0 / symbol.flat[1:]  # lambda_k > 0 for k != 0
@@ -157,11 +162,6 @@ def character_hit_times(kernel: TransitionKernel,
     return HittingSummary(t_pi_to=np.full(kernel.n, total), t_hit=float(column.max()),
                           t_target=total, route="character",
                           form_hit_matrix=lambda: _translates(h, range(kernel.n)))
-
-
-def _is_tridiagonal(P: np.ndarray) -> bool:
-    band = sum(np.count_nonzero(np.diagonal(P, k)) for k in (-1, 0, 1))
-    return np.count_nonzero(P) == band
 
 
 def _birth_death_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
@@ -182,24 +182,21 @@ def _birth_death_hit_matrix(kernel: TransitionKernel) -> np.ndarray:
     return hit
 
 
-def _spectral_hit_matrix(kernel: TransitionKernel, cols) -> np.ndarray:
+def _spectral_hit_matrix(kernel: TransitionKernel, cols, inv) -> np.ndarray:
     """All of E_x[T_y] from N = A^{-1}, A = S + q q^T, in one n x n array.
 
-    A is filled a block of rows at a time and inverted in place; the
-    residual check forms its rows again, and the hitting matrix overwrites
-    N a block of rows at a time.  It is C-ordered, as `inv` returns the
-    inverse of a C-ordered matrix, so `pi @ hit` takes the same BLAS route.
+    A is filled a block of rows at a time, inverted by inv and dropped;
+    the residual check forms its rows again, and the hitting matrix
+    overwrites N a block of rows at a time.  inv returns N C-ordered, so
+    `pi @ hit` takes the same BLAS route on every inv.
     """
     n, q = kernel.n, np.sqrt(kernel.pi)
     A = np.empty((n, n))
     for rows in index_blocks(n):
         A[rows] = _fundamental_rows(kernel, q, rows)
-    # A is exactly symmetric, so its transpose, a Fortran-ordered view, is
-    # the same matrix: inv overwrites it with the bits of a call on a copy,
-    # and the transpose of the result is C-ordered again.
     try:
-        N = scipy.linalg.inv(A.T, overwrite_a=True).T
-    except scipy.linalg.LinAlgError as exc:
+        N = inv(A)
+    except np.linalg.LinAlgError as exc:
         raise SingularSystem(f"fundamental system is singular: {exc}") from exc
     del A
 
@@ -348,8 +345,7 @@ def hitting_tail_profile(kernel: TransitionKernel, y: int) -> TailProfile:
     keep = np.arange(kernel.n) != y
     block = S[np.ix_(keep, keep)]
     del S
-    # the block is exactly symmetric: eigh works in its transposed view
-    mu, U = scipy.linalg.eigh(block.T, overwrite_a=True)
+    mu, U = np.linalg.eigh(block)
     tol = resolution(mu.size, mu[-1])
     if mu[0] <= tol:
         raise NumericalFailure(f"Dirichlet eigenvalue {mu[0]:.3e} is at or below the "

@@ -15,16 +15,19 @@ floor(t/h), highest bit first, times U(t - kh), whose Poisson mean is
 below c.  The requested rows alone go through these factors, as
 products of as many rows as were asked for; the last factor's Poisson
 sum runs over the columns of their transposed copy, in place, once the
-rows are dropped.  Every factor is nonnegative, so nothing subtracts,
-and the rows depend on t alone.
+rows are dropped.  A banded P_u^T (dlp's is tridiagonal) is kept as its
+diagonals, and its products sum each row as a CSR product would, with
+numpy alone.  Every factor is nonnegative, so nothing subtracts, and the
+rows depend on t alone.
 Every mixing time is the first crossing of a strictly decreasing profile.
 The mixtures have convex logs, so their crossings come from one vectorised
 Newton iteration.  TV's is the latest crossing of the rows' L1 distances,
 each nonincreasing in t: the rows still above the threshold at the
-relaxation bound are solved alone, worst first, each by a bracket plus a
-Brent-Dekker root solve (Brent 1973), until a check of the rest finds
-none above.  Both run to 1e-13 * t_rel plus a few ulp of t, far inside
-the 1e-9 * t_rel contract.  The total variation convention here is
+relaxation bound are solved alone, worst first (of rows tied in
+rounding, the one of least mass), each by a bracket plus a Brent-Dekker
+root solve (Brent 1973), until a check of the rest finds none above.
+Both run to 1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 *
+t_rel contract.  The total variation convention here is
 t_tv(eps) = first time the worst-case L1 distance drops to 2*eps, so the
 plain t_tv corresponds to eps = 1/4."""
 
@@ -33,7 +36,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse
 
 from .chains import (DENSE_PEAK_ARRAYS, TransitionKernel, _check_states,
                      check_dense_fits, index_blocks)
@@ -66,12 +68,13 @@ _LADDER_STEP = 1.0
 # n x n arrays an evaluation of every row holds beside the rungs: three
 # in `_uniformized` (the running sum, formed in the transposed copy of
 # the rows, a power and the next power or a scaled term) and a dense
-# P_u^T (pinned by tests/test_memory.py).
+# P_u^T, or in its place the block of terms of a product over its
+# diagonals, at most half an array (pinned by tests/test_memory.py).
 _LADDER_WORK = 4
-# P_u^T is stored in CSR form when at most this share of its entries is
-# nonzero, else dense.  At n = 200 and 500 a CSR product with a dense
-# matrix was the faster one below about a tenth of the entries on one
-# BLAS thread, and the dense product gains more from a second thread.
+# P_u^T is stored as its nonzero diagonals when they hold at most this
+# share of n^2 doubles, else dense.  A product over the diagonals costs
+# n doubles per diagonal and column whatever their fill, so a band (dlp's
+# three diagonals) takes it and a scattered support the dense product.
 _SPARSE_SHARE = 1.0 / 16.0
 # From t_rel (log(1/pi_min)/2 + _SETTLED) on, every row of H(t) lies
 # within e^{-_SETTLED} of pi in L1 norm, below double resolution, so the
@@ -100,9 +103,7 @@ class MixingProfile:
             # 1 - L(k,k)/q on it
             self._q = float(np.diagonal(L).max())
             uniform_t = np.ascontiguousarray((np.eye(kernel.n) - L / self._q).T)
-            if np.count_nonzero(uniform_t) <= _SPARSE_SHARE * kernel.n ** 2:
-                uniform_t = scipy.sparse.csr_array(uniform_t)
-            self._uniform_t = uniform_t
+            self._uniform_t = _diagonals(uniform_t) or uniform_t
             self._step = _LADDER_STEP / self._q
             self._t_settled = decomp.t_rel * (
                 -0.5 * math.log(float(kernel.pi.min())) + _SETTLED)
@@ -295,15 +296,15 @@ class MixingProfile:
         the candidates and the bound is the lower bracket end; if none is
         (in rounding), the crossing lies below the bound, which becomes the
         upper bracket end over every row.  Each round solves the candidate
-        that was worst at the last evaluation alone, by `_first_crossing`
-        from the lower bracket end, and checks the other candidates at its
-        crossing t in one evaluation.  If none is above 2*eps there, t is
-        the answer; else those above are the candidates and t the lower
-        bracket end.  A row alone and beside other rows can differ in its
-        last bits, so the solved row leaves the candidates whatever the
-        check would read it as: every round drops at least one row.  One
-        scanned state is solved from 0 at once, as the bound would only
-        cost an evaluation.
+        that was worst at the last evaluation (`_worst`) alone, by
+        `_first_crossing` from the lower bracket end, and checks the other
+        candidates at its crossing t in one evaluation.  If none is above
+        2*eps there, t is the answer; else those above are the candidates
+        and t the lower bracket end.  A row alone and beside other rows can
+        differ in its last bits, so the solved row leaves the candidates
+        whatever the check would read it as: every round drops at least one
+        row.  One scanned state is solved from 0 at once, as the bound would
+        only cost an evaluation.
         """
         threshold = _threshold("tv", eps)
         xtol = _XTOL_REL * self.decomp.t_rel
@@ -320,7 +321,7 @@ class MixingProfile:
             else:
                 hi = bound
         while True:
-            i = int(dist.argmax())
+            i = _worst(dist, self.decomp.pi[xs])
             x = int(xs[i])
             # a crossing solved at a smaller eps lies past lo save for rounding
             t = _first_crossing(lambda s: self.tv_distance(x, s), threshold,
@@ -398,6 +399,17 @@ class MixingProfile:
         raise NumericalFailure(f"{kind} profile failed to cross its threshold")
 
 
+def _worst(dist: np.ndarray, pi: np.ndarray) -> int:
+    """Index of the largest L1 distance, the one with the smallest pi among
+    those within 4 ulp of it.  Far from pi's mass every row of a drifted
+    chain reads about 2, so argmax alone would pick by rounding; the row
+    of least mass is the last to mix there, and solved first it leaves
+    the fewest rows above the threshold."""
+    top = dist.max()
+    near = np.flatnonzero(dist >= top - 4.0 * np.spacing(top))
+    return int(near[np.argmin(pi[near])])
+
+
 def _threshold(kind: str, eps: float) -> float:
     """The crossing threshold of a profile kind at eps, refused unless it
     is a normal double."""
@@ -427,21 +439,70 @@ def _poisson_weights(m: float) -> list:
 
 def _uniformized(X: np.ndarray, uniform_t, weights) -> np.ndarray:
     """sum_k w_k (P_u^T)^k X over the columns of the C-ordered X, with
-    uniform_t = P_u^T in CSR or dense form; the transpose of H sum_k w_k
-    P_u^k for H = X^T.
+    uniform_t = P_u^T dense or as its diagonals (`_apply`); the transpose
+    of H sum_k w_k P_u^k for H = X^T.
 
     The sum is formed in place in X, which must be fresh: its first power
     is taken before X is scaled by w_0.  So it holds the running sum, a
     power and the next power or a scaled term, and every term is
     nonnegative.
     """
-    power = uniform_t @ X
+    power = _apply(uniform_t, X)
     X *= weights[0]
     for w in weights[1:-1]:
         X += w * power
-        power = uniform_t @ power
+        power = _apply(uniform_t, power)
     X += weights[-1] * power
     return X
+
+
+def _diagonals(A: np.ndarray):
+    """The nonzero diagonals of A for `_apply`, as (k, lo, hi, column) by
+    ascending offset k: column[i - lo, 0] = A[i, i + k] for the rows i of
+    lo..hi-1 whose i + k is in range.  None when they would hold more than
+    _SPARSE_SHARE of n^2 doubles.  The offsets are counted from the
+    support's indices, formed only once its entries are within the share,
+    with bincount: np.unique of integers would load numpy.ma."""
+    n = A.shape[0]
+    if np.count_nonzero(A) > _SPARSE_SHARE * n * n:
+        return None
+    i, j = np.nonzero(A)
+    offsets = np.flatnonzero(np.bincount(j - i + n - 1)) - (n - 1)
+    if offsets.size * n > _SPARSE_SHARE * n * n:
+        return None
+    return [(k, max(0, -k), n - max(0, k), np.diagonal(A, k)[:, None].copy())
+            for k in offsets.tolist()]
+
+
+def _apply(uniform_t, X: np.ndarray) -> np.ndarray:
+    """P_u^T X for the C-ordered n x m X, with uniform_t = P_u^T dense or
+    as its nonzero diagonals (`_diagonals`).
+
+    Over the diagonals, row i of the product is the sum of A[i, i + k]
+    X[i + k] over ascending k, each term added in turn to a sum that
+    starts at 0: the order and roundings of a CSR product (scipy.sparse),
+    whose bits it keeps.  Every term here is nonnegative, so 0 + t is t:
+    the first diagonal's terms are written as the sums, and the rows it
+    misses start at 0; a zero on a stored diagonal adds +0.  The other
+    diagonals' terms are formed in blocks of rows of at most n^2 / 2
+    doubles, half the dense P_u^T they stand in for."""
+    if isinstance(uniform_t, np.ndarray):
+        return uniform_t @ X
+    n, m = X.shape
+    (k, lo, hi, column), *rest = uniform_t
+    out = np.empty(X.shape)
+    out[:lo] = 0.0
+    out[hi:] = 0.0
+    np.multiply(column, X[lo + k:hi + k], out=out[lo:hi])
+    terms = np.empty((min(n, max(1, n * n // (2 * m))), m))
+    for r0 in range(0, n, len(terms)):
+        for k, lo, hi, column in rest:
+            a, b = max(lo, r0), min(hi, r0 + len(terms))
+            if a < b:
+                block = out[a:b]
+                block += np.multiply(column[a - lo:b - lo], X[a + k:b + k],
+                                     out=terms[:b - a])
+    return out
 
 
 def _l1_from(rows: np.ndarray, pi: np.ndarray) -> np.ndarray:

@@ -26,6 +26,10 @@ eigensolve: lambda(k) = (1/d) sum_i 2 sin^2(pi k_i/m) for the steps
 heat row is one inverse FFT of exp(-lambda t) over the group.  The dense
 eigenvectors, and the n x n arrays counted in `chains.DENSE_PEAK_ARRAYS`,
 belong to the dense route only.
+
+The dense route solves with numpy.linalg.eigh (LAPACK syevd), so this
+module, like the rest of the exact layer, needs numpy alone; numpy.fft is
+imported with it, so a first character evaluation loads nothing.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
+from numpy import fft
 
 from .chains import (CayleyGroup, TransitionKernel, _check_states, index_blocks,
                      max_over_blocks)
@@ -170,15 +174,46 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     slow, but coarser for a weak bottleneck whose gap is far below an O(1)
     top eigenvalue.
 
-    At its peak it holds three n x n arrays of doubles, P included: P, S
-    and the eigenvectors while `eigh` overwrites S.  Every other step
-    works on `index_blocks` of rows or columns, and it returns holding P
-    and F, which stay live as long as the analysis.  A moment vector or a
-    head-window dot forms one square of F beside them, and a TV
-    evaluation holds rows of `chains.BLOCK` states, so a dense `verify`
-    peaks at P, F and one array more.  These counts, and
+    At its peak it holds six n x n arrays of doubles, P included: P, S
+    and, inside numpy's eigh, its copy of S, the eigenvectors and syevd's
+    workspace of 2 n^2 doubles (`chains.DENSE_PEAK_ARRAYS` counts them
+    from the peak RSS; LAPACK's buffers are not traced).  Every other
+    step works on `index_blocks` of rows or columns, and it returns
+    holding P and F, which stay live as long as the analysis.  A moment
+    vector or a head-window dot forms one square of F beside them, and a
+    TV evaluation holds rows of `chains.BLOCK` states, so once solved a
+    dense `verify` holds P, F and one array more.  These counts, and
     `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
     `character_decompose` holds no n x n array.
+    """
+    n = kernel.n
+    w, V = _eigensolve(kernel, np.linalg.eigh)
+    F = V  # in place: V is not read again
+    F /= np.sqrt(kernel.pi)[:, None]
+    # each column's first entry above 1e-12 of its largest is positive
+    sign = np.empty(n)
+    for c in index_blocks(n):
+        A = np.abs(F[:, c])
+        first = np.argmax(A > 1e-12 * A.max(axis=0), axis=0)
+        sign[c] = np.where(F[first, np.arange(c.start, c.stop)] < 0, -1.0, 1.0)
+    F *= sign
+
+    ortho = max_over_blocks(n, lambda c: np.abs(
+        F.T @ (F[:, c] * kernel.pi[:, None]) - np.eye(n, c.stop - c.start, -c.start)))
+    if ortho > _ORTHO_FAIL:
+        raise NumericalFailure(f"orthonormality residual {ortho:.3e} exceeds 1e-6")
+
+    return SpectralDecomposition(lambdas=w, eigfuncs=F, pi=kernel.pi.copy())
+
+
+def _eigensolve(kernel: TransitionKernel, eigh) -> tuple:
+    """(w, V) of the `symmetrized_laplacian` S from eigh(S): the eigenvalues
+    ascending with w[0] set to 0, and the orthonormal eigenvectors as the
+    columns of V, with every check of `decompose` but orthonormality.
+
+    S is fresh and nothing else reads it, so eigh may overwrite it.
+    `decompose` passes numpy.linalg.eigh (LAPACK syevd); `brw` passes the
+    in-place evr solve of scipy, whose eigenvalues its gate pins.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)
@@ -191,9 +226,7 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     r = (S @ sqrt_pi) / sqrt_pi
     low = min(0.0, float(r.min()))
     high = max(2.0, float((2.0 * np.diagonal(S) - r).max()))
-    # S is exactly symmetric, so its transpose, a Fortran-ordered view, is
-    # the same matrix, and eigh uses its memory as workspace.
-    w, V = scipy.linalg.eigh(S.T, overwrite_a=True)
+    w, V = eigh(S)
     del S
 
     tol = resolution(n, w[-1])
@@ -215,23 +248,7 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
         symmetrized_rows(kernel, rows) @ Vc - Vc[rows] * w[cols][None, :]))
     if resid > 1e-10 * n:
         raise NumericalFailure(f"eigensolve backward error {resid:.3e} > 1e-10*n")
-
-    F = V  # in place: V is not read again
-    F /= sqrt_pi[:, None]
-    # each column's first entry above 1e-12 of its largest is positive
-    sign = np.empty(n)
-    for c in index_blocks(n):
-        A = np.abs(F[:, c])
-        first = np.argmax(A > 1e-12 * A.max(axis=0), axis=0)
-        sign[c] = np.where(F[first, np.arange(c.start, c.stop)] < 0, -1.0, 1.0)
-    F *= sign
-
-    ortho = max_over_blocks(n, lambda c: np.abs(
-        F.T @ (F[:, c] * kernel.pi[:, None]) - np.eye(n, c.stop - c.start, -c.start)))
-    if ortho > _ORTHO_FAIL:
-        raise NumericalFailure(f"orthonormality residual {ortho:.3e} exceeds 1e-6")
-
-    return SpectralDecomposition(lambdas=w, eigfuncs=F, pi=kernel.pi.copy())
+    return w, V
 
 
 def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
@@ -345,7 +362,6 @@ def _heat_rows(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
     group, and H_t(x, y) = H_t(0, y - x): the row of x is that row rolled
     by x's coordinates."""
     if decomp.symbol is not None:
-        from numpy import fft  # only this route reads it
         with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
             return _translates(fft.ifftn(np.exp(-decomp.symbol * t)).real, x)
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit

@@ -12,8 +12,9 @@ import mpmath  # noqa: E402
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
-from mixbound import chains  # noqa: E402
+from mixbound import chains, spectral  # noqa: E402
 from mixbound.analysis import ChainAnalysis  # noqa: E402
+from mixbound.mixing import MixingProfile  # noqa: E402
 
 # Canonical benchmark set: every built-in family, state counts up to 1024.
 BENCHMARK_SPECS = [
@@ -111,6 +112,14 @@ def reference_gap(kernel):
                     S[i, j] = -q[i] * rate / q[j]
         S = (S + S.T) / 2
         return float(sorted(mpmath.eigsy(S, eigvals_only=True))[1])
+
+
+def dense_analysis(kernel):
+    """A ChainAnalysis on the dense route whatever the kernel's structure:
+    the reference the character route is checked against."""
+    decomp = spectral.decompose(kernel)
+    return ChainAnalysis(kernel=kernel, decomp=decomp,
+                         profile=MixingProfile(kernel, decomp))
 
 
 @pytest.fixture(scope="session")

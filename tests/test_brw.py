@@ -320,7 +320,7 @@ def test_no_hitting_solve_outside_the_hit_target(monkeypatch):
     def refuse(kernel):
         raise AssertionError("hitting times solved outside the hit target")
 
-    for module in (hitting, analysis):
+    for module in (hitting, analysis, brw):
         monkeypatch.setattr(module, "hit_times", refuse)
     cfg = brw.BRWConfig(replicates=20, master_seed=1)
     specs = [chains.hypercube_spec(d) for d in (3, 4, 5)]
@@ -534,15 +534,26 @@ def test_experiment_takes_everything_from_the_analysis(monkeypatch, target):
     expected = brw.experiment(ChainAnalysis.from_spec(spec), target, cfg)
     warm = ChainAnalysis.from_spec(spec)
     warm.hitting  # solved now; no solver may run from here on
+    # but the gate's two reads (gamma, t_rel and Q; the hit target), from
+    # scipy's solves in one call of brw._gate_solves
+    gate_calls, gate_solves = [], brw._gate_solves
+
+    def counted(*args, **kwargs):
+        gate_calls.append(kwargs)
+        return gate_solves(*args, **kwargs)
+
+    monkeypatch.setattr(brw, "_gate_solves", counted)
 
     def refuse(*args, **kwargs):
         raise AssertionError("exact quantity solved outside the analysis")
 
     for module in (spectral, analysis):
         monkeypatch.setattr(module, "decompose", refuse)
+        monkeypatch.setattr(module, "character_decompose", refuse)
     for module in (hitting, analysis):
         monkeypatch.setattr(module, "hit_times", refuse)
     assert brw.experiment(warm, target, cfg) == expected
+    assert gate_calls == [{"hit": target == "hit"}]
 
 
 # ---------------------------------------------------------------------------

@@ -226,13 +226,30 @@ def test_not_irreducible_rejected():
         chains.kernel_from_matrix(P, pi=np.full(4, 0.25))
 
 
+_ENTRIES = st.sampled_from([0.0, 0.0, 0.3, -0.2, np.nan])
+
+
+def _banded(n, entries):
+    """An n x n matrix with the 3n - 2 entries on its main, sub- and
+    super-diagonal, in that order."""
+    P = np.zeros((n, n))
+    i = np.arange(n)
+    P[i, i] = entries[:n]
+    P[i[1:], i[:-1]] = entries[n:2 * n - 1]
+    P[i[:-1], i[1:]] = entries[2 * n - 1:]
+    return P
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12).flatmap(lambda n: st.lists(
-    st.lists(st.sampled_from([0.0, 0.0, 0.3, -0.2, np.nan]), min_size=n, max_size=n),
-    min_size=n, max_size=n)))
+@given(st.integers(1, 12).flatmap(lambda n: st.one_of(
+    st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+    st.lists(_ENTRIES, min_size=3 * n - 2, max_size=3 * n - 2).map(
+        lambda entries: _banded(n, entries).tolist()))))
 def test_connectivity_verdict_matches_strong_components(rows):
-    # the two breadth-first searches from state 0 against scipy's strong
-    # components, on supports with negative and NaN entries (NaN is no edge)
+    # the two breadth-first searches from state 0, or on a tridiagonal
+    # support the edges beside the diagonal, against scipy's strong
+    # components, on supports with negative and NaN entries (NaN is no
+    # edge) and bands with zeros beside the diagonal
     P = np.array(rows)
     support = (P > 0) | (P < 0)
     n_comp, _ = connected_components(csr_matrix(support.view(np.int8)),

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 from mixbound import chains, spectral
-from mixbound.analysis import ChainAnalysis, DenseAnalysis
+from mixbound.analysis import ChainAnalysis
 from mixbound.bounds import standard_sweep
 from mixbound.errors import InvalidSpec, NumericalFailure
+
+from conftest import dense_analysis
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import gate  # noqa: E402
@@ -40,7 +42,7 @@ def _close(value, ref, mixing, t_rel):
 @pytest.mark.parametrize("spec", TRANSITIVE_SPECS, ids=lambda s: s.label())
 def test_routes_agree_within_the_gate_contracts(spec):
     kernel = chains.build_family(spec)
-    char, dense = ChainAnalysis.from_kernel(kernel), DenseAnalysis.from_kernel(kernel)
+    char, dense = ChainAnalysis.from_kernel(kernel), dense_analysis(kernel)
     assert (char.decomp.route, dense.decomp.route) == ("character", "dense")
     assert char.decomp.eigfuncs is None
     assert np.allclose(char.decomp.lambdas, dense.decomp.lambdas, rtol=0, atol=1e-13)
@@ -98,7 +100,7 @@ def test_gap_is_the_closed_form(spec, gap):
                                   chains.complete_spec(20)], ids=lambda s: s.label())
 def test_tv_distance_from_any_state_matches_dense(spec):
     kernel = chains.build_family(spec)
-    char, dense = ChainAnalysis.from_kernel(kernel), DenseAnalysis.from_kernel(kernel)
+    char, dense = ChainAnalysis.from_kernel(kernel), dense_analysis(kernel)
     t_rel = dense.decomp.t_rel
     for x in range(1, kernel.n, max(1, kernel.n // 9)):
         for t in (0.1 * t_rel, t_rel, 5.0 * t_rel):

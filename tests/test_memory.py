@@ -1,15 +1,18 @@
 """The dense exact layer forms each n x n matrix once: its traced peak is
-pinned, and its outputs are bit for bit those of the textbook formulas
-that form every intermediate as a new n x n array.  The character route
-holds O(n) doubles, pinned too."""
+pinned, its peak RSS, which counts LAPACK's untraced buffers, is within
+`chains.DENSE_PEAK_ARRAYS`, and its outputs are bit for bit those of the
+textbook formulas that form every intermediate as a new n x n array.  The
+character route holds O(n) doubles, pinned too."""
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
-import scipy.sparse
 
 from mixbound import chains, cli, hitting, mixing
 from mixbound.analysis import ChainAnalysis
@@ -31,14 +34,14 @@ def _reference(kernel):
     q = np.sqrt(pi)
     S = (q[:, None] * L) / q[None, :]
     S = 0.5 * (S + S.T)
-    w, V = scipy.linalg.eigh(S)
+    w, V = np.linalg.eigh(S)
     w = w.copy()
     w[0] = 0.0
     F = V / q[:, None]
     A = np.abs(F)
     first = np.argmax(A > 1e-12 * A.max(axis=0), axis=0)
     F *= np.where(F[first, np.arange(n)] < 0, -1.0, 1.0)
-    N = scipy.linalg.inv(S + np.outer(q, q))
+    N = np.linalg.inv(S + np.outer(q, q))
     hit = np.diag(N)[None, :] / pi[None, :] - N / np.outer(q, q)
     np.fill_diagonal(hit, 0.0)
     return w, F, hit, pi @ hit
@@ -82,12 +85,34 @@ def _traced_peak(f) -> int:
         tracemalloc.stop()
 
 
-def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
-    # P is live before tracing starts and counts in DENSE_PEAK_ARRAYS: F and
-    # the hitting matrix, with the BLOCK-row temporaries, read 2.62 arrays
-    # beyond it at n = 256 (3.62 with F^2 kept), so one more n x n temporary
-    # would fail this.  The kernel has no group, so the analysis takes the
-    # dense route
+# Peak RSS (VmHWM) of a fresh process above the loaded P while it analyses
+# the kernel and reads its hitting times, in n x n arrays: the tracer misses
+# the copies and workspaces numpy's eigh and inv allocate inside LAPACK.
+# ru_maxrss would not do: after exec it keeps the forking parent's peak.
+_PEAK_RSS = """
+import numpy as np
+from mixbound import chains
+from mixbound.analysis import ChainAnalysis
+P, pi = np.load("P.npy"), np.load("pi.npy")
+kernel = chains.TransitionKernel(P.shape[0], P, pi=pi, label="k")
+del P
+ChainAnalysis.from_kernel(chains.random_reversible_kernel(
+    8, np.random.default_rng(1))).hitting  # LAPACK and BLAS loaded
+def status(key):  # in KiB
+    return next(int(line.split()[1]) for line in open("/proc/self/status")
+                if line.startswith(key))
+base = status("VmRSS")
+analysis = ChainAnalysis.from_kernel(kernel)
+assert analysis.decomp.route == "dense" and analysis.hitting.route == "spectral"
+print((status("VmHWM") - base) * 1024 / (8 * kernel.n**2))
+"""
+
+
+def test_analysis_with_hitting_peaks_at_dense_peak_arrays(tmp_path):
+    # traced, with P live before tracing starts: F, S + q q^T and its
+    # inverse, with the BLOCK-row temporaries, read 3.02 arrays beyond P
+    # at n = 256, so one more n x n temporary would fail this.  The kernel
+    # has no group, so the analysis takes the dense route
     kernel = chains.random_reversible_kernel(256, np.random.default_rng(0))
 
     def analysis_with_hitting():
@@ -95,7 +120,19 @@ def test_analysis_with_hitting_peaks_at_dense_peak_arrays():
         assert analysis.decomp.route == "dense" and analysis.hitting.route == "spectral"
 
     array = 8 * kernel.n**2
-    assert _traced_peak(analysis_with_hitting) + array <= chains.DENSE_PEAK_ARRAYS * array
+    assert _traced_peak(analysis_with_hitting) <= 3.5 * array
+    # in RSS, n = 1024: 5.52 arrays beyond P at one BLAS thread (5.71 at
+    # two), so with P within DENSE_PEAK_ARRAYS.  One thread, as the
+    # threads' buffers do not grow with n
+    big = chains.random_reversible_kernel(1024, np.random.default_rng(0))
+    np.save(tmp_path / "P.npy", big.P)
+    np.save(tmp_path / "pi.npy", big.pi)
+    env = dict(os.environ, PYTHONPATH=str(Path(chains.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1")
+    res = subprocess.run([sys.executable, "-c", _PEAK_RSS], capture_output=True,
+                         text=True, cwd=tmp_path, env=env, timeout=600)
+    assert res.returncode == 0, res.stderr
+    assert float(res.stdout) + 1.0 <= chains.DENSE_PEAK_ARRAYS
 
 
 def _shuffled_dlp(n):
@@ -167,10 +204,9 @@ def test_sweep_holds_one_square_beyond_the_analysis():
 ], ids=["verify", "analyze", "profile"])
 def test_command_drops_the_custom_spec_matrix(tmp_path, command, flags):
     # the parsed matrix is dropped once the kernel holds its own copy of P,
-    # so a command holds P, F and the hitting matrix or one square of F:
-    # 3.27-3.75 arrays at n = 256 traced around cli.main, within
-    # DENSE_PEAK_ARRAYS (5.26-5.32 with F^2 kept and the TV rows of every
-    # state at once).  One more n x n array would fail this
+    # so a command holds P, F and S + q q^T and its inverse, or one square
+    # of F: 3.10-4.16 arrays at n = 256 traced around cli.main (3.27-3.75
+    # when scipy inverted in place).  One more n x n array would fail this
     n = 256
     P = chains.random_reversible_kernel(n, np.random.default_rng(0)).P
     np.savetxt(tmp_path / "custom.csv", P, fmt="%.17g", delimiter=",")
@@ -179,7 +215,7 @@ def test_command_drops_the_custom_spec_matrix(tmp_path, command, flags):
     argv = [command, "--spec", str(tmp_path / "custom.spec"), *flags,
             "--out", str(tmp_path / "out.csv")]
     codes = []
-    assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 4.0 * 8 * n**2
+    assert _traced_peak(lambda: codes.append(cli.main(argv))) <= 4.5 * 8 * n**2
     assert codes == [cli.EXIT_OK]
 
 
@@ -289,14 +325,14 @@ def _ladder_crossings_peak(kernel):
 
 
 def test_heat_ladder_peaks_within_its_refusal_count():
-    # P_u^T is sparse here and its dense slot free, so one more n x n
-    # temporary would fail this: 13.05 arrays measured, 10 of them rungs,
-    # of a count of 18 with the dense peak's 4 (the row block kept through
-    # the Poisson sum read 14.05 of 19)
+    # P_u^T is kept as its three diagonals here and its dense slot free, so
+    # one more n x n temporary would fail this: 13.75 arrays measured, 10 of
+    # them rungs, of a count of 21 with the dense peak's 7 (13.06 with the
+    # CSR product, which formed no block of terms beside its result)
     kernel = chains.build_family(chains.dlp_spec(200, 0.5, 0.05))
     peak, profile = _ladder_crossings_peak(kernel)
-    assert scipy.sparse.issparse(profile._uniform_t)
-    assert profile._ladder_arrays() == 18
+    assert [k for k, *_ in profile._uniform_t] == [-1, 0, 1]
+    assert profile._ladder_arrays() == 21
     ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
     assert peak <= ladder * 8 * kernel.n**2
 
@@ -308,7 +344,7 @@ def test_dense_heat_ladder_peaks_within_its_refusal_count():
     # measured, 11 of them rungs.  One more n x n temporary would fail this
     kernel = _dense_drifted_kernel(200)
     peak, profile = _ladder_crossings_peak(kernel)
-    assert not scipy.sparse.issparse(profile._uniform_t)
+    assert isinstance(profile._uniform_t, np.ndarray)
     ladder = profile._ladder_arrays() - chains.DENSE_PEAK_ARRAYS
     array = 8 * kernel.n**2
     assert (ladder - 0.5) * array < peak <= ladder * array + 8 * 8 * kernel.n

@@ -7,10 +7,10 @@ import scipy.linalg
 import scipy.sparse
 
 from mixbound import chains, mixing, spectral
-from mixbound.analysis import ChainAnalysis, DenseAnalysis
+from mixbound.analysis import ChainAnalysis
 from mixbound.errors import BadEps, NumericalFailure
 
-from conftest import SMALL_BENCHMARK_SPECS, joined_cliques, random_kernels
+from conftest import SMALL_BENCHMARK_SPECS, dense_analysis, joined_cliques, random_kernels
 
 
 def _profile(spec):
@@ -60,7 +60,7 @@ _EVALUATORS = {
 _CYCLE8 = lambda: chains.build_family(chains.cycle_spec(8))
 _ROUTES = {
     "ladder": lambda: _profile(chains.dlp_spec(20, 0.5, 0.05))[2],
-    "dense": lambda: DenseAnalysis.from_kernel(_CYCLE8()).profile,
+    "dense": lambda: dense_analysis(_CYCLE8()).profile,
     "character": lambda: ChainAnalysis.from_kernel(_CYCLE8()).profile,
 }
 
@@ -230,11 +230,11 @@ def _shuffled_dlp20_profile():
 
 
 def test_stepped_tv_worst_matches_direct_expm():
-    # dlp(200) stores P_u^T in CSR form, the shuffled dlp(20) densely; the
-    # largest times lie past t_settled (about 1180 and 240)
+    # dlp(200) stores P_u^T as its three diagonals, the shuffled dlp(20)
+    # densely; the largest times lie past t_settled (about 1180 and 240)
     dlp200, shuffled = _profile(chains.dlp_spec(200, 0.5, 0.05))[2], _shuffled_dlp20_profile()
-    assert scipy.sparse.issparse(dlp200._uniform_t)
-    assert not scipy.sparse.issparse(shuffled._uniform_t)
+    assert [k for k, *_ in dlp200._uniform_t] == [-1, 0, 1]
+    assert isinstance(shuffled._uniform_t, np.ndarray)
     for prof, times in (
             (dlp200, (300.0, 50.0, 480.0, 479.5, 1000.0, 0.5, 479.04, 2000.0,
                       0.0, 100.0, 479.04, 460.0)),
@@ -264,8 +264,26 @@ def test_uniformized_step_matches_expm_product(chain, tau):
     step = mixing._uniformized(np.ascontiguousarray(H.T), prof._uniform_t, weights)
     assert np.abs(step.T - ref).max() <= 1e-14
     uniform_t = prof._uniform_t
-    entries = uniform_t.data if scipy.sparse.issparse(uniform_t) else uniform_t
-    assert (entries >= 0.0).all()
+    entries = [uniform_t] if isinstance(uniform_t, np.ndarray) else \
+        [column for *_, column in uniform_t]
+    assert all((e >= 0.0).all() for e in entries)
+
+
+@pytest.mark.parametrize("n", [100, 200])
+def test_diagonal_product_keeps_the_csr_bits(n):
+    # the heat ladder's product over the diagonals of P_u^T sums each row in
+    # the order of scipy's CSR product, so it keeps its bits: on a vector,
+    # a block of 8 columns and n columns, as the ladder forms them
+    prof = _profile(chains.dlp_spec(n, 0.5, 0.05))[2]
+    dense = np.zeros((n, n))
+    for k, lo, hi, column in prof._uniform_t:
+        i = np.arange(lo, hi)
+        dense[i, i + k] = column[:, 0]
+    csr = scipy.sparse.csr_array(dense)
+    rng = np.random.default_rng(n)
+    for m in (1, 8, n):
+        X = rng.random((n, m))
+        assert np.array_equal(mixing._apply(prof._uniform_t, X), csr @ X), m
 
 
 def test_tv_crossing_makes_no_expm_call(monkeypatch):
@@ -434,25 +452,44 @@ def test_tv_crossings_evaluate_few_row_sets(monkeypatch):
     assert 1 <= len({t for t, xs in evaluations if len(xs) > 1}) <= 9
 
 
+@pytest.mark.parametrize("n", [100, 200])
+def test_tv_crossing_solves_the_least_mass_row_first(n):
+    # far from pi's mass the rows of dlp read about 2 at the relaxation
+    # bound, tied in rounding; the row of least mass among them is the last
+    # to mix, so once it is solved one check of the others finds none above
+    # 2 eps.  With argmax's pick dlp(200) at eps = 1/8 took one check more
+    _, _, prof = _profile(chains.dlp_spec(n, 0.5, 0.05))
+    sizes, l1 = [], prof._l1_distances
+    prof._l1_distances = lambda t, xs: sizes.append(len(xs)) or l1(t, xs)
+    for eps in (0.125, 0.25, 0.5):
+        sizes.clear()
+        prof.mixing_time("tv", eps)
+        assert sum(size > 1 for size in sizes) == 2, eps
+
+
 def test_one_state_tv_crossings_keep_their_bits():
     # a kernel that scans one state solves its row from 0 as Brent on
-    # tv_worst did: the character route of torus(2,32) and the dense rows of
-    # torus(2,8), whose t_tv the BRW sandwich's band verdict reads
+    # tv_worst did: the character route of torus(2,32) and of torus(2,8),
+    # whose t_tv the BRW sandwich's band verdict reads, and the dense rows
+    # of torus(2,8) from numpy's eigh (8.379639887013145 from scipy's evr)
     torus = ChainAnalysis.from_spec(chains.torus_spec(2, 32))
     assert [torus.profile.mixing_time("tv", eps) for eps in (0.125, 0.25, 0.5)] \
         == [197.01100557763502, 128.37475815655955, 60.90389053727385]
-    dense = DenseAnalysis.from_spec(chains.torus_spec(2, 8))
-    assert dense.profile.mixing_time("tv", 0.25) == 8.379639887013145
+    kernel = chains.build_family(chains.torus_spec(2, 8))
+    assert ChainAnalysis.from_kernel(kernel).profile.mixing_time("tv", 0.25) \
+        == 8.379639887013125
+    assert dense_analysis(kernel).profile.mixing_time("tv", 0.25) == 8.379639887013113
 
 
 @pytest.mark.parametrize("n,times", [
-    (100, (245.90611204526857, 233.8609961649491, 217.24513517203138)),
+    (100, (245.9061120452686, 233.8609961649491, 217.24513517203138)),
     (200, (479.0397020214004, 462.2500166227767, 438.9612043002722)),
 ])
 def test_ladder_tv_crossings_keep_their_bits(n, times):
     # the exact_drifted kernels scan every state, so their crossings take
     # the multi-row path through the heat ladder; the same bits at one and
-    # two BLAS threads
+    # two BLAS threads.  dlp(100) at eps = 1/8 read 245.90611204526857 when
+    # the first row solved was argmax's pick among rows tied in rounding
     _, _, prof = _profile(chains.dlp_spec(n, 0.5, 0.05))
     assert not prof._balanced
     assert tuple(prof.mixing_time("tv", eps) for eps in (0.125, 0.25, 0.5)) == times
