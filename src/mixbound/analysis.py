@@ -24,7 +24,8 @@ class ChainAnalysis:
     other kernel the dense route, whose peak `chains.DENSE_PEAK_ARRAYS`
     counts: P and F, which the analysis keeps, and numpy's eigh or inv
     with their copies and workspaces while F or the hitting times are
-    solved, or one square of F while a moment is formed."""
+    solved, or one square of F while a moment vector is formed
+    (`spectral.moment_vector`, once per order and window)."""
 
     kernel: TransitionKernel
     decomp: SpectralDecomposition

@@ -22,9 +22,8 @@ from .chains import ChainFamilySpec, _check_states
 from .errors import BadEps, BadRange, CertificateMismatch
 from .mixing import _MAX, _TINY, hierarchy_check
 from .reports import BoundReport
-from .spectral import (_gamma_masses, gamma_window_mass, heat_moment_all,
-                       heat_moment_dots, heat_moment_windowed_all,
-                       lower_gamma_regularized, spectral_moment)
+from .spectral import (gamma_window_mass, heat_moment_all, heat_moment_windowed_all,
+                       lower_gamma_regularized, moment_vector, spectral_moment)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TRUNCATION_M = (1.0, 2.0, 5.0)
@@ -34,16 +33,17 @@ _TRUNCATION_M = (1.0, 2.0, 5.0)
 # mixing-time upper bounds from hitting moments
 
 def _rhs_moment(t_rel, moment, ell, eps):
-    """Order-ell moment bound on the uniform time at threshold eps.  The L2
-    bounds are half of it at eps^2, as t_l2(eps) = t_linf(eps^2) / 2.  The
-    scale eps t_rel^ell is refused unless it is a normal double."""
+    """Order-ell moment bound on the uniform time at threshold eps, for a
+    moment or an array of them.  The L2 bounds are half of it at eps^2, as
+    t_l2(eps) = t_linf(eps^2) / 2.  The scale eps t_rel^ell is refused
+    unless it is a normal double."""
     scale = eps * t_rel**ell
     if not _TINY <= scale <= _MAX:
         raise BadEps(f"threshold {eps:.3e} times t_rel^{ell} is {scale:.3e}, "
                      "which is not a normal double")
-    ratio = moment / scale
-    # a ratio of at most 1 has log <= 0 < ell, and one that is 0 has no log
-    return t_rel * (float(ell) if ratio <= 1.0 else max(math.log(ratio), float(ell)))
+    # a ratio of at most 1 has log <= 0 < ell, and one that is 0 has log -inf
+    with np.errstate(divide="ignore"):
+        return t_rel * np.maximum(np.log(moment / scale), float(ell))
 
 
 def _worst_report(name: str, states, lhs, rhs, **ctx) -> BoundReport:
@@ -72,14 +72,16 @@ def moment_bound_reports(analysis: ChainAnalysis, ell: int,
 
     linf = BoundReport.check("linf_moment_bound",
                              prof.mixing_time("linf", eps),
-                             _rhs_moment(t_rel, float(sigma.max()), ell, eps), **ctx)
+                             float(_rhs_moment(t_rel, float(sigma.max()), ell, eps)),
+                             **ctx)
     ave = BoundReport.check("avel2_moment_bound",
                             prof.mixing_time("ave_l2", eps),
-                            0.5 * _rhs_moment(t_rel, q_ell, ell, eps * eps), **ctx)
+                            0.5 * float(_rhs_moment(t_rel, q_ell, ell, eps * eps)),
+                            **ctx)
     states = kernel.scan_states
     worst = _worst_report("l2x_moment_bound", states, prof.l2_mixing_times(eps),
-                          [0.5 * _rhs_moment(t_rel, float(sigma[x]), ell, eps * eps)
-                           for x in states], **ctx)
+                          0.5 * _rhs_moment(t_rel, sigma[states], ell, eps * eps),
+                          **ctx)
     return [linf, worst, ave]
 
 
@@ -114,8 +116,7 @@ def root_moment_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport]:
     sigma = heat_moment_all(decomp, ell)
     states = analysis.kernel.scan_states
     worst = _worst_report("l2x_root_moment", states, prof.l2_mixing_times(0.5),
-                          [2.0 * ell * float(sigma[x]) ** (1.0 / ell) for x in states],
-                          **ctx)
+                          2.0 * ell * sigma[states] ** (1.0 / ell), **ctx)
     ave = BoundReport.check("avel2_root_moment",
                             prof.mixing_time("ave_l2", 0.5),
                             2.0 * ell * spectral_moment(decomp, ell) ** (1.0 / ell),
@@ -147,26 +148,19 @@ def relaxation_hitting_report(analysis: ChainAnalysis) -> BoundReport:
 
 
 def _head_window_reports(analysis: ChainAnalysis, states, M: float) -> list:
-    """Worst-state report of each head-window order over states.
-
-    The gamma-mass weights depend on M only, so they are built once, and
-    every dot of the call comes from one `heat_moment_dots`.
-    """
-    if M <= 0:
+    """Worst-state report of each head-window order over states: pi(x)
+    times the full moment of order k+1 against the sharp factor times
+    pi(x) times that moment truncated at M * t_rel, both `moment_vector`s.
+    M that is not positive (NaN included) is refused (ValueError)."""
+    if not M > 0:
         raise ValueError("M must be positive")
     decomp = analysis.decomp
-    lam = decomp.lambdas[1:]
-    window = M * decomp.t_rel
-    weights = []
-    for k, full_w in enumerate((1.0 / lam, lam**-2.0)):
-        weights += [full_w, full_w * _gamma_masses(k + 1, window, lam)]
-    dots = heat_moment_dots(decomp, states, weights)
-    pi = [float(decomp.pi[x]) for x in states]
+    pi = decomp.pi[states]
     reports = []
     for k in range(2):
         factor = 1.0 / lower_gamma_regularized(k + 1, M)
-        full = [p * float(d) for p, d in zip(pi, dots[2 * k])]
-        trunc = [factor * (p * float(d)) for p, d in zip(pi, dots[2 * k + 1])]
+        full = pi * moment_vector(decomp, k + 1)[states]
+        trunc = factor * (pi * moment_vector(decomp, k + 1, M * decomp.t_rel)[states])
         reports.append(_worst_report(f"head_window_order{k}", states, full, trunc,
                                      kernel=analysis.kernel.label, M=M))
     return reports

@@ -162,8 +162,8 @@ def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
     50 * t_rel * log(1 + T / t_rel).  T = sum_{i>=2} 1/lambda_i + max_y E_pi[T_y]
     bounds t_hit on every irreducible reversible chain: average E_x[T_y] <=
     E_x[T_z] + E_z[T_y] over z ~ pi (Levin-Peres-Wilmer, ch. 10).  The
-    estimators set gamma by `_default_gamma` first, so decomp gives them
-    the time cap alone."""
+    branching estimators set gamma by `_default_gamma` first, so decomp
+    gives them the time cap alone; plain walks ignore gamma."""
     max_time = cfg.max_time
     if max_time is None:
         t_rel = decomp.t_rel
@@ -345,13 +345,15 @@ def _simulate(run_fn, kernel: TransitionKernel, cfg: BRWConfig, label: str,
               initial_states=None, target=None, salt: int = 0) -> BRWEstimate:
     """Every estimator's one path: check the target and the pinned starts
     (one for a hit, two otherwise), fill cfg's defaults, run run_fn (with
-    _run_race's arguments) on every replicate and reduce the times."""
+    _run_race's arguments) on every replicate and reduce the times.  Plain
+    walks never split, so no default gamma is solved for them."""
     if target is not None:
         (target,) = _check_states(label, "the target", (target,), kernel.n)
     if initial_states is not None:
         initial_states = _check_states(label, "pinned starts", initial_states,
                                        kernel.n, 1 if target is not None else 2)
-    cfg = _default_gamma(kernel, cfg)
+    if run_fn is not _run_plain:
+        cfg = _default_gamma(kernel, cfg)
     if cfg.max_time is None:
         cfg = fill_config(ChainAnalysis.from_kernel(kernel).decomp, cfg)
     times = _run_replicates(run_fn, kernel, cfg, cfg.gamma, kernel.n,

@@ -130,8 +130,9 @@ class SpectralDecomposition:
     the character route eigfuncs is None and symbol holds lambda(k) over
     the group's shape; the dense route has no symbol.  The squares f_i^2
     are not held: the functions of this module that read them form them
-    in the layout they read.  The moment vectors are kept once formed,
-    read-only, in a memo that repr and == leave out.
+    in the layout they read.  The moment vectors of `moment_vector` are
+    kept once formed, read-only, in a memo keyed by (ell, window) that
+    repr and == leave out.
     """
 
     lambdas: np.ndarray
@@ -180,11 +181,11 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     from the peak RSS; LAPACK's buffers are not traced).  Every other
     step works on `index_blocks` of rows or columns, and it returns
     holding P and F, which stay live as long as the analysis.  A moment
-    vector or a head-window dot forms one square of F beside them, and a
-    TV evaluation holds rows of `chains.BLOCK` states, so once solved a
-    dense `verify` holds P, F and one array more.  These counts, and
-    `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
-    `character_decompose` holds no n x n array.
+    vector forms one square of F beside them, once per order and window
+    (`moment_vector`), and a TV evaluation holds rows of `chains.BLOCK`
+    states, so once solved a dense `verify` holds P, F and one array more.
+    These counts, and `chains.DENSE_PEAK_ARRAYS`, are of this dense route
+    only; `character_decompose` holds no n x n array.
     """
     n = kernel.n
     w, V = _eigensolve(kernel, np.linalg.eigh)
@@ -488,56 +489,44 @@ def spectral_moment(decomp: SpectralDecomposition, ell: int) -> float:
         return _finite_moments(float(np.sum(weights)), ell)
 
 
-def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
-    """Vector over x of int_0^inf s^{ell-1} (H_s(x,x)-pi(x)) / ((ell-1)! pi(x)) ds.
+def moment_vector(decomp: SpectralDecomposition, ell: int,
+                  window: float | None = None) -> np.ndarray:
+    """Vector over x of sum_{i>=2} f_i(x)^2 lambda_i^{-ell}, each term
+    weighted by P(Gamma(ell,1) <= window * lambda_i) when a window is given.
 
-    Closed form: sum_{i>=2} f_i(x)^2 / lambda_i^ell.  Formed once per
-    decomposition and order, and read-only (`_keep_moments`).
+    This is int_0^T s^{ell-1} (H_s(x,x)-pi(x)) / ((ell-1)! pi(x)) ds with
+    T = window, or T = inf without one.  Every per-state moment the bounds
+    read comes from here: each (ell, window) is formed once per
+    decomposition by one `_diagonal` product and kept read-only in its
+    memo.  A vector that overflowed is refused (`_finite_moments`) and not
+    kept.  The gamma mass is computed once per distinct eigenvalue.
     """
-    key = ("full", ell)
-    if key not in decomp._moments:
+    key = (ell, window)
+    moments = decomp._moments.get(key)
+    if moments is None:
         weights = _moment_weights(decomp, ell)
+        if window is not None:
+            values, where = np.unique(decomp.lambdas[1:], return_inverse=True)
+            weights = weights * np.array([lower_gamma_regularized(ell, window * l)
+                                          for l in values])[where]
         with np.errstate(over="ignore", invalid="ignore"):
-            _keep_moments(decomp, key, _diagonal(decomp, weights))
-    return decomp._moments[key]
+            moments = _finite_moments(_diagonal(decomp, weights), ell)
+        moments.flags.writeable = False
+        decomp._moments[key] = moments
+    return moments
+
+
+def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
+    """Vector over x of int_0^inf s^{ell-1} (H_s(x,x)-pi(x)) / ((ell-1)! pi(x)) ds,
+    in closed form sum_{i>=2} f_i(x)^2 / lambda_i^ell: `moment_vector`
+    without a window."""
+    return moment_vector(decomp, ell)
 
 
 def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
-    """Same integrals truncated at 2*ell*t_rel, via the regularized gamma;
-    formed once per decomposition and order, and read-only."""
-    key = ("windowed", ell)
-    if key not in decomp._moments:
-        weights = _moment_weights(decomp, ell)
-        masses = _gamma_masses(ell, 2.0 * ell * decomp.t_rel, decomp.lambdas[1:])
-        with np.errstate(over="ignore", invalid="ignore"):
-            _keep_moments(decomp, key, _diagonal(decomp, weights * masses))
-    return decomp._moments[key]
-
-
-def _keep_moments(decomp: SpectralDecomposition, key, moments: np.ndarray) -> None:
-    """Keep a moment vector read-only in the decomposition's memo under
-    key = (kind, ell); one that overflowed is refused (`_finite_moments`)
-    and not kept."""
-    _finite_moments(moments, key[1]).flags.writeable = False
-    decomp._moments[key] = moments
-
-
-def heat_moment_dots(decomp: SpectralDecomposition, states,
-                     weights) -> np.ndarray:
-    """sum_{i>=2} f_i(x)^2 w_i for each weight vector w of weights (rows)
-    and each state x of states, as a len(weights) x len(states) array.
-
-    One square of the eigenfunctions, F-ordered like F, serves every dot
-    of the call.  The dots are taken one state at a time, each a row of
-    that square against w: one matrix-vector product over the states
-    rounds differently.
-    """
-    fsq = _squares(decomp, 1)
-    dots = np.empty((len(weights), len(states)))
-    for i, w in enumerate(weights):
-        for j, x in enumerate(states):
-            dots[i, j] = fsq[x] @ w
-    return dots
+    """Same integrals truncated at 2*ell*t_rel: `moment_vector` with that
+    window."""
+    return moment_vector(decomp, ell, 2.0 * ell * decomp.t_rel)
 
 
 def _diagonal(decomp: SpectralDecomposition, weights: np.ndarray) -> np.ndarray:
@@ -578,13 +567,6 @@ def _squared_rows(decomp: SpectralDecomposition, xs, decay: np.ndarray) -> np.nd
     np.square(terms, out=terms)
     terms *= decay
     return terms
-
-
-def _gamma_masses(ell: int, window: float, lam: np.ndarray) -> np.ndarray:
-    """lower_gamma_regularized(ell, window * l) for each l in lam, called
-    once per distinct value."""
-    values, where = np.unique(lam, return_inverse=True)
-    return np.array([lower_gamma_regularized(ell, window * l) for l in values])[where]
 
 
 def eigenvalue_clustering(decomp: SpectralDecomposition, target: float,

@@ -128,38 +128,46 @@ def test_window_factor_worst_state_passes_on_cycle():
             assert rep.passed, str(rep)
 
 
-def _head_window_reference(analysis, x, M):
-    """Head-window reports at one state, gamma masses rebuilt per call:
-    the per-state reference truncation_factor_worst must match exactly."""
+def _head_window_reference(analysis, M):
+    """Head-window reports at every state, from the whole-vector formulas:
+    pi(x) times the order-(k+1) moments of every state, one product of the
+    squared eigenfunctions with lambda^-(k+1), full and with each term's
+    gamma mass at M t_rel.  truncation_factor_worst must match the worst
+    of them exactly."""
     decomp = analysis.decomp
     lam = decomp.lambdas[1:]
-    fsq = np.square(decomp.eigfuncs)[x, 1:]
-    pi_x = float(decomp.pi[x])
+    fsq = np.square(decomp.eigfuncs[:, 1:])
+    pi = decomp.pi
     window = M * decomp.t_rel
-    ctx = {"kernel": analysis.kernel.label, "x": x, "M": M}
-    full0 = pi_x * float(fsq @ (1.0 / lam))
-    trunc0 = pi_x * float(fsq @ ((1.0 / lam) * np.array(
-        [spectral.lower_gamma_regularized(1, window * l) for l in lam])))
-    factor0 = 1.0 / spectral.lower_gamma_regularized(1, M)
-    full1 = pi_x * float(fsq @ lam**-2.0)
-    trunc1 = pi_x * float(fsq @ (lam**-2.0 * np.array(
-        [spectral.lower_gamma_regularized(2, window * l) for l in lam])))
-    factor1 = 1.0 / spectral.lower_gamma_regularized(2, M)
-    return [BoundReport.check("head_window_order0", full0, factor0 * trunc0, **ctx),
-            BoundReport.check("head_window_order1", full1, factor1 * trunc1, **ctx)]
+    sides = []
+    for k in range(2):
+        w = lam ** -float(k + 1)
+        mass = np.array([spectral.lower_gamma_regularized(k + 1, window * l)
+                         for l in lam])
+        factor = 1.0 / spectral.lower_gamma_regularized(k + 1, M)
+        sides.append((pi * (fsq @ w), factor * (pi * (fsq @ (w * mass)))))
+    return [[BoundReport.check(f"head_window_order{k}", float(full[x]), float(trunc[x]),
+                               kernel=analysis.kernel.label, x=x, M=M)
+             for k, (full, trunc) in enumerate(sides)]
+            for x in range(analysis.kernel.n)]
 
 
-@pytest.mark.parametrize("make", [
-    lambda: ChainAnalysis.from_kernel(
-        chains.random_reversible_kernel(40, np.random.default_rng(11))),
-    lambda: ChainAnalysis.from_spec(chains.dlp_spec(40, 0.5, 0.05)),
-], ids=["custom40", "dlp40"])
+def _custom40():
+    return ChainAnalysis.from_kernel(
+        chains.random_reversible_kernel(40, np.random.default_rng(11)))
+
+
+def _dlp40():
+    return ChainAnalysis.from_spec(chains.dlp_spec(40, 0.5, 0.05))
+
+
+@pytest.mark.parametrize("make", [_custom40, _dlp40], ids=["custom40", "dlp40"])
 def test_window_factor_worst_matches_per_state_reference(make):
     analysis = make()
     for M in (1.0, 2.0, 5.0):
         worst = {}
-        for x in range(analysis.kernel.n):
-            for rep in _head_window_reference(analysis, x, M):
+        for state in _head_window_reference(analysis, M):
+            for rep in state:
                 if rep.name not in worst or rep.slack < worst[rep.name].slack:
                     worst[rep.name] = rep
         assert bounds.truncation_factor_worst(analysis, M) == list(worst.values())
@@ -188,24 +196,47 @@ def test_window_factor_worst_matches_per_state_reference(make):
             assert bounds.moment_bound_reports(analysis, ell, eps)[1] == l2x
 
 
+@pytest.mark.parametrize("make", [
+    _custom40, _dlp40,
+    lambda: ChainAnalysis.from_kernel(
+        chains.random_reversible_kernel(400, np.random.default_rng(0))),
+], ids=["custom40", "dlp40", "custom400"])
+def test_head_window_reads_the_moment_vectors(make):
+    # the full side of each head-window report is pi(x) times the moment
+    # vector the moment bounds read, to the bit
+    analysis = make()
+    decomp = analysis.decomp
+    for M in (1.0, 2.0, 5.0):
+        for x in range(analysis.kernel.n):
+            for k, rep in enumerate(bounds.truncation_factor_reports(analysis, x, M)):
+                assert rep.lhs == decomp.pi[x] * spectral.heat_moment_all(decomp, k + 1)[x]
+
+
+def test_window_factor_refuses_nan_M(complete4):
+    with pytest.raises(ValueError, match="M must be positive"):
+        bounds.truncation_factor_worst(complete4, math.nan)
+
+
 def test_sweep_forms_each_moment_vector_once(monkeypatch):
-    # a default sweep reads the full and windowed moments of orders 1-4,
-    # each formed once per decomposition and kept read-only: 8 products of
-    # the squared eigenfunctions, where forming them per read made 27
-    analysis = ChainAnalysis.from_kernel(
-        chains.random_reversible_kernel(40, np.random.default_rng(11)))
+    # a default sweep reads the full and windowed moments of orders 1-4 and
+    # the head windows of orders 1-2 at M = 1, 2, 5, of which order 1 at
+    # M = 2 is the windowed moment: 13 (order, window) keys, each formed by
+    # one product of the squared eigenfunctions and kept read-only
+    analysis = _custom40()
     products = []
     diagonal = spectral._diagonal
     monkeypatch.setattr(spectral, "_diagonal",
                         lambda d, w: products.append(w.size) or diagonal(d, w))
     bounds.standard_sweep(analysis)
-    assert len(products) <= 8
+    assert len(products) == len(analysis.decomp._moments) == 13
+    bounds.standard_sweep(analysis)
+    assert len(products) == 13
     for moments in (spectral.heat_moment_all, spectral.heat_moment_windowed_all):
         sigma = moments(analysis.decomp, 2)
         assert moments(analysis.decomp, 2) is sigma and not sigma.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             sigma[0] = 0.0
-    assert len(products) <= 8 and "_moments" not in repr(analysis.decomp)
+    assert len(products) == 13 and "_moments" not in repr(analysis.decomp)
 
 
 def test_printed_order1_window_constant_is_false(complete4):

@@ -527,6 +527,18 @@ def test_plain_intersection_tracks_sqrt_moment():
     assert max(ratios) / min(ratios) < 2.0
 
 
+def test_plain_walks_solve_no_gamma(monkeypatch, cycle8):
+    # two plain walks never split, so a gamma left unset is not solved for
+    cfg = brw.BRWConfig(replicates=200, master_seed=3)
+    expected = brw.plain_intersection(cycle8, replace(cfg, gamma=0.5))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("gate eigensolve run for a plain walk")
+
+    monkeypatch.setattr(brw, "_gate_solves", refuse)
+    assert brw.plain_intersection(cycle8, cfg) == expected
+
+
 @pytest.mark.parametrize("target", ["hit", "intersect", "plain"])
 def test_experiment_takes_everything_from_the_analysis(monkeypatch, target):
     spec = chains.cycle_spec(8)

@@ -190,7 +190,7 @@ def test_spectral_crossings_form_no_n_by_n_array(evaluate):
 
 def test_sweep_holds_one_square_beyond_the_analysis():
     # beside P and F the sweep's peak is one square of F, formed for a
-    # moment vector or the head-window dots, and the BLOCK-row temporaries:
+    # moment vector of one order and window, and the BLOCK-row temporaries:
     # 1.14 arrays at n = 256 (2.18 with F^2 kept and the TV rows of every
     # scanned state at once).  One more n x n temporary would fail this
     analysis = _swept_analysis()

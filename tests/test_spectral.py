@@ -251,6 +251,16 @@ def test_windowed_moment_closed_forms():
         1 - 5 * math.exp(-4), rel=1e-12)
 
 
+def test_moment_vectors_share_one_memo():
+    # the windowed moment of order 1 is the order-1 vector at window
+    # 2 t_rel, which the head-window reports read at M = 2
+    d = _decomp(chains.dlp_spec(24, 0.5, 0.05))
+    assert spectral.moment_vector(d, 1, 2.0 * d.t_rel) is \
+        spectral.heat_moment_windowed_all(d, 1)
+    assert spectral.moment_vector(d, 3) is spectral.heat_moment_all(d, 3)
+    assert sorted(d._moments) == [(1, 2.0 * d.t_rel), (3, None)]
+
+
 def test_moments_refused_only_where_they_overflow():
     # pi_min is about 1e-307: sigma_x of order 4 overflows at the light
     # end, while q1..q4 and sigma_x of order 3 fit in a double
