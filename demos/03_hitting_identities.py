@@ -31,7 +31,7 @@ print("  |t_target - sum 1/lambda_i| =",
       hitting.eigentime_residual(summary, decomp))
 
 print("\ndual computation of the stationary-start hitting times:")
-sigma1 = spectral.heat_moment_all(decomp, 1)
+sigma1 = spectral.moment_vector(decomp, 1)
 print("  linear-solve vs spectral, max relative gap:",
       float(np.abs(summary.t_pi_to - sigma1).max() / (1 + sigma1.max())))
 

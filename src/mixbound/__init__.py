@@ -55,5 +55,4 @@ from .hitting import (HittingSummary, eigentime_residual, hit_times,  # noqa: E4
 from .mixing import MixingProfile, hierarchy_check  # noqa: E402
 from .spectral import (SpectralDecomposition, decompose,  # noqa: E402
                        gamma_window_mass, heat_diag_ratio, heat_kernel_row,
-                       heat_moment_all, heat_moment_windowed_all,
                        lower_gamma_regularized, moment_vector, spectral_moment)

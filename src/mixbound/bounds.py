@@ -22,8 +22,8 @@ from .chains import ChainFamilySpec, _check_states
 from .errors import BadEps, BadRange, CertificateMismatch
 from .mixing import _MAX, _TINY, hierarchy_check
 from .reports import BoundReport
-from .spectral import (gamma_window_mass, heat_moment_all, heat_moment_windowed_all,
-                       lower_gamma_regularized, moment_vector, spectral_moment)
+from .spectral import (gamma_window_mass, lower_gamma_regularized, moment_vector,
+                       spectral_moment)
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _TRUNCATION_M = (1.0, 2.0, 5.0)
@@ -41,9 +41,10 @@ def _rhs_moment(t_rel, moment, ell, eps):
     if not _TINY <= scale <= _MAX:
         raise BadEps(f"threshold {eps:.3e} times t_rel^{ell} is {scale:.3e}, "
                      "which is not a normal double")
-    # a ratio of at most 1 has log <= 0 < ell, and one that is 0 has log -inf
+    # log(moment / scale) as a difference, as the ratio can overflow; a
+    # ratio of at most 1 has log <= 0 < ell, and a moment of 0 has log -inf
     with np.errstate(divide="ignore"):
-        return t_rel * np.maximum(np.log(moment / scale), float(ell))
+        return t_rel * np.maximum(np.log(moment) - math.log(scale), float(ell))
 
 
 def _worst_report(name: str, states, lhs, rhs, **ctx) -> BoundReport:
@@ -67,7 +68,7 @@ def moment_bound_reports(analysis: ChainAnalysis, ell: int,
     t_rel = decomp.t_rel
     ctx = {"kernel": kernel.label, "eps": eps, "ell": ell}
 
-    sigma = heat_moment_all(decomp, ell)
+    sigma = moment_vector(decomp, ell)
     q_ell = spectral_moment(decomp, ell)
 
     linf = BoundReport.check("linf_moment_bound",
@@ -113,7 +114,7 @@ def root_moment_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport]:
         raise ValueError("ell must be >= 1")
     decomp, prof = analysis.decomp, analysis.profile
     ctx = {"kernel": analysis.kernel.label, "ell": ell}
-    sigma = heat_moment_all(decomp, ell)
+    sigma = moment_vector(decomp, ell)
     states = analysis.kernel.scan_states
     worst = _worst_report("l2x_root_moment", states, prof.l2_mixing_times(0.5),
                           2.0 * ell * sigma[states] ** (1.0 / ell), **ctx)
@@ -129,8 +130,8 @@ def moment_window_reports(analysis: ChainAnalysis, ell: int) -> list[BoundReport
     gamma_mass * sigma <= rho <= sigma, reported at the worst state each."""
     decomp = analysis.decomp
     ctx = {"kernel": analysis.kernel.label, "ell": ell}
-    sigma = heat_moment_all(decomp, ell)
-    rho = heat_moment_windowed_all(decomp, ell)
+    sigma = moment_vector(decomp, ell)
+    rho = moment_vector(decomp, ell, 2.0 * ell * decomp.t_rel)
     kappa = gamma_window_mass(ell)
     states = range(analysis.kernel.n)
     return [_worst_report("windowed_le_full_moment", states, rho, sigma, **ctx),

@@ -62,8 +62,8 @@ from .analysis import ChainAnalysis
 from .chains import TransitionKernel, _check_states, build_family
 from .errors import AllCensored, InvalidSpec
 from .hitting import hit_times
-from .spectral import (SpectralDecomposition, _eigensolve, heat_moment_all,
-                       heat_moment_windowed_all, spectral_moment)
+from .spectral import (SpectralDecomposition, _eigensolve, moment_vector,
+                       spectral_moment)
 
 _MASK = 0xFFFFFFFFFFFFFFFF
 
@@ -167,7 +167,7 @@ def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
     max_time = cfg.max_time
     if max_time is None:
         t_rel = decomp.t_rel
-        bound = spectral_moment(decomp, 1) + float(heat_moment_all(decomp, 1).max())
+        bound = spectral_moment(decomp, 1) + float(moment_vector(decomp, 1).max())
         max_time = 50.0 * t_rel * math.log1p(bound / t_rel)
     return replace(cfg, gamma=cfg.gamma if cfg.gamma is not None else decomp.gap,
                    max_time=max_time)
@@ -444,10 +444,13 @@ def experiment(analysis: ChainAnalysis, target: str, cfg: BRWConfig
 # ---------------------------------------------------------------------------
 # sandwich experiments across family sequences
 
-# Frozen acceptance bands, keyed by family.  Produced once by
-# demos/calibrate_bands.py: 10x replicates (20000, master_seed=7), observed
-# per-size ratio ranges widened by 50 percent on each side; never refit in
-# tests.  hit bands: (c_lo on estimate/J, C_hi on estimate/(t_tv + J)).
+# Frozen acceptance bands, keyed by family, and never refit.  Protocol:
+# every sandwich fixture was run once at 10x the acceptance replicate count
+# (20000 per size, master_seed=7), the observed min of each ratio and max
+# of each upper ratio across sizes recorded, the low edge divided and the
+# high edge multiplied by 1.5, and the result rounded outward; the scalar
+# fixture bands of tests/test_acceptance.py come from the same protocol.
+# hit bands: (c_lo on estimate/J, C_hi on estimate/(t_tv + J)).
 HIT_BANDS = {
     "torus": (0.6470, 1.0807),
     "cycle": (0.6415, 0.9010),
@@ -514,7 +517,7 @@ def _sandwich_row(spec, target: str, cfg: BRWConfig, c_lo: float,
         upper = est.mean / (t_tv + reference)
     else:
         decomp = analysis.decomp
-        rho_min = float(heat_moment_windowed_all(decomp, 2).min())
+        rho_min = float(moment_vector(decomp, 2, 2.0 * 2 * decomp.t_rel).min())
         skip_lower = rho_min < RHO_MIN_FACTOR * decomp.t_rel**2
     return SandwichRow(
         label=kernel.label, size=spec.size, n=kernel.n,

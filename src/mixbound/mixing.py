@@ -2,9 +2,11 @@
 
 Profiles are evaluated spectrally.  The L2, L-infinity and average L2
 profiles are positive mixtures sum_{i>=2} w_i exp(-2 lambda_i t), which
-subtract nothing and so keep their relative accuracy however small they
-get.  The heat rows of a set of states come from one product per t and
-chains.BLOCK states.
+subtract nothing, and each term is formed as the square (f_i(x)
+exp(-lambda_i t))^2 (`spectral._squared_rows`), whose exponential stays
+normal twice as long as exp(-2 lambda_i t), so they keep their relative
+accuracy however small they get.  The heat rows of a set of
+states come from one product per t and chains.BLOCK states.
 When pi is too unbalanced for the spectral reconstruction they are rows
 of H(t) = exp(-tL), with L the `spectral.laplacian`, on a dyadic ladder
 of uniformized factors (Jensen 1953): with q the largest diagonal entry
@@ -134,11 +136,13 @@ class MixingProfile:
         sum, else None.  The rows are f_i(x)^2 for x in xs (l2x), ones
         (ave_l2) or, for linf, at one t, the worst of the scanned states.
         Every evaluator and crossing solve sums here, so a crossing meets
-        its threshold exactly.  The terms are formed chains.BLOCK rows at a
-        time, as fresh C-ordered rows from `spectral._squared_rows`, so a
-        row sums alike beside any rows and no n x n array is formed; at
-        one t the exponentials are taken once."""
-        lam2 = 2.0 * self.decomp.lambdas[1:]
+        its threshold exactly.  The terms (f_i(x) root_i)^2 with root =
+        exp(-lambda t) are formed chains.BLOCK rows at a time by
+        `spectral._squared_rows`, and ave_l2's as root^2, so a row sums
+        alike beside any rows and no n x n array is formed; at one t the
+        exponentials are taken once."""
+        lam = self.decomp.lambdas[1:]
+        lam2 = 2.0 * lam
         if kind == "ave_l2":
             xs = None
         else:  # linf: state 0 stands for every state of a transitive kernel
@@ -148,18 +152,18 @@ class MixingProfile:
         s = np.empty(count) if slopes and kind != "linf" else None
         per_row = np.ndim(t) > 0
 
-        def terms(rows, decay):  # a row of ave_l2's weights is ones
+        def terms(rows, root):  # a row of ave_l2's weights is ones
             if xs is None:
-                return np.array(np.broadcast_to(decay, (1, lam2.size)))
-            return _squared_rows(self.decomp, xs[rows], decay)
+                return np.square(np.atleast_2d(root))
+            return _squared_rows(self.decomp, xs[rows], root)
 
         with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
             if not per_row:
-                decay = np.exp(-lam2 * t)
+                root = np.exp(-lam * t)
             for block in index_blocks(count):
                 if per_row:
-                    decay = np.exp(-lam2 * t[block, None])
-                block_terms = terms(block, decay)
+                    root = np.exp(-lam * t[block, None])
+                block_terms = terms(block, root)
                 g[block] = block_terms.sum(axis=1)
                 if s is not None:
                     block_terms *= lam2
@@ -168,7 +172,7 @@ class MixingProfile:
             top = [g.argmax()]
             g = g[top]
             if slopes:
-                block_terms = terms(top, decay)
+                block_terms = terms(top, root)
                 block_terms *= lam2
                 s = block_terms.sum(axis=1)
         return g, s

@@ -129,10 +129,10 @@ class SpectralDecomposition:
     ``eigfuncs[:, i]`` is f_i with the first nonzero entry positive.  On
     the character route eigfuncs is None and symbol holds lambda(k) over
     the group's shape; the dense route has no symbol.  The squares f_i^2
-    are not held: the functions of this module that read them form them
-    in the layout they read.  The moment vectors of `moment_vector` are
-    kept once formed, read-only, in a memo keyed by (ell, window) that
-    repr and == leave out.
+    are not held: every per-state sum forms its terms (f_i(x) root_i)^2 a
+    block of rows at a time (`_squared_rows`).  The moment vectors of
+    `moment_vector` are kept once formed, read-only, in a memo keyed by
+    (ell, window) that repr and == leave out.
     """
 
     lambdas: np.ndarray
@@ -180,12 +180,12 @@ def decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     workspace of 2 n^2 doubles (`chains.DENSE_PEAK_ARRAYS` counts them
     from the peak RSS; LAPACK's buffers are not traced).  Every other
     step works on `index_blocks` of rows or columns, and it returns
-    holding P and F, which stay live as long as the analysis.  A moment
-    vector forms one square of F beside them, once per order and window
-    (`moment_vector`), and a TV evaluation holds rows of `chains.BLOCK`
-    states, so once solved a dense `verify` holds P, F and one array more.
-    These counts, and `chains.DENSE_PEAK_ARRAYS`, are of this dense route
-    only; `character_decompose` holds no n x n array.
+    holding P and F, which stay live as long as the analysis.  Moment
+    vectors, heat diagonals, profile evaluations and TV evaluations all
+    hold rows of `chains.BLOCK` states, so once solved a dense `verify`
+    holds P, F and no n x n array more.  These counts, and
+    `chains.DENSE_PEAK_ARRAYS`, are of this dense route only;
+    `character_decompose` holds no n x n array.
     """
     n = kernel.n
     w, V = _eigensolve(kernel, np.linalg.eigh)
@@ -256,9 +256,9 @@ def character_decompose(kernel: TransitionKernel) -> SpectralDecomposition:
     """The spectrum of a kernel with a group, from the group's symbol.
 
     lambdas is the symbol sorted, and there are no eigfuncs: every
-    |chi_k|^2 is 1, which `_squares` reads as a view of ones that costs
-    no memory.  The contract is an eigen-residual on at most 16 sampled
-    characters,
+    |chi_k|^2 is 1, so a per-state sum is the same at every state and
+    `_square_sums` forms it once, from one row of root^2.  The contract is
+    an eigen-residual on at most 16 sampled characters,
     ||P chi_k - (1 - lambda_k) chi_k||_inf <= 1e-10 * n with P chi_k from
     `TransitionKernel.apply`, which also catches steps whose spectrum is
     not the group's symbol; it raises NumericalFailure.  It holds O(n)
@@ -331,17 +331,18 @@ def heat_diag_ratio(decomp: SpectralDecomposition, t: float,
                     x: int | None = None) -> float | np.ndarray:
     """H_t(x,x) / pi(x) = sum_i f_i(x)^2 exp(-lambda_i t).
 
-    A float for one state x, or the vector over all states when x is None.
-    The time is checked by `_check_time` and the state by
-    `chains._check_states` (InvalidSpec).
+    A float for one state x, or the vector over all states when x is None,
+    both from `_square_sums` with root exp(-lambda_i t/2), so a state's
+    value is the same bits either way.  The time is checked by
+    `_check_time` and the state by `chains._check_states` (InvalidSpec).
     """
     t = _check_time(t)
     with np.errstate(over="ignore"):  # exp(-inf) = 0 is the limit
-        decay = np.exp(-decomp.lambdas * t)
+        root = np.exp(-decomp.lambdas * (0.5 * t))
     if x is None:
-        return _diagonal(decomp, decay)
+        return _square_sums(decomp, None, root)
     (x,) = _check_states("heat_diag_ratio", "x", (x,), decomp.n)
-    return float(_squared_rows(decomp, [x], decay).sum())
+    return float(_square_sums(decomp, [x], root)[0])
 
 
 def heat_kernel_row(decomp: SpectralDecomposition, x, t: float) -> np.ndarray:
@@ -497,9 +498,10 @@ def moment_vector(decomp: SpectralDecomposition, ell: int,
     This is int_0^T s^{ell-1} (H_s(x,x)-pi(x)) / ((ell-1)! pi(x)) ds with
     T = window, or T = inf without one.  Every per-state moment the bounds
     read comes from here: each (ell, window) is formed once per
-    decomposition by one `_diagonal` product and kept read-only in its
-    memo.  A vector that overflowed is refused (`_finite_moments`) and not
-    kept.  The gamma mass is computed once per distinct eigenvalue.
+    decomposition by `_square_sums` with root sqrt(weights), a block of
+    rows at a time, and kept read-only in its memo.  A vector that
+    overflowed is refused (`_finite_moments`) and not kept.  The gamma
+    mass is computed once per distinct eigenvalue.
     """
     key = (ell, window)
     moments = decomp._moments.get(key)
@@ -510,62 +512,47 @@ def moment_vector(decomp: SpectralDecomposition, ell: int,
             weights = weights * np.array([lower_gamma_regularized(ell, window * l)
                                           for l in values])[where]
         with np.errstate(over="ignore", invalid="ignore"):
-            moments = _finite_moments(_diagonal(decomp, weights), ell)
+            moments = _finite_moments(_square_sums(decomp, None, np.sqrt(weights)), ell)
         moments.flags.writeable = False
         decomp._moments[key] = moments
     return moments
 
 
-def heat_moment_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
-    """Vector over x of int_0^inf s^{ell-1} (H_s(x,x)-pi(x)) / ((ell-1)! pi(x)) ds,
-    in closed form sum_{i>=2} f_i(x)^2 / lambda_i^ell: `moment_vector`
-    without a window."""
-    return moment_vector(decomp, ell)
-
-
-def heat_moment_windowed_all(decomp: SpectralDecomposition, ell: int) -> np.ndarray:
-    """Same integrals truncated at 2*ell*t_rel: `moment_vector` with that
-    window."""
-    return moment_vector(decomp, ell, 2.0 * ell * decomp.t_rel)
-
-
-def _diagonal(decomp: SpectralDecomposition, weights: np.ndarray) -> np.ndarray:
-    """The vector over x of sum_i f_i(x)^2 weights[i] over the last
-    len(weights) eigenfunctions, as one product of their squares with
-    weights.  On the character route every state has the same heat
-    diagonal, so row 0's sum, from the same product on one row, is
-    repeated over the states."""
-    fsq = _squares(decomp, decomp.n - weights.size)
-    if decomp.route == "character":
-        return np.repeat(fsq[:1] @ weights, decomp.n)
-    return fsq @ weights
-
-
-def _squares(decomp: SpectralDecomposition, first: int) -> np.ndarray:
-    """f_i(x)^2 over every state x and the eigenfunctions from index first
-    on, n x (n - first): a fresh F-ordered array on the dense route, laid
-    out like F, and a read-only view of ones on the character route,
-    where every |chi_k|^2 is 1."""
+def _square_sums(decomp: SpectralDecomposition, xs, root: np.ndarray) -> np.ndarray:
+    """sum_i (f_i(x) root_i)^2 for each state x of the sequence xs, or of
+    every state when xs is None: the row sums of `_squared_rows`,
+    chains.BLOCK rows at a time, and for every state contiguous slices of
+    F's rows.  On the character route every state's sum is the same: it
+    is summed once and repeated."""
+    count = decomp.n if xs is None else len(xs)
     if decomp.eigfuncs is None:
-        return np.broadcast_to(1.0, (decomp.n, decomp.n - first))
-    return np.square(decomp.eigfuncs[:, first:])
+        return np.repeat(_squared_rows(decomp, [0], root).sum(axis=1), count)
+    sums = np.empty(count)
+    for block in index_blocks(count):
+        rows = block if xs is None else np.asarray(xs)[block]
+        sums[block] = _squared_rows(decomp, rows, root).sum(axis=1)
+    return sums
 
 
-def _squared_rows(decomp: SpectralDecomposition, xs, decay: np.ndarray) -> np.ndarray:
-    """The terms f_i(x)^2 decay_i over the last decay.shape[-1]
-    eigenfunctions, one row per state x of xs, as a fresh C-ordered
-    array; decay is one row, or one per state.
+def _squared_rows(decomp: SpectralDecomposition, xs, root: np.ndarray) -> np.ndarray:
+    """The terms (f_i(x) root_i)^2 over the last root.shape[-1]
+    eigenfunctions, one row per state x of xs (a sequence of states or a
+    slice), as a fresh C-ordered array; root is one row, or one per state.
 
-    The rows of F are gathered, squared in place and scaled by decay in
-    place, so a row's terms and its sums do not depend on the rows beside
-    it.  On the character route every |chi_k|^2 is 1, and the rows are
-    decay itself."""
-    shape = (len(xs), decay.shape[-1])
+    The one place a per-state spectral term f_i(x)^2 w_i is formed, with
+    root = sqrt(w): the rows of F are copied, scaled by root in place and
+    squared in place, so no n x n square of F is formed, a row's terms and
+    its sums do not depend on the rows beside it, and a term whose weight
+    w_i is below the normal range (exp(-2 lambda_i t) late in a drifted
+    chain's profile) keeps its relative accuracy as long as f_i(x) root_i
+    does.  On the character route every |chi_k|^2 is 1, and the rows are
+    root squared."""
     if decomp.eigfuncs is None:
-        return np.array(np.broadcast_to(decay, shape))
-    terms = decomp.eigfuncs[np.asarray(xs), decomp.n - shape[1]:]
+        return np.square(np.broadcast_to(root, (len(xs), root.shape[-1])))
+    F = decomp.eigfuncs[:, decomp.n - root.shape[-1]:]
+    terms = np.array(F[xs], order="C") if isinstance(xs, slice) else F[np.asarray(xs)]
+    terms *= root
     np.square(terms, out=terms)
-    terms *= decay
     return terms
 
 

@@ -20,7 +20,7 @@ from conftest import BENCHMARK_SPECS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# Scalar fixture bands frozen from demos/calibrate_bands.py (20000
+# Scalar fixture bands, frozen by the protocol at brw.HIT_BANDS (20000
 # replicates, master_seed=7, widened 50 percent each side).
 CYCLE64_HIT_BAND = (0.5356, 1.2052)
 TORUS28_INTERSECT_BAND = (0.6043, 1.3596)
@@ -48,12 +48,12 @@ def test_criterion_1_identity_suite(benchmark_analyses, random_kernel_analyses):
             scale = 1.0 + h.t_target
             assert hitting.eigentime_residual(h, decomp) <= 1e-8 * scale, kernel.label
             assert hitting.random_target_spread(kernel, h) <= 1e-8 * scale, kernel.label
-            sigma1 = spectral.heat_moment_all(decomp, 1)
+            sigma1 = spectral.moment_vector(decomp, 1)
             rel = np.abs(h.t_pi_to - sigma1) / (1.0 + np.abs(sigma1))
             assert rel.max() <= 1e-8, kernel.label
             for ell in (1, 2, 3, 4):
                 q = spectral.spectral_moment(decomp, ell)
-                avg = float(kernel.pi @ spectral.heat_moment_all(decomp, ell))
+                avg = float(kernel.pi @ spectral.moment_vector(decomp, ell))
                 assert abs(avg - q) <= 1e-8 * (1.0 + q), (kernel.label, ell)
 
 

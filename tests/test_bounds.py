@@ -129,23 +129,28 @@ def test_window_factor_worst_state_passes_on_cycle():
 
 
 def _head_window_reference(analysis, M):
-    """Head-window reports at every state, from the whole-vector formulas:
-    pi(x) times the order-(k+1) moments of every state, one product of the
-    squared eigenfunctions with lambda^-(k+1), full and with each term's
-    gamma mass at M t_rel.  truncation_factor_worst must match the worst
-    of them exactly."""
+    """Head-window reports at every state, from the row-sum formula:
+    pi(x) times the order-(k+1) moment of state x, the sum over i of
+    (f_i(x) sqrt(w_i))^2 with w = lambda^-(k+1), full and with each term's
+    gamma mass at M t_rel, one state's row at a time.
+    truncation_factor_worst must match the worst of them exactly."""
     decomp = analysis.decomp
     lam = decomp.lambdas[1:]
-    fsq = np.square(decomp.eigfuncs[:, 1:])
+    F = decomp.eigfuncs[:, 1:]
     pi = decomp.pi
     window = M * decomp.t_rel
+
+    def moments(w):
+        root = np.sqrt(w)
+        return np.array([np.square(F[x] * root).sum() for x in range(len(F))])
+
     sides = []
     for k in range(2):
         w = lam ** -float(k + 1)
         mass = np.array([spectral.lower_gamma_regularized(k + 1, window * l)
                          for l in lam])
         factor = 1.0 / spectral.lower_gamma_regularized(k + 1, M)
-        sides.append((pi * (fsq @ w), factor * (pi * (fsq @ (w * mass)))))
+        sides.append((pi * moments(w), factor * (pi * moments(w * mass))))
     return [[BoundReport.check(f"head_window_order{k}", float(full[x]), float(trunc[x]),
                                kernel=analysis.kernel.label, x=x, M=M)
              for k, (full, trunc) in enumerate(sides)]
@@ -176,8 +181,8 @@ def test_window_factor_worst_matches_per_state_reference(make):
     decomp, label = analysis.decomp, analysis.kernel.label
     t_rel = decomp.t_rel
     for ell in (1, 2, 3):
-        sigma = spectral.heat_moment_all(decomp, ell)
-        rho = spectral.heat_moment_windowed_all(decomp, ell)
+        sigma = spectral.moment_vector(decomp, ell)
+        rho = spectral.moment_vector(decomp, ell, 2.0 * ell * decomp.t_rel)
         kappa = spectral.gamma_window_mass(ell)
         window = [min((BoundReport.check(name, lhs[x], rhs[x], x=x, kernel=label,
                                          ell=ell) for x in range(analysis.kernel.n)),
@@ -189,7 +194,7 @@ def test_window_factor_worst_matches_per_state_reference(make):
         for eps in (0.25, 0.5):
             l2x = min((BoundReport.check(
                 "l2x_moment_bound", analysis.profile.mixing_time("l2x", eps, x=x),
-                0.5 * (t_rel * max(math.log(sigma[x] / (eps * eps * t_rel**ell)),
+                0.5 * (t_rel * max(math.log(sigma[x]) - math.log(eps * eps * t_rel**ell),
                                    float(ell))),
                 x=x, kernel=label, eps=eps, ell=ell) for x in range(analysis.kernel.n)),
                 key=lambda rep: rep.slack)
@@ -209,7 +214,7 @@ def test_head_window_reads_the_moment_vectors(make):
     for M in (1.0, 2.0, 5.0):
         for x in range(analysis.kernel.n):
             for k, rep in enumerate(bounds.truncation_factor_reports(analysis, x, M)):
-                assert rep.lhs == decomp.pi[x] * spectral.heat_moment_all(decomp, k + 1)[x]
+                assert rep.lhs == decomp.pi[x] * spectral.moment_vector(decomp, k + 1)[x]
 
 
 def test_window_factor_refuses_nan_M(complete4):
@@ -221,22 +226,23 @@ def test_sweep_forms_each_moment_vector_once(monkeypatch):
     # a default sweep reads the full and windowed moments of orders 1-4 and
     # the head windows of orders 1-2 at M = 1, 2, 5, of which order 1 at
     # M = 2 is the windowed moment: 13 (order, window) keys, each formed by
-    # one product of the squared eigenfunctions and kept read-only
+    # one pass of block sums over every state and kept read-only
     analysis = _custom40()
-    products = []
-    diagonal = spectral._diagonal
-    monkeypatch.setattr(spectral, "_diagonal",
-                        lambda d, w: products.append(w.size) or diagonal(d, w))
+    sums = []
+    square_sums = spectral._square_sums
+    monkeypatch.setattr(spectral, "_square_sums",
+                        lambda d, xs, root: sums.append(root.size) or square_sums(d, xs, root))
     bounds.standard_sweep(analysis)
-    assert len(products) == len(analysis.decomp._moments) == 13
+    assert len(sums) == len(analysis.decomp._moments) == 13
     bounds.standard_sweep(analysis)
-    assert len(products) == 13
-    for moments in (spectral.heat_moment_all, spectral.heat_moment_windowed_all):
-        sigma = moments(analysis.decomp, 2)
-        assert moments(analysis.decomp, 2) is sigma and not sigma.flags.writeable
+    assert len(sums) == 13
+    for window in (None, 4.0 * analysis.decomp.t_rel):
+        sigma = spectral.moment_vector(analysis.decomp, 2, window)
+        assert spectral.moment_vector(analysis.decomp, 2, window) is sigma
+        assert not sigma.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             sigma[0] = 0.0
-    assert len(products) == 13 and "_moments" not in repr(analysis.decomp)
+    assert len(sums) == 13 and "_moments" not in repr(analysis.decomp)
 
 
 def test_printed_order1_window_constant_is_false(complete4):

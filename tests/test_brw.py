@@ -295,7 +295,7 @@ def test_growth_curve_solves_no_hitting_times(monkeypatch, cycle8):
 def _cap_bound(decomp):
     """T = sum_{i>=2} 1/lambda_i + max_y E_pi[T_y], the default cap's t_hit bound."""
     return spectral.spectral_moment(decomp, 1) + \
-        float(spectral.heat_moment_all(decomp, 1).max())
+        float(spectral.moment_vector(decomp, 1).max())
 
 
 @pytest.mark.parametrize("kernel", [

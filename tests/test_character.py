@@ -4,6 +4,7 @@ forms, and refuses a group that does not match P."""
 
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -136,13 +137,23 @@ def test_only_the_built_in_transitive_families_carry_a_group():
 
 
 def test_character_squares_are_a_view_of_ones():
-    # the decomposition holds no eigenfunction array; the squares the
-    # moment sums read are a read-only view that costs no memory
+    # the decomposition holds no eigenfunction array, and every |chi_k|^2
+    # is 1: a moment vector squares one row of roots and repeats its sum,
+    # so it allocates O(n) doubles (3.2 n full, 6.5 n windowed at n =
+    # 1024), never the n x n array of squares
     decomp = ChainAnalysis.from_spec(chains.torus_spec(2, 32)).decomp
     assert decomp.eigfuncs is None
-    fsq = spectral._squares(decomp, 0)
-    assert fsq.shape == (1024, 1024) and fsq.strides == (0, 0)
-    assert not fsq.flags.writeable and np.all(fsq == 1.0)
+    for window in (None, 4.0 * decomp.t_rel):
+        tracemalloc.start()
+        try:
+            sigma = spectral.moment_vector(decomp, 2, window)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 8 * decomp.n
+        assert sigma.shape == (decomp.n,) and np.all(sigma == sigma[0])
+    assert spectral.moment_vector(decomp, 2)[0] == pytest.approx(
+        spectral.spectral_moment(decomp, 2), rel=1e-12)
 
 
 # The step form of every transitive family: small sizes of each shape,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mixbound import analysis, brw, chains, cli
+from mixbound import analysis, brw, chains, cli, spectral
 from mixbound.errors import NumericalFailure, SingularSystem
 from mixbound.reports import BoundReport
 
@@ -675,6 +675,28 @@ def test_largest_dlp_verify_clean_at_every_moment_order(tmp_path):
     res = run_cli(*args, "--ell", "1,2,3,4", "--out", str(tmp_path / "w.csv"))
     assert res.returncode == 2
     assert res.stderr == "error: a moment of order ell=4 exceeds the largest double\n"
+
+
+def test_moment_bound_rhs_is_finite_where_moment_over_scale_overflows(tmp_path):
+    # sigma_max / (eps t_rel) is beyond the largest double on dlp(241) at eps
+    # = 1e-4: the ratio overflowed, printed a RuntimeWarning and wrote rhs =
+    # slack = inf, a bound that passed unchecked
+    out = tmp_path / "v.csv"
+    res = run_cli("verify", "--family", "dlp", "--sizes", "241", "--lam", "0.5",
+                  "--dlp-eps", "0.05", "--ell", "1,2", "--eps", "1e-4,0.5",
+                  "--out", str(out))
+    assert (res.returncode, res.stderr) == (0, ""), res.stderr
+    rows = [ln.split(",") for ln in data_lines(out)]
+    assert "inf" not in [c for row in rows for c in row]
+    decomp = analysis.ChainAnalysis.from_spec(chains.dlp_spec(241, 0.5, 0.05)).decomp
+    sigma_max = float(spectral.moment_vector(decomp, 1).max())
+    rhs = decomp.t_rel * (math.log(sigma_max) - math.log(1e-4 * decomp.t_rel))
+    # the kernel label holds commas: eps, ell and rhs are counted from the end
+    checked = [row for row in rows if row[0] in ("linf_moment_bound", "linf_hitting_bound")
+               and row[-8:-6] == ["0.0001", "1"]]
+    assert len(checked) == 2
+    for row in checked:
+        assert abs(float(row[-3]) - rhs) <= 1e-12 * rhs
 
 
 def test_custom_matrix_with_unrepresentable_pi_exit2(tmp_path):

@@ -1,9 +1,5 @@
 """Smoke test: every numbered demo runs to completion, and every demo
-imports mixbound before numpy or scipy.
-
-demos/calibrate_bands.py is a regeneration tool that takes minutes and is
-not run here.
-"""
+imports mixbound before numpy or scipy."""
 
 import ast
 import math

@@ -73,7 +73,7 @@ def test_eigentime_identity(spec):
 def test_pi_start_times_match_spectral_moments(spec):
     kernel, h = _pair(spec)
     decomp = spectral.decompose(kernel)
-    sigma1 = spectral.heat_moment_all(decomp, 1)
+    sigma1 = spectral.moment_vector(decomp, 1)
     rel = np.abs(h.t_pi_to - sigma1) / (1.0 + np.abs(sigma1))
     assert rel.max() <= 1e-8
 
@@ -82,7 +82,7 @@ def test_dual_route_agreement_on_random_kernels():
     for kernel in random_kernels(50, seed=4242):
         h = hitting.hit_times(kernel)
         decomp = spectral.decompose(kernel)
-        sigma1 = spectral.heat_moment_all(decomp, 1)
+        sigma1 = spectral.moment_vector(decomp, 1)
         assert np.abs(h.t_pi_to - sigma1).max() <= 1e-8 * (1 + sigma1.max())
         assert hitting.eigentime_residual(h, decomp) <= 1e-9 * (1 + h.t_target)
 

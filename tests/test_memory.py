@@ -188,13 +188,14 @@ def test_spectral_crossings_form_no_n_by_n_array(evaluate):
     assert _traced_peak(lambda: evaluate(analysis.profile)) < 8 * analysis.kernel.n**2
 
 
-def test_sweep_holds_one_square_beyond_the_analysis():
-    # beside P and F the sweep's peak is one square of F, formed for a
-    # moment vector of one order and window, and the BLOCK-row temporaries:
-    # 1.14 arrays at n = 256 (2.18 with F^2 kept and the TV rows of every
-    # scanned state at once).  One more n x n temporary would fail this
+def test_sweep_holds_no_square_beyond_the_analysis():
+    # beside P and F the sweep holds BLOCK-row temporaries alone: every
+    # moment vector is summed a block of rows at a time.  0.74 arrays at
+    # n = 256 (1.14 with one square of F per moment vector, 2.18 with F^2
+    # kept and the TV rows of every scanned state at once).  One n x n
+    # temporary would fail this
     analysis = _swept_analysis()
-    assert _traced_peak(lambda: standard_sweep(analysis)) <= 1.5 * 8 * analysis.kernel.n**2
+    assert _traced_peak(lambda: standard_sweep(analysis)) <= 1.0 * 8 * analysis.kernel.n**2
 
 
 @pytest.mark.parametrize("command,flags", [
@@ -204,9 +205,9 @@ def test_sweep_holds_one_square_beyond_the_analysis():
 ], ids=["verify", "analyze", "profile"])
 def test_command_drops_the_custom_spec_matrix(tmp_path, command, flags):
     # the parsed matrix is dropped once the kernel holds its own copy of P,
-    # so a command holds P, F and S + q q^T and its inverse, or one square
-    # of F: 3.10-4.16 arrays at n = 256 traced around cli.main (3.27-3.75
-    # when scipy inverted in place).  One more n x n array would fail this
+    # so a command holds P, F and S + q q^T and its inverse at most: 3.10-
+    # 4.16 arrays at n = 256 traced around cli.main (3.27-3.75 when scipy
+    # inverted in place).  One more n x n array would fail this
     n = 256
     P = chains.random_reversible_kernel(n, np.random.default_rng(0)).P
     np.savetxt(tmp_path / "custom.csv", P, fmt="%.17g", delimiter=",")

@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -626,12 +627,26 @@ def test_l2x_time_independent_of_batch(monkeypatch):
         assert alone.l2_distance(x, vec[x]) <= 0.125
 
 
-@pytest.mark.xfail(raises=NumericalFailure, strict=True, reason="ROADMAP loose end: "
-                   "the Newton stop is below the rounding floor of t")
+def test_l2_profile_keeps_relative_accuracy_where_its_decay_is_subnormal():
+    # on dlp(241) near t = 1277.33 every exp(-2 lambda_i t) is subnormal while
+    # f_i(0)^2 reaches 7e304: a term formed as f^2 exp(-2 lambda t) was off
+    # by 3.0e-10 relative at x = 0, one formed as (f exp(-lambda t))^2 is not
+    kernel, decomp, prof = _profile(chains.dlp_spec(241, 0.5, 0.05))
+    f, lam = decomp.eigfuncs[0, 1:], decomp.lambdas[1:]
+    for t in (100.0, 600.0, 1277.3298951588):
+        with mpmath.workdps(40):
+            ref = mpmath.fsum(mpmath.mpf(float(fi)) ** 2
+                              * mpmath.exp(-2 * mpmath.mpf(float(li)) * t)
+                              for fi, li in zip(f, lam))
+            assert abs(prof.l2_distance_sq(0, t) - ref) <= 1e-12 * ref
+
+
 def test_worst_l2_time_at_the_rounding_floor_of_t():
-    # at eps = 1e-5 the crossing lies near t = 1277.33, about 360 t_rel, where
-    # the iterate oscillates by about 3e-11 while a row leaves only once its
-    # step is within 1e-13 t_rel = 3.5e-13, under two ulp of t
+    # at eps = 1e-5 the crossing lies near t = 1277.33, about 360 t_rel; a
+    # row leaves Newton once its step is within 1e-13 t_rel = 3.5e-13, under
+    # two ulp of t, which the iterate reaches once the profile's terms keep
+    # their relative accuracy there (an evaluator off by 3e-10 made it
+    # oscillate by about 3e-11)
     kernel, decomp, prof = _profile(chains.dlp_spec(241, 0.5, 0.05))
     t = prof.worst_l2_mixing_time(1e-5)
     worst = lambda s: max(prof.l2_distance_sq(x, s) for x in range(kernel.n))

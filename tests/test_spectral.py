@@ -219,6 +219,21 @@ def test_heat_diag_exponential_decay_bound(spec):
                 assert shifted <= math.exp(-s * d.gap) * base + 1e-12 * (1 + base)
 
 
+@pytest.mark.parametrize("kernel", [
+    lambda: chains.random_reversible_kernel(40, np.random.default_rng(11)),
+    lambda: chains.build_family(chains.dlp_spec(200, 0.5, 0.05)),
+    lambda: chains.random_reversible_kernel(400, np.random.default_rng(0)),
+], ids=["custom40", "dlp200", "custom400"])
+def test_heat_diag_of_one_state_is_its_entry_of_the_vector(kernel):
+    # both forms sum the same rows of (f_i(x) exp(-lambda_i t/2))^2; when the
+    # vector was one product of F^2 with exp(-lambda t), the two differed in
+    # 16 of 40, 105 of 200 and 272 of 400 states
+    d = spectral.decompose(kernel())
+    for t in (0.5, 2.0):
+        ratios = spectral.heat_diag_ratio(d, t)
+        assert [spectral.heat_diag_ratio(d, t, x) for x in range(d.n)] == ratios.tolist()
+
+
 # ---------------------------------------------------------------------------
 # moment functionals
 
@@ -232,22 +247,22 @@ def test_spectral_moment_closed_forms():
 
 def test_heat_moment_transitive_equals_spectral_moment():
     d = _decomp(chains.complete_spec(4))
-    assert spectral.heat_moment_all(d, 1)[2] == pytest.approx(2.25, rel=1e-12)
-    assert spectral.heat_moment_all(d, 2)[1] == pytest.approx(1.6875, rel=1e-12)
+    assert spectral.moment_vector(d, 1)[2] == pytest.approx(2.25, rel=1e-12)
+    assert spectral.moment_vector(d, 2)[1] == pytest.approx(1.6875, rel=1e-12)
 
 
 def test_heat_moment_two_state():
     d = spectral.decompose(two_state_half())
-    assert spectral.heat_moment_all(d, 1)[0] == pytest.approx(1.0, rel=1e-12)
+    assert spectral.moment_vector(d, 1)[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_windowed_moment_closed_forms():
     d4 = _decomp(chains.complete_spec(4))
     # single spectral point: window mass is P(Gamma(1,1) <= 2)
-    assert spectral.heat_moment_windowed_all(d4, 1)[0] == pytest.approx(
+    assert spectral.moment_vector(d4, 1, 2.0 * d4.t_rel)[0] == pytest.approx(
         2.25 * (1 - math.exp(-2)), rel=1e-12)
     d2 = spectral.decompose(two_state_half())
-    assert spectral.heat_moment_windowed_all(d2, 2)[0] == pytest.approx(
+    assert spectral.moment_vector(d2, 2, 4.0 * d2.t_rel)[0] == pytest.approx(
         1 - 5 * math.exp(-4), rel=1e-12)
 
 
@@ -255,9 +270,10 @@ def test_moment_vectors_share_one_memo():
     # the windowed moment of order 1 is the order-1 vector at window
     # 2 t_rel, which the head-window reports read at M = 2
     d = _decomp(chains.dlp_spec(24, 0.5, 0.05))
-    assert spectral.moment_vector(d, 1, 2.0 * d.t_rel) is \
-        spectral.heat_moment_windowed_all(d, 1)
-    assert spectral.moment_vector(d, 3) is spectral.heat_moment_all(d, 3)
+    windowed = spectral.moment_vector(d, 1, 2.0 * 1 * d.t_rel)
+    assert spectral.moment_vector(d, 1, 2.0 * d.t_rel) is windowed
+    full = spectral.moment_vector(d, 3)
+    assert spectral.moment_vector(d, 3) is full
     assert sorted(d._moments) == [(1, 2.0 * d.t_rel), (3, None)]
 
 
@@ -266,11 +282,11 @@ def test_moments_refused_only_where_they_overflow():
     # end, while q1..q4 and sigma_x of order 3 fit in a double
     d = _decomp(chains.dlp_spec(241, 0.5, 0.05))
     assert all(np.isfinite(spectral.spectral_moment(d, ell)) for ell in range(1, 5))
-    assert np.isfinite(spectral.heat_moment_all(d, 3)).all()
-    assert np.isfinite(spectral.heat_moment_windowed_all(d, 3)).all()
-    for moments in (spectral.heat_moment_all, spectral.heat_moment_windowed_all):
+    assert np.isfinite(spectral.moment_vector(d, 3)).all()
+    assert np.isfinite(spectral.moment_vector(d, 3, 6.0 * d.t_rel)).all()
+    for window in (None, 8.0 * d.t_rel):
         with pytest.raises(InvalidSpec):
-            moments(d, 4)
+            spectral.moment_vector(d, 4, window)
     # t_rel^600 itself is beyond the double range on the 8-cycle
     with pytest.raises(InvalidSpec):
         spectral.spectral_moment(_decomp(chains.cycle_spec(8)), 600)
@@ -390,8 +406,8 @@ def test_moments_match_quadrature_oracle(seed):
     d = spectral.decompose(kernel)
     x = int(rng.integers(0, n))
     ell = int(rng.integers(1, 4))
-    sig = spectral.heat_moment_all(d, ell)[x]
-    rho = spectral.heat_moment_windowed_all(d, ell)[x]
+    sig = spectral.moment_vector(d, ell)[x]
+    rho = spectral.moment_vector(d, ell, 2.0 * ell * d.t_rel)[x]
     assert sig == pytest.approx(_oracle_moments(kernel, x, ell), rel=1e-6)
     assert rho == pytest.approx(
         _oracle_moments(kernel, x, ell, window=2 * ell * d.t_rel), rel=1e-6)
@@ -401,7 +417,7 @@ def test_windowed_moment_quadrature_on_cycle():
     kernel = chains.build_family(chains.cycle_spec(6))
     d = spectral.decompose(kernel)
     oracle = _oracle_moments(kernel, 0, 1, window=2 * d.t_rel)
-    assert spectral.heat_moment_windowed_all(d, 1)[0] == pytest.approx(oracle, rel=1e-6)
+    assert spectral.moment_vector(d, 1, 2.0 * d.t_rel)[0] == pytest.approx(oracle, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +428,8 @@ def test_windowed_moment_quadrature_on_cycle():
 def test_windowed_moment_sandwich(spec, ell):
     d = _decomp(spec)
     kappa = spectral.gamma_window_mass(ell)
-    sigma = spectral.heat_moment_all(d, ell)
-    rho = spectral.heat_moment_windowed_all(d, ell)
+    sigma = spectral.moment_vector(d, ell)
+    rho = spectral.moment_vector(d, ell, 2.0 * ell * d.t_rel)
     assert np.all(rho <= sigma * (1 + 1e-12))
     assert np.all(kappa * sigma <= rho * (1 + 1e-12))
 
@@ -423,7 +439,7 @@ def test_windowed_moment_sandwich(spec, ell):
 def test_pi_average_of_heat_moments_is_spectral_moment(spec, ell):
     kernel = chains.build_family(spec)
     d = spectral.decompose(kernel)
-    lhs = float(kernel.pi @ spectral.heat_moment_all(d, ell))
+    lhs = float(kernel.pi @ spectral.moment_vector(d, ell))
     rhs = spectral.spectral_moment(d, ell)
     assert abs(lhs - rhs) <= 1e-8 * (1 + rhs)
 
