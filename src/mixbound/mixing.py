@@ -4,8 +4,9 @@ Profiles are evaluated spectrally.  The L2, L-infinity and average L2
 profiles are positive mixtures sum_{i>=2} w_i exp(-2 lambda_i t), which
 subtract nothing, and each term is formed as the square (f_i(x)
 exp(-lambda_i t))^2 (`spectral._squared_rows`), whose exponential stays
-normal twice as long as exp(-2 lambda_i t), so they keep their relative
-accuracy however small they get.  The heat rows of a set of
+normal twice as long as exp(-2 lambda_i t), so they keep, however small
+they get, the accuracy of F's entries (relative save at small-pi states
+under dense `eigh`).  The heat rows of a set of
 states come from one product per t and chains.BLOCK states.
 When pi is too unbalanced for the spectral reconstruction they are rows
 of H(t) = exp(-tL), with L the `spectral.laplacian`, on a dyadic ladder
@@ -28,10 +29,10 @@ each nonincreasing in t: the rows still above the threshold at the
 relaxation bound are solved alone, worst first (of rows tied in
 rounding, the one of least mass), each by a bracket plus a Brent-Dekker
 root solve (Brent 1973), until a check of the rest finds none above.
-Both run to 1e-13 * t_rel plus a few ulp of t, far inside the 1e-9 *
-t_rel contract.  The total variation convention here is
-t_tv(eps) = first time the worst-case L1 distance drops to 2*eps, so the
-plain t_tv corresponds to eps = 1/4."""
+Both stop by one rule, `_stop`: 1e-13 min(t, t_rel) plus a few ulp of
+t, far inside the 1e-9 * t_rel contract.  The total variation convention
+here is t_tv(eps) = first time the worst-case L1 distance drops to 2*eps,
+so the plain t_tv corresponds to eps = 1/4."""
 
 from __future__ import annotations
 
@@ -51,14 +52,11 @@ KINDS = ("linf", "l2x", "tv", "ave_l2")
 # Above this stationary imbalance the spectral reconstruction of
 # off-diagonal heat entries cancels catastrophically (eigenfunction values
 # scale like 1/sqrt(pi_min)); rows then come from the heat ladder, whose
-# entries stay in [0, 1].  Diagonal sums are all-positive and never need
-# the fallback.
+# entries stay in [0, 1].  Diagonal sums are all-positive and need no
+# fallback, but hold at small-pi states only the absolute accuracy dense
+# `eigh` gives F there.
 _BALANCE_LIMIT = 1e6
 
-# Absolute part of the crossing tolerance, in units of t_rel.  The solvers
-# add a few ulp of t on top: on strongly drifted chains t reaches ~600
-# t_rel, where 1e-13 * t_rel alone is below the spacing of doubles.
-_XTOL_REL = 1e-13
 _EPS = float(np.finfo(float).eps)
 _TINY = float(np.finfo(float).tiny)
 _MAX = float(np.finfo(float).max)
@@ -308,14 +306,13 @@ class MixingProfile:
         differ in its last bits, so the solved row leaves the candidates
         whatever the check would read it as: every round drops at least one
         row.  One scanned state is solved from 0 at once, as the bound would
-        only cost an evaluation.
+        only cost an evaluation; each solve stops by `_stop`.
         """
-        threshold = _threshold("tv", eps)
-        xtol = _XTOL_REL * self.decomp.t_rel
+        threshold, t_rel = _threshold("tv", eps), self.decomp.t_rel
         xs = np.asarray(self.kernel.scan_states)
         lo, dist = 0.0, np.zeros(len(xs))
         if len(xs) > 1:
-            bound = self.decomp.t_rel * max(math.log(0.5 / eps), 0.0)
+            bound = t_rel * max(math.log(0.5 / eps), 0.0)
             dist = self._l1_distances(bound, xs)
             above = dist > threshold
             if above.any():
@@ -329,7 +326,7 @@ class MixingProfile:
             x = int(xs[i])
             # a crossing solved at a smaller eps lies past lo save for rounding
             t = _first_crossing(lambda s: self.tv_distance(x, s), threshold,
-                                hi if hi > lo else 2.0 * lo, xtol, lo)
+                                hi if hi > lo else 2.0 * lo, t_rel, lo)
             xs = np.delete(xs, i)
             if not xs.size:
                 return t
@@ -366,13 +363,13 @@ class MixingProfile:
         linf a max of convex functions), so Newton's method on log g -
         log threshold, with the (worst) row's slope, climbs from s = 0
         monotonically to the root.  A row leaves once its step is within
-        1e-13 t_rel, moves up by that plus a few ulp, and again until g is
-        at most the threshold.
+        `_stop` of its time, moves up by `_stop`, and again until g is at
+        most the threshold (for linf in s, with t_rel halved).
         """
         threshold = _threshold(kind, eps)
         worst = kind == "linf"
         xs = np.asarray(xs if kind == "l2x" else [0])
-        tol = _XTOL_REL * self.decomp.t_rel * (0.5 if worst else 1.0)  # in s
+        t_rel = self.decomp.t_rel * (0.5 if worst else 1.0)  # in units of s
         times = np.zeros(len(xs))
 
         def profile(rows, slopes=False):  # g and slopes of rows at their times
@@ -388,19 +385,25 @@ class MixingProfile:
                 raise NumericalFailure(f"{kind} Newton step is not finite")
             step[(step < 0.0) & (times[active] == 0.0)] = 0.0  # crossed at 0
             times[active] += step
-            active = active[np.abs(step) > tol]
+            active = active[np.abs(step) > _stop(times[active], t_rel)]
             if not active.size:
                 break
         else:
             raise NumericalFailure(f"{kind} Newton iteration did not converge")
-        times += np.where(times > 0.0, tol + 4.0 * _EPS * times, 0.0)
+        times += _stop(times, t_rel)
         late = np.arange(len(xs))
         for _ in range(_NEWTON_MAX):
             late = late[profile(late)[0] > threshold]
             if not late.size:
                 return 2.0 * times if worst else times
-            times[late] += tol + 4.0 * _EPS * times[late]
+            times[late] += _stop(times[late], t_rel)
         raise NumericalFailure(f"{kind} profile failed to cross its threshold")
+
+
+def _stop(t, t_rel):
+    """Every crossing solve's stop at t: 1e-13 min(t, t_rel), relative
+    below t_rel, plus 4 ulp of t, which rule ~600 t_rel out; 0 at t = 0."""
+    return 1e-13 * np.minimum(t, t_rel) + 4.0 * _EPS * t
 
 
 def _worst(dist: np.ndarray, pi: np.ndarray) -> int:
@@ -526,17 +529,17 @@ def _check_eps(eps: float) -> None:
         raise BadEps(f"eps must be positive and finite, got {eps}")
 
 
-def _first_crossing(value, threshold, hi_guess, xtol=0.0, lo=0.0):
+def _first_crossing(value, threshold, hi_guess, t_rel=0.0, lo=0.0):
     """inf{t >= lo : value(t) <= threshold} for a nonincreasing value.
 
     Doubles the bracket [lo, hi_guess] from lo until the profile has
     crossed at its end, then runs Brent-Dekker (inverse quadratic
     interpolation and secant steps, safeguarded by bisection) on f = value
-    - threshold until the bracket is narrower than xtol plus a few ulp of
-    t.  Returns the bracket end at which the profile has already crossed,
-    so value(t) <= threshold holds at the returned t; lo when it has
-    crossed there.  A hi_guess that is not finite and above lo is refused
-    (ValueError): no doubling would move it.
+    - threshold until the bracket is narrower than `_stop`(t, t_rel), a few
+    ulp of t at the default t_rel = 0.  Returns the bracket end at which
+    the profile has already crossed, so value(t) <= threshold holds at the
+    returned t; lo when it has crossed there.  A hi_guess that is not
+    finite and above lo is refused (ValueError): no doubling would move it.
     """
     if not lo < hi_guess < math.inf:
         raise ValueError(f"the bracket end {hi_guess!r} is not finite and above {lo!r}")
@@ -563,7 +566,7 @@ def _first_crossing(value, threshold, hi_guess, xtol=0.0, lo=0.0):
         if abs(fc) < abs(fb):
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
-        tol = 2.0 * _EPS * abs(b) + 0.5 * xtol
+        tol = 0.5 * _stop(abs(b), t_rel)
         m = 0.5 * (c - b)
         if abs(m) <= tol or fb == 0.0:
             return b if fb <= 0.0 else c

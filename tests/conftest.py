@@ -97,6 +97,18 @@ def joined_cliques(delta, m=10):
     return P
 
 
+def drifted_birth_death(rng, n, ratio):
+    """A birth-death P on n states whose pi spans about ratio: up rates
+    uniform in [0.05, 0.45], down rates ratio^(-1/(n-1)) times smaller up
+    to a factor in [0.9, 1.1] (at most 0.45), and 1 - the row sum on the
+    diagonal."""
+    up = rng.uniform(0.05, 0.45, n - 1)
+    down = np.minimum(up / ratio ** (1 / (n - 1)) * rng.uniform(0.9, 1.1, n - 1), 0.45)
+    P = np.diag(up, 1) + np.diag(down, -1)
+    np.fill_diagonal(P, 1.0 - P.sum(axis=1))
+    return P
+
+
 def reference_gap(kernel):
     """Gap of the symmetrized Laplacian built from the same float
     off-diagonal entries, by a 60-digit mpmath eigensolve."""
