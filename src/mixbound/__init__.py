@@ -3,8 +3,8 @@ reversible Markov chains, inequality verification against closed-form
 bounds, and critical branching random walk experiments.
 
 The exact layer needs numpy alone: no module imports scipy when it is
-imported, and only the BRW experiments load it, inside `brw`, for the
-two dense solves whose bits the benchmark gate pins.
+imported, and only the branching targets of `brw.experiment` load it,
+for the gamma and hit target whose bits the benchmark gate pins.
 
 Importing the package sets ``OPENBLAS_THREAD_TIMEOUT`` to
 ``OPENBLAS_THREAD_TIMEOUT_DEFAULT`` unless the variable is already set;

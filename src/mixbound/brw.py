@@ -11,10 +11,10 @@ Default gamma is the spectral gap of the kernel, the critical regime in
 which the population grows by a constant factor every relaxation time.
 The default time cap is 50 t_rel log(1 + T/t_rel) with T = sum_{i>=2}
 1/lambda_i + max_y E_pi[T_y], a bound on t_hit by the triangle inequality
-for hitting times, read from the spectral decomposition alone.  The gap,
-and the t_rel, Q and hit target of `experiment`, come from scipy's dense
-solves (`_gate_solves`), whose bits the benchmark gate pins; everything
-else comes from `analysis.ChainAnalysis`, which needs numpy alone.
+for hitting times, read from the spectral decomposition alone.  Every
+exact input comes from `analysis.ChainAnalysis`, which needs numpy alone,
+but the gamma and hit target of `experiment`'s branching runs, which the
+benchmark gate pins to the bits of scipy's dense solves (`_gate_solves`).
 
 A hit and an intersection are one race, run by one engine: a branching
 cloud against the set another cloud has visited, which for a hit is the
@@ -61,7 +61,7 @@ import numpy as np
 from .analysis import ChainAnalysis
 from .chains import TransitionKernel, _check_states, build_family
 from .errors import AllCensored, InvalidSpec
-from .hitting import hit_times
+from .hitting import _dense_hit_matrix
 from .spectral import (SpectralDecomposition, _eigensolve, moment_vector,
                        spectral_moment)
 
@@ -83,8 +83,8 @@ def replicate_seed(master_seed: int, replicate: int, salt: int = 0) -> int:
 
 @dataclass(frozen=True)
 class BRWConfig:
-    """Simulation knobs.  gamma=None means the spectral gap of the kernel;
-    max_time=None means 50 * t_rel * log(1 + T / t_rel), T >= t_hit (fill_config)."""
+    """Simulation knobs.  gamma=None and max_time=None take the defaults of
+    fill_config; master_seed lies in 0..2^64-1, which splitmix64 tells apart."""
 
     gamma: float | None = None
     replicates: int = 1000
@@ -94,15 +94,19 @@ class BRWConfig:
     threads: int = 1
 
     def __post_init__(self):
-        # "not x > 0" also rejects NaN, which would disable the time cap
-        if self.gamma is not None and not self.gamma > 0:
-            raise InvalidSpec("gamma must be positive")
+        # "not 0 < x < inf" also rejects NaN, which would disable the time cap
+        if self.gamma is not None and not 0.0 < self.gamma < math.inf:
+            raise InvalidSpec(f"gamma must be positive and finite, got {self.gamma}")
         if self.replicates < 1:
             raise InvalidSpec("replicates must be >= 1")
+        if not 0 <= self.master_seed <= _MASK:
+            raise InvalidSpec(f"seed must be in 0..2^64-1, got {self.master_seed}")
         if self.max_particles < 1:
             raise InvalidSpec("max_particles must be >= 1")
         if self.max_time is not None and not self.max_time > 0:
             raise InvalidSpec("max_time must be positive")
+        if self.threads < 1:
+            raise InvalidSpec(f"threads must be >= 1, got {self.threads}")
 
 
 @dataclass(frozen=True)
@@ -128,42 +132,38 @@ def _cum_row(weights: np.ndarray) -> tuple[list, list]:
     return nz.tolist(), cum.tolist()
 
 
-def _gate_solves(kernel: TransitionKernel, hit: bool = False) -> tuple:
-    """(lambdas, t_pi_to): the two reads of the kernel whose bits the BRW
-    gate pins, from scipy's dense solves.
+def _gate_solves(kernel: TransitionKernel, hit: bool) -> tuple:
+    """(gamma, target): the two reads of the kernel whose bits the BRW gate
+    pins, from scipy's dense solves.
 
-    lambdas are the eigenvalues of I - P from the in-place evr solve of
+    gamma is lambda_2 of I - P from the in-place evr solve of
     `spectral._eigensolve`, its eigenvectors dropped after the
-    backward-error check; gamma, t_rel and Q are read from them.  With
-    hit, t_pi_to is that of `hitting.hit_times` with scipy's inv in its
-    spectral route, and picks the hit target; else it is None.  scipy is
-    imported here alone, so no command but brw loads it.
+    backward-error check.  With hit, target is the state hardest to reach
+    from pi, the argmax of pi @ hit over the hitting matrix of
+    `hitting._dense_hit_matrix` with scipy's inv in its spectral route;
+    else it is None.  scipy is imported here alone, so only the branching
+    targets of `experiment` load it.
     """
     import scipy.linalg
-    lambdas = _eigensolve(kernel, lambda S: scipy.linalg.eigh(S.T, overwrite_a=True))[0]
+    gamma = float(_eigensolve(
+        kernel, lambda S: scipy.linalg.eigh(S.T, overwrite_a=True))[0][1])
     if not hit:
-        return lambdas, None
+        return gamma, None
     # A is exactly symmetric, so its transpose, a Fortran-ordered view, is
     # the same matrix: inv overwrites it, and the transpose of the result
     # is C-ordered again
-    summary = hit_times(kernel, inv=lambda A: scipy.linalg.inv(A.T, overwrite_a=True).T)
-    return lambdas, summary.t_pi_to
-
-
-def _default_gamma(kernel: TransitionKernel, cfg: BRWConfig) -> BRWConfig:
-    """cfg with gamma defaulting to the spectral gap of `_gate_solves`."""
-    if cfg.gamma is not None:
-        return cfg
-    return replace(cfg, gamma=float(_gate_solves(kernel)[0][1]))
+    hit_matrix = _dense_hit_matrix(
+        kernel, lambda A: scipy.linalg.inv(A.T, overwrite_a=True).T)[0]
+    return gamma, int(np.argmax(kernel.pi @ hit_matrix))
 
 
 def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
     """cfg with gamma defaulting to the spectral gap and max_time to
     50 * t_rel * log(1 + T / t_rel).  T = sum_{i>=2} 1/lambda_i + max_y E_pi[T_y]
     bounds t_hit on every irreducible reversible chain: average E_x[T_y] <=
-    E_x[T_z] + E_z[T_y] over z ~ pi (Levin-Peres-Wilmer, ch. 10).  The
-    branching estimators set gamma by `_default_gamma` first, so decomp
-    gives them the time cap alone; plain walks ignore gamma."""
+    E_x[T_z] + E_z[T_y] over z ~ pi (Levin-Peres-Wilmer, ch. 10).  Every
+    estimator fills its defaults here; `experiment` sets the gamma of its
+    branching runs from `_gate_solves` first."""
     max_time = cfg.max_time
     if max_time is None:
         t_rel = decomp.t_rel
@@ -179,8 +179,7 @@ def fill_config(decomp: SpectralDecomposition, cfg: BRWConfig) -> BRWConfig:
 # rows[x] and start are (neighbours, cumprobs) tables from _cum_row;
 # -log(1.0 - random()) / rate is Random.expovariate(rate), inlined to save
 # a method call per event.  _run_race takes what _simulate passes.  Two
-# plain walks are the intersection race at gamma = 0, which never splits;
-# _run_plain makes that call and stays top level for the pool.
+# plain walks are the intersection race at gamma = 0, which never splits.
 
 def _race_start(random, start, n, initial_states, target):
     """(visited, positions) of a race at time 0, or None when both sides
@@ -245,11 +244,6 @@ def _run_race(seed, rows, start, gamma, n, max_particles, max_time,
             own.append(own[p])
             heappush(heap, (t - log(1.0 - random()) / total, pr, len(own) - 1))
         heapreplace(heap, (t - log(1.0 - random()) / total, pr, p))
-
-
-def _run_plain(seed, rows, start, gamma, *race_args):
-    """Two plain walks: the intersection race at gamma = 0."""
-    return _run_race(seed, rows, start, 0.0, *race_args)
 
 
 def _run_growth(seed, rows, start, gamma, times, max_particles):
@@ -342,22 +336,21 @@ def _estimate(times, target) -> BRWEstimate:
 # public estimators
 
 def _simulate(run_fn, kernel: TransitionKernel, cfg: BRWConfig, label: str,
-              initial_states=None, target=None, salt: int = 0) -> BRWEstimate:
+              initial_states=None, target=None, salt: int = 0,
+              gamma: float | None = None) -> BRWEstimate:
     """Every estimator's one path: check the target and the pinned starts
     (one for a hit, two otherwise), fill cfg's defaults, run run_fn (with
-    _run_race's arguments) on every replicate and reduce the times.  Plain
-    walks never split, so no default gamma is solved for them."""
+    _run_race's arguments) on every replicate and reduce the times.  A
+    gamma given here overrides cfg's: plain walks pass 0."""
     if target is not None:
         (target,) = _check_states(label, "the target", (target,), kernel.n)
     if initial_states is not None:
         initial_states = _check_states(label, "pinned starts", initial_states,
                                        kernel.n, 1 if target is not None else 2)
-    if run_fn is not _run_plain:
-        cfg = _default_gamma(kernel, cfg)
-    if cfg.max_time is None:
+    if cfg.max_time is None or (gamma is None and cfg.gamma is None):
         cfg = fill_config(ChainAnalysis.from_kernel(kernel).decomp, cfg)
-    times = _run_replicates(run_fn, kernel, cfg, cfg.gamma, kernel.n,
-                            cfg.max_particles, cfg.max_time, initial_states,
+    times = _run_replicates(run_fn, kernel, cfg, cfg.gamma if gamma is None else gamma,
+                            kernel.n, cfg.max_particles, cfg.max_time, initial_states,
                             target, salt=salt)
     return _estimate(times, label)
 
@@ -387,23 +380,25 @@ def plain_intersection(kernel: TransitionKernel, cfg: BRWConfig,
                        initial_states: tuple[int, int] | None = None
                        ) -> BRWEstimate:
     """Intersection time of two plain (non-branching) rate-1 walks from pi."""
-    return _simulate(_run_plain, kernel, cfg, "plain_intersection", initial_states)
+    return _simulate(_run_race, kernel, cfg, "plain_intersection", initial_states,
+                     gamma=0.0)
 
 
 def growth_curve(kernel: TransitionKernel, cfg: BRWConfig,
                  times) -> tuple[np.ndarray, np.ndarray]:
     """Mean particle count and its standard error at each query time.
 
-    Growth runs have no time cap, so only gamma is filled (the spectral
-    gap of `_gate_solves` when it is None).  A query time that is NaN,
-    negative or infinite is refused (InvalidSpec) before any replicate
-    runs."""
+    Growth runs have no time cap, so only gamma is read: the spectral gap
+    of the kernel's analysis when it is None (`fill_config`).  A query
+    time that is NaN, negative or infinite is refused (InvalidSpec) before
+    any replicate runs."""
     times = sorted(float(t) for t in times)
     bad = [t for t in times if not 0.0 <= t < math.inf]
     if bad:
         raise InvalidSpec(f"growth_curve: query times must be finite and "
                           f"nonnegative, got {bad[0]}")
-    cfg = _default_gamma(kernel, cfg)
+    if cfg.gamma is None:
+        cfg = fill_config(ChainAnalysis.from_kernel(kernel).decomp, cfg)
     counts = np.array(_run_replicates(_run_growth, kernel, cfg, cfg.gamma, times,
                                       cfg.max_particles), dtype=float)
     mean = counts.mean(axis=0)
@@ -419,26 +414,25 @@ def experiment(analysis: ChainAnalysis, target: str, cfg: BRWConfig
     hit: first hit of the state hardest to reach from pi, against
     t_rel log(1 + t_pi/t_rel); intersect: two BRW clouds, against
     t_rel log(1 + sqrt(Q)/t_rel); plain: two plain walks, against sqrt(Q).
-    gamma, t_rel, Q and, for hit, t_pi and its state come from one call of
-    `_gate_solves`, whose bits the gate pins; the time cap is read from the
-    analysis.
+    t_rel, Q, t_pi = E_pi[T_x] (the order-1 moment vector at x) and the
+    time cap come from the analysis; the default gamma of the branching
+    targets and the hit target x from `_gate_solves`, whose bits the gate
+    pins.  An unknown target is refused before any solve.
     """
-    kernel = analysis.kernel
-    lambdas, t_pi_to = _gate_solves(kernel, hit=target == "hit")
-    t_rel = 1.0 / float(lambdas[1])
-    if cfg.gamma is None:
-        cfg = replace(cfg, gamma=float(lambdas[1]))
-    cfg = fill_config(analysis.decomp, cfg)
-    if target == "hit":
-        x = int(np.argmax(t_pi_to))
-        return simulate_hit(kernel, x, cfg), t_rel * math.log1p(t_pi_to[x] / t_rel)
-    # Q = sum_{i>=2} lambda_i^-2, formed as spectral_moment forms it
-    root_q = math.sqrt(float(np.sum(lambdas[1:] ** -2.0)))
-    if target == "intersect":
-        return simulate_intersection(kernel, cfg), t_rel * math.log1p(root_q / t_rel)
+    if target not in ("hit", "intersect", "plain"):
+        raise InvalidSpec(f"unknown BRW target {target!r}")
+    kernel, decomp = analysis.kernel, analysis.decomp
     if target == "plain":
-        return plain_intersection(kernel, cfg), root_q
-    raise InvalidSpec(f"unknown BRW target {target!r}")
+        return (plain_intersection(kernel, fill_config(decomp, cfg)),
+                math.sqrt(spectral_moment(decomp, 2)))
+    gamma, x = _gate_solves(kernel, hit=target == "hit")
+    cfg = fill_config(decomp, cfg if cfg.gamma is not None else replace(cfg, gamma=gamma))
+    t_rel = decomp.t_rel
+    if target == "hit":
+        t_pi = float(moment_vector(decomp, 1)[x])
+        return simulate_hit(kernel, x, cfg), t_rel * math.log1p(t_pi / t_rel)
+    root_q = math.sqrt(spectral_moment(decomp, 2))
+    return simulate_intersection(kernel, cfg), t_rel * math.log1p(root_q / t_rel)
 
 
 # ---------------------------------------------------------------------------

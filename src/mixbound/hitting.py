@@ -11,8 +11,8 @@ hitting time off the symbol of a character decomposition instead, by one
 FFT of size n, and forms no n x n array.  Either forms the matrix of
 every E_x[T_y] only when hit_matrix is read, which no command does.
 The dense solves are numpy's (linalg.inv and eigh), so the module needs
-numpy alone; `brw` passes scipy's inv to `hit_times` for its gated hit
-target.
+numpy alone; `brw` passes scipy's inv to `_dense_hit_matrix` for its
+gated hit target.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class HittingSummary:
         return self.form_hit_matrix()
 
 
-def hit_times(kernel: TransitionKernel, inv=None) -> HittingSummary:
+def hit_times(kernel: TransitionKernel) -> HittingSummary:
     """Solve every E_x[T_y] exactly, by one of three routes.
 
     E_x[T_y] solves the linear system (I - P) restricted to V \\ {y} with
@@ -73,8 +73,8 @@ def hit_times(kernel: TransitionKernel, inv=None) -> HittingSummary:
       accuracy at any imbalance, in O(n^2) total.
     - "spectral": every other kernel first gets all columns from one
       symmetric solve: with S the symmetrized Laplacian, q = sqrt(pi) and
-      N = (S + q q^T)^{-1} from inv, numpy.linalg.inv (LAPACK gesv on
-      the identity) when None,
+      N = (S + q q^T)^{-1} from numpy.linalg.inv (LAPACK gesv on the
+      identity),
 
           E_x[T_y] = N[y,y] / pi(y) - N[x,y] / sqrt(pi(x) pi(y)).
 
@@ -104,20 +104,21 @@ def hit_times(kernel: TransitionKernel, inv=None) -> HittingSummary:
     `chains.DENSE_PEAK_ARRAYS`, are of this dense solve only;
     `character_hit_times` holds O(n) doubles.
     """
-    inv = np.linalg.inv if inv is None else inv
-    hit, route, t_hit = _dense_hit_matrix(kernel, inv)
+    hit, route, t_hit = _dense_hit_matrix(kernel, np.linalg.inv)
     t_pi_to = kernel.pi @ hit
     del hit  # hit_matrix solves it again when read
     t_target = float(t_pi_to @ kernel.pi)
     return HittingSummary(t_pi_to=t_pi_to, t_hit=t_hit, t_target=t_target,
                           route=route,
-                          form_hit_matrix=lambda: _dense_hit_matrix(kernel, inv)[0])
+                          form_hit_matrix=lambda: _dense_hit_matrix(
+                              kernel, np.linalg.inv)[0])
 
 
 def _dense_hit_matrix(kernel: TransitionKernel, inv) -> tuple:
     """(hit matrix, route, t_hit) of `hit_times`, its finiteness and its
     residual contract checked: the same calls, so the same bits, on every
-    solve."""
+    solve.  inv inverts the spectral route's S + q q^T: numpy's for
+    `hit_times`, scipy's for the hit target of `brw._gate_solves`."""
     n = kernel.n
     cols = np.linspace(0, n - 1, num=min(n, 8), dtype=int)
     if _is_tridiagonal(kernel.P):

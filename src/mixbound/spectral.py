@@ -213,8 +213,9 @@ def _eigensolve(kernel: TransitionKernel, eigh) -> tuple:
     columns of V, with every check of `decompose` but orthonormality.
 
     S is fresh and nothing else reads it, so eigh may overwrite it.
-    `decompose` passes numpy.linalg.eigh (LAPACK syevd); `brw` passes the
-    in-place evr solve of scipy, whose eigenvalues its gate pins.
+    `decompose` passes numpy.linalg.eigh (LAPACK syevd); `brw._gate_solves`
+    passes the in-place evr solve of scipy, whose lambda_2, the default
+    gamma of the branching targets, its gate pins.
     """
     n = kernel.n
     S, sqrt_pi = symmetrized_laplacian(kernel)

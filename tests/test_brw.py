@@ -109,6 +109,14 @@ def test_config_validation():
         brw.BRWConfig(gamma=-1.0)
     with pytest.raises(InvalidSpec):
         brw.BRWConfig(max_time=0.0)
+    # values a run cannot honour: gamma = inf read a mean of 0.0 with 3/4 of
+    # cycle(8)'s replicates censored, a seed outside 0..2^64-1 aliased one
+    # inside, and threads below 1 ran one process
+    for bad in ({"gamma": math.inf}, {"master_seed": -1}, {"master_seed": 2**64},
+                {"threads": 0}, {"threads": -3}):
+        with pytest.raises(InvalidSpec):
+            brw.BRWConfig(**bad)
+    assert brw.BRWConfig(master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 @pytest.mark.parametrize("field", ["gamma", "max_time"])
@@ -317,11 +325,12 @@ def test_default_cap_bound_covers_t_hit(analysis_cache, kernel):
 
 
 def test_no_hitting_solve_outside_the_hit_target(monkeypatch):
-    def refuse(kernel):
+    def refuse(*args):
         raise AssertionError("hitting times solved outside the hit target")
 
-    for module in (hitting, analysis, brw):
+    for module in (hitting, analysis):
         monkeypatch.setattr(module, "hit_times", refuse)
+    monkeypatch.setattr(brw, "_dense_hit_matrix", refuse)
     cfg = brw.BRWConfig(replicates=20, master_seed=1)
     specs = [chains.hypercube_spec(d) for d in (3, 4, 5)]
     for spec in specs:
@@ -546,8 +555,8 @@ def test_experiment_takes_everything_from_the_analysis(monkeypatch, target):
     expected = brw.experiment(ChainAnalysis.from_spec(spec), target, cfg)
     warm = ChainAnalysis.from_spec(spec)
     warm.hitting  # solved now; no solver may run from here on
-    # but the gate's two reads (gamma, t_rel and Q; the hit target), from
-    # scipy's solves in one call of brw._gate_solves
+    # but the gate's two reads (gamma; the hit target), from scipy's solves
+    # in one call of brw._gate_solves, which plain walks do not make
     gate_calls, gate_solves = [], brw._gate_solves
 
     def counted(*args, **kwargs):
@@ -565,7 +574,17 @@ def test_experiment_takes_everything_from_the_analysis(monkeypatch, target):
     for module in (hitting, analysis):
         monkeypatch.setattr(module, "hit_times", refuse)
     assert brw.experiment(warm, target, cfg) == expected
-    assert gate_calls == [{"hit": target == "hit"}]
+    assert gate_calls == ([] if target == "plain" else [{"hit": target == "hit"}])
+
+
+def test_experiment_refuses_an_unknown_target_before_any_solve(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("gate solved for an unknown target")
+
+    monkeypatch.setattr(brw, "_gate_solves", refuse)
+    a = ChainAnalysis.from_spec(chains.cycle_spec(8))
+    with pytest.raises(InvalidSpec, match="unknown BRW target"):
+        brw.experiment(a, "bogus", brw.BRWConfig(replicates=10))
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +647,9 @@ def test_band_failure_detected():
 # recorded before the hit and intersection engines were merged into one
 # race engine; the growth entry is its three means, then its three standard
 # errors.  A change here means the RNG draw order or the event order moved.
+# The cycle8 default, time and pinned entries that read gamma were recorded
+# again when the default gamma became the analysis gap; the draws did not
+# move (test_explicit_gamma_keeps_the_old_bits).
 PINNED_BITS = {
     ("complete4", "default", "hit"):
         ("0x1.daf3d6599bf50p-1", "0x1.9eb1c71db6f1fp-5", "0x0.0p+0"),
@@ -676,15 +698,15 @@ PINNED_BITS = {
     ("complete4", "pinned", "intersection_reference"):
         ("0x1.553e83440c202p-1", "0x1.a886b39d1995ap-6", "0x0.0p+0"),
     ("cycle8", "default", "hit"):
-        ("0x1.1cd7c339d70fep+2", "0x1.c9a83d66ab33fp-3", "0x0.0p+0"),
+        ("0x1.1cd7c339d70fdp+2", "0x1.c9a83d66ab33dp-3", "0x0.0p+0"),
     ("cycle8", "default", "intersection"):
-        ("0x1.0bb5805210fcep+1", "0x1.b0e2a652b95e0p-4", "0x0.0p+0"),
+        ("0x1.0bb5805210fccp+1", "0x1.b0e2a652b95dep-4", "0x0.0p+0"),
     ("cycle8", "default", "plain"):
         ("0x1.a0ea04afdedecp+1", "0x1.6a5201b9711d9p-3", "0x0.0p+0"),
     ("cycle8", "default", "hit_reference"):
-        ("0x1.179974ac7dd9ep+2", "0x1.e34dd5f161276p-3", "0x0.0p+0"),
+        ("0x1.179974ac7dd9cp+2", "0x1.e34dd5f161272p-3", "0x0.0p+0"),
     ("cycle8", "default", "intersection_reference"):
-        ("0x1.03d9299565d8fp+1", "0x1.cb4a63e4cb1c4p-4", "0x0.0p+0"),
+        ("0x1.03d9299565d8ep+1", "0x1.cb4a63e4cb1c1p-4", "0x0.0p+0"),
     ("cycle8", "default", "growth"):
         ("0x1.2740da740da74p+0", "0x1.4a3d70a3d70a4p+0", "0x1.b4e81b4e81b4fp+0",
          "0x1.76d2a8906dd1ep-6", "0x1.264d0e611095cp-5", "0x1.e7e784fc5b2efp-5"),
@@ -702,33 +724,65 @@ PINNED_BITS = {
         ("0x1.2c5f92c5f92c6p+1", "0x1.e4b17e4b17e4bp+1", "0x1.392c5f92c5f93p+2",
          "0x1.4ddcc1dbc364fp-4", "0x1.63abc3d5e5934p-4", "0x1.debd9afdd9287p-6"),
     ("cycle8", "time", "hit"):
-        ("0x1.7895d4f365408p-3", "0x1.342396d677126p-5", "0x1.8bf258bf258bfp-1"),
+        ("0x1.7895d4f365407p-3", "0x1.342396d677124p-5", "0x1.8bf258bf258bfp-1"),
     ("cycle8", "time", "intersection"):
-        ("0x1.35caa645336abp-2", "0x1.069a96dd53cc8p-5", "0x1.5555555555555p-1"),
+        ("0x1.35caa645336a9p-2", "0x1.069a96dd53cc6p-5", "0x1.5555555555555p-1"),
     ("cycle8", "time", "plain"):
         ("0x1.27aaa7d8378bdp-2", "0x1.1202fbabc7194p-5", "0x1.62fc962fc9630p-1"),
     ("cycle8", "time", "hit_reference"):
-        ("0x1.31ab2720d60bbp-3", "0x1.e7ea9ed560d85p-6", "0x1.8a3d70a3d70a4p-1"),
+        ("0x1.31ab2720d60bap-3", "0x1.e7ea9ed560d82p-6", "0x1.8a3d70a3d70a4p-1"),
     ("cycle8", "time", "intersection_reference"):
-        ("0x1.38f2f920eac70p-2", "0x1.e2f39e9116fb5p-6", "0x1.3d70a3d70a3d7p-1"),
+        ("0x1.38f2f920eac6ep-2", "0x1.e2f39e9116fb2p-6", "0x1.3d70a3d70a3d7p-1"),
     ("cycle8", "pinned", "hit"):
-        ("0x1.db6e7706d2f11p+2", "0x1.a212d718084bcp-3", "0x0.0p+0"),
+        ("0x1.db6e7706d2f0ep+2", "0x1.a212d718084bap-3", "0x0.0p+0"),
     ("cycle8", "pinned", "intersection"):
-        ("0x1.b3931c1f8b8fep+1", "0x1.8dc60bec8c34bp-4", "0x0.0p+0"),
+        ("0x1.b3931c1f8b8fbp+1", "0x1.8dc60bec8c349p-4", "0x0.0p+0"),
     ("cycle8", "pinned", "plain"):
         ("0x1.5adec2c753f2cp+2", "0x1.952a03af3382ap-3", "0x0.0p+0"),
     ("cycle8", "pinned", "hit_reference"):
-        ("0x1.c1fe1ec47e9bfp+2", "0x1.ac34590c2f9c2p-3", "0x0.0p+0"),
+        ("0x1.c1fe1ec47e9bcp+2", "0x1.ac34590c2f9bfp-3", "0x0.0p+0"),
     ("cycle8", "pinned", "intersection_reference"):
-        ("0x1.babe732bd8000p+1", "0x1.74b78fa9eb6c4p-4", "0x0.0p+0"),
+        ("0x1.babe732bd7ffdp+1", "0x1.74b78fa9eb6c1p-4", "0x0.0p+0"),
 }
 
 PINNED_TIME_CAPS = {"complete4": 0.4, "cycle8": 1.0}  # each censors some replicates
 
+# cycle(8)'s gap from scipy's evr solve, the default gamma before it became
+# the analysis gap (0x1.2bec333018867p-2 from the group symbol), and the
+# entries above that read gamma as they were at that default: at an explicit
+# gamma the draw sequence is unchanged.
+CYCLE8_EVR_GAP = float.fromhex("0x1.2bec333018860p-2")
+CYCLE8_EVR_GAP_BITS = {
+    ("default", "hit"):
+        ("0x1.1cd7c339d70fep+2", "0x1.c9a83d66ab33fp-3", "0x0.0p+0"),
+    ("default", "intersection"):
+        ("0x1.0bb5805210fcep+1", "0x1.b0e2a652b95e0p-4", "0x0.0p+0"),
+    ("default", "hit_reference"):
+        ("0x1.179974ac7dd9ep+2", "0x1.e34dd5f161276p-3", "0x0.0p+0"),
+    ("default", "intersection_reference"):
+        ("0x1.03d9299565d8fp+1", "0x1.cb4a63e4cb1c4p-4", "0x0.0p+0"),
+    ("time", "hit"):
+        ("0x1.7895d4f365408p-3", "0x1.342396d677126p-5", "0x1.8bf258bf258bfp-1"),
+    ("time", "intersection"):
+        ("0x1.35caa645336abp-2", "0x1.069a96dd53cc8p-5", "0x1.5555555555555p-1"),
+    ("time", "hit_reference"):
+        ("0x1.31ab2720d60bbp-3", "0x1.e7ea9ed560d85p-6", "0x1.8a3d70a3d70a4p-1"),
+    ("time", "intersection_reference"):
+        ("0x1.38f2f920eac70p-2", "0x1.e2f39e9116fb5p-6", "0x1.3d70a3d70a3d7p-1"),
+    ("pinned", "hit"):
+        ("0x1.db6e7706d2f11p+2", "0x1.a212d718084bcp-3", "0x0.0p+0"),
+    ("pinned", "intersection"):
+        ("0x1.b3931c1f8b8fep+1", "0x1.8dc60bec8c34bp-4", "0x0.0p+0"),
+    ("pinned", "hit_reference"):
+        ("0x1.c1fe1ec47e9bfp+2", "0x1.ac34590c2f9c2p-3", "0x0.0p+0"),
+    ("pinned", "intersection_reference"):
+        ("0x1.babe732bd8000p+1", "0x1.74b78fa9eb6c4p-4", "0x0.0p+0"),
+}
 
-def _pinned_estimates(kernel, case, time_cap):
+
+def _pinned_estimates(kernel, case, time_cap, gamma=None):
     x = kernel.n // 2
-    cfg = brw.BRWConfig(replicates=300, master_seed=3)
+    cfg = brw.BRWConfig(replicates=300, master_seed=3, gamma=gamma)
     if case == "particles":
         cfg = replace(cfg, gamma=2.0, max_particles=5)
     elif case == "time":
@@ -761,3 +815,13 @@ def test_estimates_pinned_bit_for_bit(request, kernel_name, case):
     assert got == expected
     if case == "time":
         assert all(0.0 < float.fromhex(b[2]) < 1.0 for b in got.values())
+
+
+@pytest.mark.parametrize("case", ["default", "time", "pinned"])
+def test_explicit_gamma_keeps_the_old_bits(cycle8, case):
+    got = _pinned_estimates(cycle8, case, PINNED_TIME_CAPS["cycle8"], gamma=CYCLE8_EVR_GAP)
+    expected = {est: bits for (k, c, est), bits in PINNED_BITS.items()
+                if (k, c) == ("cycle8", case)}
+    expected.update({est: bits for (c, est), bits in CYCLE8_EVR_GAP_BITS.items()
+                     if c == case})
+    assert got == expected

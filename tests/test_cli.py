@@ -232,13 +232,19 @@ def test_import_sets_blas_timeout_default_before_numpy(preset):
 
 _SCIPY_LOADED = """
 import sys
-from mixbound import cli
+from mixbound import brw, chains, cli
 for spec in SPECS:
     for command in ("analyze", "verify", "profile"):
         assert cli.main([command, "--spec", spec, "--out", "out.csv"]) == 0
+BRW = ["brw", "--family", "cycle", "--sizes", "8", "--replicates", "20", "--target"]
+assert cli.main(BRW + ["plain"]) == 0
+kernel, cfg = chains.build_family(chains.cycle_spec(8)), brw.BRWConfig(replicates=20)
+brw.simulate_hit(kernel, 4, cfg)
+brw.simulate_intersection(kernel, cfg)
+brw.plain_intersection(kernel, cfg)
+brw.growth_curve(kernel, cfg, [1.0])
 print("exact:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
-assert cli.main(["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
-                 "--replicates", "20"]) == 0
+assert cli.main(BRW + [TARGET]) == 0
 print("brw:", "scipy.linalg" in sys.modules)
 """
 
@@ -249,7 +255,9 @@ def test_exact_commands_load_no_scipy(tmp_path):
     # MiB of VmRSS, beyond the 10% peak-RSS bound of the exact benchmark
     # workloads.  The exact layer runs on numpy alone, on every route:
     # characters, dense eigh and inv, the birth-death and diagonal heat
-    # ladder of dlp(60) and a custom kernel; brw alone imports scipy.
+    # ladder of dlp(60) and a custom kernel.  So do plain walks and every
+    # estimator with gamma unset, which defaults to the analysis gap; only
+    # the gate solves of brw's branching targets import scipy.
     P = chains.random_reversible_kernel(30, np.random.default_rng(0)).P
     np.savetxt(tmp_path / "m.csv", P, fmt="%.17g", delimiter=",")
     specs = {"cycle": "n=16", "torus": "d=2\nm=4", "hypercube": "d=3",
@@ -257,10 +265,11 @@ def test_exact_commands_load_no_scipy(tmp_path):
              "custom": "matrix=m.csv"}
     for family, params in specs.items():
         (tmp_path / f"{family}.spec").write_text(f"family={family}\n{params}\n")
-    code = f"SPECS = {[f'{f}.spec' for f in specs]!r}\n" + _SCIPY_LOADED
-    out = _python(code, cwd=tmp_path).splitlines()
-    assert [ln for ln in out if ln.split()[0] in ("exact:", "brw:")] \
-        == ["exact: []", "brw: True"], out
+    for target, files in (("hit", [f"{f}.spec" for f in specs]), ("intersect", [])):
+        code = f"SPECS = {files!r}\nTARGET = {target!r}\n" + _SCIPY_LOADED
+        out = _python(code, cwd=tmp_path).splitlines()
+        assert [ln for ln in out if ln.split()[0] in ("exact:", "brw:")] \
+            == ["exact: []", "brw: True"], out
 
 
 def test_blas_timeout_does_not_change_data(tmp_path):
@@ -342,7 +351,7 @@ def test_hitting_solved_only_when_used(monkeypatch, tmp_path, command, solves):
 ])
 def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, sandwich):
     calls = {"build_family": 0, "decompose": 0, "character_decompose": 0,
-             "_eigensolve": 0, "hit_times": 0}
+             "_eigensolve": 0, "hit_times": 0, "_dense_hit_matrix": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -352,10 +361,11 @@ def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, s
 
     # ChainAnalysis decomposes each kernel once, on the character route for
     # these families; brw's gate solves add one dense eigensolve per kernel
-    # and, for the hit target alone, one hitting solve.  A sandwich builds
-    # its kernels in brw first, to check transitivity before any solve.
+    # for the branching targets and, for the hit target alone, one hitting
+    # solve.  A sandwich builds its kernels in brw first, to check
+    # transitivity before any solve.
     for module in (brw, analysis):
-        for name in ("build_family", "_eigensolve", "hit_times"):
+        for name in ("build_family", "_eigensolve", "hit_times", "_dense_hit_matrix"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     for name in ("decompose", "character_decompose"):
@@ -368,7 +378,8 @@ def test_brw_single_run_solves_each_kernel_once(monkeypatch, tmp_path, target, s
                      "--out", str(tmp_path / "b.csv")]) == 0
     n = len(sizes)
     assert calls == {"build_family": n, "decompose": 0, "character_decompose": n,
-                     "_eigensolve": n, "hit_times": n if target == "hit" else 0}
+                     "_eigensolve": 0 if target == "plain" else n, "hit_times": 0,
+                     "_dense_hit_matrix": n if target == "hit" else 0}
 
 
 @pytest.mark.parametrize("target,family", [
@@ -457,6 +468,9 @@ BRW = ["brw", "--family", "cycle", "--sizes", "8", "--target", "hit",
     pytest.param(PROFILE + ["--t-min", "500"], id="t-min-above-default-t-max"),
     pytest.param(PROFILE + ["--out", "no-such-dir/p.csv"], id="out-missing-dir"),
     pytest.param(BRW + ["--max-time", "nan"], id="max-time-nan"),
+    # seeds outside 0..2^64-1, which wrote the rows of 2^64-1 and of 0
+    pytest.param(BRW + ["--seed", "-1"], id="brw-seed-negative"),
+    pytest.param(BRW + ["--seed", str(2**64)], id="brw-seed-2^64"),
     pytest.param(["brw", "--family", "torus", "--d", "2", "--sizes", "4,6",
                   "--target", "hit", "--sandwich"], id="sandwich-two-sizes"),
     # one state count three times: no size trend can be fitted
